@@ -179,6 +179,7 @@ Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenForAppend(
     return WriteError(path);
   }
   writer->rounds_written_ = rounds;
+  writer->base_round_ = base_round;
   writer->config_crc_ = config_crc;
   writer->rolling_crc_ = rolling_crc;
   return writer;
@@ -250,6 +251,7 @@ Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenRebased(
     return status;
   }
   writer->rounds_written_ = base_round;
+  writer->base_round_ = base_round;
   return writer;
 }
 

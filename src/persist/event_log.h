@@ -113,6 +113,8 @@ class EventLogWriter {
   util::Status Finish();
 
   std::int64_t rounds_written() const { return rounds_written_; }
+  /// The round this log's numbering starts after (0 unless rebased).
+  std::int64_t base_round() const { return base_round_; }
   /// CRC-32 of the config record's payload — ties snapshot files to the
   /// exact recorded configuration.
   std::uint32_t config_crc() const { return config_crc_; }
@@ -128,6 +130,7 @@ class EventLogWriter {
   util::Status status_;
   std::string scratch_;
   std::int64_t rounds_written_ = 0;
+  std::int64_t base_round_ = 0;
   std::uint32_t config_crc_ = 0;
   /// CRC chained over every round payload, committed in the footer.
   std::uint32_t rolling_crc_ = 0;

@@ -1,8 +1,10 @@
 // RunRecorder: a RoundObserver that streams every settled round into an
 // event log and periodically checkpoints the engine into an atomically
-// written snapshot file — the producer side of record/replay. Attach it to
-// a TradingEngine (via CmabHs::mutable_engine()->AddObserver) before the
-// first round; call Finish() after the campaign for a footer-sealed log.
+// written snapshot file — the producer side of record/replay and the one
+// writer of every log and snapshot. Attach it to a TradingEngine (via
+// CmabHs::mutable_engine()->AddObserver) before the first round; call
+// Finish() after the campaign for a footer-sealed log. A storage error
+// fails the round; runtime::DurabilityGuard wraps a recorder to absorb it.
 
 #ifndef CDT_PERSIST_RECORDER_H_
 #define CDT_PERSIST_RECORDER_H_
@@ -47,6 +49,15 @@ class RunRecorder : public market::RoundObserver {
   /// tail replay) — AppendRound enforces the gap-free round sequence.
   static util::Result<std::unique_ptr<RunRecorder>> Attach(Options options);
 
+  /// Starts a log whose first round follows `engine`'s current round
+  /// (compaction, re-arm): durably writes a snapshot of `engine`, then
+  /// atomically swaps a rebased log in over `options.log_path` and notes
+  /// the snapshot in it. A crash in between leaves the previous log plus a
+  /// newer snapshot, which still recovers. Needs a snapshot_path.
+  static util::Result<std::unique_ptr<RunRecorder>> Rebase(
+      Options options, const core::MechanismConfig& config,
+      const core::PolicySpec& policy, const market::TradingEngine& engine);
+
   /// Appends the round record; at checkpoint rounds also captures and
   /// durably writes a snapshot, then notes it in the log (the note is
   /// only present when the snapshot file already hit disk).
@@ -62,7 +73,14 @@ class RunRecorder : public market::RoundObserver {
   /// before Finish leaves a torn but recoverable log.
   util::Status Finish();
 
+  /// Seals the log and renames it to `path`, replacing any file there, so
+  /// it stays behind as a footer-complete log of its own (compaction's
+  /// retained segment). The recorder accepts no rounds afterwards.
+  util::Status SealAs(const std::string& path);
+
   std::int64_t rounds_recorded() const { return log_->rounds_written(); }
+  /// The round the log's numbering starts after (0 unless rebased).
+  std::int64_t base_round() const { return log_->base_round(); }
   std::uint32_t config_crc() const { return log_->config_crc(); }
 
  private:

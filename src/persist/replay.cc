@@ -1,5 +1,6 @@
 #include "persist/replay.h"
 
+#include <limits>
 #include <utility>
 
 #include "market/trading_engine.h"
@@ -178,6 +179,44 @@ std::string DivergenceDetail(const market::RoundReport& recorded,
 
 }  // namespace
 
+Status ReplayRecordedRounds(const RecordedRun& recorded,
+                            const std::vector<SellerFlip>& flips,
+                            core::CmabHs* run) {
+  const std::int64_t from = run->engine().current_round();
+  const std::int64_t last_round =
+      recorded.base_round + static_cast<std::int64_t>(recorded.rounds.size());
+  if (from < recorded.base_round || from > last_round) {
+    return Status::FailedPrecondition(
+        "cannot replay from round " + std::to_string(from) +
+        ": the log holds rounds " + std::to_string(recorded.base_round + 1) +
+        " through " + std::to_string(last_round));
+  }
+  auto flip = flips.begin();
+  while (flip != flips.end() && flip->effect_round <= from) ++flip;
+  auto apply_flips_through = [&](std::int64_t round) {
+    for (; flip != flips.end() && flip->effect_round <= round; ++flip) {
+      (void)run->mutable_engine().SetSellerActive(flip->seller, flip->active);
+    }
+  };
+  for (std::int64_t round = from + 1; round <= last_round; ++round) {
+    apply_flips_through(round);
+    auto report = run->RunRound();
+    CDT_RETURN_NOT_OK(report.status());
+    const auto index =
+        static_cast<std::size_t>(round - recorded.base_round - 1);
+    if (CanonicalRoundBytes(report.value()) !=
+        recorded.round_payloads[index]) {
+      return Status::Internal(
+          "replay diverged at round " + std::to_string(round) +
+          " (differing fields: " +
+          DivergenceDetail(recorded.rounds[index], report.value()) +
+          ") — the build no longer reproduces the recorded log");
+    }
+  }
+  apply_flips_through(std::numeric_limits<std::int64_t>::max());
+  return Status::OK();
+}
+
 Result<ReplayResult> VerifyReplay(const RecordedRun& recorded) {
   if (recorded.base_round != 0) {
     return Status::FailedPrecondition(
@@ -188,22 +227,9 @@ Result<ReplayResult> VerifyReplay(const RecordedRun& recorded) {
   }
   auto run = core::CmabHs::Create(recorded.config, recorded.policy);
   CDT_RETURN_NOT_OK(run.status());
-  core::CmabHs& live = *run.value();
-
+  CDT_RETURN_NOT_OK(ReplayRecordedRounds(recorded, {}, run.value().get()));
   ReplayResult result;
-  for (std::size_t i = 0; i < recorded.rounds.size(); ++i) {
-    auto report = live.RunRound();
-    CDT_RETURN_NOT_OK(report.status());
-    const std::string bytes = CanonicalRoundBytes(report.value());
-    if (bytes != recorded.round_payloads[i]) {
-      return Status::Internal(
-          "replay diverged at round " + std::to_string(i + 1) +
-          " (differing fields: " +
-          DivergenceDetail(recorded.rounds[i], report.value()) +
-          ") — the build no longer reproduces the recorded trace");
-    }
-    ++result.rounds_verified;
-  }
+  result.rounds_verified = static_cast<std::int64_t>(recorded.rounds.size());
   return result;
 }
 
@@ -214,50 +240,17 @@ Result<ResumedRun> ResumeFromSnapshot(const RecordedRun& recorded,
         "snapshot belongs to a different recording (config CRC "
         "mismatch)");
   }
-  const std::int64_t snapshot_round = snapshot.snapshot.next_round - 1;
-  const std::int64_t recorded_rounds =
-      recorded.base_round + static_cast<std::int64_t>(recorded.rounds.size());
-  if (snapshot_round < 0 || snapshot_round > recorded_rounds) {
-    return Status::FailedPrecondition(
-        "snapshot covers round " + std::to_string(snapshot_round) +
-        " but the log holds only " + std::to_string(recorded_rounds) +
-        " rounds");
-  }
-  if (snapshot_round < recorded.base_round) {
-    return Status::FailedPrecondition(
-        "snapshot covers round " + std::to_string(snapshot_round) +
-        " but the log was rebased at round " +
-        std::to_string(recorded.base_round) +
-        "; rounds in between were compacted away");
-  }
-
   auto run = core::CmabHs::Create(recorded.config, recorded.policy);
   CDT_RETURN_NOT_OK(run.status());
-  core::CmabHs& live = *run.value();
   CDT_RETURN_NOT_OK(
-      live.mutable_engine().RestoreSnapshot(snapshot.snapshot));
-
+      run.value()->mutable_engine().RestoreSnapshot(snapshot.snapshot));
+  ResumedRun resumed;
+  resumed.snapshot_round = run.value()->engine().current_round();
   // Tail-replay: re-execute the recorded rounds past the snapshot and
   // hold them to the same byte-identical standard as a full replay.
-  for (std::int64_t round = snapshot_round + 1; round <= recorded_rounds;
-       ++round) {
-    auto report = live.RunRound();
-    CDT_RETURN_NOT_OK(report.status());
-    const std::string bytes = CanonicalRoundBytes(report.value());
-    const auto index =
-        static_cast<std::size_t>(round - recorded.base_round - 1);
-    if (bytes != recorded.round_payloads[index]) {
-      return Status::Internal(
-          "tail-replay diverged at round " + std::to_string(round) +
-          " (differing fields: " +
-          DivergenceDetail(recorded.rounds[index], report.value()) + ")");
-    }
-  }
-
-  ResumedRun resumed;
+  CDT_RETURN_NOT_OK(ReplayRecordedRounds(recorded, {}, run.value().get()));
+  resumed.resumed_round = run.value()->engine().current_round();
   resumed.run = std::move(run).value();
-  resumed.snapshot_round = snapshot_round;
-  resumed.resumed_round = recorded_rounds;
   return resumed;
 }
 

@@ -10,6 +10,9 @@
 // Also hosts snapshot resume: restore an engine from a snapshot file and
 // tail-replay the recorded rounds past it, verifying each, leaving a live
 // run positioned exactly where the recording stopped.
+//
+// Full replay, snapshot resume and the hosted runtime's crash recovery all
+// run the same loop, ReplayRecordedRounds.
 
 #ifndef CDT_PERSIST_REPLAY_H_
 #define CDT_PERSIST_REPLAY_H_
@@ -60,6 +63,25 @@ util::Result<RecordedRun> LoadRecordedRun(const std::string& path,
 /// The canonical byte encoding replay compares — exposed so recorder,
 /// replayer and tests share one definition.
 std::string CanonicalRoundBytes(const market::RoundReport& report);
+
+/// A seller leaving (`active` false) or returning, applied just before
+/// round `effect_round` runs.
+struct SellerFlip {
+  std::int64_t effect_round = 1;
+  int seller = -1;
+  bool active = false;
+};
+
+/// Re-executes the recorded rounds (from, end] on `run`, which stands at
+/// round `from` of the log, and byte-compares each with its recorded
+/// payload; the first divergence is an Internal error naming the round and
+/// the differing fields. `flips`, sorted by effect_round, apply just before
+/// their round; those at or before `from` are already in the run's state,
+/// those past the end apply after it. A flip's own status is ignored: a
+/// refusal the live run saw repeats here.
+util::Status ReplayRecordedRounds(const RecordedRun& recorded,
+                                  const std::vector<SellerFlip>& flips,
+                                  core::CmabHs* run);
 
 /// Outcome of a successful verification.
 struct ReplayResult {

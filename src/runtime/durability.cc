@@ -8,7 +8,6 @@
 #include "market/trading_engine.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
-#include "persist/io_hooks.h"
 
 namespace cdt {
 namespace runtime {
@@ -70,18 +69,10 @@ const char* DurabilityGuard::HealthName(Health health) {
   return "unknown";
 }
 
+/// RunRecorder checks the log and snapshot options.
 static Status ValidateOptions(const DurabilityGuard::Options& options) {
-  if (options.log_path.empty()) {
-    return Status::InvalidArgument("DurabilityGuard needs a log_path");
-  }
   if (options.journal_path.empty()) {
     return Status::InvalidArgument("DurabilityGuard needs a journal_path");
-  }
-  if (options.snapshot_every < 0) {
-    return Status::InvalidArgument("snapshot_every must be >= 0");
-  }
-  if (options.snapshot_every > 0 && options.snapshot_path.empty()) {
-    return Status::InvalidArgument("snapshot_every > 0 needs a snapshot_path");
   }
   if (options.tuning.degrade_after_failures < 1) {
     return Status::InvalidArgument("degrade_after_failures must be >= 1");
@@ -103,38 +94,40 @@ static Status ValidateOptions(const DurabilityGuard::Options& options) {
   return Status::OK();
 }
 
+static persist::RunRecorder::Options RecorderOptions(
+    const DurabilityGuard::Options& options) {
+  persist::RunRecorder::Options recorder;
+  recorder.log_path = options.log_path;
+  recorder.snapshot_path = options.snapshot_path;
+  recorder.snapshot_every = options.snapshot_every;
+  return recorder;
+}
+
 Result<std::unique_ptr<DurabilityGuard>> DurabilityGuard::Create(
     Options options, const core::MechanismConfig& config,
     const core::PolicySpec& policy) {
   CDT_RETURN_NOT_OK(ValidateOptions(options));
-  auto log = persist::EventLogWriter::Open(options.log_path, config, policy);
-  CDT_RETURN_NOT_OK(log.status());
+  auto recorder =
+      persist::RunRecorder::Create(RecorderOptions(options), config, policy);
+  CDT_RETURN_NOT_OK(recorder.status());
   auto journal = JournalWriter::Open(options.journal_path);
   CDT_RETURN_NOT_OK(journal.status());
-  std::unique_ptr<DurabilityGuard> guard(
-      new DurabilityGuard(std::move(options), config, policy));
-  guard->config_crc_ = log.value()->config_crc();
-  guard->log_ = std::move(log).value();
-  guard->journal_ = std::move(journal).value();
-  return guard;
+  return std::unique_ptr<DurabilityGuard>(new DurabilityGuard(
+      std::move(options), config, policy, std::move(recorder).value(),
+      std::move(journal).value()));
 }
 
 Result<std::unique_ptr<DurabilityGuard>> DurabilityGuard::Attach(
     Options options, const core::MechanismConfig& config,
     const core::PolicySpec& policy) {
   CDT_RETURN_NOT_OK(ValidateOptions(options));
-  auto log = persist::EventLogWriter::OpenForAppend(options.log_path);
-  CDT_RETURN_NOT_OK(log.status());
+  auto recorder = persist::RunRecorder::Attach(RecorderOptions(options));
+  CDT_RETURN_NOT_OK(recorder.status());
   auto journal = JournalWriter::Open(options.journal_path);
   CDT_RETURN_NOT_OK(journal.status());
-  std::unique_ptr<DurabilityGuard> guard(
-      new DurabilityGuard(std::move(options), config, policy));
-  guard->config_crc_ = log.value()->config_crc();
-  guard->last_rebase_round_ =
-      log.value()->rounds_written();  // conservative: never compacted
-  guard->log_ = std::move(log).value();
-  guard->journal_ = std::move(journal).value();
-  return guard;
+  return std::unique_ptr<DurabilityGuard>(new DurabilityGuard(
+      std::move(options), config, policy, std::move(recorder).value(),
+      std::move(journal).value()));
 }
 
 Status DurabilityGuard::OnRound(const market::TradingEngine& engine,
@@ -148,16 +141,19 @@ Status DurabilityGuard::OnRound(const market::TradingEngine& engine,
     case Health::kDurable:
       break;
   }
-  Status status = AppendDurable(engine, report);
+  Status status = recorder_->OnRound(engine, report);
   if (!status.ok()) {
     if (!IsStorageFailure(status)) return status;
     RecordWalFailure(status, report.round);
     return Status::OK();
   }
   consecutive_failures_ = 0;
+  // The log's base round is the last rebase, including one made before a
+  // crash and recovery, so the cadence matches an uninterrupted run.
   if (tuning().compact_after_rounds > 0 &&
-      report.round - last_rebase_round_ >= tuning().compact_after_rounds) {
-    Status compacted = Compact(engine, report.round);
+      report.round - recorder_->base_round() >=
+          tuning().compact_after_rounds) {
+    Status compacted = Compact(engine);
     if (!compacted.ok()) {
       if (!IsStorageFailure(compacted)) return compacted;
       // Compact dismantles the writers before it can fail — the outgoing
@@ -172,30 +168,11 @@ Status DurabilityGuard::OnRound(const market::TradingEngine& engine,
   return Status::OK();
 }
 
-Status DurabilityGuard::AppendDurable(const market::TradingEngine& engine,
-                                      const market::RoundReport& report) {
-  CDT_RETURN_NOT_OK(log_->AppendRound(report));
-  const bool checkpoint = options_.snapshot_every > 0 &&
-                          report.round % options_.snapshot_every == 0;
-  if (checkpoint) {
-    // Snapshot first, note second: the log never claims a snapshot that
-    // did not reach disk (same discipline as RunRecorder).
-    CDT_RETURN_NOT_OK(persist::WriteSnapshotFile(
-        options_.snapshot_path, config_crc_, engine.CaptureSnapshot()));
-    CDT_RETURN_NOT_OK(log_->AppendSnapshotNote(report.round));
-  }
-  return Status::OK();
-}
-
 void DurabilityGuard::Journal(const JournalEntry& entry) {
   if (journal_ == nullptr) return;  // degraded: rides in the next snapshot
   Status status = journal_->Append(entry);
   if (status.ok()) return;
-  last_error_ = status;
-  ++wal_failures_;
-  Count("cdt_runtime_durability_wal_failures_total",
-        "WAL write failures absorbed by durability guards",
-        &g_wal_failures);
+  CountWalFailure(status);
   // The flip is applied but not journaled: the current log can no longer
   // reproduce the engine, so continuing to append rounds would poison
   // recovery silently. Degrade now; the re-arm snapshot's activity
@@ -205,73 +182,38 @@ void DurabilityGuard::Journal(const JournalEntry& entry) {
 
 Status DurabilityGuard::CheckpointNow(const market::TradingEngine& engine) {
   if (health_ != Health::kDurable) return Status::OK();
-  if (options_.snapshot_path.empty()) return Status::OK();
-  const std::int64_t round = engine.current_round();
-  if (round < 1 || round != log_->rounds_written()) return Status::OK();
-  Status status = persist::WriteSnapshotFile(
-      options_.snapshot_path, config_crc_, engine.CaptureSnapshot());
-  if (status.ok()) status = log_->AppendSnapshotNote(round);
+  Status status = recorder_->CheckpointNow(engine);
   if (!status.ok() && IsStorageFailure(status)) {
-    RecordWalFailure(status, round);
+    RecordWalFailure(status, engine.current_round());
     return Status::OK();
   }
   return status;
 }
 
-Status DurabilityGuard::Rebase(const market::TradingEngine& engine,
-                               std::int64_t round) {
-  if (options_.snapshot_path.empty()) {
-    return Status::FailedPrecondition(
-        "cannot rebase '" + options_.log_path +
-        "' without a snapshot path (snapshots are disabled)");
-  }
-  log_.reset();
+Status DurabilityGuard::Rebase(const market::TradingEngine& engine) {
+  recorder_.reset();
   journal_.reset();
-  // The snapshot must land before the rebased log exists: a crash in
-  // between leaves the old log + new snapshot, which still recovers.
-  CDT_RETURN_NOT_OK(persist::WriteSnapshotFile(
-      options_.snapshot_path, config_crc_, engine.CaptureSnapshot()));
-  auto log = persist::EventLogWriter::OpenRebased(options_.log_path, config_,
-                                                  policy_, round);
-  CDT_RETURN_NOT_OK(log.status());
-  if (round >= 1) {
-    CDT_RETURN_NOT_OK(log.value()->AppendSnapshotNote(round));
-  }
-  // Journaled flips all have effect_round <= round, so they are inside
-  // the snapshot's activity bitmap — the journal restarts empty.
+  auto recorder = persist::RunRecorder::Rebase(RecorderOptions(options_),
+                                               config_, policy_, engine);
+  CDT_RETURN_NOT_OK(recorder.status());
+  // Journaled flips all have effect_round <= the rebase round, so they are
+  // inside the snapshot's activity bitmap — the journal restarts empty.
   std::remove(options_.journal_path.c_str());
   auto journal = JournalWriter::Open(options_.journal_path);
   CDT_RETURN_NOT_OK(journal.status());
-  log_ = std::move(log).value();
+  recorder_ = std::move(recorder).value();
   journal_ = std::move(journal).value();
-  last_rebase_round_ = round;
   return Status::OK();
 }
 
-Status DurabilityGuard::Compact(const market::TradingEngine& engine,
-                                std::int64_t round) {
+Status DurabilityGuard::Compact(const market::TradingEngine& engine) {
   if (tuning().retain_compacted) {
-    // Seal the outgoing segment so the retained artifact is a valid,
-    // footer-complete log in its own right.
-    CDT_RETURN_NOT_OK(log_->Finish());
-    // Past this point the writer is sealed and can never accept another
-    // append: any failure below must surface as a storage failure so
-    // OnRound degrades (dropping the dead writer) rather than retrying.
-    const std::string retained = options_.log_path + ".old";
-    std::remove(retained.c_str());
-    const persist::IoDecision rename_fault =
-        persist::IoHooks::Instance().Check(persist::IoOp::kRename);
-    if (rename_fault.error != 0) {
-      errno = rename_fault.error;
-      return Status::IoError("cannot retain compacted segment as '" +
-                             retained + "': injected rename fault");
-    }
-    if (std::rename(options_.log_path.c_str(), retained.c_str()) != 0) {
-      return Status::IoError("cannot retain compacted segment as '" +
-                             retained + "'");
-    }
+    // A failed seal or rename leaves a recorder that can never append
+    // again; it fails as a storage failure, so OnRound degrades (dropping
+    // the dead writer) rather than retrying.
+    CDT_RETURN_NOT_OK(recorder_->SealAs(options_.log_path + ".old"));
   }
-  CDT_RETURN_NOT_OK(Rebase(engine, round));
+  CDT_RETURN_NOT_OK(Rebase(engine));
   ++compactions_;
   Count("cdt_runtime_durability_compactions_total",
         "Snapshot-compactions (log rebased onto its snapshot)",
@@ -287,21 +229,12 @@ void DurabilityGuard::TryRearm(const market::TradingEngine& engine,
     return;
   }
   ++rearm_attempts_;
-  Status status = Rebase(engine, round);
+  Status status = Rebase(engine);
   if (status.ok()) {
-    health_ = Health::kDurable;
-    consecutive_failures_ = 0;
-    ++rearms_;
-    Count("cdt_runtime_durability_rearms_total",
-          "Degraded marketplaces restored to full durability",
-          &g_rearms);
+    MarkRearmed();
     return;
   }
-  last_error_ = status;
-  ++wal_failures_;
-  Count("cdt_runtime_durability_wal_failures_total",
-        "WAL write failures absorbed by durability guards",
-        &g_wal_failures);
+  CountWalFailure(status);
   if (tuning().max_rearm_attempts > 0 &&
       rearm_attempts_ >= tuning().max_rearm_attempts) {
     MarkFailed();
@@ -311,13 +244,17 @@ void DurabilityGuard::TryRearm(const market::TradingEngine& engine,
   next_rearm_round_ = round + rearm_backoff_;
 }
 
-void DurabilityGuard::RecordWalFailure(const Status& status,
-                                       std::int64_t round) {
+void DurabilityGuard::CountWalFailure(const Status& status) {
   last_error_ = status;
   ++wal_failures_;
   Count("cdt_runtime_durability_wal_failures_total",
         "WAL write failures absorbed by durability guards",
         &g_wal_failures);
+}
+
+void DurabilityGuard::RecordWalFailure(const Status& status,
+                                       std::int64_t round) {
+  CountWalFailure(status);
   // Failed atomic writes may strand our own temp file (ENOSPC mid-write,
   // simulated crash): clear this marketplace's stem immediately. The
   // directory-wide sweep runs at service startup, where no writer races.
@@ -339,11 +276,19 @@ void DurabilityGuard::Degrade(std::int64_t round) {
         &g_degrades);
   // Drop the poisoned writers: sticky errors make in-place retries
   // futile, and re-arm opens fresh files anyway.
-  log_.reset();
+  recorder_.reset();
   journal_.reset();
   rearm_attempts_ = 0;
   rearm_backoff_ = tuning().rearm_initial_rounds;
   next_rearm_round_ = round + rearm_backoff_;
+}
+
+void DurabilityGuard::MarkRearmed() {
+  health_ = Health::kDurable;
+  consecutive_failures_ = 0;
+  ++rearms_;
+  Count("cdt_runtime_durability_rearms_total",
+        "Degraded marketplaces restored to full durability", &g_rearms);
 }
 
 void DurabilityGuard::MarkFailed() {
@@ -355,42 +300,35 @@ void DurabilityGuard::MarkFailed() {
 }
 
 Status DurabilityGuard::Finish(const market::TradingEngine& engine) {
+  Status status;
   switch (health_) {
-    case Health::kDurable: {
-      Status status = CheckpointNow(engine);
+    case Health::kDurable:
+      status = CheckpointNow(engine);
       if (health_ != Health::kDurable) {
         // The final checkpoint itself tripped the breaker.
         return last_error_;
       }
-      Status finish = log_->Finish();
-      if (status.ok()) status = finish;
-      Status closed = journal_->Close();
-      if (status.ok()) status = closed;
-      return status;
-    }
-    case Health::kDegraded: {
+      break;
+    case Health::kDegraded:
       // One last probe outside the backoff schedule: if the fault has
       // cleared, the drain still ends in a sealed, recoverable WAL.
-      Status status = Rebase(engine, engine.current_round());
+      status = Rebase(engine);
       if (!status.ok()) {
         last_error_ = status;
         return status;
       }
-      health_ = Health::kDurable;
-      ++rearms_;
-      Count("cdt_runtime_durability_rearms_total",
-            "Degraded marketplaces restored to full durability",
-            &g_rearms);
-      Status finish = log_->Finish();
-      Status closed = journal_->Close();
-      return !finish.ok() ? finish : closed;
-    }
+      MarkRearmed();
+      break;
     case Health::kFailed:
       return last_error_.ok()
                  ? Status::FailedPrecondition("durability breaker failed")
                  : last_error_;
   }
-  return Status::Internal("unreachable durability health state");
+  Status finish = recorder_->Finish();
+  if (status.ok()) status = finish;
+  Status closed = journal_->Close();
+  if (status.ok()) status = closed;
+  return status;
 }
 
 DurabilityGuard::Stats DurabilityGuard::stats() const {

@@ -1,9 +1,10 @@
 // DurabilityGuard: the per-marketplace durability circuit breaker.
 //
-// The guard owns a marketplace's WAL writers (event log + seller-flip
-// journal) and sits on the engine as a RoundObserver. Storage failures no
-// longer crash the shard; instead the guard walks an explicit
-// health-state machine:
+// The guard owns a marketplace's WAL writers — a persist::RunRecorder for
+// the event log and snapshot, and the seller-flip journal — and sits on
+// the engine as a RoundObserver in the recorder's place. The recorder
+// alone fails fast; the guard absorbs its storage failures and walks an
+// explicit health-state machine instead of crashing the shard:
 //
 //   kDurable   — every settled round is appended + checkpointed; the
 //                recovery contract (snapshot + byte-verified tail replay)
@@ -14,7 +15,7 @@
 //                WITHOUT durability. Re-arm probes run on a capped
 //                exponential round backoff: each probe writes a fresh
 //                snapshot of the whole campaign state and swings in a
-//                rebased log (see EventLogWriter::OpenRebased), restoring
+//                rebased log (see persist::RunRecorder::Rebase), restoring
 //                durability without replaying the lost window. Rounds
 //                settled while degraded are not recoverable after a crash
 //                — that is the honest trade against killing the shard.
@@ -40,7 +41,7 @@
 
 #include "core/config.h"
 #include "market/invariants.h"
-#include "persist/event_log.h"
+#include "persist/recorder.h"
 #include "runtime/journal.h"
 #include "util/status.h"
 
@@ -110,7 +111,8 @@ class DurabilityGuard final : public market::RoundObserver {
 
   /// Crash recovery: reopens an existing unsealed log and journal in
   /// append mode. `config`/`policy` must be the recorded ones (they
-  /// parameterize later re-arm rebases).
+  /// parameterize later re-arm rebases). The compaction cadence resumes
+  /// from the log's base round, as if the run had never stopped.
   static util::Result<std::unique_ptr<DurabilityGuard>> Attach(
       Options options, const core::MechanismConfig& config,
       const core::PolicySpec& policy);
@@ -142,26 +144,30 @@ class DurabilityGuard final : public market::RoundObserver {
 
   Health health() const { return health_; }
   Stats stats() const;
-  std::int64_t last_rebase_round() const { return last_rebase_round_; }
 
  private:
   DurabilityGuard(Options options, const core::MechanismConfig& config,
-                  const core::PolicySpec& policy)
-      : options_(std::move(options)), config_(config), policy_(policy) {}
+                  const core::PolicySpec& policy,
+                  std::unique_ptr<persist::RunRecorder> recorder,
+                  std::unique_ptr<JournalWriter> journal)
+      : options_(std::move(options)),
+        config_(config),
+        policy_(policy),
+        recorder_(std::move(recorder)),
+        journal_(std::move(journal)) {}
 
   const Tuning& tuning() const { return options_.tuning; }
 
-  util::Status AppendDurable(const market::TradingEngine& engine,
-                             const market::RoundReport& report);
-  /// Snapshot the full campaign state, swing in a rebased log starting
-  /// at `round`, reset the journal. The core of re-arm and compaction.
-  util::Status Rebase(const market::TradingEngine& engine,
-                      std::int64_t round);
-  util::Status Compact(const market::TradingEngine& engine,
-                       std::int64_t round);
+  /// Swing in a recorder rebased at the engine's round (snapshot first),
+  /// reset the journal. The core of re-arm and compaction.
+  util::Status Rebase(const market::TradingEngine& engine);
+  util::Status Compact(const market::TradingEngine& engine);
   void TryRearm(const market::TradingEngine& engine, std::int64_t round);
+  /// Counts one absorbed WAL failure and keeps it as last_error.
+  void CountWalFailure(const util::Status& status);
   void RecordWalFailure(const util::Status& status, std::int64_t round);
   void Degrade(std::int64_t round);
+  void MarkRearmed();
   void MarkFailed();
 
   Options options_;
@@ -171,16 +177,14 @@ class DurabilityGuard final : public market::RoundObserver {
   // path that dismantles them (Rebase, Compact) either swings in fresh
   // writers or leaves the guard degraded/failed — never kDurable with a
   // null writer.
-  std::unique_ptr<persist::EventLogWriter> log_;
+  std::unique_ptr<persist::RunRecorder> recorder_;
   std::unique_ptr<JournalWriter> journal_;
-  std::uint32_t config_crc_ = 0;
 
   Health health_ = Health::kDurable;
   int consecutive_failures_ = 0;
   int rearm_attempts_ = 0;
   std::int64_t rearm_backoff_ = 0;
   std::int64_t next_rearm_round_ = 0;
-  std::int64_t last_rebase_round_ = 0;
 
   std::uint64_t wal_failures_ = 0;
   std::uint64_t degrades_ = 0;

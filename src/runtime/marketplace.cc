@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "market/trading_engine.h"
-#include "persist/event_log.h"
 #include "persist/replay.h"
 
 namespace cdt {
@@ -41,6 +40,22 @@ const char* HostedMarketplace::StateName(State state) {
   return "unknown";
 }
 
+/// The guard's options for marketplace `id`; snapshots also back
+/// compaction, so either one needs a snapshot path.
+static DurabilityGuard::Options GuardOptions(
+    const HostedMarketplace::Options& options, const std::string& id) {
+  DurabilityGuard::Options guard;
+  guard.log_path = MarketplaceLogPath(options.wal_dir, id);
+  guard.journal_path = MarketplaceJournalPath(options.wal_dir, id);
+  guard.snapshot_every = options.snapshot_every;
+  if (options.snapshot_every > 0 ||
+      options.durability.compact_after_rounds > 0) {
+    guard.snapshot_path = MarketplaceSnapshotPath(options.wal_dir, id);
+  }
+  guard.tuning = options.durability;
+  return guard;
+}
+
 Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Create(
     const std::string& id, const MarketplaceSpec& spec,
     const Options& options) {
@@ -56,17 +71,8 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Create(
   std::remove(MarketplaceSnapshotPath(options.wal_dir, id).c_str());
   std::remove(MarketplaceJournalPath(options.wal_dir, id).c_str());
 
-  DurabilityGuard::Options guard_options;
-  guard_options.log_path = MarketplaceLogPath(options.wal_dir, id);
-  guard_options.journal_path = MarketplaceJournalPath(options.wal_dir, id);
-  guard_options.snapshot_every = options.snapshot_every;
-  if (options.snapshot_every > 0 ||
-      options.durability.compact_after_rounds > 0) {
-    guard_options.snapshot_path = MarketplaceSnapshotPath(options.wal_dir, id);
-  }
-  guard_options.tuning = options.durability;
-  auto guard = DurabilityGuard::Create(std::move(guard_options), spec.config,
-                                       spec.policy);
+  auto guard = DurabilityGuard::Create(GuardOptions(options, id),
+                                       spec.config, spec.policy);
   CDT_RETURN_NOT_OK(guard.status());
 
   std::unique_ptr<HostedMarketplace> marketplace(
@@ -78,29 +84,30 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Create(
 
 Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
     const std::string& id, const Options& options) {
-  const std::string log_path = MarketplaceLogPath(options.wal_dir, id);
-  const std::string snap_path = MarketplaceSnapshotPath(options.wal_dir, id);
-  const std::string journal_path =
-      MarketplaceJournalPath(options.wal_dir, id);
-
-  auto loaded = persist::LoadRecordedRun(log_path, /*allow_torn_tail=*/true);
+  auto loaded = persist::LoadRecordedRun(
+      MarketplaceLogPath(options.wal_dir, id), /*allow_torn_tail=*/true);
   CDT_RETURN_NOT_OK(loaded.status());
   const persist::RecordedRun& recorded = loaded.value();
   const std::int64_t base_round = recorded.base_round;
   const std::int64_t last_round =
       base_round + static_cast<std::int64_t>(recorded.rounds.size());
 
-  auto journal_read = ReadJournal(journal_path);
+  auto journal_read =
+      ReadJournal(MarketplaceJournalPath(options.wal_dir, id));
   CDT_RETURN_NOT_OK(journal_read.status());
-  const std::vector<JournalEntry>& flips = journal_read.value().entries;
+  std::vector<persist::SellerFlip> flips;
+  for (const JournalEntry& entry : journal_read.value().entries) {
+    flips.push_back({entry.effect_round, entry.seller,
+                     entry.type == EventType::kSellerReturn});
+  }
 
   // Prefer snapshot + tail-replay; any snapshot problem (missing file,
   // config mismatch, restore-unsafe policy) degrades to a full replay —
   // slower, never wrong. A rebased (compacted) log holds no rounds before
   // its base, so there the snapshot is mandatory.
   std::unique_ptr<core::CmabHs> run;
-  std::int64_t resume_round = 0;
-  auto snap = persist::ReadSnapshotFile(snap_path);
+  auto snap =
+      persist::ReadSnapshotFile(MarketplaceSnapshotPath(options.wal_dir, id));
   if (snap.ok() && snap.value().config_crc == recorded.config_crc) {
     const std::int64_t snap_round = snap.value().snapshot.next_round - 1;
     if (snap_round >= base_round && snap_round <= last_round) {
@@ -111,7 +118,6 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
               .RestoreSnapshot(snap.value().snapshot)
               .ok()) {
         run = std::move(candidate).value();
-        resume_round = snap_round;
       }
     }
   }
@@ -127,43 +133,16 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
     CDT_RETURN_NOT_OK(candidate.status());
     run = std::move(candidate).value();
   }
+  const std::int64_t resume_round = run->engine().current_round();
 
-  // Interleaved, byte-verified tail replay: journaled activity flips
-  // re-apply exactly when the cursor reaches their effect round, so every
-  // re-executed coalition sees the activity state the original saw.
-  // Flips already inside the snapshot's bitmap (effect_round <= the
-  // snapshot's round) are skipped; re-application ignores per-flip status
-  // like the live path does (deterministic refusals refuse again here).
-  std::size_t next_flip = 0;
-  while (next_flip < flips.size() &&
-         flips[next_flip].effect_round <= resume_round) {
-    ++next_flip;
-  }
-  for (std::int64_t round = resume_round + 1; round <= last_round; ++round) {
-    while (next_flip < flips.size() &&
-           flips[next_flip].effect_round == round) {
-      const JournalEntry& flip = flips[next_flip];
-      (void)run->mutable_engine().SetSellerActive(
-          flip.seller, flip.type == EventType::kSellerReturn);
-      ++next_flip;
-    }
-    auto report = run->RunRound();
-    CDT_RETURN_NOT_OK(report.status());
-    if (persist::CanonicalRoundBytes(report.value()) !=
-        recorded
-            .round_payloads[static_cast<std::size_t>(round - base_round - 1)]) {
-      return Status::Internal(
-          "marketplace '" + id + "' recovery diverged at round " +
-          std::to_string(round) +
-          " — WAL does not reproduce under this build");
-    }
-  }
-  // Flips applied after the last settled round but before the crash.
-  while (next_flip < flips.size()) {
-    const JournalEntry& flip = flips[next_flip];
-    (void)run->mutable_engine().SetSellerActive(
-        flip.seller, flip.type == EventType::kSellerReturn);
-    ++next_flip;
+  // Journaled activity flips re-apply exactly when the cursor reaches
+  // their effect round, so every re-executed coalition sees the activity
+  // state the original saw. A divergence fails the recovery; only an
+  // unusable snapshot falls back to a full replay.
+  Status replayed = persist::ReplayRecordedRounds(recorded, flips, run.get());
+  if (!replayed.ok()) {
+    return Status(replayed.code(), "marketplace '" + id +
+                                       "' recovery: " + replayed.message());
   }
 
   std::unique_ptr<HostedMarketplace> marketplace(
@@ -174,16 +153,7 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
     return marketplace;
   }
 
-  DurabilityGuard::Options guard_options;
-  guard_options.log_path = log_path;
-  guard_options.journal_path = journal_path;
-  guard_options.snapshot_every = options.snapshot_every;
-  if (options.snapshot_every > 0 ||
-      options.durability.compact_after_rounds > 0) {
-    guard_options.snapshot_path = snap_path;
-  }
-  guard_options.tuning = options.durability;
-  auto guard = DurabilityGuard::Attach(std::move(guard_options),
+  auto guard = DurabilityGuard::Attach(GuardOptions(options, id),
                                        recorded.config, recorded.policy);
   CDT_RETURN_NOT_OK(guard.status());
   marketplace->guard_ = guard.value().get();

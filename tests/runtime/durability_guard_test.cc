@@ -3,16 +3,19 @@
 // byte-identically to a fault-free run, re-arm probes restore full
 // durability through a rebased log, a permanent fault ends in an
 // explicit quarantine, and snapshot-compaction bounds log growth while
-// preserving exact recovery.
+// preserving exact recovery — also across a crash.
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/config.h"
 #include "market/trading_engine.h"
+#include "persist/atomic_io.h"
 #include "persist/event_log.h"
 #include "persist/io_hooks.h"
 #include "persist/replay.h"
@@ -44,6 +47,14 @@ Event Demand(const std::string& id, std::int64_t rounds) {
   event.type = EventType::kConsumerDemand;
   event.marketplace = id;
   event.rounds = rounds;
+  return event;
+}
+
+Event Flip(const std::string& id, EventType type, int seller) {
+  Event event;
+  event.type = type;
+  event.marketplace = id;
+  event.seller = seller;
   return event;
 }
 
@@ -356,6 +367,131 @@ TEST_F(DurabilityGuardTest, CompactionBoundsLogGrowthAndRecoversExactly) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered.value()->state(), HostedMarketplace::State::kClosed);
   EXPECT_EQ(EngineBytes(*recovered.value()), want);
+}
+
+TEST_F(DurabilityGuardTest, RecoveryKeepsTheCompactionCadence) {
+  // A crash past a compaction must not shift the later ones: the
+  // recovered marketplace rebases at the same rounds as an uninterrupted
+  // one, so every sealed WAL file matches it byte for byte.
+  HostedMarketplace::Options options;
+  options.snapshot_every = 4;
+  options.durability.compact_after_rounds = 8;
+  // The crash falls after round 15: past the compaction at 8 and the
+  // checkpoint at 12, with a flip journaled at round 14 that recovery
+  // must re-apply. The return at 43 is still in the final journal.
+  const std::vector<Event> events = {
+      Demand("mkt", 13),
+      Flip("mkt", EventType::kSellerLeave, 3),
+      Demand("mkt", 2),
+      Demand("mkt", 27),
+      Flip("mkt", EventType::kSellerReturn, 3),
+      Demand("mkt", 4),
+  };
+  constexpr std::size_t kCrashAfter = 3;
+  auto apply = [](HostedMarketplace& marketplace, const Event& event) {
+    std::int64_t remaining = 0;
+    Status status = marketplace.ApplyEvent(event, /*max_rounds=*/0,
+                                           &remaining);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(remaining, 0);
+  };
+
+  const std::string whole = dir_ + "/whole";
+  const std::string crashed = dir_ + "/crashed";
+  fs::create_directories(whole);
+  fs::create_directories(crashed);
+
+  options.wal_dir = whole;
+  auto reference = HostedMarketplace::Create("mkt", SmallSpec(46), options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const Event& event : events) apply(*reference.value(), event);
+  ASSERT_TRUE(reference.value()->FinishWal().ok());
+
+  options.wal_dir = crashed;
+  {
+    auto doomed = HostedMarketplace::Create("mkt", SmallSpec(46), options);
+    ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();
+    for (std::size_t i = 0; i < kCrashAfter; ++i) {
+      apply(*doomed.value(), events[i]);
+    }
+    ASSERT_EQ(doomed.value()->rounds_settled(), 15);
+    // Scope exit drops the marketplace without FinishWal: the crash.
+  }
+  auto recovered = HostedMarketplace::Recover("mkt", options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  for (std::size_t i = kCrashAfter; i < events.size(); ++i) {
+    apply(*recovered.value(), events[i]);
+  }
+  ASSERT_TRUE(recovered.value()->FinishWal().ok());
+  EXPECT_EQ(recovered.value()->guard()->stats().compactions, 4u);
+
+  for (auto path_of : {&MarketplaceLogPath, &MarketplaceSnapshotPath,
+                       &MarketplaceJournalPath}) {
+    auto want = persist::ReadFileBytes(path_of(whole, "mkt"));
+    auto got = persist::ReadFileBytes(path_of(crashed, "mkt"));
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got.value() == want.value())
+        << path_of(crashed, "mkt") << " differs from the uninterrupted run";
+  }
+}
+
+TEST_F(DurabilityGuardTest, EveryReplayPathReportsTheDivergentRoundAndField) {
+  // A log whose every CRC is valid but whose round 10 records a consumer
+  // price one ulp off: full replay, snapshot resume and hosted recovery
+  // must each refuse it and name the round and the field.
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  options.snapshot_every = 4;
+  {
+    auto doomed = HostedMarketplace::Create("div", SmallSpec(20), options);
+    ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();
+    ApplyDemand(*doomed.value(), 10);
+  }
+  const std::string log_path = MarketplaceLogPath(dir_, "div");
+  auto loaded = persist::LoadRecordedRun(log_path, /*allow_torn_tail=*/true);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const persist::RecordedRun original = std::move(loaded).value();
+  ASSERT_EQ(original.rounds.size(), 10u);
+  {
+    auto writer = persist::EventLogWriter::Open(log_path, original.config,
+                                                original.policy);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    std::size_t note = 0;
+    for (market::RoundReport report : original.rounds) {
+      if (report.round == 10) {
+        report.consumer_price =
+            std::nextafter(report.consumer_price, HUGE_VAL);
+      }
+      ASSERT_TRUE(writer.value()->AppendRound(report).ok());
+      for (; note < original.snapshot_rounds.size() &&
+             original.snapshot_rounds[note] == report.round;
+           ++note) {
+        ASSERT_TRUE(writer.value()->AppendSnapshotNote(report.round).ok());
+      }
+    }
+    // Left unsealed, like the crashed original.
+  }
+  auto tampered = persist::LoadRecordedRun(log_path, /*allow_torn_tail=*/true);
+  ASSERT_TRUE(tampered.ok()) << tampered.status().ToString();
+  auto snapshot =
+      persist::ReadSnapshotFile(MarketplaceSnapshotPath(dir_, "div"));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ(snapshot.value().snapshot.next_round, 9);
+
+  auto expect_divergence = [](const Status& status) {
+    EXPECT_EQ(status.code(), util::StatusCode::kInternal)
+        << status.ToString();
+    EXPECT_NE(status.message().find("round 10 "), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("consumer_price"), std::string::npos)
+        << status.ToString();
+  };
+  expect_divergence(persist::VerifyReplay(tampered.value()).status());
+  expect_divergence(
+      persist::ResumeFromSnapshot(tampered.value(), snapshot.value())
+          .status());
+  expect_divergence(HostedMarketplace::Recover("div", options).status());
 }
 
 }  // namespace
