@@ -10,6 +10,7 @@
 #include "bandit/cucb_policy.h"
 #include "bandit/environment.h"
 #include "stats/rng.h"
+#include "support/reference_cucb.h"
 
 namespace {
 
@@ -127,14 +128,14 @@ BENCHMARK(BM_UcbScan)
     ->Arg(1000000)
     ->Unit(benchmark::kMicrosecond);
 
-// The pre-SoA scan (per-arm branch + uint64 conversion), the baseline the
-// branch-free pass above is measured against.
+// The pre-SoA scan (per-arm branch + uint64 conversion) of the test
+// oracle, the baseline the branch-free pass above is measured against.
 void BM_UcbScanReference(benchmark::State& state) {
   int m = static_cast<int>(state.range(0));
   bandit::EstimatorBank bank = MakeRandomWarmBank(m, 11.0);
   std::vector<double> ucb;
   for (auto _ : state) {
-    bank.UcbValuesReferenceInto(&ucb);
+    testsupport::UcbValuesReferenceInto(bank, &ucb);
     benchmark::DoNotOptimize(ucb.data());
   }
   state.SetItemsProcessed(state.iterations() * m);
@@ -165,17 +166,17 @@ BENCHMARK(BM_TopKByUcbLargeM)
 
 // Steady-state selection round at large M: select K, observe those K (the
 // bank update + selector invalidation that every trading round performs).
-// The optimized path pays ~K invalidations and a bounded pop loop; the
-// reference path rescans all M arms every round.
-void SelectRoundLargeM(benchmark::State& state, bool reference) {
+// CucbPolicy pays ~K invalidations and a bounded pop loop; the reference
+// oracle (testsupport::ReferenceCucbPolicy) rescans all M arms every round.
+template <typename Policy>
+void SelectRoundLargeM(benchmark::State& state) {
   int m = static_cast<int>(state.range(0));
   int k = static_cast<int>(state.range(1));
   bandit::CucbOptions options;
   options.num_sellers = m;
   options.num_selected = k;
-  options.reference_selection_path = reference;
-  auto policy = bandit::CucbPolicy::Create(options);
-  bandit::CucbPolicy& cucb = policy.value();  // hoisted: keep value() untimed
+  auto policy = Policy::Create(options);
+  Policy& cucb = policy.value();  // hoisted: keep value() untimed
 
   // Round 1 (Algorithm 1): observe every arm, distinct means.
   {
@@ -203,10 +204,10 @@ void SelectRoundLargeM(benchmark::State& state, bool reference) {
   }
 }
 void BM_LazySelectRound(benchmark::State& state) {
-  SelectRoundLargeM(state, /*reference=*/false);
+  SelectRoundLargeM<bandit::CucbPolicy>(state);
 }
 void BM_ReferenceSelectRound(benchmark::State& state) {
-  SelectRoundLargeM(state, /*reference=*/true);
+  SelectRoundLargeM<testsupport::ReferenceCucbPolicy>(state);
 }
 // Two K regimes per M: the paper's coalition size (K = 10) and the
 // stress scaling K ~ sqrt(M) used throughout docs/PERFORMANCE.md.

@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/cmab_hs.h"
+#include "support/reference_cucb.h"
 
 namespace {
 
@@ -50,8 +51,9 @@ BENCHMARK(BM_FullTradingRoundInvariants)->Arg(10);
 
 // Large-M steady-state round: selection + HS game (K ~ sqrt(M) coalition)
 // + observation of the selected arms + settlement. The default variant
-// runs the incremental lazy top-K selector and cross-round kink reuse; the
-// Reference variant forces the pre-optimization full-rescan selection.
+// runs CucbPolicy (incremental lazy top-K selector) with cross-round kink
+// reuse; the Reference variant selects through the full-rescan test oracle
+// (testsupport::ReferenceCucbPolicy). Both run the same engine wiring.
 // Fixed iteration counts keep the expensive select-all warm-up round (M
 // observations) out of the benchmark library's timing probes.
 void FullTradingRoundLargeM(benchmark::State& state, bool reference) {
@@ -62,9 +64,8 @@ void FullTradingRoundLargeM(benchmark::State& state, bool reference) {
   config.num_pois = 4;
   config.num_rounds = 1 << 30;
   config.check_invariants = false;
-  config.reference_selection_path = reference;
-  auto run = core::CmabHs::Create(config);
-  core::CmabHs& engine = *run.value();
+  auto run = testsupport::MakeCucbEngine(config, reference);
+  market::TradingEngine& engine = *run.value().engine;
   (void)engine.RunRound();  // round 1: select-all initial exploration
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.RunRound());

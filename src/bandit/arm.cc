@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "stats/confidence.h"
@@ -57,26 +56,6 @@ void TopKIndicesInto(const std::vector<double>& values, int k,
     }
   }
   std::sort(best.begin(), best.end(), heap_cmp);
-}
-
-void TopKIndicesPartialSortInto(const std::vector<double>& values, int k,
-                                std::vector<int>* out) {
-  std::vector<int>& order = *out;
-  order.resize(values.size());
-  std::iota(order.begin(), order.end(), 0);
-  int take = std::min<int>(k, static_cast<int>(order.size()));
-  if (take <= 0) {
-    order.clear();
-    return;
-  }
-  std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                    [&values](int a, int b) {
-                      double va = values[static_cast<std::size_t>(a)];
-                      double vb = values[static_cast<std::size_t>(b)];
-                      if (va != vb) return va > vb;
-                      return a < b;
-                    });
-  order.resize(static_cast<std::size_t>(take));
 }
 
 std::vector<int> TopKIndices(const std::vector<double>& values, int k) {
@@ -230,19 +209,6 @@ void EstimatorBank::UcbValuesInto(std::vector<double>* out) const {
   double* dst = out->data();
   for (std::size_t i = 0; i < m; ++i) {
     dst[i] = means[i] + std::sqrt(sl / counts[i]);
-  }
-}
-
-void EstimatorBank::UcbValuesReferenceInto(std::vector<double>* out) const {
-  const std::size_t m = means_.size();
-  out->resize(m);
-  const double sl = scaled_log();
-  for (std::size_t i = 0; i < m; ++i) {
-    (*out)[i] =
-        observations_[i] == 0
-            ? std::numeric_limits<double>::infinity()
-            : means_[i] + std::sqrt(sl /
-                                    static_cast<double>(observations_[i]));
   }
 }
 

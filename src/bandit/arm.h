@@ -33,6 +33,8 @@ struct ArmState {
   std::uint64_t observations = 0;
   /// q̄_i^t: running mean of observed qualities.
   double mean = 0.0;
+
+  bool operator==(const ArmState& other) const = default;
 };
 
 /// The bank of all M arm estimators. Implements the incremental updates of
@@ -121,14 +123,6 @@ class EstimatorBank {
   /// expression that scores warm arms.
   void UcbValuesInto(std::vector<double>* out) const;
 
-  /// The pre-optimization scan, loop shape preserved: a per-arm branch on
-  /// the raw observation counter plus a uint64→double conversion inside
-  /// the loop (what the row-wise bank compiled to). Values are identical
-  /// to UcbValuesInto — counts() mirrors observation_counts() exactly —
-  /// so the reference selection path stays byte-compatible while its
-  /// benchmark measures the true pre-SoA scan cost.
-  void UcbValuesReferenceInto(std::vector<double>* out) const;
-
   /// Indices of the k arms with the largest UCB values (descending,
   /// deterministic tie-break by index).
   std::vector<int> TopKByUcb(int k) const;
@@ -173,14 +167,6 @@ std::vector<int> TopKIndices(const std::vector<double>& values, int k);
 /// under (value desc, index asc).
 void TopKIndicesInto(const std::vector<double>& values, int k,
                      std::vector<int>* out);
-
-/// The pre-optimization iota + partial_sort implementation, kept verbatim
-/// as the reference selection path (pinned byte-identical to
-/// TopKIndicesInto by test, and the baseline the large-M benches compare
-/// against). `out` is used as the full candidate ordering internally, so
-/// its capacity settles at values.size().
-void TopKIndicesPartialSortInto(const std::vector<double>& values, int k,
-                                std::vector<int>* out);
 
 }  // namespace bandit
 }  // namespace cdt

@@ -46,19 +46,8 @@ Status CucbPolicy::SelectRoundInto(std::int64_t round,
     std::iota(out->begin(), out->end(), 0);
     return Status::OK();
   }
-  if (options_.reference_selection_path) {
-    // Eq. (19) scoring and the top-K pick under their own spans, so a
-    // trace shows how selection time splits between the two.
-    {
-      CDT_SPAN("bandit.ucb_score");
-      bank_.UcbValuesReferenceInto(&ucb_scratch_);
-    }
-    CDT_SPAN("bandit.topk");
-    TopKIndicesPartialSortInto(ucb_scratch_, options_.num_selected, out);
-    return Status::OK();
-  }
-  // Optimized path: no full-M rescan — the lazy selector re-validates only
-  // the arms whose stale upper bounds still compete for the top K.
+  // No full-M rescan: the lazy selector re-validates only the arms whose
+  // stale upper bounds still compete for the top K.
   CDT_SPAN("bandit.lazy_topk");
   selector_.SelectInto(bank_, options_.num_selected, out);
   return Status::OK();

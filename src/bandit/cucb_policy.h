@@ -21,12 +21,6 @@ struct CucbOptions {
   /// Algorithm 1 selects all M sellers in round 1. Disable for the
   /// cold-start ablation (unexplored arms then carry a +inf UCB bonus).
   bool select_all_first_round = true;
-  /// Use the pre-optimization full-rescan selection path (Eq. 19 scan over
-  /// all M arms + iota/partial_sort top-K) instead of the incremental lazy
-  /// top-K selector. Both paths are byte-identical (pinned by the
-  /// determinism suite); the reference path exists as the comparison
-  /// baseline and a large-M escape hatch.
-  bool reference_selection_path = false;
 };
 
 /// The CMAB-HS seller-selection policy.
@@ -51,7 +45,7 @@ class CucbPolicy : public SelectionPolicy {
   const EstimatorBank* estimator() const override { return &bank_; }
 
   /// The bank is the policy's only mutable state, so snapshots restore it
-  /// bit-for-bit (the UCB scratch is recomputed every round).
+  /// bit-for-bit (the selector resyncs from the bank's epoch).
   bool snapshot_safe() const override { return true; }
   EstimatorBank* mutable_estimator() override { return &bank_; }
 
@@ -61,12 +55,9 @@ class CucbPolicy : public SelectionPolicy {
 
   CucbOptions options_;
   EstimatorBank bank_;
-  /// UCB scores scratch for the reference path, reused every round
-  /// (capacity M after round 2).
-  std::vector<double> ucb_scratch_;
-  /// Incremental selector for the optimized path; kept in sync by
-  /// Observe() and self-healing on snapshot restores (bank epoch/total
-  /// mismatch forces a rebuild).
+  /// Incremental Eq. (19) top-K selector; kept in sync by Observe() and
+  /// self-healing on snapshot restores (bank epoch/total mismatch forces a
+  /// rebuild).
   LazyTopKSelector selector_;
 };
 

@@ -32,6 +32,8 @@ class DelayedFeedbackPolicy : public SelectionPolicy {
       const std::vector<int>& selected,
       const std::vector<std::vector<double>>& observations) override;
 
+  /// The inner bank lags by `delay` rounds, so there is deliberately no
+  /// mutable_estimator(): the engine prices from a private, prompt bank.
   const EstimatorBank* estimator() const override {
     return inner_->estimator();
   }

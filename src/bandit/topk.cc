@@ -9,7 +9,7 @@ namespace bandit {
 
 namespace {
 
-// Total order matching the reference selection: value descending, arm
+// Total order matching TopKIndicesInto: value descending, arm
 // ascending on exact ties. The top-K set under a total order is unique
 // regardless of scan order.
 inline bool RanksAheadOf(double va, int a, double vb, int b) {
@@ -47,7 +47,7 @@ void LazyTopKSelector::Rebuild(const EstimatorBank& bank, int k) {
   const double* bonus_bases = bank.bonus_bases().data();
 
   // Branch-free vectorized scan first (the same canonical association the
-  // reference path uses, so the values are bit-identical), then a compact
+  // per-arm UcbValue uses, so the values are bit-identical), then a compact
   // pass that drops the cold arms (they live in the bank's cold list).
   bank.UcbValuesInto(&ucb_scratch_);
   const double* ucb = ucb_scratch_.data();

@@ -23,14 +23,14 @@
 //     bound, no outside arm can displace or tie any winner (ties are
 //     conservatively unsafe: equality falls back) and the pool selection
 //     is provably the global top-K. Otherwise the selector rebuilds —
-//     one O(M) scan, cheaper than the reference scan-and-partial-sort —
+//     one O(M) scan, cheaper than a full rescan with partial_sort —
 //     and the fresh pool is exact by construction.
 //
 // The pool margin erodes at the rate the played arms' values fall plus
 // the global (s − s₀)·B drift, so rebuilds land every ~(P − K)/K rounds;
 // sizing P − K ≈ sqrt(M·K) balances the amortized rebuild cost against
 // the per-round pool rescan, giving O(K + sqrt(M·K)) work per round
-// instead of the reference's O(M + M log K).
+// instead of a full rescan's O(M + M log K).
 //
 // Unexplored arms never enter the pool: their UCB is +inf with index-
 // ascending tie-breaks, so the bank's cold list is emitted ahead of the

@@ -50,7 +50,6 @@ Result<std::unique_ptr<bandit::SelectionPolicy>> MakePolicy(
       options.num_selected = config.num_selected;
       options.exploration = config.exploration;
       options.select_all_first_round = config.select_all_first_round;
-      options.reference_selection_path = config.reference_selection_path;
       Result<bandit::CucbPolicy> policy =
           bandit::CucbPolicy::Create(options);
       if (!policy.ok()) return policy.status();

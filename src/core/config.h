@@ -45,12 +45,6 @@ struct MechanismConfig {
   double exploration = 0.0;
   /// Algorithm 1's round-1 select-all initial exploration.
   bool select_all_first_round = true;
-  /// Route CMAB-HS selection through the pre-optimization full-rescan path
-  /// (Eq. 19 scan over all M arms + partial_sort) instead of the
-  /// incremental lazy top-K selector. Byte-identical economics either way
-  /// (pinned by the determinism suite); kept for baseline comparison.
-  /// Not persisted: snapshots/replays always resolve the default path.
-  bool reference_selection_path = false;
   double quality_floor = 1e-3;
   bool track_transfers = false;
   /// Arm the per-round economic-invariant checker (ledger conservation,

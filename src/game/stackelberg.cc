@@ -155,16 +155,6 @@ double StackelbergSolver::PlatformBestPriceInterior(
   return config_.collection_price_bounds.Clamp(p);
 }
 
-double StackelbergSolver::PlatformBestPricePaperPrinted(
-    double consumer_price) const {
-  double a = agg_.a_sum;
-  double b = agg_.b_sum;
-  double theta = config_.platform.theta;
-  double lambda = config_.platform.lambda;
-  double c = lambda * a - 2.0 * theta * b * a + b;  // printed Thm. 15 form
-  return (consumer_price * a - c) / (2.0 * a * (1.0 + theta * a));
-}
-
 void StackelbergSolver::BuildSupplyKinks() {
   const util::Interval& box = config_.collection_price_bounds;
   double t_cap = config_.max_sensing_time;

@@ -10,8 +10,9 @@
 // NOTE on Theorem 15: the paper prints the stage-2 numerator constant as
 // (λA − 2θBA + B); differentiating Eq. (7) gives (λA − 2θAB − B) — the B
 // term's sign is a typo. We implement the corrected constant (and propagate
-// it into Λ); PlatformBestPricePaperPrinted() preserves the printed form so
-// tests can demonstrate it is not profit-maximising. See DESIGN.md §1.
+// it into Λ); tests/game/stackelberg_test.cc evaluates the printed form
+// from aggregates() to demonstrate it is not profit-maximising. See
+// DESIGN.md §1.
 //
 // All stage outputs are projected onto their feasible boxes: prices into
 // their [min, max] intervals (Def. 5) and sensing times into [0, T].
@@ -112,10 +113,6 @@ class StackelbergSolver {
   /// Stage 2, paper-interior form (corrected Thm. 15, all sellers assumed
   /// active and unsaturated), clamped to the box.
   double PlatformBestPriceInterior(double consumer_price) const;
-
-  /// Stage 2 with the paper's *printed* (typo) constant — NOT used by
-  /// Solve(); retained so tests/benches can compare. Unclamped.
-  double PlatformBestPricePaperPrinted(double consumer_price) const;
 
   /// Stage 1: the consumer's optimal price within its box. Uses the
   /// Theorem-16 closed form when the induced solution is interior (every

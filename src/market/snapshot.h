@@ -29,7 +29,9 @@ struct EngineSnapshot {
   double consumer_spend = 0.0;
 
   // --- learning state --------------------------------------------------
-  /// The engine's pricing estimates (Eqs. 17-18).
+  /// The engine's pricing estimates (Eqs. 17-18). When the engine prices
+  /// from the policy's bank (CUCB) this duplicates policy_arms, and
+  /// RestoreSnapshot refuses a snapshot whose two copies differ.
   std::vector<bandit::ArmState> pricing_arms;
   std::uint64_t pricing_total_observations = 0;
   /// The selection policy's estimator bank, when it maintains one.

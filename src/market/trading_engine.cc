@@ -67,12 +67,10 @@ Status EngineConfig::Validate(int num_sellers) const {
 
 TradingEngine::TradingEngine(EngineConfig config,
                              bandit::QualityEnvironment* environment,
-                             std::unique_ptr<bandit::SelectionPolicy> policy,
-                             bandit::EstimatorBank bank)
+                             std::unique_ptr<bandit::SelectionPolicy> policy)
     : config_(std::move(config)),
       environment_(environment),
       policy_(std::move(policy)),
-      bank_(std::move(bank)),
       ledger_(environment_->num_sellers(), config_.track_transfers) {}
 
 Result<std::unique_ptr<TradingEngine>> TradingEngine::Create(
@@ -98,15 +96,22 @@ Result<std::unique_ptr<TradingEngine>> TradingEngine::Create(
     return Status::InvalidArgument(
         "reliability tracker and environment disagree on the seller count");
   }
-  // The pricing bank mirrors Eq. (17)-(18); its exploration constant is
-  // irrelevant (only means are consumed) but must be positive.
-  Result<bandit::EstimatorBank> bank =
-      bandit::EstimatorBank::Create(environment->num_sellers(), 1.0);
-  if (!bank.ok()) return bank.status();
   bool check_invariants = config.check_invariants;
   auto engine = std::unique_ptr<TradingEngine>(
-      new TradingEngine(std::move(config), environment, std::move(policy),
-                        std::move(bank).value()));
+      new TradingEngine(std::move(config), environment, std::move(policy)));
+  // Price from the policy's bank when it is the policy's whole learning
+  // state (see SelectionPolicy::mutable_estimator); otherwise keep a
+  // private Eq. (17)-(18) bank, whose exploration constant is irrelevant
+  // (only means are consumed) but must be positive.
+  engine->bank_ = engine->policy_->mutable_estimator();
+  if (engine->bank_ == nullptr) {
+    Result<bandit::EstimatorBank> bank =
+        bandit::EstimatorBank::Create(environment->num_sellers(), 1.0);
+    if (!bank.ok()) return bank.status();
+    engine->owned_bank_ =
+        std::make_unique<bandit::EstimatorBank>(std::move(bank).value());
+    engine->bank_ = engine->owned_bank_.get();
+  }
   engine->oracle_round_revenue_ =
       static_cast<double>(engine->config_.job.num_pois) *
       environment->OptimalSetQuality(engine->config_.num_selected);
@@ -144,7 +149,7 @@ double TradingEngine::GameQuality(int seller) const {
   if (config_.use_true_qualities_for_game) {
     q = environment_->effective_quality(seller);
   } else {
-    const bandit::ArmState& arm = bank_.arm(seller);
+    const bandit::ArmState& arm = bank_->arm(seller);
     q = arm.observations > 0 ? arm.mean : config_.quality_floor;
   }
   return std::min(1.0, std::max(config_.quality_floor, q));
@@ -483,8 +488,8 @@ Result<RoundReport> TradingEngine::RunRound() {
 
   // Data collection: observe the environment for every delivering seller.
   // Each batch — injected or not — must pass validation before it feeds
-  // the pricing bank, the policy's learner, or the revenue accounting, so
-  // corrupted reports can never bias the quality estimates.
+  // the policy's learner, a private pricing bank, or the revenue
+  // accounting, so corrupted reports can never bias the quality estimates.
   if (!report.voided) {
     CDT_SPAN("engine.collect");
     std::vector<int>& learners = learners_scratch_;
@@ -516,7 +521,9 @@ Result<RoundReport> TradingEngine::RunRound() {
       report.expected_quality_revenue +=
           static_cast<double>(config_.job.num_pois) *
           environment_->effective_quality(seller);
-      CDT_RETURN_NOT_OK(bank_.Update(seller, observation));
+      if (owned_bank_ != nullptr) {
+        CDT_RETURN_NOT_OK(owned_bank_->Update(seller, observation));
+      }
       bool partial = injector_ != nullptr &&
                      draws[j].outcome == DeliveryOutcome::kPartial;
       reliability_->RecordDelivery(seller, t, partial);
@@ -575,11 +582,13 @@ EngineSnapshot TradingEngine::CaptureSnapshot() const {
   snapshot.budget_exhausted = budget_exhausted_;
   snapshot.consumer_spend = consumer_spend_;
 
-  snapshot.pricing_arms.reserve(static_cast<std::size_t>(bank_.num_arms()));
-  for (int i = 0; i < bank_.num_arms(); ++i) {
-    snapshot.pricing_arms.push_back(bank_.arm(i));
+  // Under a borrowed bank both sections hold the same arms; the format
+  // keeps the two copies.
+  snapshot.pricing_arms.reserve(static_cast<std::size_t>(bank_->num_arms()));
+  for (int i = 0; i < bank_->num_arms(); ++i) {
+    snapshot.pricing_arms.push_back(bank_->arm(i));
   }
-  snapshot.pricing_total_observations = bank_.total_observations();
+  snapshot.pricing_total_observations = bank_->total_observations();
 
   if (const bandit::EstimatorBank* policy_bank = policy_->estimator()) {
     snapshot.has_policy_arms = true;
@@ -636,6 +645,15 @@ Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {
     return Status::InvalidArgument(
         "snapshot and policy disagree on whether a policy estimator exists");
   }
+  const bool borrowed = policy_bank == bank_;
+  // One bank restores from one section, so the two copies must agree.
+  if (borrowed && (snapshot.pricing_arms != snapshot.policy_arms ||
+                   snapshot.pricing_total_observations !=
+                       snapshot.policy_total_observations)) {
+    return Status::InvalidArgument(
+        "snapshot pricing and policy estimates disagree, but the engine "
+        "prices from the policy's bank");
+  }
   if (!(snapshot.consumer_spend >= 0.0)) {
     return Status::OutOfRange("negative consumer spend in snapshot");
   }
@@ -653,9 +671,9 @@ Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {
   // Sub-restores validate before mutating; once one has succeeded a later
   // failure leaves the engine partially restored, so callers must discard
   // the engine on any non-OK status.
-  CDT_RETURN_NOT_OK(bank_.Restore(snapshot.pricing_arms,
-                                  snapshot.pricing_total_observations));
-  if (policy_bank != nullptr) {
+  CDT_RETURN_NOT_OK(bank_->Restore(snapshot.pricing_arms,
+                                   snapshot.pricing_total_observations));
+  if (policy_bank != nullptr && !borrowed) {
     CDT_RETURN_NOT_OK(policy_bank->Restore(
         snapshot.policy_arms, snapshot.policy_total_observations));
   }
@@ -680,7 +698,7 @@ Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {
 
   if (checker_ != nullptr) {
     CDT_RETURN_NOT_OK(
-        checker_->ResetBaseline(ledger_, &bank_, next_round_ - 1));
+        checker_->ResetBaseline(ledger_, bank_, next_round_ - 1));
   }
   return Status::OK();
 }

@@ -107,9 +107,11 @@ class TradingEngine {
     return *environment_;
   }
 
-  /// The engine's own learned quality estimates used for game pricing
-  /// (independent of any estimator the policy maintains).
-  const bandit::EstimatorBank& pricing_estimates() const { return bank_; }
+  /// The learned quality estimates the HS game prices from. Under a policy
+  /// with a non-null mutable_estimator() (CUCB) this is the policy's own
+  /// bank, so &pricing_estimates() == policy().estimator(); every other
+  /// policy gets a private bank the engine updates itself.
+  const bandit::EstimatorBank& pricing_estimates() const { return *bank_; }
 
   /// Registers an observer invoked after every settled round, in
   /// registration order; a non-OK status aborts the run. Returns a
@@ -160,17 +162,18 @@ class TradingEngine {
   /// Applies a snapshot captured from an engine with identical
   /// configuration. Must be called before any round has run; fails closed
   /// when the policy cannot restore exactly (snapshot_safe() false), on
-  /// any size/seller-count mismatch, or on corrupt counters — the engine
-  /// is left untouched on error except when a late sub-restore fails
-  /// (the returned status then says the engine must be discarded).
+  /// any size/seller-count mismatch, on corrupt counters, or when the
+  /// engine prices from the policy's bank and the snapshot's pricing and
+  /// policy sections disagree — the engine is left untouched on error
+  /// except when a late sub-restore fails (the returned status then says
+  /// the engine must be discarded).
   /// The cumulative fault_log() is not persisted: after a restore it
   /// contains only post-restore events (fault_count() totals survive).
   util::Status RestoreSnapshot(const EngineSnapshot& snapshot);
 
  private:
   TradingEngine(EngineConfig config, bandit::QualityEnvironment* environment,
-                std::unique_ptr<bandit::SelectionPolicy> policy,
-                bandit::EstimatorBank bank);
+                std::unique_ptr<bandit::SelectionPolicy> policy);
 
   /// Learned (or true, in oracle mode) quality of a seller, floored.
   double GameQuality(int seller) const;
@@ -203,7 +206,9 @@ class TradingEngine {
   EngineConfig config_;
   bandit::QualityEnvironment* environment_;  // borrowed
   std::unique_ptr<bandit::SelectionPolicy> policy_;
-  bandit::EstimatorBank bank_;
+  /// Pricing bank: the policy's (borrowed) or owned_bank_.
+  bandit::EstimatorBank* bank_ = nullptr;
+  std::unique_ptr<bandit::EstimatorBank> owned_bank_;
   Ledger ledger_;
   std::vector<std::unique_ptr<RoundObserver>> observers_;
   InvariantChecker* checker_ = nullptr;  // owned via observers_

@@ -56,8 +56,12 @@ void SetAtomicWriteFailureHookForTest(AtomicWriteHook hook) {
   *FailureHook() = std::move(hook);
 }
 
+void RemoveTempFileFor(const std::string& path) {
+  std::remove((path + kTempSuffix).c_str());
+}
+
 Status AtomicWriteFile(const std::string& path, std::string_view bytes) {
-  const std::string temp_path = path + ".tmp";
+  const std::string temp_path = path + kTempSuffix;
   int fd = ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return IoError("open", temp_path);
 

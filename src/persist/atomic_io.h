@@ -19,6 +19,17 @@
 namespace cdt {
 namespace persist {
 
+/// Suffix of the temp file an atomic write of `path` stages in
+/// (`path` + kTempSuffix), before renaming it over `path`. AtomicWriteFile
+/// and EventLogWriter::OpenRebased use it; scrubs sweep such files as
+/// orphans when no writer is live.
+inline constexpr char kTempSuffix[] = ".tmp";
+
+/// Removes the temp file a failed atomic write of `path` may have left
+/// behind (no-op when there is none). A plain unlink that bypasses
+/// IoHooks, so it never consumes a scheduled fault.
+void RemoveTempFileFor(const std::string& path);
+
 /// Atomically replaces `path` with `bytes` (temp file + fsync + rename +
 /// directory fsync). On error the temp file is removed and the original
 /// `path` (if any) is untouched.

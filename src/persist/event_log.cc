@@ -197,7 +197,7 @@ Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenRebased(
   // written before this call) intact, so recovery still has a consistent
   // pair. The FILE* stays valid across the rename, so the returned
   // writer appends to the already-renamed file.
-  const std::string temp_path = path + ".tmp";
+  const std::string temp_path = path + kTempSuffix;
   std::FILE* file = std::fopen(temp_path.c_str(), "wb");
   if (file == nullptr) {
     return Status::IoError("cannot create event log '" + temp_path +

@@ -249,7 +249,7 @@ Result<ScrubReport> ScrubWalDirectory(const std::string& dir,
   std::vector<std::string> snapshots;
   std::vector<std::string> temps;
   for (const std::string& path : files) {
-    if (EndsWith(path, ".tmp")) {
+    if (EndsWith(path, kTempSuffix)) {
       temps.push_back(path);
     } else if (EndsWith(path, ".cdtlog")) {
       logs.push_back(path);
@@ -306,7 +306,9 @@ Result<int> SweepOrphanTempFiles(const std::string& dir) {
   CDT_RETURN_NOT_OK(ListRegularFiles(dir, &files));
   int removed = 0;
   for (const std::string& path : files) {
-    if (EndsWith(path, ".tmp") && std::remove(path.c_str()) == 0) ++removed;
+    if (EndsWith(path, kTempSuffix) && std::remove(path.c_str()) == 0) {
+      ++removed;
+    }
   }
   return removed;
 }

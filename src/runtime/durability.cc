@@ -8,6 +8,7 @@
 #include "market/trading_engine.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "persist/atomic_io.h"
 
 namespace cdt {
 namespace runtime {
@@ -259,9 +260,9 @@ void DurabilityGuard::RecordWalFailure(const Status& status,
   // simulated crash): clear this marketplace's stem immediately. The
   // directory-wide sweep runs at service startup, where no writer races.
   if (!options_.snapshot_path.empty()) {
-    std::remove((options_.snapshot_path + ".tmp").c_str());
+    persist::RemoveTempFileFor(options_.snapshot_path);
   }
-  std::remove((options_.log_path + ".tmp").c_str());
+  persist::RemoveTempFileFor(options_.log_path);
   if (++consecutive_failures_ >= tuning().degrade_after_failures) {
     Degrade(round);
   }

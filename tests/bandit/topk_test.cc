@@ -1,10 +1,11 @@
 // Lazy top-K selector and heap-select correctness: both must reproduce the
-// reference (iota + partial_sort over a full UCB scan) selection bit for
-// bit under adversarial update patterns — ties, mass invalidation,
-// cold-start arms, and restored-from-snapshot banks.
+// full-rescan oracle (iota + partial_sort over a full UCB scan, kept in
+// tests/support) bit for bit under adversarial update patterns — ties,
+// mass invalidation, cold-start arms, and restored-from-snapshot banks.
 
 #include "bandit/topk.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -15,14 +16,19 @@
 #include "bandit/arm.h"
 #include "bandit/cucb_policy.h"
 #include "stats/rng.h"
+#include "support/reference_cucb.h"
 
 namespace cdt {
 namespace bandit {
 namespace {
 
+using testsupport::ReferenceCucbPolicy;
+using testsupport::TopKIndicesPartialSortInto;
+using testsupport::UcbValuesReferenceInto;
+
 std::vector<int> ReferenceTopK(const EstimatorBank& bank, int k) {
   std::vector<double> ucb;
-  bank.UcbValuesInto(&ucb);
+  UcbValuesReferenceInto(bank, &ucb);
   std::vector<int> out;
   TopKIndicesPartialSortInto(ucb, k, &out);
   return out;
@@ -82,31 +88,195 @@ TEST(TopKIndicesIntoTest, HandlesEdgeSizes) {
   EXPECT_EQ(out, (std::vector<int>{0}));
 }
 
-TEST(LazyTopKSelectorTest, MatchesReferenceAcrossRounds) {
-  const int m = 200, k = 10, batch_len = 5;
-  EstimatorBank bank = MakeBank(m, static_cast<double>(k + 1));
-  LazyTopKSelector selector;
-  stats::Xoshiro256 rng(42);
-
-  // Round 1: Algorithm 1 observes every arm (mass invalidation).
-  for (int i = 0; i < m; ++i) {
-    ASSERT_TRUE(bank.Update(i, QuantizedBatch(rng, batch_len, 8)).ok());
-    selector.Invalidate(bank, i);
+std::vector<ArmState> CaptureArms(const EstimatorBank& bank) {
+  std::vector<ArmState> arms(static_cast<std::size_t>(bank.num_arms()));
+  for (int i = 0; i < bank.num_arms(); ++i) {
+    arms[static_cast<std::size_t>(i)] = bank.arm(i);
   }
-  std::vector<int> lazy;
-  for (int round = 2; round <= 500; ++round) {
-    selector.SelectInto(bank, k, &lazy);
-    ASSERT_EQ(lazy, ReferenceTopK(bank, k)) << "round " << round;
-    for (int sel : lazy) {
-      ASSERT_TRUE(bank.Update(sel, QuantizedBatch(rng, batch_len, 8)).ok());
-      selector.Invalidate(bank, sel);
+  return arms;
+}
+
+// One input of the selector-vs-oracle sweep. The plain input is Algorithm
+// 1's select/observe loop; the others interleave, round by round, the
+// update patterns the selector's exactness proof has to survive. They use
+// M large enough that the candidate pool is a small share of the arms, so
+// arms outside it exist and the lazy path, not a rebuild, is on trial.
+struct SweepInput {
+  const char* name;
+  std::uint64_t seed;
+  int m, k, rounds;
+  /// Eq. (19)'s constant; 0 means the paper's K+1. A small one lets the
+  /// means, not the bonuses, order the arms, so a jump in quality moves
+  /// an arm up.
+  double exploration;
+  /// Arms 4j and 4j+1 share every batch while their states agree, so their
+  /// UCB values tie exactly; with K odd such a pair regularly straddles
+  /// the K-th place, a tie across the boundary only the index breaks.
+  bool twins;
+  /// Every sample of arms 14j, 14j+1 is 0 and of 14j+2, 14j+3 is 1:
+  /// means pinned at the quality floor and ceiling.
+  bool pinned;
+  /// Per-round chance of a mid-run Restore: either back to a state saved
+  /// earlier in the run, or a same-total swap of the K-th winner with the
+  /// worst arm, which sits outside the pool (only the bank's epoch reveals
+  /// it).
+  double restore_rate;
+  /// Per-round chance of updating a random 1/8 up to all of the arms at
+  /// once: below a quarter they join the pool, above it force a rebuild.
+  /// Half of them jump to the quality ceiling with a batch as long as
+  /// their history, so arms from outside the pool break into the top K.
+  double mass_rate;
+};
+
+TEST(LazyTopKSelectorTest, MatchesReferenceAcrossRounds) {
+  const SweepInput inputs[] = {
+      {"plain", 42, 200, 10, 500, 0.0, false, false, 0.0, 0.0},
+      {"ties+pinned", 7, 1000, 11, 400, 0.0, true, true, 0.0, 0.0},
+      {"restores", 8, 1500, 9, 400, 0.0, true, false, 0.1, 0.0},
+      {"mass", 9, 1200, 8, 300, 0.05, false, false, 0.0, 0.1},
+      {"everything", 10, 2000, 13, 600, 0.05, true, true, 0.05, 0.05},
+  };
+  const int batch_len = 5;
+  for (const SweepInput& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const int m = input.m, k = input.k;
+    EstimatorBank bank =
+        MakeBank(m, input.exploration > 0.0 ? input.exploration
+                                            : static_cast<double>(k + 1));
+    LazyTopKSelector selector;
+    stats::Xoshiro256 rng(input.seed);  // observations
+    stats::Xoshiro256 ops(input.seed ^ 0xA5A5A5A5ULL);  // op schedule
+    std::vector<int> lazy;
+    std::vector<std::uint8_t> touched(static_cast<std::size_t>(m));
+    std::vector<ArmState> saved;
+    std::uint64_t saved_total = 0;
+    int ties = 0, restores = 0, swaps = 0, masses = 0, pinned_picks = 0;
+
+    auto pin = [&](int arm) {  // -1 free, else the pinned sample value
+      if (!input.pinned) return -1;
+      int group = (arm / 2) % 7;
+      return group == 0 ? 0 : group == 1 ? 1 : -1;
+    };
+    auto observe = [&](int arm, bool ceiling) -> ::testing::AssertionResult {
+      if (touched[static_cast<std::size_t>(arm)]) {
+        return ::testing::AssertionSuccess();  // synced as a twin
+      }
+      std::vector<double> batch =
+          pin(arm) >= 0 ? std::vector<double>(batch_len, double(pin(arm)))
+          : ceiling     ? std::vector<double>(
+                          std::max<std::size_t>(batch_len,
+                                                bank.arm(arm).observations),
+                          1.0)
+                        : QuantizedBatch(rng, batch_len, 8);
+      const int twin = arm ^ 1;
+      const bool sync = input.twins && (arm / 2) % 2 == 0 && twin < m &&
+                        bank.arm(twin) == bank.arm(arm);
+      for (int a : {arm, twin}) {
+        if (a != arm && !sync) continue;
+        if (!bank.Update(a, batch).ok()) {
+          return ::testing::AssertionFailure() << "update of arm " << a;
+        }
+        selector.Invalidate(bank, a);
+        touched[static_cast<std::size_t>(a)] = 1;
+      }
+      return ::testing::AssertionSuccess();
+    };
+    auto observe_all = [&](const std::vector<int>& arms,
+                           bool ceilings) -> ::testing::AssertionResult {
+      std::fill(touched.begin(), touched.end(), 0);
+      for (int arm : arms) {
+        ::testing::AssertionResult ok =
+            observe(arm, ceilings && ops.NextDouble() < 0.5);
+        if (!ok) return ok;
+      }
+      return ::testing::AssertionSuccess();
+    };
+    auto matches_oracle = [&]() -> ::testing::AssertionResult {
+      selector.SelectInto(bank, k, &lazy);
+      std::vector<int> want = ReferenceTopK(bank, k);
+      if (lazy == want) return ::testing::AssertionSuccess();
+      return ::testing::AssertionFailure() << "lazy top-K != oracle top-K";
+    };
+    // The oracle's top K+1, for the boundary pair (K-th, (K+1)-th).
+    std::vector<double> ucb;
+    std::vector<int> ranked;
+    auto rank = [&]() {
+      UcbValuesReferenceInto(bank, &ucb);
+      TopKIndicesPartialSortInto(ucb, k + 1, &ranked);
+    };
+    std::vector<int> every_arm(static_cast<std::size_t>(m));
+    for (int i = 0; i < m; ++i) every_arm[static_cast<std::size_t>(i)] = i;
+
+    // Round 1: Algorithm 1 observes every arm (mass invalidation).
+    ASSERT_TRUE(observe_all(every_arm, false));
+    for (int round = 2; round <= input.rounds; ++round) {
+      ASSERT_TRUE(matches_oracle()) << "round " << round << " after select";
+      rank();
+      if (ucb[static_cast<std::size_t>(ranked[k - 1])] ==
+          ucb[static_cast<std::size_t>(ranked[k])]) {
+        ++ties;
+      }
+      for (int sel : lazy) pinned_picks += pin(sel) >= 0 ? 1 : 0;
+      ASSERT_TRUE(observe_all(lazy, false));
+      if (input.mass_rate > 0.0 && ops.NextDouble() < input.mass_rate) {
+        const double share = 1.0 / static_cast<double>(1 + ops.NextBounded(8));
+        std::vector<int> arms;
+        for (int i = 0; i < m; ++i) {
+          if (ops.NextDouble() < share) arms.push_back(i);
+        }
+        ASSERT_TRUE(observe_all(arms, true));
+        ++masses;
+        ASSERT_TRUE(matches_oracle()) << "round " << round << " after mass";
+      }
+      if (input.restore_rate > 0.0) {
+        if (saved.empty() || ops.NextDouble() < 0.05) {
+          saved = CaptureArms(bank);
+          saved_total = bank.total_observations();
+        }
+        if (ops.NextDouble() < input.restore_rate) {
+          if (ops.NextDouble() < 0.5) {
+            ASSERT_TRUE(bank.Restore(saved, saved_total).ok());
+            ++restores;
+          } else {
+            // Swap the K-th winner with the worst arm: the top-K set
+            // changes, Σ n_j does not.
+            std::vector<int> all_ranked;
+            rank();
+            TopKIndicesPartialSortInto(ucb, m, &all_ranked);
+            std::vector<ArmState> swapped = CaptureArms(bank);
+            std::swap(swapped[static_cast<std::size_t>(ranked[k - 1])],
+                      swapped[static_cast<std::size_t>(all_ranked.back())]);
+            ASSERT_TRUE(bank.Restore(swapped, bank.total_observations()).ok());
+            ++swaps;
+          }
+          ASSERT_TRUE(matches_oracle()) << "round " << round
+                                        << " after restore";
+        }
+      }
+    }
+    if (input.restore_rate == 0.0 && input.mass_rate == 0.0 &&
+        !input.twins) {
+      // The plain input: quantized ties force conservative rebuilds (an
+      // exact tie at the pool boundary is never trusted), but most rounds
+      // must still resolve from the pool alone.
+      EXPECT_LT(selector.full_rebuilds(), input.rounds / 2);
+      EXPECT_GT(selector.entries_revalidated(), 0);
+    }
+    // Each adversarial input really exercised what it names.
+    if (input.twins) {
+      EXPECT_GT(ties, 0);
+    }
+    if (input.pinned) {
+      EXPECT_GT(pinned_picks, 0);
+    }
+    if (input.restore_rate > 0.0) {
+      EXPECT_GT(restores, 0);
+      EXPECT_GT(swaps, 0);
+    }
+    if (input.mass_rate > 0.0) {
+      EXPECT_GT(masses, 0);
     }
   }
-  // Quantized ties force conservative rebuilds (an exact tie at the pool
-  // boundary is never trusted), but most rounds must still resolve from
-  // the pool alone.
-  EXPECT_LT(selector.full_rebuilds(), 250);
-  EXPECT_GT(selector.entries_revalidated(), 0);
 }
 
 TEST(LazyTopKSelectorTest, SteadyStateAmortizesRebuilds) {
@@ -247,11 +417,8 @@ TEST(CucbPolicyPathsTest, ReferenceAndOptimizedSelectIdentically) {
   CucbOptions options;
   options.num_sellers = 150;
   options.num_selected = 7;
-  CucbOptions reference_options = options;
-  reference_options.reference_selection_path = true;
-
   auto optimized = CucbPolicy::Create(options);
-  auto reference = CucbPolicy::Create(reference_options);
+  auto reference = ReferenceCucbPolicy::Create(options);
   ASSERT_TRUE(optimized.ok());
   ASSERT_TRUE(reference.ok());
 

@@ -1,95 +1,59 @@
-// Determinism suite for the selection-path split: the optimized path (SoA
-// bank + lazy top-K + kink reuse) and the reference path (full Eq. 19 scan
-// + partial_sort) must produce byte-identical economics. Runs the fig07 and
-// fig09 evaluation configs plus a 1e4-arm synthetic campaign through both
-// paths and asserts every AlgorithmResult field — and the CSV rows derived
-// from them — bit for bit.
+// Determinism suite for the production selection path: a CMAB-HS engine
+// selecting through CucbPolicy (SoA bank + lazy top-K, with kink reuse in
+// the solver) and one selecting through the full-rescan oracle
+// (testsupport::ReferenceCucbPolicy: Eq. 19 scan + partial_sort) run side
+// by side on the fig07 and fig09 evaluation configs plus a 1e4-arm
+// synthetic campaign. Every round's canonical bytes — selection, prices,
+// sensing times, profits, revenues, faults — must match.
 
-#include "core/comparison.h"
-
-#include <cstdio>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/csv.h"
+#include "core/config.h"
+#include "persist/replay.h"
+#include "support/reference_cucb.h"
 
 namespace cdt {
 namespace core {
 namespace {
 
-std::string Format17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string(buf);
-}
+void ExpectBitIdentical(const MechanismConfig& config) {
+  auto optimized = testsupport::MakeCucbEngine(config, /*reference=*/false);
+  auto reference = testsupport::MakeCucbEngine(config, /*reference=*/true);
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  market::TradingEngine& lhs = *optimized.value().engine;
+  market::TradingEngine& rhs = *reference.value().engine;
 
-// One CSV row per algorithm, every double at full precision, so a single
-// flipped bit anywhere in the economics shows up as a string mismatch.
-std::string ResultCsvRow(const AlgorithmResult& algo) {
-  util::CsvRow row{algo.name,
-                   Format17(algo.expected_revenue),
-                   Format17(algo.observed_revenue),
-                   Format17(algo.regret),
-                   Format17(algo.mean_consumer_profit),
-                   Format17(algo.mean_platform_profit),
-                   Format17(algo.mean_seller_profit_total),
-                   Format17(algo.mean_seller_profit_each),
-                   Format17(algo.delta_consumer),
-                   Format17(algo.delta_platform),
-                   Format17(algo.delta_seller)};
-  for (const MetricsCheckpoint& cp : algo.checkpoints) {
-    row.push_back(std::to_string(cp.round));
-    row.push_back(Format17(cp.expected_revenue));
-    row.push_back(Format17(cp.observed_revenue));
-    row.push_back(Format17(cp.regret));
-    row.push_back(Format17(cp.mean_consumer_profit));
-    row.push_back(Format17(cp.mean_platform_profit));
-    row.push_back(Format17(cp.mean_seller_profit_total));
-    row.push_back(Format17(cp.mean_seller_profit_each));
+  for (std::int64_t round = 1; round <= config.num_rounds; ++round) {
+    auto a = lhs.RunRound();
+    auto b = rhs.RunRound();
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_EQ(persist::CanonicalRoundBytes(a.value()),
+              persist::CanonicalRoundBytes(b.value()))
+        << "round " << round;
   }
-  return util::FormatCsvLine(row);
-}
-
-void ExpectBitIdentical(const MechanismConfig& base,
-                        const ComparisonOptions& options) {
-  MechanismConfig optimized = base;
-  optimized.reference_selection_path = false;
-  MechanismConfig reference = base;
-  reference.reference_selection_path = true;
-
-  auto lhs = RunComparison(optimized, options);
-  auto rhs = RunComparison(reference, options);
-  ASSERT_TRUE(lhs.ok()) << lhs.status().ToString();
-  ASSERT_TRUE(rhs.ok()) << rhs.status().ToString();
-
-  const auto& a = lhs.value().algorithms;
-  const auto& b = rhs.value().algorithms;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(ResultCsvRow(a[i]), ResultCsvRow(b[i])) << a[i].name;
+  // The learned state both engines price from ends identical too.
+  const bandit::EstimatorBank& x = lhs.pricing_estimates();
+  const bandit::EstimatorBank& y = rhs.pricing_estimates();
+  ASSERT_EQ(x.total_observations(), y.total_observations());
+  for (int i = 0; i < x.num_arms(); ++i) {
+    ASSERT_EQ(x.arm(i), y.arm(i)) << "arm " << i;
   }
-  EXPECT_EQ(Format17(lhs.value().gaps.delta_min),
-            Format17(rhs.value().gaps.delta_min));
-  EXPECT_EQ(Format17(lhs.value().gaps.delta_max),
-            Format17(rhs.value().gaps.delta_max));
-  EXPECT_EQ(Format17(lhs.value().theorem19_bound),
-            Format17(rhs.value().theorem19_bound));
 }
 
 TEST(SelectionDeterminismTest, Fig07ConfigBothPathsBitIdentical) {
-  // Fig. 7 shape: Table-II economics at reduced horizon, with checkpoints
-  // so mid-campaign state is pinned too, not just the final tallies.
+  // Fig. 7 shape: Table-II economics at reduced horizon.
   MechanismConfig config;
   config.num_sellers = 300;
   config.num_selected = 10;
   config.num_pois = 10;
   config.num_rounds = 400;
   config.seed = 7;
-  ComparisonOptions options;
-  options.checkpoints = {100, 250, 400};
-  ExpectBitIdentical(config, options);
+  ExpectBitIdentical(config);
 }
 
 TEST(SelectionDeterminismTest, Fig09ConfigBothPathsBitIdentical) {
@@ -100,17 +64,14 @@ TEST(SelectionDeterminismTest, Fig09ConfigBothPathsBitIdentical) {
   config.num_pois = 10;
   config.num_rounds = 300;
   config.seed = 9;
-  ComparisonOptions options;
-  options.checkpoints = {150, 300};
-  ExpectBitIdentical(config, options);
+  ExpectBitIdentical(config);
 }
 
 TEST(SelectionDeterminismTest, TenThousandArmSyntheticBitIdentical) {
   // Large-M synthetic: K ~ sqrt(M). Round 1 observes all 10^4 arms, so the
   // lazy selector starts from a fully invalidated bank; the remaining
-  // rounds exercise the steady-state incremental path. Only CMAB-HS is run
-  // (the policy whose selection path forked); deltas off to keep the
-  // runtime down.
+  // rounds exercise the steady-state incremental path. The checker is off
+  // to keep the runtime down.
   MechanismConfig config;
   config.num_sellers = 10000;
   config.num_selected = 100;
@@ -118,11 +79,7 @@ TEST(SelectionDeterminismTest, TenThousandArmSyntheticBitIdentical) {
   config.num_rounds = 25;
   config.seed = 10007;
   config.check_invariants = false;
-  ComparisonOptions options;
-  options.policies = {{PolicyKind::kCmabHs, 0.0}};
-  options.compute_deltas = false;
-  options.checkpoints = {10, 25};
-  ExpectBitIdentical(config, options);
+  ExpectBitIdentical(config);
 }
 
 }  // namespace

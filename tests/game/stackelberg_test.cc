@@ -180,14 +180,25 @@ TEST(StackelbergTest, ConsumerClosedFormIsNumericOptimum) {
 }
 
 // The paper's printed Theorem-15 constant (λA − 2θBA + B) is a typo: the
-// derivative of Eq. (7) yields (λA − 2θAB − B). This test documents that
-// the printed form yields strictly less platform profit.
+// derivative of Eq. (7) yields (λA − 2θAB − B). Stage 2 with the printed
+// constant, from the solver's aggregates; unclamped.
+double PlatformBestPricePaperPrinted(const StackelbergSolver& solver,
+                                     double consumer_price) {
+  double a = solver.aggregates().a_sum;
+  double b = solver.aggregates().b_sum;
+  double theta = solver.config().platform.theta;
+  double lambda = solver.config().platform.lambda;
+  double c = lambda * a - 2.0 * theta * b * a + b;  // printed Thm. 15 form
+  return (consumer_price * a - c) / (2.0 * a * (1.0 + theta * a));
+}
+
+// Documents that the printed form yields strictly less platform profit.
 TEST(StackelbergTest, PrintedThm15IsNotOptimal) {
   auto solver = StackelbergSolver::Create(PaperishConfig(10, 7));
   ASSERT_TRUE(solver.ok());
   double pj = 12.0;
   double corrected = solver.value().PlatformBestPrice(pj);
-  double printed = solver.value().PlatformBestPricePaperPrinted(pj);
+  double printed = PlatformBestPricePaperPrinted(solver.value(), pj);
   EXPECT_GT(std::fabs(corrected - printed), 1e-6);
   double profit_corrected =
       solver.value().PlatformProfitAnticipating(pj, corrected);

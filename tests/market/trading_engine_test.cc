@@ -6,6 +6,7 @@
 
 #include "bandit/baseline_policies.h"
 #include "bandit/cucb_policy.h"
+#include "bandit/delayed_feedback.h"
 #include "stats/rng.h"
 
 namespace cdt {
@@ -306,6 +307,107 @@ TEST(TradingEngineTest, SnapshotRoundTripsSellerActivityBitmap) {
   ASSERT_TRUE(restored.value()->SetSellerActive(9, true).ok());
   const EngineSnapshot all_back = restored.value()->CaptureSnapshot();
   EXPECT_TRUE(all_back.seller_active.empty());
+}
+
+TEST(TradingEngineTest, CucbEnginePricesFromThePolicysBank) {
+  auto env = MakeEnvironment();
+  auto engine = TradingEngine::Create(MakeConfig(), &env, MakeCucb());
+  ASSERT_TRUE(engine.ok());
+  const TradingEngine& e = *engine.value();
+  // One bank: the engine borrows CUCB's instead of keeping a copy.
+  EXPECT_EQ(&e.pricing_estimates(), e.policy().estimator());
+  for (int r = 0; r < 5; ++r) ASSERT_TRUE(engine.value()->RunRound().ok());
+  // Round 1 observes all sellers, later rounds K; L samples each.
+  EXPECT_EQ(e.pricing_estimates().total_observations(),
+            static_cast<std::uint64_t>((kSellers + 4 * kSelected) * kPois));
+}
+
+TEST(TradingEngineTest, OtherPoliciesKeepAPrivatePricingBank) {
+  auto env = MakeEnvironment();
+  auto oracle = bandit::OraclePolicy::Create(env.effective_qualities(),
+                                             kSelected);
+  auto random = bandit::RandomPolicy::Create(kSellers, kSelected, 11);
+  auto delayed = bandit::DelayedFeedbackPolicy::Create(MakeCucb(), 2);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_TRUE(random.ok());
+  ASSERT_TRUE(delayed.ok());
+  std::vector<std::unique_ptr<bandit::SelectionPolicy>> policies;
+  policies.push_back(
+      std::make_unique<bandit::OraclePolicy>(std::move(oracle).value()));
+  policies.push_back(
+      std::make_unique<bandit::RandomPolicy>(std::move(random).value()));
+  policies.push_back(std::make_unique<bandit::DelayedFeedbackPolicy>(
+      std::move(delayed).value()));
+  for (auto& policy : policies) {
+    const std::string name = policy->name();
+    auto engine_env = MakeEnvironment();
+    auto engine =
+        TradingEngine::Create(MakeConfig(), &engine_env, std::move(policy));
+    ASSERT_TRUE(engine.ok()) << name;
+    const TradingEngine& e = *engine.value();
+    EXPECT_NE(&e.pricing_estimates(), e.policy().estimator()) << name;
+    for (int r = 0; r < 5; ++r) {
+      ASSERT_TRUE(engine.value()->RunRound().ok()) << name;
+    }
+    // The private bank learns from every delivered batch, even when the
+    // policy's own bank lags (delayed feedback) or does not exist.
+    EXPECT_GT(e.pricing_estimates().total_observations(), 0u) << name;
+    if (const bandit::EstimatorBank* bank = e.policy().estimator()) {
+      EXPECT_LE(bank->total_observations(),
+                e.pricing_estimates().total_observations())
+          << name;
+    }
+  }
+}
+
+TEST(TradingEngineTest, RestoreFailsClosedWhenPricingAndPolicyArmsDisagree) {
+  auto env = MakeEnvironment();
+  auto engine = TradingEngine::Create(MakeConfig(), &env, MakeCucb());
+  ASSERT_TRUE(engine.ok());
+  for (int r = 0; r < 4; ++r) ASSERT_TRUE(engine.value()->RunRound().ok());
+  const EngineSnapshot snapshot = engine.value()->CaptureSnapshot();
+  // The format still carries both sections, written from the one bank.
+  ASSERT_TRUE(snapshot.has_policy_arms);
+  EXPECT_EQ(snapshot.pricing_arms, snapshot.policy_arms);
+  EXPECT_EQ(snapshot.pricing_total_observations,
+            snapshot.policy_total_observations);
+
+  auto restore = [](const EngineSnapshot& s) {
+    auto fresh_env = MakeEnvironment();
+    auto fresh = TradingEngine::Create(MakeConfig(), &fresh_env, MakeCucb());
+    EXPECT_TRUE(fresh.ok());
+    util::Status status = fresh.value()->RestoreSnapshot(s);
+    // A refused snapshot leaves the engine untouched.
+    if (!status.ok()) {
+      EXPECT_EQ(fresh.value()->current_round(), 0);
+    }
+    return status;
+  };
+  EXPECT_TRUE(restore(snapshot).ok());
+
+  // Hand-edited: one pricing mean moved. Each section alone is a valid
+  // bank state, but the one bank cannot hold both.
+  EngineSnapshot edited_mean = snapshot;
+  edited_mean.pricing_arms[0].mean =
+      edited_mean.pricing_arms[0].mean > 0.5 ? 0.25 : 0.75;
+  util::Status status = restore(edited_mean);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.message().find("disagree"), std::string::npos);
+
+  // Hand-edited: the same observations moved between two arms (totals
+  // still agree section by section).
+  EngineSnapshot edited_counts = snapshot;
+  std::swap(edited_counts.policy_arms[0], edited_counts.policy_arms[1]);
+  if (edited_counts.policy_arms != snapshot.policy_arms) {
+    EXPECT_FALSE(restore(edited_counts).ok());
+  }
+
+  // Hand-edited: the pricing section's total no longer matches.
+  EngineSnapshot edited_total = snapshot;
+  edited_total.pricing_total_observations += kPois;
+  edited_total.pricing_arms[0].observations += kPois;
+  EXPECT_FALSE(restore(edited_total).ok());
 }
 
 }  // namespace

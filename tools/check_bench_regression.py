@@ -11,7 +11,9 @@ them, rows whose name matches --gate-regex (default: the M=1e4 rows)
 FAIL the run when they regress more than --threshold over the baseline;
 every other row is report-only — the M=1e5/1e6 rows take long enough
 that CI noise would make a hard gate flaky, but their trend is still
-printed into the job log and the uploaded artifact.
+printed into the job log and the uploaded artifact. A gated baseline row
+that the current report lacks (renamed or deleted benchmark) also FAILS
+the run, so a row cannot escape the gate by vanishing.
 
 Stdlib only; exits 0 when every gated row holds, 1 otherwise.
 """
@@ -88,11 +90,21 @@ def main():
         print("no large-M benchmark rows found in the current report",
               file=sys.stderr)
         return 1
+    missing = [name for name in sorted(base)
+               if family.search(name) and gate.search(name)
+               and name not in cur]
+    for name in missing:
+        print(f"  [GONE]   {name}: gated baseline row missing from the "
+              "current report")
+    if missing:
+        print(f"\n{len(missing)} gated baseline row(s) missing from the "
+              "current report", file=sys.stderr)
     if failures:
         print(f"\n{len(failures)} gated row(s) regressed beyond "
               f"{args.threshold:.2f}x:", file=sys.stderr)
         for name, ratio in failures:
             print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
+    if missing or failures:
         return 1
     print("\nall gated rows within threshold")
     return 0
