@@ -1,6 +1,11 @@
 // Micro-benchmarks for the Stackelberg game: closed-form backward
-// induction, the exact piecewise stage-2 sweep, the numeric stage-1
-// fallback, and the Def.-13 equilibrium verification.
+// induction, the exact piecewise stage-2 best response, the numeric
+// stage-1 fallback, and the Def.-13 equilibrium verification. The
+// *Reference rows run the same queries on the naive per-segment sweep
+// (tests/support/reference_stackelberg.h), so each optimized/reference
+// ratio comes from one run on one host.
+
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +13,7 @@
 #include "game/numeric.h"
 #include "game/stackelberg.h"
 #include "stats/rng.h"
+#include "support/reference_stackelberg.h"
 
 namespace {
 
@@ -68,6 +74,67 @@ void BM_ConsumerNumericFallback(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConsumerNumericFallback);
+
+// Consumer prices cycled through by the stage-2 rows: a grid over the
+// consumer box, so every envelope piece is visited.
+std::vector<double> QueryGrid(const game::GameConfig& config) {
+  std::vector<double> xs;
+  const util::Interval& box = config.consumer_price_bounds;
+  for (int i = 0; i < 256; ++i) xs.push_back(box.lo + box.width() * i / 255.0);
+  return xs;
+}
+
+template <typename Solver>
+void RunPlatformBestPrice(benchmark::State& state, const Solver& solver,
+                          const std::vector<double>& xs) {
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.PlatformBestPrice(xs[i]));
+    i = (i + 1) % xs.size();
+  }
+}
+
+void BM_PlatformBestPrice(benchmark::State& state) {
+  game::GameConfig config = MakeConfig(static_cast<int>(state.range(0)));
+  auto solver = game::StackelbergSolver::Create(config);
+  RunPlatformBestPrice(state, solver.value(), QueryGrid(config));
+}
+BENCHMARK(BM_PlatformBestPrice)->Arg(316)->Arg(1000);
+
+void BM_PlatformBestPriceReference(benchmark::State& state) {
+  game::GameConfig config = MakeConfig(static_cast<int>(state.range(0)));
+  testsupport::ReferenceStackelberg reference(config);
+  RunPlatformBestPrice(state, reference, QueryGrid(config));
+}
+BENCHMARK(BM_PlatformBestPriceReference)->Arg(316)->Arg(1000);
+
+// Stage 1 forced onto its fallback (candidates, golden section, jump
+// bisection) by capping the collection price below the interior optimum,
+// as BM_ConsumerNumericFallback does at K=10.
+game::GameConfig FallbackConfig(int k) {
+  game::GameConfig config = MakeConfig(k);
+  config.collection_price_bounds = {0.01, 1.0};
+  return config;
+}
+
+void BM_ConsumerBestPriceFallback(benchmark::State& state) {
+  auto solver = game::StackelbergSolver::Create(
+      FallbackConfig(static_cast<int>(state.range(0))));
+  game::StackelbergSolver& hs = solver.value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hs.ConsumerBestPrice());
+  }
+}
+BENCHMARK(BM_ConsumerBestPriceFallback)->Arg(316)->Arg(1000);
+
+void BM_ConsumerBestPriceFallbackReference(benchmark::State& state) {
+  testsupport::ReferenceStackelberg reference(
+      FallbackConfig(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference.ConsumerBestPrice());
+  }
+}
+BENCHMARK(BM_ConsumerBestPriceFallbackReference)->Arg(316)->Arg(1000);
 
 void BM_EquilibriumCheck(benchmark::State& state) {
   auto solver = game::StackelbergSolver::Create(MakeConfig(10));

@@ -29,6 +29,51 @@ obs::Histogram* StageSolveHistogram(const char* stage) {
 }  // namespace
 #endif  // CDT_TELEMETRY
 
+namespace {
+
+// Below this many segments the every-segment bucket costs a query no more
+// than a piece lookup would, so the envelope index is not built.
+constexpr int kMinIndexedSegments = 32;
+
+// First index in [0, n] at which `below` (true, then false over [0, n))
+// turns false, searched outward from `hint` in O(log distance). The index
+// build searches nearly sorted keys line by line, so each answer is
+// usually next to the previous line's. For any `below`, monotone or not,
+// the result is n or an index where `below` was evaluated false.
+template <typename Below>
+int PartitionNear(int n, int hint, Below below) {
+  if (n == 0) return 0;
+  hint = std::min(std::max(hint, 0), n - 1);
+  // Invariant: below(lo) holds or lo == -1; below(hi) fails or hi == n.
+  int lo = -1, hi = n;
+  if (below(hint)) {
+    lo = hint;
+    for (int step = 1; lo + step < n; step *= 2) {
+      if (!below(lo + step)) {
+        hi = lo + step;
+        break;
+      }
+      lo += step;
+    }
+  } else {
+    hi = hint;
+    for (int step = 1; hi - step >= 0; step *= 2) {
+      if (below(hi - step)) {
+        lo = hi - step;
+        break;
+      }
+      hi -= step;
+    }
+  }
+  while (hi - lo > 1) {
+    const int mid = lo + (hi - lo) / 2;
+    (below(mid) ? lo : hi) = mid;
+  }
+  return hi;
+}
+
+}  // namespace
+
 Status GameConfig::Validate() const {
   if (sellers.empty()) {
     return Status::InvalidArgument("game needs >= 1 selected seller");
@@ -206,6 +251,7 @@ void StackelbergSolver::BuildSupplyKinks() {
     }
   }
   BuildSegmentTable();
+  BuildEnvelopeIndex();
 }
 
 void StackelbergSolver::BuildSegmentTable() {
@@ -261,6 +307,240 @@ void StackelbergSolver::BuildSegmentTable() {
   seg_.init_supply = s0;
   seg_.init_d1 = theta * s0 * s0;
   seg_.init_d2 = lambda * s0;
+}
+
+void StackelbergSolver::BuildEnvelopeIndex() {
+  EnvelopeIndex& env = env_;
+  const int n = static_cast<int>(kinks_.size());
+  const double* ep = seg_.end_price.data();
+  const double* es = seg_.end_supply.data();
+  const double* d1 = seg_.end_d1.data();
+  const double* d2 = seg_.end_d2.data();
+  const double x_lo = config_.consumer_price_bounds.lo;  // >= 0 (Validate)
+  const double x_hi = config_.consumer_price_bounds.hi;
+  env.breaks.clear();
+
+  // Line j's value as every query computes it, and twice the worst-case
+  // error of that computation: with u = 2⁻⁵³ its four roundings are off by
+  // at most ~4u·(x·es + mag) for x, ep, es, d1, d2 >= 0, plus underflow.
+  auto line_at = [&](int j, double x) {
+    return (x - ep[j]) * es[j] - d1[j] - d2[j];
+  };
+  constexpr double kErr = 4.0 * std::numeric_limits<double>::epsilon();
+  auto err_at = [&](int j, double x) {
+    return kErr * (x * es[j] + env.magnitude[j]) +
+           std::numeric_limits<double>::min();
+  };
+
+  bool indexable = n >= kMinIndexedSegments && std::isfinite(x_hi) &&
+                   std::isfinite(seg_.init_d1) && std::isfinite(seg_.init_d2);
+  if (indexable) {
+    const std::size_t un = static_cast<std::size_t>(n);
+    env.intercept.resize(un);
+    env.magnitude.resize(un);
+    env.at_lo.resize(un);
+    env.at_hi.resize(un);
+    env.err_lo.resize(un);
+    env.err_hi.resize(un);
+    // Every intermediate of a query's line evaluation is bounded by
+    // x_hi·es + mag; a quarter of the double range keeps all of them, and
+    // every gap below, finite.
+    constexpr double kRange = std::numeric_limits<double>::max() / 4.0;
+    for (int j = 0; j < n && indexable; ++j) {
+      const double pe = ep[j] * es[j];
+      env.intercept[j] = -(pe + d1[j] + d2[j]);
+      env.magnitude[j] = pe + d1[j] + d2[j];
+      env.at_lo[j] = line_at(j, x_lo);
+      env.at_hi[j] = line_at(j, x_hi);
+      env.err_lo[j] = err_at(j, x_lo);
+      env.err_hi[j] = err_at(j, x_hi);
+      indexable = x_hi * es[j] + env.magnitude[j] < kRange &&
+                  !std::isnan(seg_.window_lo[j]) &&
+                  !std::isnan(seg_.window_hi[j]);
+    }
+  }
+  if (!indexable) {
+    env.begin.assign({0, 2 * n});
+    env.split.assign({n});
+    env.entries.resize(static_cast<std::size_t>(2 * n));
+    for (int j = 0; j < n; ++j) env.entries[j] = env.entries[n + j] = j;
+    return;
+  }
+
+  // Upper envelope of the lines (slope es, intercept) by the monotone hull
+  // over slope-sorted lines. Its accuracy only affects bucket sizes: every
+  // exclusion below is certified on its own.
+  const double* icpt = env.intercept.data();
+  auto by_slope = [es, icpt](int x, int y) {
+    if (es[x] != es[y]) return es[x] < es[y];
+    if (icpt[x] != icpt[y]) return icpt[x] < icpt[y];
+    return x < y;
+  };
+  env.order.resize(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) env.order[j] = j;
+  if (!std::is_sorted(env.order.begin(), env.order.end(), by_slope)) {
+    std::sort(env.order.begin(), env.order.end(), by_slope);
+  }
+  std::vector<int>& hull = env.hull;
+  hull.clear();
+  for (int c : env.order) {
+    while (!hull.empty() && es[hull.back()] == es[c]) hull.pop_back();
+    while (hull.size() >= 2) {
+      const int a = hull[hull.size() - 2], b = hull.back();
+      // b is hidden when c overtakes a no later than b does.
+      if ((icpt[a] - icpt[c]) * (es[b] - es[a]) >
+          (icpt[a] - icpt[b]) * (es[c] - es[a])) {
+        break;
+      }
+      hull.pop_back();
+    }
+    hull.push_back(c);
+  }
+  // Clip the envelope to the consumer box: piece r is [breaks[r],
+  // breaks[r+1]] under line piece_line[r].
+  env.piece_line.clear();
+  env.breaks.push_back(x_lo);
+  for (std::size_t h = 0; h < hull.size(); ++h) {
+    double right = std::numeric_limits<double>::infinity();
+    if (h + 1 < hull.size()) {
+      const int a = hull[h], b = hull[h + 1];
+      right = (icpt[a] - icpt[b]) / (es[b] - es[a]);
+    }
+    if (!(right > env.breaks.back())) continue;
+    env.piece_line.push_back(hull[h]);
+    if (right >= x_hi) break;
+    env.breaks.push_back(right);
+  }
+  env.breaks.push_back(x_hi);
+  int pieces = static_cast<int>(env.piece_line.size());
+  const std::vector<double>& br = env.breaks;
+  const int* piece_line = env.piece_line.data();
+
+  // Line k's computed value is strictly above line j's at every x in
+  // [lo, hi] when the computed gap at both ends exceeds twice their summed
+  // err: the exact gap then beats both evaluations' worst-case error at
+  // the ends, and since gap and error bound are linear in x >= 0, between
+  // them too. The box ends' values are precomputed.
+  auto gap_ok = [&](int k, int j, double x) {
+    return line_at(k, x) - line_at(j, x) > 2.0 * (err_at(k, x) + err_at(j, x));
+  };
+  // Piece r's line beats line j on [br[r], x_hi] (right_ok) or on
+  // [x_lo, br[r+1]] (left_ok).
+  auto right_ok = [&](int r, int j) {
+    const int k = piece_line[r];
+    const double err = env.err_hi[k] + env.err_hi[j];
+    return env.at_hi[k] - env.at_hi[j] > 2.0 * err && gap_ok(k, j, br[r]);
+  };
+  auto left_ok = [&](int r, int j) {
+    const int k = piece_line[r];
+    const double err = env.err_lo[k] + env.err_lo[j];
+    return env.at_lo[k] - env.at_lo[j] > 2.0 * err && gap_ok(k, j, br[r + 1]);
+  };
+
+  // Piece range of every candidate: 2j (segment j's interior window, which
+  // meets piece r iff window_lo < breaks[r+1] and window_hi > breaks[r])
+  // and 2j+1 (line j: the pieces not certified away on either side).
+  env.range_lo.resize(static_cast<std::size_t>(2 * n));
+  env.range_hi.resize(static_cast<std::size_t>(2 * n));
+  int hint_lo = 0, hint_hi = 0, t = 0;
+  for (int j = 0; j < n; ++j) {
+    const double wlo = seg_.window_lo[j], whi = seg_.window_hi[j];
+    if (wlo < whi) {
+      hint_lo = PartitionNear(pieces, hint_lo,
+                              [&](int r) { return br[r + 1] <= wlo; });
+      hint_hi =
+          PartitionNear(pieces, hint_hi, [&](int r) { return br[r] < whi; });
+      env.range_lo[2 * j] = hint_lo;
+      env.range_hi[2 * j] = hint_hi - 1;
+    } else {  // flat segment: empty window
+      env.range_lo[2 * j] = 0;
+      env.range_hi[2 * j] = -1;
+    }
+
+    // First piece whose line is at least as steep as line j: to its right
+    // line j falls away from the envelope, to its left likewise going left.
+    t = PartitionNear(pieces, t,
+                      [&](int r) { return es[piece_line[r]] < es[j]; });
+    // Right side: some r >= t whose line beats j on [br[r], x_hi]; left
+    // side, mirrored, some r < t. Any certified r is correct: the searches
+    // (galloping out from t) only keep the bucket ranges small.
+    const int right = t + PartitionNear(pieces - t, 0, [&](int i) {
+                        return !right_ok(t + i, j);
+                      });
+    const int left = t - 1 - PartitionNear(t, 0, [&](int i) {
+                       return !left_ok(t - 1 - i, j);
+                     });
+    env.range_lo[2 * j + 1] = left + 1;
+    env.range_hi[2 * j + 1] = right - 1;
+  }
+
+  // Keep memory O(K): while the buckets would hold more than a constant
+  // multiple of the entries, merge pieces pairwise (near-parallel lines
+  // can otherwise put most lines in most pieces). A merged piece's bucket
+  // is the union of its parts', so it stays a certified superset.
+  const long long cap = 16LL * n + 64;
+  int shift = 0;  // pieces merge in groups of 2^shift
+  for (;; ++shift) {
+    long long total = 0;
+    for (int e = 0; e < 2 * n; ++e) {
+      if (env.range_lo[e] <= env.range_hi[e]) {
+        total += (env.range_hi[e] >> shift) - (env.range_lo[e] >> shift) + 1;
+      }
+    }
+    if (total <= cap || (1 << shift) >= pieces) break;
+  }
+  if (shift > 0) {
+    const int coarse = ((pieces - 1) >> shift) + 1;
+    for (int r = 1; r < coarse; ++r) env.breaks[r] = env.breaks[r << shift];
+    env.breaks[coarse] = env.breaks.back();
+    env.breaks.resize(static_cast<std::size_t>(coarse) + 1);
+    for (int e = 0; e < 2 * n; ++e) {
+      if (env.range_lo[e] <= env.range_hi[e]) {
+        env.range_lo[e] >>= shift;
+        env.range_hi[e] >>= shift;
+      }
+    }
+    pieces = coarse;
+  }
+
+  // CSR fill: bucket r lists the segments of its windows in [begin[r],
+  // split[r]) and of its lines in [split[r], begin[r+1]), each ascending
+  // (sweep order); the last bucket (index `pieces`) lists every segment
+  // twice. Counts first (windows in split, lines in begin), then offsets.
+  const int buckets = pieces + 1;
+  env.begin.assign(static_cast<std::size_t>(buckets) + 1, 0);
+  env.split.assign(static_cast<std::size_t>(buckets), 0);
+  for (int j = 0; j < n; ++j) {
+    for (int r = env.range_lo[2 * j]; r <= env.range_hi[2 * j]; ++r) {
+      ++env.split[r];
+    }
+    for (int r = env.range_lo[2 * j + 1]; r <= env.range_hi[2 * j + 1]; ++r) {
+      ++env.begin[r + 1];
+    }
+  }
+  env.split[pieces] = n;
+  env.begin[pieces + 1] = n;
+  for (int r = 0; r < buckets; ++r) {
+    const int lines = env.begin[r + 1];
+    env.split[r] += env.begin[r];
+    env.begin[r + 1] = env.split[r] + lines;
+  }
+  env.entries.resize(static_cast<std::size_t>(env.begin[buckets]));
+  env.cursor.resize(2 * static_cast<std::size_t>(buckets));
+  int* window_at = env.cursor.data();
+  int* line_at_ = env.cursor.data() + buckets;
+  std::copy(env.begin.begin(), env.begin.end() - 1, window_at);
+  std::copy(env.split.begin(), env.split.end(), line_at_);
+  for (int j = 0; j < n; ++j) {
+    for (int r = env.range_lo[2 * j]; r <= env.range_hi[2 * j]; ++r) {
+      env.entries[window_at[r]++] = j;
+    }
+    for (int r = env.range_lo[2 * j + 1]; r <= env.range_hi[2 * j + 1]; ++r) {
+      env.entries[line_at_[r]++] = j;
+    }
+    env.entries[window_at[pieces]++] = j;
+    env.entries[line_at_[pieces]++] = j;
+  }
 }
 
 void StackelbergSolver::SortKinkEvents() {
@@ -331,64 +611,71 @@ double StackelbergSolver::TotalTimeAt(double collection_price) const {
 }
 
 double StackelbergSolver::PlatformBestPrice(double consumer_price) const {
-  // Candidate set and per-candidate arithmetic are identical to the naive
-  // per-segment sweep (box.lo, then per segment: interior optimum when it
-  // lies strictly inside, then the upper endpoint), but every coalition
-  // constant comes precomputed from seg_ — the endpoint candidates reduce
-  // to a flat line scan and only the few segments whose p^J window admits
-  // an interior optimum pay the Theorem-15 division. Ties keep the naive
-  // sweep's first-candidate-wins semantics (updates were strict).
+  // The naive per-segment sweep's candidates are box.lo, then per segment
+  // its interior optimum (when it lies strictly inside) and its upper
+  // endpoint; the first candidate attaining the maximum wins. The envelope
+  // index narrows the segments to the bucket of x's piece, which holds
+  // every candidate that can attain that maximum (EnvelopeIndex), and the
+  // arithmetic and comparisons below are the sweep's.
   const util::Interval& box = config_.collection_price_bounds;
   const double theta = config_.platform.theta;
   const double lambda = config_.platform.lambda;
-  const std::size_t n = kinks_.size();
+  const double x = consumer_price;
 
-  line_profit_scratch_.resize(n);
-  double* v = line_profit_scratch_.data();
+  const std::vector<double>& breaks = env_.breaks;
+  std::size_t bucket = env_.split.size() - 1;  // the every-segment bucket
+  if (!breaks.empty() && x >= breaks.front() && x <= breaks.back()) {
+    bucket = static_cast<std::size_t>(
+        std::upper_bound(breaks.begin() + 1, breaks.end() - 1, x) -
+        (breaks.begin() + 1));
+  }
+  const int* entries = env_.entries.data();
+  const int window_end = env_.split[bucket];
+  const int line_end = env_.begin[bucket + 1];
   const double* ep = seg_.end_price.data();
   const double* es = seg_.end_supply.data();
   const double* d1 = seg_.end_d1.data();
   const double* d2 = seg_.end_d2.data();
-  for (std::size_t j = 0; j < n; ++j) {
-    v[j] = (consumer_price - ep[j]) * es[j] - d1[j] - d2[j];
-  }
-  double best = v[0];
-  for (std::size_t j = 1; j < n; ++j) best = std::max(best, v[j]);
 
-  interior_scratch_.clear();
+  // The maximum and the sweep position of its first attainer: 2j for
+  // segment j's interior candidate, 2j+1 for its endpoint. Endpoint lines
+  // first, max-accumulated from the first line as the sweep did.
+  double best = -std::numeric_limits<double>::infinity();
+  int pos = -1;
+  for (int i = window_end; i < line_end; ++i) {
+    const int j = entries[i];
+    const double v = (x - ep[j]) * es[j] - d1[j] - d2[j];
+    if (pos < 0 || best < v) {
+      best = v;
+      pos = 2 * j + 1;
+    }
+  }
   const double* wlo = seg_.window_lo.data();
   const double* whi = seg_.window_hi.data();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!(consumer_price > wlo[j] && consumer_price < whi[j])) continue;
+  double interior_p = 0.0;
+  for (int i = env_.begin[bucket]; i < window_end; ++i) {
+    const int j = entries[i];
+    if (!(x > wlo[j] && x < whi[j])) continue;
     const SupplyKink& k = kinks_[j];
-    const double p_star =
-        (consumer_price * k.a - seg_.c[j]) / seg_.denom[j];
+    const double p_star = (x * k.a - seg_.c[j]) / seg_.denom[j];
     if (p_star > k.price && p_star < ep[j]) {
       double s = k.a * p_star - k.b + k.c;
       if (s < 0.0) s = 0.0;  // numerical guard; S(p) >= 0 by construction
-      const double val =
-          (consumer_price - p_star) * s - theta * s * s - lambda * s;
-      interior_scratch_.push_back({static_cast<int>(j), p_star, val});
-      if (val > best) best = val;
+      const double val = (x - p_star) * s - theta * s * s - lambda * s;
+      if (val > best || (val == best && 2 * j < pos)) {
+        best = val;
+        pos = 2 * j;
+        interior_p = p_star;
+      }
     }
   }
 
-  const double v_init = (consumer_price - box.lo) * seg_.init_supply -
-                        seg_.init_d1 - seg_.init_d2;
+  const double v_init =
+      (x - box.lo) * seg_.init_supply - seg_.init_d1 - seg_.init_d2;
   if (v_init >= best) return box.lo;
-  // Walk the segments in sweep order; within a segment the interior
-  // candidate precedes the endpoint. The first candidate attaining the
-  // maximum is the naive sweep's winner.
-  std::size_t hit = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (hit < interior_scratch_.size() &&
-        static_cast<std::size_t>(interior_scratch_[hit].j) == j) {
-      if (interior_scratch_[hit].v == best) return interior_scratch_[hit].p;
-      ++hit;
-    }
-    if (v[j] == best) return ep[j];
-  }
-  return box.lo;  // NaN inputs only; the naive sweep kept box.lo too
+  // A NaN maximum matches no candidate; the naive sweep kept box.lo too.
+  if (!(best == best)) return box.lo;
+  return (pos & 1) != 0 ? ep[pos >> 1] : interior_p;
 }
 
 bool StackelbergSolver::InteriorRegimeHolds(double collection_price) const {

@@ -101,12 +101,15 @@ class StackelbergSolver {
   std::vector<double> SellerBestTimes(double collection_price) const;
 
   /// Stage 2: the platform's *exact* best-response price to
-  /// `consumer_price` within the collection-price box. Implemented as a
-  /// sweep over the piecewise-quadratic profit: each seller contributes an
-  /// activation kink at p = q̄_i b_i (below which its τ_i clamps to 0) and a
-  /// saturation kink at p = q̄_i b_i + 2 q̄_i a_i T (above which τ_i clamps
-  /// to T); between kinks the Theorem-15 formula applies with the active
-  /// sellers' aggregates. Coincides with Theorem 15 whenever the interior
+  /// `consumer_price` within the collection-price box. The profit is
+  /// piecewise quadratic: each seller contributes an activation kink at
+  /// p = q̄_i b_i (below which its τ_i clamps to 0) and a saturation kink at
+  /// p = q̄_i b_i + 2 q̄_i a_i T (above which τ_i clamps to T); between kinks
+  /// the Theorem-15 formula applies with the active sellers' aggregates.
+  /// The answer is the first maximiser of the per-segment sweep (box.lo,
+  /// then per segment its interior optimum and its upper endpoint), found
+  /// in O(log K) plus a small bucket through the certified envelope index
+  /// (see EnvelopeIndex). Coincides with Theorem 15 whenever the interior
   /// solution keeps every seller strictly inside (0, T).
   double PlatformBestPrice(double consumer_price) const;
 
@@ -165,15 +168,14 @@ class StackelbergSolver {
   };
 
   /// Per-segment constants of the stage-2 best-response sweep, derived
-  /// from kinks_ once per coalition (BuildSegmentTable). Everything a
-  /// PlatformBestPrice query re-derived per segment — the endpoint supply
-  /// and its θS²/λS profit terms, the Theorem-15 numerator constant and
-  /// denominator, and the consumer-price window in which the segment's
-  /// interior optimum can land inside the segment — is a coalition
-  /// constant, so hoisting it turns each query into a flat scan over
-  /// contiguous arrays. Each constant is computed with the exact
-  /// expression the per-query code used, so query results are
-  /// bit-identical to the naive re-derivation (pinned by test).
+  /// from kinks_ once per coalition (BuildSegmentTable): the endpoint
+  /// supply and its θS²/λS profit terms, the Theorem-15 numerator constant
+  /// and denominator, and the consumer-price window in which the segment's
+  /// interior optimum can land inside the segment. Each constant is
+  /// computed with the exact expression the naive per-segment sweep uses
+  /// per query, so query results are bit-identical to it (pinned by
+  /// tests/game/platform_best_price_test.cc against
+  /// tests/support/reference_stackelberg.h).
   struct SegmentTable {
     std::vector<double> end_price;   // segment upper endpoint (last = hi)
     std::vector<double> end_supply;  // S at the endpoint, clamped >= 0
@@ -191,6 +193,47 @@ class StackelbergSolver {
     double init_d2 = 0.0;      // λ·S at box.lo
   };
 
+  /// Certified upper-envelope index over the segment table, rebuilt with
+  /// it (BuildEnvelopeIndex). Segment j's endpoint candidate is a line in
+  /// the consumer price x: v_j(x) = (x − end_price_j)·end_supply_j −
+  /// end_d1_j − end_d2_j. The consumer box is cut into pieces along the
+  /// upper envelope of these lines, and each piece keeps a bucket: the
+  /// segments whose interior window meets the piece and the segments whose
+  /// endpoint line may win on it, each in sweep order. A line is left out
+  /// of a piece only when some other line's *rounded* value is provably
+  /// strictly larger at every x of the piece (a two-point test of a linear
+  /// gap against the worst-case rounding error of both evaluations).
+  /// Chains of "strictly larger" end at a kept line, so the
+  /// bucket holds every line that can attain the rounded maximum and the
+  /// query answer is the full sweep's, bit for bit. Queries outside the
+  /// box, coalitions under kMinIndexedSegments segments and coalitions
+  /// whose constants come near overflow use the last bucket, which holds
+  /// every segment.
+  struct EnvelopeIndex {
+    /// Piece boundaries, nondecreasing: breaks[0] = box.lo, breaks.back()
+    /// = box.hi (consumer box); piece r is [breaks[r], breaks[r+1]]. Empty
+    /// when the coalition is not indexed.
+    std::vector<double> breaks;
+    /// CSR over segment indices: bucket r lists its windows' segments in
+    /// [begin[r], split[r]) and its lines' in [split[r], begin[r+1]), each
+    /// ascending; the last bucket lists every segment in both.
+    std::vector<int> begin;
+    std::vector<int> split;
+    std::vector<int> entries;
+    // Build scratch, kept for its capacity (steady state allocates nothing).
+    std::vector<double> intercept;  // −(end_price·end_supply + d1 + d2)
+    std::vector<double> magnitude;  // end_price·end_supply + d1 + d2
+    std::vector<double> at_lo, at_hi;    // line values at the box ends
+    std::vector<double> err_lo, err_hi;  // their rounding-error bounds
+    std::vector<int> order;         // lines sorted by (slope, intercept)
+    std::vector<int> hull;          // envelope lines, slope ascending
+    std::vector<int> piece_line;    // envelope line of each piece
+    /// First/last piece per candidate: 2j for segment j's window, 2j+1
+    /// for its line.
+    std::vector<int> range_lo, range_hi;
+    std::vector<int> cursor;
+  };
+
   StackelbergSolver(GameConfig config, Aggregates agg)
       : config_(std::move(config)), agg_(agg) {
     BuildSupplyKinks();
@@ -200,6 +243,9 @@ class StackelbergSolver {
 
   /// Rebuilds seg_ from kinks_ (tail of every BuildSupplyKinks).
   void BuildSegmentTable();
+
+  /// Rebuilds env_ from seg_ (tail of every BuildSupplyKinks).
+  void BuildEnvelopeIndex();
 
   /// Sorts event_scratch_ under the total order (price, delta_a, delta_b,
   /// delta_c, src). When the previous build produced the same number of
@@ -223,17 +269,7 @@ class StackelbergSolver {
   std::vector<SupplyKink> kinks_;
   /// Hoisted per-segment query constants (parallel to kinks_).
   SegmentTable seg_;
-  /// One interior stage-2 candidate surviving the exact in-segment test.
-  struct InteriorHit {
-    int j;     // segment index
-    double p;  // interior optimum p*_j(p^J)
-    double v;  // platform profit at p
-  };
-
-  /// Endpoint-line profits of the current query (PlatformBestPrice
-  /// scratch; the solver is not thread-safe, like the rest of the class).
-  mutable std::vector<double> line_profit_scratch_;
-  mutable std::vector<InteriorHit> interior_scratch_;
+  EnvelopeIndex env_;
   /// Scratch reused across BuildSupplyKinks calls (ResetCoalition).
   std::vector<KinkEvent> event_scratch_;
   /// Incremental-sort state: the previous build's sorted ordering as src
@@ -251,6 +287,14 @@ class StackelbergSolver {
     return incremental_kink_sorts_;
   }
   std::int64_t full_kink_sorts() const { return full_kink_sorts_; }
+  /// Envelope-index shape: its piece count (0 when the coalition is not
+  /// indexed) and the entries its piece buckets hold together.
+  int envelope_pieces() const {
+    return env_.breaks.empty() ? 0 : static_cast<int>(env_.breaks.size()) - 1;
+  }
+  std::size_t envelope_bucket_entries() const {
+    return env_.entries.size() - 2 * kinks_.size();
+  }
 };
 
 /// Computes the Theorem 15/16 aggregates for a validated config.

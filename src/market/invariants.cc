@@ -347,6 +347,46 @@ void InvariantChecker::CheckProfits(const EngineStateView& view,
   }
 }
 
+util::Status InvariantChecker::RetargetSolver(const EngineStateView& view) {
+  if (solver_.has_value()) {
+    const game::GameConfig& held = solver_->config();
+    if (held.platform.theta == view.platform_cost.theta &&
+        held.platform.lambda == view.platform_cost.lambda &&
+        held.valuation.omega == view.valuation.omega &&
+        held.consumer_price_bounds.lo == view.consumer_price_bounds.lo &&
+        held.consumer_price_bounds.hi == view.consumer_price_bounds.hi &&
+        held.collection_price_bounds.lo == view.collection_price_bounds.lo &&
+        held.collection_price_bounds.hi == view.collection_price_bounds.hi &&
+        held.max_sensing_time == view.max_sensing_time) {
+      // ResetCoalition re-checks sizes and qualities only; the cost
+      // parameters are checked here, where Validate would check them.
+      if (!game_sellers_.empty() &&
+          game_sellers_.size() == game_qualities_.size()) {
+        for (const game::SellerCostParams& s : game_sellers_) {
+          CDT_RETURN_NOT_OK(s.Validate());
+        }
+      }
+      return solver_->ResetCoalition(&game_sellers_, &game_qualities_);
+    }
+  }
+  game::GameConfig config;
+  config.sellers = game_sellers_;
+  config.qualities = game_qualities_;
+  config.platform = view.platform_cost;
+  config.valuation = view.valuation;
+  config.consumer_price_bounds = view.consumer_price_bounds;
+  config.collection_price_bounds = view.collection_price_bounds;
+  config.max_sensing_time = view.max_sensing_time;
+  util::Result<game::StackelbergSolver> created =
+      game::StackelbergSolver::Create(std::move(config));
+  if (!created.ok()) {
+    solver_.reset();
+    return created.status();
+  }
+  solver_.emplace(std::move(created).value());
+  return util::Status::OK();
+}
+
 void InvariantChecker::CheckStationarity(const EngineStateView& view,
                                          const RoundReport& report) {
   // Round-1 exploration plays the fixed (p_max, τ^0) opening, not an
@@ -360,8 +400,7 @@ void InvariantChecker::CheckStationarity(const EngineStateView& view,
   double p = report.collection_price;
 
   // Rebuild the round's game exactly as the engine priced it.
-  game::GameConfig game_config;
-  game_config.sellers.reserve(report.selected.size());
+  game_sellers_.clear();
   for (int seller : report.selected) {
     if (seller < 0 ||
         seller >= static_cast<int>(view.seller_costs->size())) {
@@ -372,24 +411,19 @@ void InvariantChecker::CheckStationarity(const EngineStateView& view,
                    static_cast<double>(seller));
       return;
     }
-    game_config.sellers.push_back(
+    game_sellers_.push_back(
         (*view.seller_costs)[static_cast<std::size_t>(seller)]);
   }
-  game_config.qualities = report.game_qualities;
-  game_config.platform = view.platform_cost;
-  game_config.valuation = view.valuation;
-  game_config.consumer_price_bounds = view.consumer_price_bounds;
-  game_config.collection_price_bounds = view.collection_price_bounds;
-  game_config.max_sensing_time = view.max_sensing_time;
-  util::Result<game::StackelbergSolver> solver =
-      game::StackelbergSolver::Create(std::move(game_config));
-  if (!solver.ok()) {
+  game_qualities_.assign(report.game_qualities.begin(),
+                         report.game_qualities.end());
+  util::Status solvable = RetargetSolver(view);
+  if (!solvable.ok()) {
     AddViolation(InvariantKind::kStationarity, report.round,
                  "stationarity.config",
-                 "round game not solvable: " + solver.status().ToString(),
-                 0.0);
+                 "round game not solvable: " + solvable.ToString(), 0.0);
     return;
   }
+  const game::StackelbergSolver& solver = *solver_;
 
   // Prices must lie inside their feasible boxes (Def. 5).
   auto expect_in_box = [&](const char* check, double price,
@@ -432,7 +466,7 @@ void InvariantChecker::CheckStationarity(const EngineStateView& view,
   bool all_interior = true;
   for (std::size_t j = 0; j < contracted.size(); ++j) {
     double tau = contracted[j];
-    double best = solver.value().SellerBestTime(static_cast<int>(j), p);
+    double best = solver.SellerBestTime(static_cast<int>(j), p);
     double residual = std::fabs(tau - best);
     if (residual > tol * std::max(1.0, std::fabs(best))) {
       AddViolation(InvariantKind::kStationarity, report.round,
@@ -481,9 +515,9 @@ void InvariantChecker::CheckStationarity(const EngineStateView& view,
   // Stage 2 (Eq. 7): the platform's price is profit-maximising against the
   // sellers' best responses. Value comparison (the argmax can sit on a
   // profit plateau) against the re-solved exact best response.
-  double p_star = solver.value().PlatformBestPrice(pj);
-  double omega_at = solver.value().PlatformProfitAnticipating(pj, p);
-  double omega_star = solver.value().PlatformProfitAnticipating(pj, p_star);
+  double p_star = solver.PlatformBestPrice(pj);
+  double omega_at = solver.PlatformProfitAnticipating(pj, p);
+  double omega_star = solver.PlatformProfitAnticipating(pj, p_star);
   if (omega_star - omega_at > tol * std::max(1.0, std::fabs(omega_star))) {
     AddViolation(InvariantKind::kStationarity, report.round,
                  "stationarity.platform_opt",
@@ -495,7 +529,7 @@ void InvariantChecker::CheckStationarity(const EngineStateView& view,
   // Interior regime: the corrected Theorem-15 closed form (the stationary
   // point of Eq. 7) must reproduce the price.
   if (all_interior) {
-    double p_interior = solver.value().PlatformBestPriceInterior(pj);
+    double p_interior = solver.PlatformBestPriceInterior(pj);
     const util::Interval& box = view.collection_price_bounds;
     bool unclamped = p_interior > box.lo + tol && p_interior < box.hi - tol;
     if (unclamped &&
@@ -515,9 +549,9 @@ void InvariantChecker::CheckStationarity(const EngineStateView& view,
   // coalition, so it is not optimal for the survivor game — the consumer
   // optimality claim only applies to un-resettled rounds.
   if (report.resettled) return;
-  double pj_star = solver.value().ConsumerBestPrice();
-  double f_at = solver.value().ConsumerProfitAnticipating(pj);
-  double f_star = solver.value().ConsumerProfitAnticipating(pj_star);
+  double pj_star = solver.ConsumerBestPrice();
+  double f_at = solver.ConsumerProfitAnticipating(pj);
+  double f_star = solver.ConsumerProfitAnticipating(pj_star);
   if (f_star - f_at > tol * std::max(1.0, std::fabs(f_star))) {
     AddViolation(InvariantKind::kStationarity, report.round,
                  "stationarity.consumer_opt",
@@ -533,22 +567,42 @@ void InvariantChecker::CheckBandit(const EngineStateView& view,
   // Only batches that passed validation feed the estimators: a voided
   // round delivers nothing, and a corrupted report is discarded so it can
   // never bias the quality estimates.
-  const std::vector<int> delivered = DeliveredDataSellers(report);
-  auto was_delivered = [&delivered](int seller) {
-    return std::find(delivered.begin(), delivered.end(), seller) !=
-           delivered.end();
-  };
   if (view.estimates != nullptr) {
     const bandit::EstimatorBank& bank = *view.estimates;
-    if (prev_arm_observations_.size() <
-        static_cast<std::size_t>(bank.num_arms())) {
-      prev_arm_observations_.resize(static_cast<std::size_t>(bank.num_arms()),
-                                    0);
+    const std::size_t num_arms = static_cast<std::size_t>(bank.num_arms());
+    if (prev_arm_observations_.size() < num_arms) {
+      prev_arm_observations_.resize(num_arms, 0);
     }
+    // A selected seller delivered (DeliveredDataSellers) unless the round
+    // was voided or a corrupted-report fault names it. The faults are
+    // marked by id once, so each membership test is O(1).
+    if (corrupted_mark_.size() < num_arms) corrupted_mark_.resize(num_arms, 0);
+    ++mark_epoch_;
+    for (const FaultEvent& e : report.faults) {
+      if (e.kind == FaultKind::kCorruptedReport && e.seller >= 0 &&
+          static_cast<std::size_t>(e.seller) < num_arms) {
+        corrupted_mark_[static_cast<std::size_t>(e.seller)] = mark_epoch_;
+      }
+    }
+    auto was_delivered = [&](int seller) {
+      if (report.voided) return false;
+      if (seller >= 0 && static_cast<std::size_t>(seller) < num_arms) {
+        return corrupted_mark_[static_cast<std::size_t>(seller)] !=
+               mark_epoch_;
+      }
+      for (const FaultEvent& e : report.faults) {  // ids outside the bank
+        if (e.kind == FaultKind::kCorruptedReport && e.seller == seller) {
+          return false;
+        }
+      }
+      return true;
+    };
+    std::uint64_t delivered = 0;
+    for (int seller : report.selected) delivered += was_delivered(seller);
     // Counters are monotone: the round adds exactly L observations per
     // delivering seller, nothing is lost and nothing decays.
     std::uint64_t expected_inc =
-        static_cast<std::uint64_t>(view.num_pois) * delivered.size();
+        static_cast<std::uint64_t>(view.num_pois) * delivered;
     std::uint64_t total = bank.total_observations();
     if (total != prev_total_observations_ + expected_inc) {
       AddViolation(

@@ -28,11 +28,13 @@
 #define CDT_MARKET_INVARIANTS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bandit/arm.h"
 #include "game/cost.h"
+#include "game/stackelberg.h"
 #include "game/valuation.h"
 #include "market/ledger.h"
 #include "market/types.h"
@@ -174,6 +176,12 @@ class InvariantChecker : public RoundObserver {
   void AddViolation(InvariantKind kind, std::int64_t round, std::string check,
                     std::string detail, double magnitude);
 
+  /// Points solver_ at the round's game (game_sellers_, game_qualities_
+  /// under the view's economics): a full Create when there is no solver or
+  /// the platform, valuation, boxes or T changed, ResetCoalition otherwise.
+  /// Either way the inputs pass GameConfig::Validate's checks, in its order.
+  util::Status RetargetSolver(const EngineStateView& view);
+
   InvariantOptions options_;
   std::vector<InvariantViolation> violations_;
   std::size_t violation_count_ = 0;
@@ -188,6 +196,16 @@ class InvariantChecker : public RoundObserver {
   std::uint64_t prev_total_observations_ = 0;
   std::vector<std::uint64_t> prev_arm_observations_;
   double cumulative_regret_ = 0.0;
+
+  // Stationarity's re-solve: the checker's own solver and the coalition
+  // buffers it swaps with ResetCoalition (allocation-free in steady state).
+  std::optional<game::StackelbergSolver> solver_;
+  std::vector<game::SellerCostParams> game_sellers_;
+  std::vector<double> game_qualities_;
+  /// CheckBandit's corrupted-report marks by seller id: seller s's report
+  /// was corrupted this round iff corrupted_mark_[s] == mark_epoch_.
+  std::vector<std::uint64_t> corrupted_mark_;
+  std::uint64_t mark_epoch_ = 0;
 };
 
 }  // namespace market

@@ -260,6 +260,168 @@ TEST(InvariantCheckerTest, FrozenBanditCounterIsDetected) {
   EXPECT_TRUE(counter);
 }
 
+// A select-all round (K = M) with corrupted-report faults on two sellers:
+// the corrupted batches are discarded, so the counters must advance by L
+// for every other seller and stay put for those two.
+TEST(InvariantCheckerTest, SelectAllRoundWithTwoCorruptedReports) {
+  constexpr int kSellers = 64;
+  constexpr int kPois = 3;
+  auto bank = bandit::EstimatorBank::Create(kSellers, 1.0);
+  ASSERT_TRUE(bank.ok());
+  const std::vector<double> obs(kPois, 0.5);
+  EngineStateView view;
+  view.estimates = &bank.value();
+  view.num_pois = kPois;
+  view.num_selected = kSellers;
+  RoundReport report;
+  for (int i = 0; i < kSellers; ++i) report.selected.push_back(i);
+  for (int seller : {7, 31, kSellers + 5}) {  // the last id is outside M
+    FaultEvent fault;
+    fault.kind = FaultKind::kCorruptedReport;
+    fault.seller = seller;
+    report.faults.push_back(fault);
+  }
+  auto bandit_checks = [](const InvariantChecker& checker) {
+    std::vector<std::string> checks;
+    for (const InvariantViolation& v : checker.violations()) {
+      checks.push_back(v.check + "#" + v.detail);
+    }
+    return checks;
+  };
+
+  InvariantChecker checker;
+  // Round 1: every delivered seller observed, the two corrupted ones not.
+  report.round = 1;
+  for (int i = 0; i < kSellers; ++i) {
+    if (i != 7 && i != 31) {
+      ASSERT_TRUE(bank.value().Update(i, obs).ok());
+    }
+  }
+  checker.CheckBandit(view, report);
+  EXPECT_EQ(checker.violation_count(), 0u);
+
+  // Round 2: seller 7's corrupted batch is wrongly absorbed and seller 3's
+  // delivered batch dropped. The total still matches (one for one), so
+  // exactly the two per-arm counters are flagged.
+  report.round = 2;
+  for (int i = 0; i < kSellers; ++i) {
+    if (i != 3 && i != 31) {
+      ASSERT_TRUE(bank.value().Update(i, obs).ok());
+    }
+  }
+  checker.CheckBandit(view, report);
+  EXPECT_EQ(bandit_checks(checker),
+            (std::vector<std::string>{
+                "bandit.arm_counter#seller 3 counter 3, expected 6",
+                "bandit.arm_counter#seller 7 counter 3, expected 0"}));
+
+  // Round 3, voided: nothing is delivered, so any advance is flagged.
+  report.round = 3;
+  report.voided = true;
+  ASSERT_TRUE(bank.value().Update(0, obs).ok());
+  checker.CheckBandit(view, report);
+  ASSERT_EQ(checker.violation_count(), 4u);
+  EXPECT_EQ(checker.violations()[2].check, "bandit.total_counter");
+  EXPECT_EQ(checker.violations()[3].detail, "seller 0 counter 9, expected 6");
+}
+
+// Builds the report of an equilibrium round of `config`'s game, with
+// sellers 0..K-1 of `costs` selected.
+RoundReport EquilibriumReport(const game::GameConfig& config,
+                              std::int64_t round) {
+  auto solver = game::StackelbergSolver::Create(config);
+  EXPECT_TRUE(solver.ok());
+  game::StrategyProfile eq = solver.value().Solve();
+  RoundReport report;
+  report.round = round;
+  for (std::size_t i = 0; i < config.sellers.size(); ++i) {
+    report.selected.push_back(static_cast<int>(i));
+  }
+  report.consumer_price = eq.consumer_price;
+  report.collection_price = eq.collection_price;
+  report.tau = eq.tau;
+  report.game_qualities = config.qualities;
+  return report;
+}
+
+EngineStateView GameView(const game::GameConfig& config,
+                         const std::vector<game::SellerCostParams>* costs) {
+  EngineStateView view;
+  view.seller_costs = costs;
+  view.platform_cost = config.platform;
+  view.valuation = config.valuation;
+  view.consumer_price_bounds = config.consumer_price_bounds;
+  view.collection_price_bounds = config.collection_price_bounds;
+  view.max_sensing_time = config.max_sensing_time;
+  return view;
+}
+
+// The checker keeps one solver across rounds: re-targeted while the
+// economics hold, re-created when they change, and still rejecting games
+// GameConfig::Validate would reject.
+TEST(InvariantCheckerTest, StationaritySolverFollowsTheRoundsGame) {
+  game::GameConfig config;
+  config.sellers = {{0.2, 0.5}, {0.3, 0.4}, {0.25, 0.3}};
+  config.qualities = {0.8, 0.6, 0.7};
+  config.platform = {0.1, 1.0};
+  config.valuation = {100.0};
+  config.consumer_price_bounds = {0.01, 100.0};
+  config.collection_price_bounds = {0.01, 10.0};
+  config.max_sensing_time = 1e6;
+  std::vector<game::SellerCostParams> costs = config.sellers;
+  InvariantChecker checker;
+  auto checks = [&checker] {
+    std::vector<std::string> out;
+    for (const InvariantViolation& v : checker.violations()) {
+      out.push_back(v.check);
+    }
+    return out;
+  };
+
+  // Round 1: an equilibrium round passes.
+  EngineStateView view = GameView(config, &costs);
+  checker.CheckStationarity(view, EquilibriumReport(config, 1));
+  EXPECT_EQ(checker.violation_count(), 0u);
+
+  // Round 2, same economics: a quality outside (0, 1] is not solvable.
+  RoundReport bad_quality = EquilibriumReport(config, 2);
+  bad_quality.game_qualities[1] = 0.0;
+  checker.CheckStationarity(view, bad_quality);
+  ASSERT_EQ(checks(), (std::vector<std::string>{"stationarity.config"}));
+  EXPECT_NE(checker.violations()[0].detail.find("(0, 1]"), std::string::npos);
+
+  // Round 3: a selected seller without cost parameters.
+  RoundReport bad_seller = EquilibriumReport(config, 3);
+  bad_seller.selected[2] = 17;
+  checker.CheckStationarity(view, bad_seller);
+  EXPECT_EQ(checker.violation_count(), 2u);
+  EXPECT_EQ(checker.violations()[1].check, "stationarity.config");
+
+  // Round 4, same economics: invalid cost parameters are still rejected.
+  std::vector<game::SellerCostParams> broken = costs;
+  broken[0].a = 0.0;
+  EngineStateView broken_view = GameView(config, &broken);
+  checker.CheckStationarity(broken_view, EquilibriumReport(config, 4));
+  EXPECT_EQ(checker.violation_count(), 3u);
+  EXPECT_EQ(checker.violations()[2].check, "stationarity.config");
+
+  // Round 5, new economics: the new game's equilibrium passes, which it
+  // would not against the old game (different θ moves the best response).
+  game::GameConfig changed = config;
+  changed.platform = {0.5, 0.2};
+  EngineStateView changed_view = GameView(changed, &costs);
+  RoundReport changed_eq = EquilibriumReport(changed, 5);
+  checker.CheckStationarity(changed_view, changed_eq);
+  EXPECT_EQ(checker.violation_count(), 3u);
+  // ... and the old game's equilibrium fails under the new economics.
+  checker.CheckStationarity(changed_view, EquilibriumReport(config, 6));
+  EXPECT_GT(checker.violation_count(), 3u);
+  // Back under the old economics, the old equilibrium passes again.
+  const std::size_t before = checker.violation_count();
+  checker.CheckStationarity(view, EquilibriumReport(config, 7));
+  EXPECT_EQ(checker.violation_count(), before);
+}
+
 TEST(InvariantCheckerTest, RegretMonotonicityViolationIsDetected) {
   BrokenScenario s;
   Settle(s, 0.0);

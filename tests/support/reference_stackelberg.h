@@ -1,0 +1,63 @@
+// The naive per-segment Stackelberg sweep: the test oracle for the
+// production stage-2 best response (StackelbergSolver's segment table and
+// certified envelope index) and the stage-1 search built on it.
+//
+// The supply kinks are re-derived from the public GameConfig with a plain
+// std::sort under the solver's total event order (no kink-order seeding),
+// and every PlatformBestPrice query walks all segments with the
+// expressions of the original sweep: box.lo, then per segment its interior
+// Theorem-15 optimum (when strictly inside) and its upper endpoint, the
+// first strict maximum winning. Tests pin the solver bit-identical to it,
+// and bench/micro_game links it for its *Reference rows.
+
+#ifndef CDT_TESTS_SUPPORT_REFERENCE_STACKELBERG_H_
+#define CDT_TESTS_SUPPORT_REFERENCE_STACKELBERG_H_
+
+#include <vector>
+
+#include "game/stackelberg.h"
+
+namespace cdt {
+namespace testsupport {
+
+class ReferenceStackelberg {
+ public:
+  /// One kink of the supply curve: on [price, next kink) S(p) = a·p − b + c.
+  struct Kink {
+    double price;
+    double a;
+    double b;
+    double c;
+  };
+
+  /// `config` must already validate (GameConfig::Validate).
+  explicit ReferenceStackelberg(game::GameConfig config);
+
+  const game::GameConfig& config() const { return config_; }
+  const std::vector<Kink>& kinks() const { return kinks_; }
+
+  /// Stage 2 by the full per-segment sweep, O(K) per query.
+  double PlatformBestPrice(double consumer_price) const;
+
+  /// Στ(p) from the kinks (the solver's TotalTimeAt expressions).
+  double TotalTimeAt(double collection_price) const;
+
+  /// Φ(p^J, p*(p^J)) over the naive sweep.
+  double ConsumerProfitAnticipating(double consumer_price) const;
+
+  /// Stage 1: the solver's ConsumerBestPrice (Theorem-16 fast path, then
+  /// candidates, golden section and jump bisection) over the naive sweep.
+  double ConsumerBestPrice() const;
+
+ private:
+  bool InteriorRegimeHolds(double collection_price) const;
+
+  game::GameConfig config_;
+  game::Aggregates agg_;
+  std::vector<Kink> kinks_;
+};
+
+}  // namespace testsupport
+}  // namespace cdt
+
+#endif  // CDT_TESTS_SUPPORT_REFERENCE_STACKELBERG_H_
