@@ -555,47 +555,7 @@ void StackelbergSolver::SortKinkEvents() {
     if (x.delta_c != y.delta_c) return x.delta_c < y.delta_c;
     return x.src < y.src;
   };
-  const std::size_t n = events.size();
-  if (order_.size() == n && n > 1) {
-    // Seed with the previous build's ordering. Coalitions and learned
-    // qualities drift slowly between rounds, so after applying the old
-    // permutation the sequence is nearly sorted and insertion sort
-    // finishes in ~O(n); a move budget bounds the adversarial case, where
-    // we give up and let std::sort redo it from the permuted order (the
-    // result is the same unique sequence either way).
-    sort_scratch_.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      sort_scratch_[j] = events[static_cast<std::size_t>(order_[j])];
-    }
-    std::size_t budget = 8 * n + 64;
-    bool within_budget = true;
-    for (std::size_t i = 1; i < n; ++i) {
-      KinkEvent e = sort_scratch_[i];
-      std::size_t j = i;
-      while (j > 0 && less(e, sort_scratch_[j - 1])) {
-        sort_scratch_[j] = sort_scratch_[j - 1];
-        --j;
-        if (--budget == 0) {
-          within_budget = false;
-          break;
-        }
-      }
-      sort_scratch_[j] = e;
-      if (!within_budget) break;
-    }
-    if (within_budget) {
-      events.swap(sort_scratch_);
-      ++incremental_kink_sorts_;
-    } else {
-      std::sort(events.begin(), events.end(), less);
-      ++full_kink_sorts_;
-    }
-  } else {
-    std::sort(events.begin(), events.end(), less);
-    ++full_kink_sorts_;
-  }
-  order_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) order_[j] = events[j].src;
+  std::sort(events.begin(), events.end(), less);
 }
 
 double StackelbergSolver::TotalTimeAt(double collection_price) const {

@@ -159,8 +159,8 @@ class StackelbergSolver {
   };
 
   /// One activation/saturation event while building the kink structure.
-  /// `src` is the event's position in generation order (seller order);
-  /// it lets consecutive builds reuse the previous round's ordering.
+  /// `src` is the event's position in generation order (seller order),
+  /// the last key of the sort order.
   struct KinkEvent {
     double price;
     double delta_a, delta_b, delta_c;
@@ -247,14 +247,9 @@ class StackelbergSolver {
   /// Rebuilds env_ from seg_ (tail of every BuildSupplyKinks).
   void BuildEnvelopeIndex();
 
-  /// Sorts event_scratch_ under the total order (price, delta_a, delta_b,
-  /// delta_c, src). When the previous build produced the same number of
-  /// events (the common ResetCoalition case: coalition size is K every
-  /// round), the previous ordering seeds a budgeted insertion sort —
-  /// learned qualities drift slowly, so the permuted sequence is nearly
-  /// sorted and the pass is ~O(K) — with std::sort as the fallback once
-  /// the move budget is exhausted. Both routes yield the identical unique
-  /// sorted sequence, so the kink accumulation is byte-stable either way.
+  /// Sorts event_scratch_ under the strict total order (price, delta_a,
+  /// delta_b, delta_c, src), so the sorted sequence, and the kink
+  /// accumulation over it, is unique.
   void SortKinkEvents();
 
   /// True when (consumer_price, collection_price) reproduce the interior
@@ -272,21 +267,8 @@ class StackelbergSolver {
   EnvelopeIndex env_;
   /// Scratch reused across BuildSupplyKinks calls (ResetCoalition).
   std::vector<KinkEvent> event_scratch_;
-  /// Incremental-sort state: the previous build's sorted ordering as src
-  /// positions (order_[j] = src of the event at sorted rank j) plus the
-  /// permutation-apply scratch. Cleared implicitly by a size mismatch.
-  std::vector<int> order_;
-  std::vector<KinkEvent> sort_scratch_;
-  /// How many builds took the seeded insertion-sort route vs fell back to
-  /// std::sort (introspection for tests and the perf docs).
-  std::int64_t incremental_kink_sorts_ = 0;
-  std::int64_t full_kink_sorts_ = 0;
 
  public:
-  std::int64_t incremental_kink_sorts() const {
-    return incremental_kink_sorts_;
-  }
-  std::int64_t full_kink_sorts() const { return full_kink_sorts_; }
   /// Envelope-index shape: its piece count (0 when the coalition is not
   /// indexed) and the entries its piece buckets hold together.
   int envelope_pieces() const {

@@ -74,114 +74,29 @@ Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenForAppend(
     const std::string& path) {
   auto bytes = ReadFileBytes(path);
   CDT_RETURN_NOT_OK(bytes.status());
-  const std::string& buffer = bytes.value();
-
-  if (buffer.size() < kMagicSize ||
-      std::memcmp(buffer.data(), kLogMagic, kMagicSize) != 0) {
-    return Status::ParseError("'" + path + "' is not a CDT event log");
-  }
-  ByteReader header(std::string_view(buffer).substr(kMagicSize));
-  std::uint64_t version;
-  CDT_RETURN_NOT_OK(header.ReadVarint64(&version));
-  if (version != kFormatVersion) {
-    return Status::VersionMismatch(
-        "event log '" + path + "' has format version " +
-        std::to_string(version) + "; this build appends only version " +
-        std::to_string(kFormatVersion));
+  const EventLogScan scan = ScanEventLog(bytes.value());
+  CDT_RETURN_NOT_OK(scan.status);
+  if (scan.sealed) {
+    return Status::FailedPrecondition(
+        "event log '" + path + "' is sealed (footer present); "
+        "cannot append to a finished log");
   }
 
-  // Walk every record, remembering where the last complete valid one
-  // ends. A truncated final record (the crash tear) is dropped by
-  // truncating the file back to valid_end; corruption in a *complete*
-  // record fails closed instead — appending after it would bless it.
-  std::size_t valid_end = kMagicSize + header.position();
-  std::size_t pos = valid_end;
-  bool saw_config = false;
-  bool saw_rebase = false;
-  std::int64_t base_round = 0;
-  std::int64_t rounds = 0;
-  std::uint32_t config_crc = 0;
-  std::uint32_t rolling_crc = 0;
-  while (pos < buffer.size()) {
-    ByteReader reader(std::string_view(buffer).substr(pos));
-    std::uint8_t type;
-    std::uint64_t length = 0;
-    std::string_view payload;
-    std::uint32_t stored_crc = 0;
-    Status status = reader.ReadByte(&type);
-    if (status.ok() && !KnownRecordType(type)) {
-      return Status::Corruption("unknown event-log record type byte " +
-                                std::to_string(int{type}));
-    }
-    if (status.ok()) status = reader.ReadVarint64(&length);
-    if (status.ok() && length > kMaxPayloadSize) {
-      return Status::Corruption("event-log record payload length " +
-                                std::to_string(length) + " exceeds limit");
-    }
-    if (status.ok()) {
-      status = reader.ReadBytes(static_cast<std::size_t>(length), &payload);
-    }
-    if (status.ok()) status = reader.ReadFixed32(&stored_crc);
-    if (!status.ok()) break;  // torn tail — truncate back to valid_end
-    std::uint32_t crc = Crc32(std::string_view(buffer).substr(pos, 1));
-    crc = Crc32(payload, crc);
-    if (crc != stored_crc) {
-      return Status::Corruption(
-          "event-log record CRC mismatch at offset " + std::to_string(pos) +
-          "; refusing to append after corruption");
-    }
-    switch (static_cast<RecordType>(type)) {
-      case RecordType::kConfig:
-        if (saw_config) {
-          return Status::ParseError("duplicate config record in '" + path +
-                                    "'");
-        }
-        saw_config = true;
-        config_crc = Crc32(payload);
-        break;
-      case RecordType::kRound:
-        rolling_crc = Crc32(payload, rolling_crc);
-        ++rounds;
-        break;
-      case RecordType::kSnapshotNote:
-        break;
-      case RecordType::kRebase: {
-        if (!saw_config || saw_rebase || rounds != 0) {
-          return Status::ParseError(
-              "rebase record out of position in '" + path + "'");
-        }
-        CDT_RETURN_NOT_OK(DecodeRebasePayload(payload, &base_round));
-        saw_rebase = true;
-        rounds = base_round;
-        break;
-      }
-      case RecordType::kFooter:
-        return Status::FailedPrecondition(
-            "event log '" + path + "' is sealed (footer present); "
-            "cannot append to a finished log");
-    }
-    pos += reader.position();
-    valid_end = pos;
-  }
-  if (!saw_config) {
-    return Status::ParseError("event log '" + path +
-                              "' has no complete config record");
-  }
-
+  // Drop a torn final record by truncating back to valid_end.
   std::FILE* file = std::fopen(path.c_str(), "r+b");
   if (file == nullptr) {
     return Status::IoError("cannot reopen event log '" + path +
                            "': " + std::strerror(errno));
   }
   std::unique_ptr<EventLogWriter> writer(new EventLogWriter(path, file));
-  if (::ftruncate(fileno(file), static_cast<off_t>(valid_end)) != 0 ||
-      std::fseek(file, static_cast<long>(valid_end), SEEK_SET) != 0) {
+  if (::ftruncate(fileno(file), static_cast<off_t>(scan.valid_end)) != 0 ||
+      std::fseek(file, static_cast<long>(scan.valid_end), SEEK_SET) != 0) {
     return WriteError(path);
   }
-  writer->rounds_written_ = rounds;
-  writer->base_round_ = base_round;
-  writer->config_crc_ = config_crc;
-  writer->rolling_crc_ = rolling_crc;
+  writer->rounds_written_ = scan.base_round + scan.round_count;
+  writer->base_round_ = scan.base_round;
+  writer->config_crc_ = scan.config_crc;
+  writer->rolling_crc_ = scan.rolling_crc;
   return writer;
 }
 
@@ -336,85 +251,159 @@ Status EventLogWriter::Finish() {
   return status_;
 }
 
-// --- EventLogReader -----------------------------------------------------
+// --- ScanEventLog -------------------------------------------------------
 
-Result<std::unique_ptr<EventLogReader>> EventLogReader::Open(
-    const std::string& path, const Options& options) {
-  auto bytes = ReadFileBytes(path);
-  CDT_RETURN_NOT_OK(bytes.status());
-  std::string buffer = std::move(bytes).value();
+EventLogScan ScanEventLog(std::string_view bytes) {
+  EventLogScan scan;
+  auto fail = [&scan](const char* reason, Status status) {
+    scan.reason = reason;
+    scan.status = std::move(status);
+    return std::move(scan);
+  };
 
-  if (buffer.size() < kMagicSize ||
-      std::memcmp(buffer.data(), kLogMagic, kMagicSize) != 0) {
-    return Status::ParseError("'" + path + "' is not a CDT event log");
+  if (bytes.size() < kMagicSize ||
+      std::memcmp(bytes.data(), kLogMagic, kMagicSize) != 0) {
+    return fail("bad_magic", Status::ParseError("not a CDT event log"));
   }
-  ByteReader header(
-      std::string_view(buffer).substr(kMagicSize));
-  std::uint64_t version;
-  CDT_RETURN_NOT_OK(header.ReadVarint64(&version));
+  ByteReader header(bytes.substr(kMagicSize));
+  std::uint64_t version = 0;
+  if (!header.ReadVarint64(&version).ok()) {
+    return fail("truncated_header",
+                Status::ParseError("event log header truncated"));
+  }
   if (version != kFormatVersion) {
-    // Fail closed: this build only understands its own format version.
     // Distinct from kCorruption so operators can tell a build mismatch
     // from bit rot.
-    return Status::VersionMismatch(
-        "event log '" + path + "' has format version " +
-        std::to_string(version) + "; this build reads only version " +
-        std::to_string(kFormatVersion));
+    scan.reason = "format version " + std::to_string(version);
+    scan.status = Status::VersionMismatch(
+        "event log has format version " + std::to_string(version) +
+        "; this build reads only version " + std::to_string(kFormatVersion));
+    return scan;
   }
+
   std::size_t pos = kMagicSize + header.position();
-  return std::unique_ptr<EventLogReader>(
-      new EventLogReader(std::move(buffer), pos, version, options));
-}
-
-Status EventLogReader::Next(LogRecord* record) {
-  if (done_) return Status::NotFound("event log exhausted");
-  if (pos_ >= buffer_.size()) {
-    done_ = true;
-    return Status::NotFound("event log exhausted");
-  }
-
-  ByteReader reader(std::string_view(buffer_).substr(pos_));
-  std::uint8_t type;
-  std::uint64_t length = 0;
-  std::string_view payload;
-  std::uint32_t stored_crc = 0;
-  Status status = reader.ReadByte(&type);
-  bool known_type = status.ok() && KnownRecordType(type);
-  if (status.ok() && !known_type) {
-    return Status::Corruption("unknown event-log record type byte " +
-                              std::to_string(int{type}));
-  }
-  if (status.ok()) status = reader.ReadVarint64(&length);
-  if (status.ok() && length > kMaxPayloadSize) {
-    return Status::Corruption("event-log record payload length " +
-                              std::to_string(length) + " exceeds limit");
-  }
-  if (status.ok()) {
-    status = reader.ReadBytes(static_cast<std::size_t>(length), &payload);
-  }
-  if (status.ok()) status = reader.ReadFixed32(&stored_crc);
-  if (!status.ok()) {
-    // Ran off the end of the buffer: a torn tail if tolerated, else a
-    // hard parse error. (A complete-but-corrupt record is caught by CRC.)
-    if (options_.allow_torn_tail) {
-      torn_tail_ = true;
-      done_ = true;
-      return Status::NotFound("event log exhausted (torn tail)");
+  scan.valid_end = pos;
+  FooterInfo footer;
+  while (pos < bytes.size()) {
+    if (scan.sealed) {
+      return fail("records_after_footer",
+                  Status::ParseError("event log has bytes after its footer"));
     }
-    return Status::ParseError("event log truncated mid-record: " +
-                              status.message());
+    ByteReader reader(bytes.substr(pos));
+    std::uint8_t type = 0;
+    std::uint64_t length = 0;
+    std::string_view payload;
+    std::uint32_t stored_crc = 0;
+    Status frame = reader.ReadByte(&type);
+    if (frame.ok() && !KnownRecordType(type)) {
+      return fail("unknown_record_type",
+                  Status::Corruption("unknown event-log record type byte " +
+                                     std::to_string(int{type})));
+    }
+    if (frame.ok()) frame = reader.ReadVarint64(&length);
+    if (frame.ok() && length > kMaxPayloadSize) {
+      return fail("oversized_payload",
+                  Status::Corruption("event-log record payload length " +
+                                     std::to_string(length) +
+                                     " exceeds limit"));
+    }
+    if (frame.ok()) {
+      frame = reader.ReadBytes(static_cast<std::size_t>(length), &payload);
+    }
+    if (frame.ok()) frame = reader.ReadFixed32(&stored_crc);
+    if (!frame.ok()) {
+      scan.torn_tail = true;
+      break;
+    }
+    // The CRC covers the type byte and the payload.
+    if (Crc32(payload, Crc32(bytes.substr(pos, 1))) != stored_crc) {
+      return fail("record_crc_mismatch",
+                  Status::Corruption("event-log record CRC mismatch at "
+                                     "offset " + std::to_string(pos)));
+    }
+    // Any other record that comes first fails below (a footer only as the
+    // last record), so while the walk goes on, records[0] is the config.
+    const std::int64_t last_round = scan.base_round + scan.round_count;
+    const auto record_type = static_cast<RecordType>(type);
+    switch (record_type) {
+      case RecordType::kConfig:
+        if (!scan.records.empty()) {
+          return fail("duplicate_config",
+                      Status::ParseError("event log has two config records"));
+        }
+        scan.config_crc = Crc32(payload);
+        break;
+      case RecordType::kRound: {
+        if (scan.records.empty()) {
+          return fail("round_before_config",
+                      Status::ParseError(
+                          "event log round record before config record"));
+        }
+        std::int64_t round = 0;
+        if (!ByteReader(payload).ReadZigzag64(&round).ok() ||
+            round != last_round + 1) {
+          return fail("round_out_of_order",
+                      Status::ParseError(
+                          "event log rounds out of order: expected round " +
+                          std::to_string(last_round + 1) + ", got " +
+                          std::to_string(round)));
+        }
+        scan.rolling_crc = Crc32(payload, scan.rolling_crc);
+        ++scan.round_count;
+        break;
+      }
+      case RecordType::kSnapshotNote: {
+        std::int64_t round = 0;
+        if (!DecodeSnapshotNotePayload(payload, &round).ok() || round < 1 ||
+            round > last_round) {
+          return fail("misplaced_snapshot_note",
+                      Status::ParseError(
+                          "snapshot note for round " + std::to_string(round) +
+                          " does not follow that round's record"));
+        }
+        break;
+      }
+      case RecordType::kRebase: {
+        if (scan.records.size() != 1) {
+          return fail("misplaced_rebase",
+                      Status::ParseError(
+                          "rebase record out of position (must immediately "
+                          "follow the config record)"));
+        }
+        Status decoded = DecodeRebasePayload(payload, &scan.base_round);
+        if (!decoded.ok()) return fail("bad_rebase", std::move(decoded));
+        break;
+      }
+      case RecordType::kFooter: {
+        Status decoded = DecodeFooterPayload(payload, &footer);
+        if (!decoded.ok()) return fail("bad_footer", std::move(decoded));
+        scan.sealed = true;
+        break;
+      }
+    }
+    scan.records.push_back({record_type, payload});
+    pos += reader.position();
+    scan.valid_end = pos;
   }
 
-  std::uint32_t crc = Crc32(std::string_view(buffer_).substr(pos_, 1));
-  crc = Crc32(payload, crc);
-  if (crc != stored_crc) {
-    return Status::Corruption("event-log record CRC mismatch at offset " +
-                              std::to_string(pos_));
+  if (scan.records.empty() ||
+      scan.records.front().type != RecordType::kConfig) {
+    return fail("no_config", Status::ParseError(
+                                 "event log has no complete config record"));
   }
-  pos_ += reader.position();
-  record->type = static_cast<RecordType>(type);
-  record->payload = payload;
-  return Status::OK();
+  const std::int64_t last_round = scan.base_round + scan.round_count;
+  if (scan.sealed && footer.round_count != last_round) {
+    return fail("footer_mismatch",
+                Status::ParseError("footer claims " +
+                                   std::to_string(footer.round_count) +
+                                   " rounds, log holds " +
+                                   std::to_string(last_round)));
+  }
+  if (scan.sealed && footer.rolling_crc != scan.rolling_crc) {
+    return fail("footer_mismatch",
+                Status::ParseError("footer rolling CRC mismatch"));
+  }
+  return scan;
 }
 
 // --- typed payload helpers ---------------------------------------------

@@ -17,12 +17,14 @@
 // paired snapshot; written by snapshot-compaction and degraded-mode
 // re-arm).
 //
-// Readers fail closed on an unknown format version (kVersionMismatch),
-// on CRC mismatch or an unknown record type in a complete record
-// (kCorruption — bit rot), and on structural damage (kParseError). A torn
-// tail (truncated final record — the crash case) is tolerated only when
-// Options::allow_torn_tail is set, and is reported via torn_tail();
-// verification paths read with allow_torn_tail off.
+// ScanEventLog is the one reader of this layout: writer reattach, the
+// scrubber and the recovery loader all take its verdict, so a log the
+// scrubber passes is one the writer may extend and recovery can load.
+// It fails closed on an unknown format version (kVersionMismatch), on a
+// CRC mismatch, unknown record type or oversized length in a complete
+// record (kCorruption — bit rot), and on a record out of order
+// (kParseError). A truncated final record (the crash case) is the torn
+// tail; verification paths refuse it, crash recovery drops it.
 
 #ifndef CDT_PERSIST_EVENT_LOG_H_
 #define CDT_PERSIST_EVENT_LOG_H_
@@ -32,6 +34,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/cmab_hs.h"
 #include "core/config.h"
@@ -59,12 +62,51 @@ enum class RecordType : std::uint8_t {
   kRebase = 0x05,
 };
 
-/// One framed record as returned by EventLogReader: the payload view
-/// borrows the reader's buffer and is valid for the reader's lifetime.
+/// One framed record; the payload view borrows the scanned bytes.
 struct LogRecord {
   RecordType type = RecordType::kConfig;
   std::string_view payload;
 };
+
+/// The result of one pass over an event log's bytes.
+struct EventLogScan {
+  /// Every complete record before valid_end, in order.
+  std::vector<LogRecord> records;
+  /// End of the last complete record: where a torn tail is cut off and
+  /// where a reattached writer resumes.
+  std::size_t valid_end = 0;
+  /// The bytes end inside a record (a crash tear).
+  bool torn_tail = false;
+  /// A footer matching the rounds ends the log.
+  bool sealed = false;
+  /// Rounds [1, base_round] were compacted away; the log's round records
+  /// are base_round + 1 .. base_round + round_count.
+  std::int64_t base_round = 0;
+  std::int64_t round_count = 0;
+  /// CRC-32 of the config payload, and the CRC chained over every round
+  /// payload (what the footer commits).
+  std::uint32_t config_crc = 0;
+  std::uint32_t rolling_crc = 0;
+  /// The first rule the bytes break (OK when none), and the scrub verdict
+  /// for it: a quarantine reason, or "format version N" for version skew.
+  /// The fields above describe the prefix read before the violation.
+  util::Status status;
+  std::string reason;
+};
+
+/// Walks an event log once and checks every rule of the format, in order:
+///   * the magic, then the format version;
+///   * per record: a known type, a payload of at most 64 MiB, the CRC;
+///   * the config record exactly once, and first;
+///   * a rebase record at most once, immediately after the config;
+///   * round numbers gap-free from base_round + 1 (each round payload's
+///     leading zigzag, without decoding the rest);
+///   * every snapshot note names a round in [1, last round so far];
+///   * the footer last, nothing after it, its round count and rolling CRC
+///     matching the rounds.
+/// A record cut off by the end of `bytes` is the torn tail, not a
+/// violation.
+EventLogScan ScanEventLog(std::string_view bytes);
 
 /// Streaming writer. Records are flushed to the OS per append; Finish()
 /// writes the footer and fsyncs, making the finished log durable. A log
@@ -78,11 +120,11 @@ class EventLogWriter {
       const core::PolicySpec& policy);
 
   /// Reopens an existing unfinished log to continue appending — the
-  /// crash-recovery path. Validates every complete record, truncates a
-  /// torn final record, and restores the writer's round count, config CRC
-  /// and rolling CRC so appended rounds continue gap-free and the eventual
-  /// footer covers the whole log. Refuses sealed logs (footer present) and
-  /// fails closed on CRC mismatch or version skew in the surviving prefix.
+  /// crash-recovery path. Fails with ScanEventLog's status on any broken
+  /// rule and with FailedPrecondition on a sealed log; otherwise truncates
+  /// a torn final record and restores the writer's round count, config
+  /// CRC and rolling CRC so appended rounds continue gap-free and the
+  /// eventual footer covers the whole log.
   static util::Result<std::unique_ptr<EventLogWriter>> OpenForAppend(
       const std::string& path);
 
@@ -134,48 +176,6 @@ class EventLogWriter {
   std::uint32_t config_crc_ = 0;
   /// CRC chained over every round payload, committed in the footer.
   std::uint32_t rolling_crc_ = 0;
-};
-
-/// Reads a whole log into memory and iterates its records.
-class EventLogReader {
- public:
-  struct Options {
-    /// Tolerate a truncated final record (the crash-recovery case). CRC
-    /// mismatches on complete records always fail regardless.
-    bool allow_torn_tail = false;
-  };
-
-  /// Opens and validates magic + format version (unknown versions fail).
-  static util::Result<std::unique_ptr<EventLogReader>> Open(
-      const std::string& path, const Options& options);
-  static util::Result<std::unique_ptr<EventLogReader>> Open(
-      const std::string& path) {
-    return Open(path, Options());
-  }
-
-  /// Returns the next record, or NotFound when the log is exhausted (a
-  /// clean end). ParseError on any malformed or CRC-failed record.
-  util::Status Next(LogRecord* record);
-
-  /// True once Next() hit a truncated final record that allow_torn_tail
-  /// absorbed (only ever set after Next returned NotFound).
-  bool torn_tail() const { return torn_tail_; }
-  std::uint64_t version() const { return version_; }
-
- private:
-  EventLogReader(std::string buffer, std::size_t pos, std::uint64_t version,
-                 Options options)
-      : buffer_(std::move(buffer)),
-        pos_(pos),
-        version_(version),
-        options_(options) {}
-
-  std::string buffer_;
-  std::size_t pos_;
-  std::uint64_t version_;
-  Options options_;
-  bool torn_tail_ = false;
-  bool done_ = false;
 };
 
 // --- typed payload helpers ---------------------------------------------

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "market/trading_engine.h"
+#include "persist/atomic_io.h"
 #include "persist/codec.h"
 #include "persist/serialize.h"
 
@@ -15,114 +16,54 @@ using util::Status;
 
 Result<RecordedRun> LoadRecordedRun(const std::string& path,
                                     bool allow_torn_tail) {
-  EventLogReader::Options options;
-  options.allow_torn_tail = allow_torn_tail;
-  auto reader = EventLogReader::Open(path, options);
-  CDT_RETURN_NOT_OK(reader.status());
-  EventLogReader& log = *reader.value();
+  auto bytes = ReadFileBytes(path);
+  CDT_RETURN_NOT_OK(bytes.status());
+  const EventLogScan scan = ScanEventLog(bytes.value());
+  CDT_RETURN_NOT_OK(scan.status);
+  if (!allow_torn_tail && scan.torn_tail) {
+    return Status::ParseError("event log truncated mid-record");
+  }
+  if (!allow_torn_tail && !scan.sealed) {
+    return Status::ParseError(
+        "event log has no footer (unfinished recording); pass "
+        "allow_torn_tail to load the recoverable prefix");
+  }
 
   RecordedRun run;
-  bool have_config = false;
-  bool have_footer = false;
-  FooterInfo footer;
-  std::uint32_t rolling_crc = 0;
-
-  LogRecord record;
-  while (true) {
-    Status status = log.Next(&record);
-    if (status.code() == util::StatusCode::kNotFound) break;
-    CDT_RETURN_NOT_OK(status);
-    if (have_footer) {
-      return Status::ParseError("event log has records after its footer");
-    }
+  run.config_crc = scan.config_crc;
+  run.base_round = scan.base_round;
+  run.sealed = scan.sealed;
+  run.torn_tail = scan.torn_tail;
+  run.rounds.reserve(static_cast<std::size_t>(scan.round_count));
+  run.round_payloads.reserve(static_cast<std::size_t>(scan.round_count));
+  for (const LogRecord& record : scan.records) {
     switch (record.type) {
-      case RecordType::kConfig: {
-        if (have_config) {
-          return Status::ParseError("event log has two config records");
-        }
+      case RecordType::kConfig:
         CDT_RETURN_NOT_OK(
             DecodeConfigPayload(record.payload, &run.config, &run.policy));
-        run.config_crc = Crc32(record.payload);
-        have_config = true;
         break;
-      }
       case RecordType::kRound: {
-        if (!have_config) {
-          return Status::ParseError(
-              "event log round record before config record");
-        }
         market::RoundReport report;
         ByteReader payload(record.payload);
         CDT_RETURN_NOT_OK(DecodeRoundReport(&payload, &report));
         if (!payload.empty()) {
           return Status::ParseError("trailing bytes after round payload");
         }
-        const auto expected =
-            run.base_round +
-            static_cast<std::int64_t>(run.rounds.size()) + 1;
-        if (report.round != expected) {
-          return Status::ParseError(
-              "event log rounds out of order: expected round " +
-              std::to_string(expected) + ", got " +
-              std::to_string(report.round));
-        }
-        rolling_crc = Crc32(record.payload, rolling_crc);
         run.rounds.push_back(std::move(report));
         run.round_payloads.emplace_back(record.payload);
         break;
       }
       case RecordType::kSnapshotNote: {
-        std::int64_t round;
+        std::int64_t round = 0;
         CDT_RETURN_NOT_OK(DecodeSnapshotNotePayload(record.payload, &round));
-        if (round < 1 ||
-            round > run.base_round +
-                        static_cast<std::int64_t>(run.rounds.size())) {
-          return Status::ParseError(
-              "snapshot note for round " + std::to_string(round) +
-              " does not follow that round's record");
-        }
         run.snapshot_rounds.push_back(round);
         break;
       }
-      case RecordType::kRebase: {
-        if (!have_config || !run.rounds.empty() || run.base_round != 0) {
-          return Status::ParseError(
-              "rebase record out of position (must immediately follow "
-              "the config record)");
-        }
-        CDT_RETURN_NOT_OK(
-            DecodeRebasePayload(record.payload, &run.base_round));
+      case RecordType::kRebase:
+      case RecordType::kFooter:
         break;
-      }
-      case RecordType::kFooter: {
-        CDT_RETURN_NOT_OK(DecodeFooterPayload(record.payload, &footer));
-        have_footer = true;
-        break;
-      }
     }
   }
-
-  if (!have_config) {
-    return Status::ParseError("event log has no config record");
-  }
-  if (have_footer) {
-    const std::int64_t total =
-        run.base_round + static_cast<std::int64_t>(run.rounds.size());
-    if (footer.round_count != total) {
-      return Status::ParseError(
-          "footer claims " + std::to_string(footer.round_count) +
-          " rounds, log holds " + std::to_string(total));
-    }
-    if (footer.rolling_crc != rolling_crc) {
-      return Status::ParseError("footer rolling CRC mismatch");
-    }
-  } else if (!allow_torn_tail) {
-    return Status::ParseError(
-        "event log has no footer (unfinished recording); pass "
-        "allow_torn_tail to load the recoverable prefix");
-  }
-  run.sealed = have_footer;
-  run.torn_tail = log.torn_tail();
   return run;
 }
 

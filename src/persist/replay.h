@@ -53,10 +53,11 @@ struct RecordedRun {
   bool torn_tail = false;
 };
 
-/// Loads and fully validates a recorded log. With `allow_torn_tail` the
-/// crash case (truncated final record, missing footer) loads what is
-/// complete; without it any truncation or missing footer is an error.
-/// CRC mismatches and version skew always fail either way.
+/// Loads a recorded log: ScanEventLog's verdict (any broken rule fails),
+/// then the decoded config, rounds and snapshot notes. With
+/// `allow_torn_tail` the crash case (truncated final record, missing
+/// footer) loads what is complete; without it any truncation or missing
+/// footer is an error.
 util::Result<RecordedRun> LoadRecordedRun(const std::string& path,
                                           bool allow_torn_tail = false);
 

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "persist/atomic_io.h"
-#include "persist/codec.h"
 #include "persist/event_log.h"
 
 namespace cdt {
@@ -21,9 +20,6 @@ using util::Result;
 using util::Status;
 
 namespace {
-
-constexpr std::size_t kMagicSize = 8;
-constexpr std::uint64_t kMaxPayloadSize = 64ull << 20;
 
 bool EndsWith(const std::string& s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
@@ -87,123 +83,32 @@ Result<ScrubOutcome> ScrubEventLogFile(const std::string& path,
                                        const ScrubOptions& options) {
   auto bytes = ReadFileBytes(path);
   CDT_RETURN_NOT_OK(bytes.status());
-  const std::string& buffer = bytes.value();
+  const EventLogScan scan = ScanEventLog(bytes.value());
 
+  // Version skew is left intact, a broken rule is quarantined, and a torn
+  // tail is repaired.
   ScrubOutcome outcome;
   outcome.path = path;
-  auto quarantine = [&](std::string reason) -> Result<ScrubOutcome> {
+  if (scan.status.code() == util::StatusCode::kVersionMismatch) {
+    outcome.health = ArtifactHealth::kVersionSkew;
+    outcome.detail = scan.reason;
+    return outcome;
+  }
+  if (!scan.status.ok()) {
     outcome.health = ArtifactHealth::kQuarantined;
-    outcome.detail = std::move(reason);
+    outcome.detail = scan.reason;
     CDT_RETURN_NOT_OK(QuarantineFile(path, options));
     return outcome;
-  };
-
-  if (buffer.size() < kMagicSize ||
-      std::memcmp(buffer.data(), kLogMagic, kMagicSize) != 0) {
-    return quarantine("bad_magic");
   }
-  ByteReader header(std::string_view(buffer).substr(kMagicSize));
-  std::uint64_t version = 0;
-  if (!header.ReadVarint64(&version).ok()) {
-    return quarantine("truncated_header");
-  }
-  if (version != kFormatVersion) {
-    outcome.health = ArtifactHealth::kVersionSkew;
-    outcome.detail = "format version " + std::to_string(version);
-    return outcome;
-  }
-
-  // Same walk as EventLogWriter::OpenForAppend, but every fail-closed
-  // verdict becomes a quarantine and a torn tail becomes a repair.
-  std::size_t valid_end = kMagicSize + header.position();
-  std::size_t pos = valid_end;
-  bool saw_config = false;
-  bool saw_footer = false;
-  bool saw_rebase = false;
-  std::int64_t base_round = 0;
-  std::int64_t rounds = 0;
-  std::uint32_t rolling_crc = 0;
-  FooterInfo footer;
-  bool torn = false;
-  while (pos < buffer.size()) {
-    if (saw_footer) return quarantine("records_after_footer");
-    ByteReader reader(std::string_view(buffer).substr(pos));
-    std::uint8_t type = 0;
-    std::uint64_t length = 0;
-    std::string_view payload;
-    std::uint32_t stored_crc = 0;
-    Status status = reader.ReadByte(&type);
-    if (status.ok() &&
-        (type < static_cast<std::uint8_t>(RecordType::kConfig) ||
-         type > static_cast<std::uint8_t>(RecordType::kRebase))) {
-      return quarantine("unknown_record_type");
-    }
-    if (status.ok()) status = reader.ReadVarint64(&length);
-    if (status.ok() && length > kMaxPayloadSize) {
-      return quarantine("oversized_payload");
-    }
-    if (status.ok()) {
-      status = reader.ReadBytes(static_cast<std::size_t>(length), &payload);
-    }
-    if (status.ok()) status = reader.ReadFixed32(&stored_crc);
-    if (!status.ok()) {
-      torn = true;
-      break;
-    }
-    std::uint32_t crc = Crc32(std::string_view(buffer).substr(pos, 1));
-    crc = Crc32(payload, crc);
-    if (crc != stored_crc) return quarantine("record_crc_mismatch");
-    switch (static_cast<RecordType>(type)) {
-      case RecordType::kConfig:
-        if (saw_config) return quarantine("duplicate_config");
-        saw_config = true;
-        break;
-      case RecordType::kRound:
-        rolling_crc = Crc32(payload, rolling_crc);
-        ++rounds;
-        break;
-      case RecordType::kSnapshotNote:
-        break;
-      case RecordType::kRebase: {
-        if (!saw_config || saw_rebase || rounds != 0) {
-          return quarantine("misplaced_rebase");
-        }
-        if (!DecodeRebasePayload(payload, &base_round).ok()) {
-          return quarantine("bad_rebase");
-        }
-        saw_rebase = true;
-        rounds = base_round;
-        break;
-      }
-      case RecordType::kFooter:
-        if (!DecodeFooterPayload(payload, &footer).ok()) {
-          return quarantine("bad_footer");
-        }
-        saw_footer = true;
-        break;
-    }
-    pos += reader.position();
-    valid_end = pos;
-  }
-
-  if (!saw_config) {
-    // Nothing recoverable survives without the config record.
-    return quarantine("no_config");
-  }
-  if (saw_footer &&
-      (footer.round_count != rounds || footer.rolling_crc != rolling_crc)) {
-    return quarantine("footer_mismatch");
-  }
-  outcome.sealed = saw_footer;
-
-  if (torn) {
+  outcome.sealed = scan.sealed;
+  if (scan.torn_tail) {
     outcome.health = ArtifactHealth::kRepaired;
     outcome.truncated_bytes =
-        static_cast<std::int64_t>(buffer.size() - valid_end);
+        static_cast<std::int64_t>(bytes.value().size() - scan.valid_end);
     outcome.detail = "torn tail (" + std::to_string(outcome.truncated_bytes) +
                      " bytes)";
     if (options.repair &&
-        ::truncate(path.c_str(), static_cast<off_t>(valid_end)) != 0) {
+        ::truncate(path.c_str(), static_cast<off_t>(scan.valid_end)) != 0) {
       return Status::IoError("cannot truncate torn tail of '" + path +
                              "': " + std::strerror(errno));
     }

@@ -1,15 +1,20 @@
-// Self-healing WAL scrub: CRC-walk event logs and snapshot files,
-// repair torn tails by truncating back to the last complete record,
-// quarantine irreparable artifacts (rename to *.quarantined) with
-// counted reasons, and sweep orphaned AtomicWriteFile temps.
+// Self-healing WAL scrub: check event logs and snapshot files, repair
+// torn tails by truncating back to the last complete record, quarantine
+// irreparable artifacts (rename to *.quarantined) with counted reasons,
+// and sweep orphaned AtomicWriteFile temps.
+//
+// An event log is held to the same rules as crash recovery: the scrub
+// takes persist::ScanEventLog's verdict, the one the recovery loader and
+// writer reattach take. So a log scrubbed clean or repaired is one the
+// writer may reattach to (if unsealed) and recovery can load.
 //
 // Outcome taxonomy per artifact:
-//   kClean       — every record verified (sealed logs: footer too).
+//   kClean       — every rule holds (sealed logs: footer too).
 //   kRepaired    — a torn tail was truncated away; the surviving prefix
 //                  verifies. Repair is idempotent: scrubbing a repaired
 //                  file again is a no-op byte-for-byte.
 //   kQuarantined — corruption inside a complete record (bit rot), a bad
-//                  footer, or unrecognizable structure; the file is
+//                  footer, or records out of order; the file is
 //                  renamed to `<path>.quarantined` so recovery fails
 //                  loudly (NotFound) instead of consuming poison.
 //   kVersionSkew — a different format version; the file is left intact

@@ -377,6 +377,66 @@ TEST(LazyTopKSelectorTest, ExactTiesBreakByIndex) {
   EXPECT_EQ(lazy, ReferenceTopK(bank, k));
 }
 
+// Constructed near-boundary cases for the outside bound. After the
+// rebuild, a pool arm P is updated into an exact twin (same mean, same
+// count) of the best outside arm X, so both carry the same canonical UCB
+// and X, the lower index, wins the tie. The pool sees only P. The bound
+// V + (s − s₀)·B equals X's value in exact arithmetic and lands within a
+// few ulps of it in floating point, so only the slack and the strict
+// comparison send the selector to a rebuild. A selector that trusts a tie
+// at the bound, or drops the slack, returns P.
+TEST(LazyTopKSelectorTest, OutsideTwinAtTheBoundWinsItsTie) {
+  const int m = 200, k = 1;
+  const int x = 0;   // best outside arm
+  const int p = 65;  // its twin inside the pool (pool = top 1 + 64 arms)
+  int above_bound = 0;  // cases where X's value exceeds the slack-free bound
+  for (double exploration : {2.0, 3.0, 5.0, 11.0}) {
+    for (int drop = 1; drop <= 16; ++drop) {
+      SCOPED_TRACE("exploration " + std::to_string(exploration) + " drop " +
+                   std::to_string(drop));
+      EstimatorBank bank = MakeBank(m, exploration);
+      LazyTopKSelector selector;
+      auto update = [&](int arm, const std::vector<double>& batch) {
+        ASSERT_TRUE(bank.Update(arm, batch).ok());
+        selector.Invalidate(bank, arm);
+      };
+      update(x, {1.0, 0.0});  // mean 0.5, count 2
+      for (int arm = 1; arm < p; ++arm) update(arm, {1.0, 1.0});
+      update(p, {1.0});  // ranks above X until its next update
+      // The rest sit below X in both value and bonus base.
+      for (int arm = p + 1; arm < m; ++arm) {
+        update(arm, std::vector<double>(8, 0.0));
+      }
+      std::vector<int> lazy;
+      selector.SelectInto(bank, k, &lazy);
+      ASSERT_EQ(selector.full_rebuilds(), 1);
+      std::vector<double> ucb;
+      UcbValuesReferenceInto(bank, &ucb);
+      const double outside_value = ucb[x];
+      const double s_rebuild = bank.bonus_scalar();
+
+      // Pool updates only: the fillers fall below X and P becomes its twin.
+      for (int arm = 1; arm < p; ++arm) {
+        update(arm, std::vector<double>(static_cast<std::size_t>(drop), 0.0));
+      }
+      update(p, {0.0});
+      UcbValuesReferenceInto(bank, &ucb);
+      ASSERT_EQ(ucb[p], ucb[x]);
+      const double bound =
+          outside_value +
+          (bank.bonus_scalar() - s_rebuild) * bank.bonus_bases()[x];
+      if (ucb[x] > bound) ++above_bound;
+
+      selector.SelectInto(bank, k, &lazy);
+      EXPECT_EQ(lazy, std::vector<int>{x});
+      EXPECT_EQ(lazy, ReferenceTopK(bank, k));
+      EXPECT_EQ(selector.full_rebuilds(), 2);
+    }
+  }
+  // Some cases land in the window a slack-free strict bound would trust.
+  EXPECT_GT(above_bound, 0);
+}
+
 TEST(LazyTopKSelectorTest, DetectsSnapshotRestore) {
   const int m = 30, k = 5;
   EstimatorBank bank = MakeBank(m, static_cast<double>(k + 1));

@@ -6,7 +6,9 @@
 //   * irreparable damage is quarantined (moved aside, reason counted),
 //     never silently accepted;
 //   * version skew is reported distinctly and the file left intact;
-//   * orphaned atomic-write temp files are swept.
+//   * orphaned atomic-write temp files are swept;
+//   * scrub, writer reattach and the recovery loader give one verdict on
+//     every log, malformed or not.
 
 #include <cstdint>
 #include <cstring>
@@ -19,6 +21,7 @@
 #include "core/config.h"
 #include "market/trading_engine.h"
 #include "persist/atomic_io.h"
+#include "persist/codec.h"
 #include "persist/event_log.h"
 #include "persist/replay.h"
 #include "persist/scrub.h"
@@ -50,6 +53,39 @@ market::RoundReport SampleReport(std::int64_t round) {
   report.tau = {0.5, 1.0};
   report.total_time = 1.5;
   return report;
+}
+
+// Hand-framed event-log bytes: CRC-valid records in orders and shapes the
+// writer never produces.
+std::string Frame(RecordType type, const std::string& payload) {
+  std::string frame;
+  PutByte(&frame, static_cast<std::uint8_t>(type));
+  PutVarint64(&frame, payload.size());
+  frame += payload;
+  PutFixed32(&frame, Crc32(payload, Crc32(frame.substr(0, 1))));
+  return frame;
+}
+
+std::string LogHeader() {
+  std::string header(kLogMagic, 8);
+  PutVarint64(&header, kFormatVersion);
+  return header;
+}
+
+std::string ConfigFrame() {
+  std::string payload;
+  EncodeConfigPayload(SmallConfig(), {}, &payload);
+  return Frame(RecordType::kConfig, payload);
+}
+
+std::string RoundFrame(std::int64_t round) {
+  return Frame(RecordType::kRound, CanonicalRoundBytes(SampleReport(round)));
+}
+
+std::string ZigzagFrame(RecordType type, std::int64_t value) {
+  std::string payload;
+  PutZigzag64(&payload, value);
+  return Frame(type, payload);
 }
 
 class ScrubTest : public ::testing::Test {
@@ -133,10 +169,86 @@ TEST_F(ScrubTest, RepairIsIdempotentAtEveryTearPoint) {
     auto run = LoadRecordedRun(log_path_, /*allow_torn_tail=*/true);
     EXPECT_TRUE(run.ok()) << "cut " << cut << ": repaired log does not "
                           << "load: " << run.status().ToString();
+    auto writer = EventLogWriter::OpenForAppend(log_path_);
+    EXPECT_TRUE(writer.ok()) << "cut " << cut << ": writer cannot reattach "
+                             << "to a scrubbed log: "
+                             << writer.status().ToString();
   }
   EXPECT_GT(repaired, 0u);
   // Cuts inside the header / config record are irreparable.
   EXPECT_GT(quarantined, 0u);
+}
+
+TEST_F(ScrubTest, ScrubReattachAndLoadGiveOneVerdict) {
+  // A log the scrubber passes must be one the writer may reattach to (if
+  // unsealed) and recovery can load; a log it quarantines must be refused
+  // by both, with the same status code.
+  struct Case {
+    const char* name;
+    std::string bytes;
+    const char* quarantine_reason;  // null: the log is usable
+    bool sealed;
+  };
+  const std::string header = LogHeader();
+  const std::string config = ConfigFrame();
+  const std::string round4 = RoundFrame(4);
+  const Case cases[] = {
+      {"round record before the config record",
+       header + RoundFrame(1) + config, "round_before_config", false},
+      {"snapshot note for round 9 in a 2-round log",
+       header + config + RoundFrame(1) + RoundFrame(2) +
+           ZigzagFrame(RecordType::kSnapshotNote, 9),
+       "misplaced_snapshot_note", false},
+      {"round 7 right after round 1",
+       header + config + RoundFrame(1) + RoundFrame(7), "round_out_of_order",
+       false},
+      {"sealed log plus one trailing byte", pristine_ + '\x02',
+       "records_after_footer", false},
+      {"two rebase(0) records",
+       header + config + ZigzagFrame(RecordType::kRebase, 0) +
+           ZigzagFrame(RecordType::kRebase, 0),
+       "misplaced_rebase", false},
+      {"pristine sealed log", pristine_, nullptr, true},
+      {"crash state: unsealed, torn mid-round",
+       header + config + RoundFrame(1) + RoundFrame(2) + RoundFrame(3) +
+           round4.substr(0, round4.size() / 2),
+       nullptr, false},
+  };
+  ScrubOptions report_only;
+  report_only.repair = false;
+  report_only.quarantine = false;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    WriteLog(c.bytes);
+    auto scrub = ScrubEventLogFile(log_path_, report_only);
+    ASSERT_TRUE(scrub.ok()) << scrub.status().ToString();
+    auto load = LoadRecordedRun(log_path_, /*allow_torn_tail=*/true);
+    // Last: reattaching truncates a torn tail.
+    auto reattach = EventLogWriter::OpenForAppend(log_path_);
+    if (c.quarantine_reason != nullptr) {
+      EXPECT_EQ(scrub.value().health, ArtifactHealth::kQuarantined);
+      EXPECT_EQ(scrub.value().detail, c.quarantine_reason);
+      EXPECT_FALSE(load.ok());
+      EXPECT_FALSE(reattach.ok());
+      EXPECT_EQ(reattach.status().code(), load.status().code())
+          << reattach.status().ToString() << " vs "
+          << load.status().ToString();
+      continue;
+    }
+    EXPECT_TRUE(scrub.value().health == ArtifactHealth::kClean ||
+                scrub.value().health == ArtifactHealth::kRepaired)
+        << ArtifactHealthName(scrub.value().health) << ": "
+        << scrub.value().detail;
+    EXPECT_EQ(scrub.value().sealed, c.sealed);
+    ASSERT_TRUE(load.ok()) << load.status().ToString();
+    EXPECT_EQ(load.value().sealed, c.sealed);
+    if (c.sealed) {
+      EXPECT_EQ(reattach.status().code(),
+                util::StatusCode::kFailedPrecondition);
+    } else {
+      EXPECT_TRUE(reattach.ok()) << reattach.status().ToString();
+    }
+  }
 }
 
 TEST_F(ScrubTest, BitFlipsQuarantineWithCountedReasons) {

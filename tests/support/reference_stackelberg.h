@@ -3,7 +3,7 @@
 // certified envelope index) and the stage-1 search built on it.
 //
 // The supply kinks are re-derived from the public GameConfig with a plain
-// std::sort under the solver's total event order (no kink-order seeding),
+// std::sort under the solver's total event order,
 // and every PlatformBestPrice query walks all segments with the
 // expressions of the original sweep: box.lo, then per segment its interior
 // Theorem-15 optimum (when strictly inside) and its upper endpoint, the

@@ -1,6 +1,8 @@
 // cdt_fsck — offline WAL checker/repairer for a marketplace WAL
-// directory. Walks every event log (*.cdtlog) and snapshot (*.cdtsnap),
-// CRC-verifying record framing, footer totals and snapshot payloads:
+// directory. Checks every event log (*.cdtlog) against the same rules
+// crash recovery and writer reattach apply (persist::ScanEventLog: framing,
+// CRCs, record order, footer totals) and CRC-verifies every snapshot
+// (*.cdtsnap):
 //
 //   * torn tails (crash mid-append) are truncated back to the last
 //     complete record so crash recovery can reattach;
