@@ -1,6 +1,7 @@
 #include "persist/atomic_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -139,7 +140,14 @@ Result<std::string> ReadFileBytes(const std::string& path) {
     }
     return IoError("open", path);
   }
+  // One read into a buffer sized from the file, then on to end of file in
+  // case it grew since the fstat.
   std::string bytes;
+  struct stat info;
+  if (::fstat(::fileno(file), &info) == 0 && info.st_size > 0) {
+    bytes.resize(static_cast<std::size_t>(info.st_size));
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), file));
+  }
   char buffer[1 << 16];
   std::size_t read;
   while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {

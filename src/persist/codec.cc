@@ -10,11 +10,14 @@ using util::Status;
 // --- encoding -----------------------------------------------------------
 
 void PutVarint64(std::string* out, std::uint64_t value) {
+  char bytes[10];
+  std::size_t n = 0;
   while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7F) | 0x80));
+    bytes[n++] = static_cast<char>((value & 0x7F) | 0x80);
     value >>= 7;
   }
-  out->push_back(static_cast<char>(value));
+  bytes[n++] = static_cast<char>(value);
+  out->append(bytes, n);
 }
 
 void PutZigzag64(std::string* out, std::int64_t value) {
@@ -23,15 +26,19 @@ void PutZigzag64(std::string* out, std::int64_t value) {
 }
 
 void PutFixed32(std::string* out, std::uint32_t value) {
+  char bytes[4];
   for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
   }
+  out->append(bytes, sizeof(bytes));
 }
 
 void PutFixed64(std::string* out, std::uint64_t value) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
   }
+  out->append(bytes, sizeof(bytes));
 }
 
 void PutDouble(std::string* out, double value) {
@@ -199,29 +206,57 @@ Status ByteReader::ReadIntVector(std::vector<int>* values) {
 
 namespace {
 
-struct Crc32Table {
-  std::uint32_t entries[256];
+// Slicing-by-8: table[0] is the classic bytewise table, and table[k][b] is
+// the CRC register after byte b is followed by k zero bytes. XOR-ing eight
+// lookups folds eight input bytes into the register per step, with the
+// same result as eight bytewise steps.
+struct Crc32Tables {
+  std::uint32_t table[8][256];
+};
 
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
-      }
-      entries[i] = crc;
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+    tables.table[0][i] = crc;
+  }
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      const std::uint32_t prev = tables.table[k - 1][i];
+      tables.table[k][i] = (prev >> 8) ^ tables.table[0][prev & 0xFF];
     }
   }
-};
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32 = MakeCrc32Tables();
+
+/// Little-endian by construction, so the CRC is the same on any host.
+std::uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t Crc32(std::string_view data, std::uint32_t seed) {
-  static const Crc32Table table;
+  const auto& t = kCrc32.table;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (char c : data) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ static_cast<std::uint8_t>(c)) &
-                                     0xFF];
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = LoadLe32(p) ^ crc;
+    const std::uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+          t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFF];
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -81,6 +81,8 @@ class ByteReader {
 
 /// CRC-32 (ISO 3309, reflected 0xEDB88320), same polynomial as zlib.
 /// Chainable: pass the previous value to extend a running checksum.
+/// Computed slicing-by-8; tests pin it to the bytewise table loop kept as
+/// testsupport::ReferenceCrc32.
 std::uint32_t Crc32(std::string_view data, std::uint32_t seed = 0);
 
 }  // namespace persist

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -88,6 +89,11 @@ Status ScanJournal(const std::string& path, const std::string& buffer,
       return Status::Corruption("journal '" + path +
                                 "' entry CRC mismatch at offset " +
                                 std::to_string(pos));
+    }
+    if (seller < INT32_MIN || seller > INT32_MAX) {
+      return Status::ParseError("journal '" + path + "' entry at offset " +
+                                std::to_string(pos) +
+                                ": seller overflows int32");
     }
     entry.type = static_cast<EventType>(type);
     entry.seller = static_cast<int>(seller);

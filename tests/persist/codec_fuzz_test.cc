@@ -20,6 +20,7 @@
 #include "persist/replay.h"
 #include "persist/serialize.h"
 #include "stats/rng.h"
+#include "support/reference_crc32.h"
 
 namespace cdt {
 namespace persist {
@@ -180,6 +181,168 @@ TEST(CodecTest, Crc32MatchesKnownVectorAndChains) {
   // Chaining two halves equals hashing the whole.
   const std::string data = "the quick brown fox";
   EXPECT_EQ(Crc32(data.substr(10), Crc32(data.substr(0, 10))), Crc32(data));
+}
+
+TEST(CodecTest, Crc32MatchesBytewiseOracleAtEveryLengthAndAlignment) {
+  // Slicing-by-8 folds eight bytes per step and finishes bytewise, so
+  // every length mod 8 and every start offset mod 8 takes its own path
+  // through the main loop and the tail.
+  stats::Xoshiro256 rng(0xC5C32);
+  std::string buffer(1024 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Next() & 0xFF);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 1024; ++length) {
+      const std::string_view data =
+          std::string_view(buffer).substr(offset, length);
+      ASSERT_EQ(Crc32(data), testsupport::ReferenceCrc32(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(CodecTest, Crc32MatchesBytewiseOracleOnLargeRandomBuffers) {
+  for (std::uint64_t seed : {1ull, 0xBADC0FFEEull, 0x5EED5EEDull}) {
+    stats::Xoshiro256 rng(seed);
+    std::string buffer((std::size_t{1} << 20) + rng.Next() % 4096, '\0');
+    for (char& c : buffer) c = static_cast<char>(rng.Next() & 0xFF);
+    const std::uint32_t chain = static_cast<std::uint32_t>(rng.Next());
+    EXPECT_EQ(Crc32(buffer), testsupport::ReferenceCrc32(buffer))
+        << "seed " << seed;
+    EXPECT_EQ(Crc32(buffer, chain), testsupport::ReferenceCrc32(buffer, chain))
+        << "seed " << seed;
+  }
+  // All-ones and all-zeros pages: every table lookup hits the same entry.
+  for (char fill : {'\0', '\xFF'}) {
+    const std::string page((std::size_t{1} << 20) + 3, fill);
+    EXPECT_EQ(Crc32(page), testsupport::ReferenceCrc32(page));
+  }
+}
+
+TEST(CodecTest, Crc32ChainsAtEverySplitPoint) {
+  stats::Xoshiro256 rng(0xC4A1);
+  std::string buffer(64, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Next() & 0xFF);
+  const std::uint32_t whole = testsupport::ReferenceCrc32(buffer);
+  ASSERT_EQ(Crc32(buffer), whole);
+  const std::string_view view(buffer);
+  for (std::size_t split = 0; split <= buffer.size(); ++split) {
+    EXPECT_EQ(Crc32(view.substr(split), Crc32(view.substr(0, split))), whole)
+        << "split at " << split;
+  }
+}
+
+// --- fast-path boundaries ------------------------------------------------
+
+/// LEB128 written one push_back per byte: the oracle for PutVarint64's
+/// block append.
+std::string BytewiseVarint(std::uint64_t value) {
+  std::string out;
+  while (value >= 0x80) {
+    out.push_back(static_cast<char>((value & 0x7F) | 0x80));
+    value >>= 7;
+  }
+  out.push_back(static_cast<char>(value));
+  return out;
+}
+
+TEST(CodecTest, PutVarintMatchesBytewiseEncodingAtEverySevenBitBoundary) {
+  for (int bits = 0; bits <= 64; bits += 7) {
+    const std::uint64_t edge = bits == 0 ? 0 : std::uint64_t{1} << bits;
+    for (std::uint64_t value : {edge - 1, edge, edge + 1}) {
+      std::string buffer = "prefix";
+      PutVarint64(&buffer, value);
+      EXPECT_EQ(buffer, "prefix" + BytewiseVarint(value)) << value;
+      ByteReader reader(std::string_view(buffer).substr(6));
+      std::uint64_t decoded = 0;
+      ASSERT_TRUE(reader.ReadVarint64(&decoded).ok()) << value;
+      EXPECT_EQ(decoded, value);
+      EXPECT_TRUE(reader.empty());
+    }
+  }
+  std::string fixed;
+  PutFixed32(&fixed, 0x04030201u);
+  PutFixed64(&fixed, 0x0C0B0A0908070605ull);
+  EXPECT_EQ(fixed, std::string("\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0A"
+                               "\x0B\x0C"));
+}
+
+TEST(CodecTest, VarintEndingOnTheLastByteDecodes) {
+  // A multi-byte varint whose final byte is the buffer's final byte, read
+  // from a view that ends there (nothing past it to over-read).
+  std::string buffer;
+  PutVarint64(&buffer, 300);
+  ASSERT_EQ(buffer.size(), 2u);
+  const std::string_view exact(buffer.data(), buffer.size());
+  ByteReader reader(exact);
+  std::uint64_t value = 0;
+  ASSERT_TRUE(reader.ReadVarint64(&value).ok());
+  EXPECT_EQ(value, 300u);
+  EXPECT_TRUE(reader.empty());
+  // One byte short of the end: truncated.
+  ByteReader cut(exact.substr(0, 1));
+  EXPECT_EQ(cut.ReadVarint64(&value).code(), util::StatusCode::kParseError);
+}
+
+TEST(CodecTest, TenByteVarintDecodesAndElevenByteVarintFails) {
+  std::string ten;
+  PutVarint64(&ten, std::numeric_limits<std::uint64_t>::max());
+  ASSERT_EQ(ten.size(), 10u);
+  std::uint64_t value = 0;
+  ByteReader reader(ten);
+  ASSERT_TRUE(reader.ReadVarint64(&value).ok());
+  EXPECT_EQ(value, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(reader.empty());
+
+  // Ten bytes with the continuation bit still set on the tenth (value bit
+  // 63 only, so not an overflow) and an eleventh: longer than 10 bytes.
+  std::string eleven(9, '\x80');
+  eleven += '\x81';
+  eleven += '\x00';
+  ByteReader long_reader(eleven);
+  const util::Status status = long_reader.ReadVarint64(&value);
+  EXPECT_EQ(status.code(), util::StatusCode::kParseError);
+  EXPECT_NE(status.ToString().find("longer than 10 bytes"), std::string::npos)
+      << status.ToString();
+  // The verdict comes from the tenth byte's continuation bit alone, so
+  // the same ten bytes with no eleventh fail the same way.
+  ByteReader ten_only(std::string_view(eleven).substr(0, 10));
+  EXPECT_NE(ten_only.ReadVarint64(&value).ToString().find(
+                "longer than 10 bytes"),
+            std::string::npos);
+}
+
+TEST(CodecTest, FixedReadsOneByteShortFail) {
+  const std::string bytes(8, '\x5A');
+  std::uint32_t v32 = 7;
+  std::uint64_t v64 = 7;
+  for (std::size_t skip = 0; skip <= 1; ++skip) {
+    // `skip` leading bytes consumed first, so the short read starts both
+    // at the buffer's start and one byte in.
+    ByteReader r32(std::string_view(bytes).substr(0, skip + 3));
+    std::uint8_t byte = 0;
+    if (skip) {
+      ASSERT_TRUE(r32.ReadByte(&byte).ok());
+    }
+    EXPECT_EQ(r32.ReadFixed32(&v32).code(), util::StatusCode::kParseError);
+    ByteReader r64(std::string_view(bytes).substr(0, skip + 7));
+    if (skip) {
+      ASSERT_TRUE(r64.ReadByte(&byte).ok());
+    }
+    EXPECT_EQ(r64.ReadFixed64(&v64).code(), util::StatusCode::kParseError);
+    double d = 0;
+    ByteReader rd(std::string_view(bytes).substr(0, skip + 7));
+    if (skip) {
+      ASSERT_TRUE(rd.ReadByte(&byte).ok());
+    }
+    EXPECT_EQ(rd.ReadDouble(&d).code(), util::StatusCode::kParseError);
+  }
+  EXPECT_EQ(v32, 7u);  // a failed read leaves the output untouched
+  EXPECT_EQ(v64, 7u);
+  // Exactly enough bytes succeed.
+  ByteReader exact(std::string_view(bytes).substr(0, 4));
+  ASSERT_TRUE(exact.ReadFixed32(&v32).ok());
+  EXPECT_EQ(v32, 0x5A5A5A5Au);
+  EXPECT_TRUE(exact.empty());
 }
 
 // --- structure round trips ---------------------------------------------

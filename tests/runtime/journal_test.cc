@@ -5,6 +5,7 @@
 
 #include "runtime/journal.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "persist/atomic_io.h"
+#include "persist/codec.h"
 
 namespace cdt {
 namespace runtime {
@@ -159,6 +161,39 @@ TEST_F(JournalTest, CorruptCompleteRecordFailsClosed) {
 
   EXPECT_FALSE(ReadJournal(path_).ok());
   EXPECT_FALSE(JournalWriter::Open(path_).ok());
+}
+
+TEST_F(JournalTest, OutOfRangeSellerFailsClosed) {
+  // A CRC-valid entry whose zigzag seller does not fit in int32 must be
+  // refused, not truncated: 2^32 + 5 would otherwise read back as
+  // seller 5 and recovery would flip the wrong seller.
+  for (std::int64_t seller :
+       {(std::int64_t{1} << 32) + 5, std::int64_t{INT32_MAX} + 1,
+        std::int64_t{INT32_MIN} - 1}) {
+    {
+      auto writer = JournalWriter::Open(path_);
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE(writer.value()->Append(Leave(3, 1)).ok());
+      ASSERT_TRUE(writer.value()->Close().ok());
+    }
+    std::string entry;
+    persist::PutByte(&entry,
+                     static_cast<std::uint8_t>(EventType::kSellerLeave));
+    persist::PutZigzag64(&entry, 6);
+    persist::PutZigzag64(&entry, seller);
+    persist::PutFixed32(&entry, persist::Crc32(entry));
+    WriteBytes(ReadBytes() + entry);
+
+    auto contents = ReadJournal(path_);
+    ASSERT_FALSE(contents.ok()) << "seller " << seller << " accepted";
+    EXPECT_EQ(contents.status().code(), util::StatusCode::kParseError);
+    EXPECT_NE(contents.status().ToString().find("seller overflows int32"),
+              std::string::npos)
+        << contents.status().ToString();
+    EXPECT_EQ(JournalWriter::Open(path_).status().code(),
+              util::StatusCode::kParseError);
+    std::filesystem::remove(path_);
+  }
 }
 
 TEST_F(JournalTest, RejectsForeignFile) {

@@ -15,6 +15,12 @@ printed into the job log and the uploaded artifact. A gated baseline row
 that the current report lacks (renamed or deleted benchmark) also FAILS
 the run, so a row cannot escape the gate by vanishing.
 
+Same-report ratio gates (--ratio NUMERATOR DENOMINATOR MAX, repeatable)
+compare two rows of the one fresh report, typically an optimized row and
+its Reference twin, so the gate measures the change rather than the host.
+A ratio above MAX FAILS the run, and so does a missing row. With only
+--ratio gates, --baseline and --binary may be omitted.
+
 Stdlib only; exits 0 when every gated row holds, 1 otherwise.
 """
 
@@ -37,24 +43,9 @@ def _rows(report):
     return out
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True,
-                        help="combined BENCH_<pr>.json baseline")
-    parser.add_argument("--current", required=True,
-                        help="fresh --benchmark_format=json report")
-    parser.add_argument("--binary", required=True,
-                        help="baseline key to compare against, "
-                             "e.g. micro_engine")
-    parser.add_argument("--family-regex",
-                        default=r"LargeM|PaperK|UcbScan|SelectRound",
-                        help="rows considered at all")
-    parser.add_argument("--gate-regex", default=r"/10000\b|/10000/",
-                        help="rows that hard-fail on regression")
-    parser.add_argument("--threshold", type=float, default=1.25,
-                        help="max allowed current/baseline time ratio")
-    args = parser.parse_args()
-
+def _check_baseline(args, cur):
+    """Gates the large-M families against the baseline; returns the
+    failure count (regressions, vanished rows, or no family row at all)."""
     import re
     family = re.compile(args.family_regex)
     gate = re.compile(args.gate_regex)
@@ -65,8 +56,6 @@ def main():
         print(f"baseline has no '{args.binary}' section", file=sys.stderr)
         return 1
     base = _rows(combined[args.binary])
-    with open(args.current) as f:
-        cur = _rows(json.load(f))
 
     failures = []
     seen_any = False
@@ -104,11 +93,68 @@ def main():
               f"{args.threshold:.2f}x:", file=sys.stderr)
         for name, ratio in failures:
             print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
-    if missing or failures:
+    return len(missing) + len(failures)
+
+
+def _check_ratios(ratios, cur):
+    """Gates numerator/denominator time ratios within the one report;
+    returns the failure count."""
+    failed = 0
+    for numerator, denominator, limit in ratios:
+        absent = [name for name in (numerator, denominator)
+                  if name not in cur]
+        if absent:
+            print(f"  [GONE]   ratio row(s) missing from the current "
+                  f"report: {', '.join(absent)}", file=sys.stderr)
+            failed += 1
+            continue
+        ratio = cur[numerator] / cur[denominator]
+        verdict = "ok" if ratio <= float(limit) else "FAIL"
+        print(f"  [RATIO]  {numerator} / {denominator}: {ratio:.3f} "
+              f"(max {float(limit):.3f}) {verdict}")
+        if verdict == "FAIL":
+            failed += 1
+    return failed
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--baseline",
+                        help="combined BENCH_<pr>.json baseline")
+    parser.add_argument("--current", required=True,
+                        help="fresh --benchmark_format=json report")
+    parser.add_argument("--binary",
+                        help="baseline key to compare against, "
+                             "e.g. micro_engine")
+    parser.add_argument("--family-regex",
+                        default=r"LargeM|PaperK|UcbScan|SelectRound",
+                        help="rows considered at all")
+    parser.add_argument("--gate-regex", default=r"/10000\b|/10000/",
+                        help="rows that hard-fail on regression")
+    parser.add_argument("--threshold", type=float, default=1.25,
+                        help="max allowed current/baseline time ratio")
+    parser.add_argument("--ratio", nargs=3, action="append", default=[],
+                        metavar=("NUMERATOR", "DENOMINATOR", "MAX"),
+                        help="fail when NUMERATOR's time over "
+                             "DENOMINATOR's in the current report "
+                             "exceeds MAX")
+    args = parser.parse_args()
+    if args.baseline is None and not args.ratio:
+        parser.error("give --baseline and --binary, or --ratio")
+    if args.baseline is not None and args.binary is None:
+        parser.error("--baseline needs --binary")
+
+    with open(args.current) as f:
+        cur = _rows(json.load(f))
+
+    failed = 0
+    if args.baseline is not None:
+        failed += _check_baseline(args, cur)
+    failed += _check_ratios(args.ratio, cur)
+    if failed:
         return 1
     print("\nall gated rows within threshold")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
