@@ -164,9 +164,23 @@ BENCHMARK(BM_TopKByUcbLargeM)
     ->Arg(1000000)
     ->Unit(benchmark::kMicrosecond);
 
-// Steady-state selection round at large M: select K, observe those K (the
-// bank update + selector invalidation that every trading round performs).
-// CucbPolicy pays ~K invalidations and a bounded pop loop; the reference
+// Round 1 of Algorithm 1: every arm observed once, distinct means.
+template <typename Policy>
+void ObserveEveryArm(Policy& cucb, int m) {
+  stats::Xoshiro256 rng(99);
+  std::vector<int> all(static_cast<std::size_t>(m));
+  std::vector<std::vector<double>> warm(static_cast<std::size_t>(m),
+                                        std::vector<double>(4));
+  for (int i = 0; i < m; ++i) {
+    all[static_cast<std::size_t>(i)] = i;
+    for (double& q : warm[static_cast<std::size_t>(i)]) q = rng.NextDouble();
+  }
+  (void)cucb.Observe(all, warm);
+}
+
+// Steady-state selection round: select K, observe those K (the bank
+// update + selector invalidation that every trading round performs).
+// CucbPolicy files ~K arrivals and merges about K entries; the reference
 // oracle (testsupport::ReferenceCucbPolicy) rescans all M arms every round.
 template <typename Policy>
 void SelectRoundLargeM(benchmark::State& state) {
@@ -177,21 +191,7 @@ void SelectRoundLargeM(benchmark::State& state) {
   options.num_selected = k;
   auto policy = Policy::Create(options);
   Policy& cucb = policy.value();  // hoisted: keep value() untimed
-
-  // Round 1 (Algorithm 1): observe every arm, distinct means.
-  {
-    stats::Xoshiro256 rng(99);
-    std::vector<int> all(static_cast<std::size_t>(m));
-    std::vector<std::vector<double>> warm(static_cast<std::size_t>(m),
-                                          std::vector<double>(4));
-    for (int i = 0; i < m; ++i) {
-      all[static_cast<std::size_t>(i)] = i;
-      for (double& q : warm[static_cast<std::size_t>(i)]) {
-        q = rng.NextDouble();
-      }
-    }
-    (void)cucb.Observe(all, warm);
-  }
+  ObserveEveryArm(cucb, m);
 
   std::vector<int> selected;
   std::vector<std::vector<double>> obs(static_cast<std::size_t>(k),
@@ -209,9 +209,11 @@ void BM_LazySelectRound(benchmark::State& state) {
 void BM_ReferenceSelectRound(benchmark::State& state) {
   SelectRoundLargeM<testsupport::ReferenceCucbPolicy>(state);
 }
-// Two K regimes per M: the paper's coalition size (K = 10) and the
-// stress scaling K ~ sqrt(M) used throughout docs/PERFORMANCE.md.
+// The paper's scale (M = 300, K = 10), then two K regimes per large M: the
+// paper's coalition size (K = 10) and the stress scaling K ~ sqrt(M) used
+// throughout docs/PERFORMANCE.md.
 BENCHMARK(BM_LazySelectRound)
+    ->Args({300, 10})
     ->Args({10000, 10})
     ->Args({10000, 100})
     ->Args({100000, 10})
@@ -220,12 +222,58 @@ BENCHMARK(BM_LazySelectRound)
     ->Args({1000000, 1000})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ReferenceSelectRound)
+    ->Args({300, 10})
     ->Args({10000, 10})
     ->Args({10000, 100})
     ->Args({100000, 10})
     ->Args({100000, 316})
     ->Args({1000000, 10})
     ->Args({1000000, 1000})
+    ->Unit(benchmark::kMicrosecond);
+
+// The first selection after a snapshot Restore (recovery): the bank
+// changed out of band, so CucbPolicy's selector rebuilds from it. The
+// state is 20 rounds past the select-all round; Restore itself is untimed.
+template <typename Policy>
+void SelectAfterRestore(benchmark::State& state) {
+  int m = static_cast<int>(state.range(0));
+  int k = static_cast<int>(state.range(1));
+  bandit::CucbOptions options;
+  options.num_sellers = m;
+  options.num_selected = k;
+  auto policy = Policy::Create(options);
+  Policy& cucb = policy.value();
+  ObserveEveryArm(cucb, m);
+  std::vector<int> selected;
+  std::vector<std::vector<double>> obs(static_cast<std::size_t>(k),
+                                       std::vector<double>(4, 0.5));
+  for (std::int64_t round = 2; round <= 20; ++round) {
+    (void)cucb.SelectRoundInto(round, &selected);
+    (void)cucb.Observe(selected, obs);
+  }
+  bandit::EstimatorBank& bank = *cucb.mutable_estimator();
+  std::vector<bandit::ArmState> arms(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) arms[static_cast<std::size_t>(i)] = bank.arm(i);
+  const std::uint64_t total = bank.total_observations();
+  for (auto _ : state) {
+    state.PauseTiming();
+    (void)bank.Restore(arms, total);
+    state.ResumeTiming();
+    (void)cucb.SelectRoundInto(21, &selected);
+    benchmark::DoNotOptimize(selected.data());
+  }
+}
+void BM_LazySelectAfterRestore(benchmark::State& state) {
+  SelectAfterRestore<bandit::CucbPolicy>(state);
+}
+void BM_ReferenceSelectAfterRestore(benchmark::State& state) {
+  SelectAfterRestore<testsupport::ReferenceCucbPolicy>(state);
+}
+BENCHMARK(BM_LazySelectAfterRestore)
+    ->Args({100000, 316})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ReferenceSelectAfterRestore)
+    ->Args({100000, 316})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_EnvironmentObserve(benchmark::State& state) {

@@ -51,7 +51,7 @@ BENCHMARK(BM_FullTradingRoundInvariants)->Arg(10);
 
 // Large-M steady-state round: selection + HS game (K ~ sqrt(M) coalition)
 // + observation of the selected arms + settlement. The default variant
-// runs CucbPolicy (incremental lazy top-K selector) with cross-round kink
+// runs CucbPolicy (incremental grouped top-K selector) with cross-round kink
 // reuse; the Reference variant selects through the full-rescan test oracle
 // (testsupport::ReferenceCucbPolicy). Both run the same engine wiring.
 // Fixed iteration counts keep the expensive select-all warm-up round (M

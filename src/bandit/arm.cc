@@ -68,7 +68,6 @@ EstimatorBank::EstimatorBank(int num_arms, double exploration)
     : means_(static_cast<std::size_t>(num_arms), 0.0),
       observations_(static_cast<std::size_t>(num_arms), 0),
       counts_(static_cast<std::size_t>(num_arms), 0.0),
-      bonus_bases_(static_cast<std::size_t>(num_arms), 0.0),
       cold_list_(static_cast<std::size_t>(num_arms)),
       num_unexplored_(num_arms),
       exploration_(exploration) {
@@ -107,11 +106,6 @@ double EstimatorBank::scaled_log() const {
              std::max<double>(static_cast<double>(total_observations_), 2.0));
 }
 
-double EstimatorBank::bonus_scalar() const {
-  return std::sqrt(std::log(
-      std::max<double>(static_cast<double>(total_observations_), 2.0)));
-}
-
 Status EstimatorBank::Update(int i, const std::vector<double>& observations) {
   if (i < 0 || i >= num_arms()) {
     return Status::OutOfRange("arm index " + std::to_string(i) +
@@ -135,9 +129,9 @@ Status EstimatorBank::Update(int i, const std::vector<double>& observations) {
   means_[idx] = (means_[idx] * n_old + batch_sum) / n_new;
   observations_[idx] += observations.size();
   counts_[idx] = n_new;
-  bonus_bases_[idx] = std::sqrt(exploration_ / n_new);
   if (n_old == 0.0) --num_unexplored_;  // cold_list_ compacts lazily
   total_observations_ += observations.size();
+  ++update_seq_;
   return Status::OK();
 }
 
@@ -168,16 +162,11 @@ Status EstimatorBank::Restore(const std::vector<ArmState>& arms,
     means_[i] = arms[i].mean;
     observations_[i] = arms[i].observations;
     counts_[i] = static_cast<double>(arms[i].observations);
-    if (arms[i].observations == 0) {
-      bonus_bases_[i] = 0.0;
-      cold_list_.push_back(static_cast<int>(i));
-    } else {
-      bonus_bases_[i] = std::sqrt(exploration_ / counts_[i]);
-    }
+    if (arms[i].observations == 0) cold_list_.push_back(static_cast<int>(i));
   }
   num_unexplored_ = static_cast<int>(cold_list_.size());
   total_observations_ = total_observations;
-  ++epoch_;  // incremental consumers must resynchronise
+  ++update_seq_;  // incremental consumers must resynchronise
   return Status::OK();
 }
 

@@ -2,17 +2,12 @@
 // UCB index (Eq. 19), maintained for all M sellers by an EstimatorBank.
 //
 // Layout: the bank stores its state as structure-of-arrays (means[],
-// observations[], counts[] as doubles, and a cached bonus_base[] =
-// sqrt(exploration / n_i)) so the per-round Eq. (19) scan is a branch-free
-// pass over contiguous doubles that the compiler can vectorize. Eq. (19)
-// factors as
-//
-//   q̂_i = q̄_i + s · bonus_base_i   with   s = sqrt(ln Σ_j n_j)
-//
-// which the lazy top-K selector (topk.h) exploits for stale upper bounds;
-// the *exact* values reported by UcbValue(s) always use the canonical
-// association sqrt((exploration · ln T) / n_i) so they stay bit-identical
-// to the pre-SoA implementation (FP multiplication does not reassociate).
+// observations[] and counts[] as doubles) so the per-round Eq. (19) scan is
+// a branch-free pass over contiguous doubles that the compiler can
+// vectorize. Every UCB value uses the canonical association
+// mean + sqrt((exploration · ln T) / n_i), bit-identical to the pre-SoA
+// implementation (FP arithmetic does not reassociate); the grouped top-K
+// selector (topk.h) computes the same expression once per distinct n_i.
 
 #ifndef CDT_BANDIT_ARM_H_
 #define CDT_BANDIT_ARM_H_
@@ -72,9 +67,6 @@ class EstimatorBank {
   /// n_i as doubles (0.0 for unexplored arms), kept in lock-step with
   /// observation_counts() so the UCB scan never converts in the loop.
   const std::vector<double>& counts() const { return counts_; }
-  /// sqrt(exploration / n_i); 0.0 for unexplored arms. With the per-round
-  /// scalar s = sqrt(ln Σ n_j) this factors Eq. (19) as mean + s · base.
-  const std::vector<double>& bonus_bases() const { return bonus_bases_; }
 
   /// Number of arms with n_i == 0.
   int num_unexplored() const { return num_unexplored_; }
@@ -86,14 +78,11 @@ class EstimatorBank {
 
   /// exploration * ln(max(Σ n_j, 2)) — the shared numerator of Eq. (19).
   double scaled_log() const;
-  /// s = sqrt(ln(max(Σ n_j, 2))): the per-round scalar of the factored
-  /// form. Monotone non-decreasing over time (Σ n_j only grows), which is
-  /// what makes stale factored upper bounds safe (see topk.h).
-  double bonus_scalar() const;
 
-  /// Incremented on every Restore(): lets incremental consumers (the lazy
-  /// top-K selector) detect out-of-band state replacement and rebuild.
-  std::uint64_t epoch() const { return epoch_; }
+  /// Incremented by every successful Update() and Restore(): an
+  /// incremental consumer (the top-K selector) that has seen each change
+  /// arrive one at a time knows it missed none.
+  std::uint64_t update_seq() const { return update_seq_; }
 
   // ---- Learning updates ------------------------------------------------
 
@@ -144,15 +133,14 @@ class EstimatorBank {
 
   std::vector<double> means_;
   std::vector<std::uint64_t> observations_;
-  std::vector<double> counts_;       // observations_ as doubles
-  std::vector<double> bonus_bases_;  // sqrt(exploration / n_i), 0 when cold
+  std::vector<double> counts_;  // observations_ as doubles
   /// Unexplored arm indices, ascending; may contain stale (now-warm)
   /// entries until the next cold_arms() call compacts it.
   mutable std::vector<int> cold_list_;
   int num_unexplored_ = 0;
   double exploration_;
   std::uint64_t total_observations_ = 0;
-  std::uint64_t epoch_ = 0;
+  std::uint64_t update_seq_ = 0;
 };
 
 /// Returns indices of the k largest entries of `values` (descending value,

@@ -46,9 +46,9 @@ Status CucbPolicy::SelectRoundInto(std::int64_t round,
     std::iota(out->begin(), out->end(), 0);
     return Status::OK();
   }
-  // No full-M rescan: the lazy selector re-validates only the arms whose
-  // stale upper bounds still compete for the top K.
-  CDT_SPAN("bandit.lazy_topk");
+  // No full-M rescan: the grouped selector examines only the entries that
+  // compete for the top K.
+  CDT_SPAN("bandit.topk");
   selector_.SelectInto(bank_, options_.num_selected, out);
   return Status::OK();
 }

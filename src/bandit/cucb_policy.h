@@ -45,7 +45,7 @@ class CucbPolicy : public SelectionPolicy {
   const EstimatorBank* estimator() const override { return &bank_; }
 
   /// The bank is the policy's only mutable state, so snapshots restore it
-  /// bit-for-bit (the selector resyncs from the bank's epoch).
+  /// bit-for-bit (the selector resyncs from the bank's update sequence).
   bool snapshot_safe() const override { return true; }
   EstimatorBank* mutable_estimator() override { return &bank_; }
 
@@ -56,9 +56,9 @@ class CucbPolicy : public SelectionPolicy {
   CucbOptions options_;
   EstimatorBank bank_;
   /// Incremental Eq. (19) top-K selector; kept in sync by Observe() and
-  /// self-healing on snapshot restores (bank epoch/total mismatch forces a
-  /// rebuild).
-  LazyTopKSelector selector_;
+  /// rebuilt after a snapshot restore or any other unannounced bank
+  /// change (the bank's update sequence has a gap).
+  GroupedTopKSelector selector_;
 };
 
 }  // namespace bandit

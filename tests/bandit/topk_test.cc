@@ -1,7 +1,10 @@
-// Lazy top-K selector and heap-select correctness: both must reproduce the
-// full-rescan oracle (iota + partial_sort over a full UCB scan, kept in
-// tests/support) bit for bit under adversarial update patterns — ties,
-// mass invalidation, cold-start arms, and restored-from-snapshot banks.
+// Incremental top-K selector and heap-select correctness: both must
+// reproduce the full-rescan oracle (iota + partial_sort over a full UCB
+// scan, kept in tests/support) bit for bit under adversarial update
+// patterns — exact ties, rounding collisions between distinct means, mass
+// invalidation, cold-start arms, restored-from-snapshot banks and updates
+// made behind the selector's back. The selector suite keeps the name of
+// the BM_LazySelectRound bench family that times it.
 
 #include "bandit/topk.h"
 
@@ -9,12 +12,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bandit/arm.h"
 #include "bandit/cucb_policy.h"
+#include "bandit/environment.h"
 #include "stats/rng.h"
 #include "support/reference_cucb.h"
 
@@ -96,11 +101,10 @@ std::vector<ArmState> CaptureArms(const EstimatorBank& bank) {
   return arms;
 }
 
-// One input of the selector-vs-oracle sweep. The plain input is Algorithm
-// 1's select/observe loop; the others interleave, round by round, the
-// update patterns the selector's exactness proof has to survive. They use
-// M large enough that the candidate pool is a small share of the arms, so
-// arms outside it exist and the lazy path, not a rebuild, is on trial.
+// One input of the selector-vs-oracle sweep. The quantized inputs are
+// Algorithm 1's select/observe loop with coarse qualities, so exact ties
+// are everywhere; the others interleave, round by round, the update
+// patterns the selector's exactness argument has to survive.
 struct SweepInput {
   const char* name;
   std::uint64_t seed;
@@ -118,19 +122,21 @@ struct SweepInput {
   bool pinned;
   /// Per-round chance of a mid-run Restore: either back to a state saved
   /// earlier in the run, or a same-total swap of the K-th winner with the
-  /// worst arm, which sits outside the pool (only the bank's epoch reveals
-  /// it).
+  /// worst arm (only the bank's update sequence reveals it).
   double restore_rate;
   /// Per-round chance of updating a random 1/8 up to all of the arms at
-  /// once: below a quarter they join the pool, above it force a rebuild.
-  /// Half of them jump to the quality ceiling with a batch as long as
-  /// their history, so arms from outside the pool break into the top K.
+  /// once. Half of them jump to the quality ceiling with a batch as long
+  /// as their history, so arms from deep in their groups break into the
+  /// top K.
   double mass_rate;
 };
 
 TEST(LazyTopKSelectorTest, MatchesReferenceAcrossRounds) {
   const SweepInput inputs[] = {
       {"plain", 42, 200, 10, 500, 0.0, false, false, 0.0, 0.0},
+      {"quantized150", 43, 150, 7, 600, 0.0, false, false, 0.0, 0.0},
+      {"quantized300", 44, 300, 10, 600, 0.0, false, false, 0.0, 0.0},
+      {"quantized1e4", 45, 10000, 100, 300, 0.0, false, false, 0.0, 0.0},
       {"ties+pinned", 7, 1000, 11, 400, 0.0, true, true, 0.0, 0.0},
       {"restores", 8, 1500, 9, 400, 0.0, true, false, 0.1, 0.0},
       {"mass", 9, 1200, 8, 300, 0.05, false, false, 0.0, 0.1},
@@ -143,7 +149,7 @@ TEST(LazyTopKSelectorTest, MatchesReferenceAcrossRounds) {
     EstimatorBank bank =
         MakeBank(m, input.exploration > 0.0 ? input.exploration
                                             : static_cast<double>(k + 1));
-    LazyTopKSelector selector;
+    GroupedTopKSelector selector;
     stats::Xoshiro256 rng(input.seed);  // observations
     stats::Xoshiro256 ops(input.seed ^ 0xA5A5A5A5ULL);  // op schedule
     std::vector<int> lazy;
@@ -195,7 +201,7 @@ TEST(LazyTopKSelectorTest, MatchesReferenceAcrossRounds) {
       selector.SelectInto(bank, k, &lazy);
       std::vector<int> want = ReferenceTopK(bank, k);
       if (lazy == want) return ::testing::AssertionSuccess();
-      return ::testing::AssertionFailure() << "lazy top-K != oracle top-K";
+      return ::testing::AssertionFailure() << "selector top-K != oracle top-K";
     };
     // The oracle's top K+1, for the boundary pair (K-th, (K+1)-th).
     std::vector<double> ucb;
@@ -254,14 +260,6 @@ TEST(LazyTopKSelectorTest, MatchesReferenceAcrossRounds) {
         }
       }
     }
-    if (input.restore_rate == 0.0 && input.mass_rate == 0.0 &&
-        !input.twins) {
-      // The plain input: quantized ties force conservative rebuilds (an
-      // exact tie at the pool boundary is never trusted), but most rounds
-      // must still resolve from the pool alone.
-      EXPECT_LT(selector.full_rebuilds(), input.rounds / 2);
-      EXPECT_GT(selector.entries_revalidated(), 0);
-    }
     // Each adversarial input really exercised what it names.
     if (input.twins) {
       EXPECT_GT(ties, 0);
@@ -279,45 +277,16 @@ TEST(LazyTopKSelectorTest, MatchesReferenceAcrossRounds) {
   }
 }
 
-TEST(LazyTopKSelectorTest, SteadyStateAmortizesRebuilds) {
-  const int m = 2000, k = 20;
-  EstimatorBank bank = MakeBank(m, static_cast<double>(k + 1));
-  LazyTopKSelector selector;
-  stats::Xoshiro256 rng(5);
-  // Continuous observations: tie-free values, the regime the pool margin
-  // is sized for. Rebuilds should land every ~(P − K)/K rounds, far below
-  // one per round.
-  std::vector<double> batch(4);
-  for (int i = 0; i < m; ++i) {
-    for (double& q : batch) q = rng.NextDouble();
-    ASSERT_TRUE(bank.Update(i, batch).ok());
-    selector.Invalidate(bank, i);
-  }
-  const int rounds = 300;
-  std::vector<int> lazy;
-  for (int round = 2; round <= rounds; ++round) {
-    selector.SelectInto(bank, k, &lazy);
-    ASSERT_EQ(lazy, ReferenceTopK(bank, k)) << "round " << round;
-    for (int sel : lazy) {
-      for (double& q : batch) q = rng.NextDouble();
-      ASSERT_TRUE(bank.Update(sel, batch).ok());
-      selector.Invalidate(bank, sel);
-    }
-  }
-  EXPECT_LT(selector.full_rebuilds(), rounds / 4);
-  // The pool stays a small fraction of the bank.
-  EXPECT_LT(selector.pool_size(), static_cast<std::size_t>(m) / 2);
-}
-
 TEST(LazyTopKSelectorTest, MassInvalidationFallsBackToRebuild) {
   const int m = 64, k = 8;
   EstimatorBank bank = MakeBank(m, static_cast<double>(k + 1));
-  LazyTopKSelector selector;
+  GroupedTopKSelector selector;
   stats::Xoshiro256 rng(3);
   std::vector<int> lazy;
   for (int round = 1; round <= 20; ++round) {
-    // Every arm updated every round: pending covers the whole bank, so the
-    // selector must take the full-rescan route — and stay correct.
+    // Every arm updated every round: the pending list covers the whole
+    // bank, so every group is refiled at once — or, past M pending arms,
+    // rebuilt.
     for (int i = 0; i < m; ++i) {
       ASSERT_TRUE(bank.Update(i, QuantizedBatch(rng, 3, 4)).ok());
       selector.Invalidate(bank, i);
@@ -325,21 +294,27 @@ TEST(LazyTopKSelectorTest, MassInvalidationFallsBackToRebuild) {
     selector.SelectInto(bank, k, &lazy);
     ASSERT_EQ(lazy, ReferenceTopK(bank, k)) << "round " << round;
   }
-  EXPECT_GE(selector.full_rebuilds(), 20);
 }
 
 TEST(LazyTopKSelectorTest, ColdStartEmitsUnexploredFirst) {
   const int m = 50, k = 12;
   EstimatorBank bank = MakeBank(m, 4.0);
-  LazyTopKSelector selector;
+  GroupedTopKSelector selector;
   stats::Xoshiro256 rng(11);
 
   // No select-all round: only a drifting subset ever gets observed, the
   // rest stay cold (+inf UCB, ascending-index ties).
+  // Besides K, each round also asks for exactly the warm arms, a few more
+  // than that, and all M.
   std::vector<int> lazy;
   for (int round = 1; round <= 60; ++round) {
-    selector.SelectInto(bank, k, &lazy);
-    ASSERT_EQ(lazy, ReferenceTopK(bank, k)) << "round " << round;
+    const int warm = m - bank.num_unexplored();
+    for (int kk : {k, warm, warm + 3, m}) {
+      if (kk <= 0) continue;
+      selector.SelectInto(bank, kk, &lazy);
+      ASSERT_EQ(lazy, ReferenceTopK(bank, kk))
+          << "round " << round << " k " << kk;
+    }
     // Observe a couple of arbitrary arms (not necessarily the selected
     // ones) so warm/cold membership shifts between selections.
     for (int j = 0; j < 2; ++j) {
@@ -350,7 +325,7 @@ TEST(LazyTopKSelectorTest, ColdStartEmitsUnexploredFirst) {
   }
   // Selecting more arms than are warm must also match (k > warm count).
   EstimatorBank sparse = MakeBank(10, 2.0);
-  LazyTopKSelector sparse_selector;
+  GroupedTopKSelector sparse_selector;
   ASSERT_TRUE(sparse.Update(4, {0.5}).ok());
   sparse_selector.Invalidate(sparse, 4);
   std::vector<int> got;
@@ -359,9 +334,9 @@ TEST(LazyTopKSelectorTest, ColdStartEmitsUnexploredFirst) {
 }
 
 TEST(LazyTopKSelectorTest, ExactTiesBreakByIndex) {
-  const int m = 40, k = 6;
+  const int m = 300, k = 6;
   EstimatorBank bank = MakeBank(m, static_cast<double>(k + 1));
-  LazyTopKSelector selector;
+  GroupedTopKSelector selector;
   // Identical evidence everywhere: every warm arm has the same mean and
   // count, so all M UCB values are exactly equal.
   for (int i = 0; i < m; ++i) {
@@ -375,72 +350,22 @@ TEST(LazyTopKSelectorTest, ExactTiesBreakByIndex) {
   // Re-select without any update: still the same answer.
   selector.SelectInto(bank, k, &lazy);
   EXPECT_EQ(lazy, ReferenceTopK(bank, k));
-}
-
-// Constructed near-boundary cases for the outside bound. After the
-// rebuild, a pool arm P is updated into an exact twin (same mean, same
-// count) of the best outside arm X, so both carry the same canonical UCB
-// and X, the lower index, wins the tie. The pool sees only P. The bound
-// V + (s − s₀)·B equals X's value in exact arithmetic and lands within a
-// few ulps of it in floating point, so only the slack and the strict
-// comparison send the selector to a rebuild. A selector that trusts a tie
-// at the bound, or drops the slack, returns P.
-TEST(LazyTopKSelectorTest, OutsideTwinAtTheBoundWinsItsTie) {
-  const int m = 200, k = 1;
-  const int x = 0;   // best outside arm
-  const int p = 65;  // its twin inside the pool (pool = top 1 + 64 arms)
-  int above_bound = 0;  // cases where X's value exceeds the slack-free bound
-  for (double exploration : {2.0, 3.0, 5.0, 11.0}) {
-    for (int drop = 1; drop <= 16; ++drop) {
-      SCOPED_TRACE("exploration " + std::to_string(exploration) + " drop " +
-                   std::to_string(drop));
-      EstimatorBank bank = MakeBank(m, exploration);
-      LazyTopKSelector selector;
-      auto update = [&](int arm, const std::vector<double>& batch) {
-        ASSERT_TRUE(bank.Update(arm, batch).ok());
-        selector.Invalidate(bank, arm);
-      };
-      update(x, {1.0, 0.0});  // mean 0.5, count 2
-      for (int arm = 1; arm < p; ++arm) update(arm, {1.0, 1.0});
-      update(p, {1.0});  // ranks above X until its next update
-      // The rest sit below X in both value and bonus base.
-      for (int arm = p + 1; arm < m; ++arm) {
-        update(arm, std::vector<double>(8, 0.0));
-      }
-      std::vector<int> lazy;
-      selector.SelectInto(bank, k, &lazy);
-      ASSERT_EQ(selector.full_rebuilds(), 1);
-      std::vector<double> ucb;
-      UcbValuesReferenceInto(bank, &ucb);
-      const double outside_value = ucb[x];
-      const double s_rebuild = bank.bonus_scalar();
-
-      // Pool updates only: the fillers fall below X and P becomes its twin.
-      for (int arm = 1; arm < p; ++arm) {
-        update(arm, std::vector<double>(static_cast<std::size_t>(drop), 0.0));
-      }
-      update(p, {0.0});
-      UcbValuesReferenceInto(bank, &ucb);
-      ASSERT_EQ(ucb[p], ucb[x]);
-      const double bound =
-          outside_value +
-          (bank.bonus_scalar() - s_rebuild) * bank.bonus_bases()[x];
-      if (ucb[x] > bound) ++above_bound;
-
-      selector.SelectInto(bank, k, &lazy);
-      EXPECT_EQ(lazy, std::vector<int>{x});
-      EXPECT_EQ(lazy, ReferenceTopK(bank, k));
-      EXPECT_EQ(selector.full_rebuilds(), 2);
+  // Every mean stays equal while the winners are played: the groups by
+  // count differ in bonus, and inside each one only the index orders.
+  for (int round = 2; round <= 300; ++round) {
+    for (int sel : lazy) {
+      ASSERT_TRUE(bank.Update(sel, {0.5, 0.5, 0.5}).ok());
+      selector.Invalidate(bank, sel);
     }
+    selector.SelectInto(bank, k, &lazy);
+    ASSERT_EQ(lazy, ReferenceTopK(bank, k)) << "round " << round;
   }
-  // Some cases land in the window a slack-free strict bound would trust.
-  EXPECT_GT(above_bound, 0);
 }
 
 TEST(LazyTopKSelectorTest, DetectsSnapshotRestore) {
   const int m = 30, k = 5;
   EstimatorBank bank = MakeBank(m, static_cast<double>(k + 1));
-  LazyTopKSelector selector;
+  GroupedTopKSelector selector;
   stats::Xoshiro256 rng(17);
   for (int i = 0; i < m; ++i) {
     ASSERT_TRUE(bank.Update(i, QuantizedBatch(rng, 4, 8)).ok());
@@ -450,7 +375,7 @@ TEST(LazyTopKSelectorTest, DetectsSnapshotRestore) {
   selector.SelectInto(bank, k, &lazy);
 
   // Capture the state, keep learning, then restore — WITHOUT telling the
-  // selector. The total-observations mismatch must force a resync.
+  // selector. The bank's update sequence must force a resync.
   std::vector<ArmState> snapshot(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i) snapshot[static_cast<std::size_t>(i)] = bank.arm(i);
   std::uint64_t snapshot_total = bank.total_observations();
@@ -466,11 +391,188 @@ TEST(LazyTopKSelectorTest, DetectsSnapshotRestore) {
   EXPECT_EQ(lazy, ReferenceTopK(bank, k));
 
   // Same-total restore: swap two arms' states (the sum is unchanged, so
-  // only the bank's epoch counter can reveal the swap).
+  // only the bank's update sequence can reveal the swap).
   std::swap(snapshot[0], snapshot[1]);
   ASSERT_TRUE(bank.Restore(snapshot, snapshot_total).ok());
   selector.SelectInto(bank, k, &lazy);
   EXPECT_EQ(lazy, ReferenceTopK(bank, k));
+}
+
+// The largest mean below `mean` whose Eq. (19) value with `bonus` rounds
+// to the same double, found by stepping down one ulp at a time; -1 when
+// none is within reach.
+double CollidingMeanBelow(double mean, double bonus) {
+  const double value = mean + bonus;
+  double lower = mean;
+  for (int step = 0; step < 8; ++step) {
+    lower = std::nextafter(lower, 0.0);
+    if (lower + bonus == value) return lower;
+  }
+  return -1.0;
+}
+
+// A mean whose value with `bonus` rounds to exactly `value`, searched
+// around value − bonus; -1 when none is within reach.
+double MeanForValue(double value, double bonus) {
+  const double guess = value - bonus;
+  double up = guess, down = guess;
+  for (int step = 0; step < 16; ++step) {
+    if (up + bonus == value) return up;
+    if (down + bonus == value) return down;
+    up = std::nextafter(up, 2.0);
+    down = std::nextafter(down, -1.0);
+  }
+  return -1.0;
+}
+
+// Distinct means whose values fl(mean + bonus) collide, placed across the
+// K-th place with the lower index on the lower mean: the mean order puts
+// the higher index first, the value tie puts the lower index first.
+// "same group": both arms share a count, so one bonus and one sorted run.
+// "across groups": the lower index has the smaller count, so the larger
+// bonus and the lower mean. "arrival": the higher mean reaches the
+// collision through an in-band Update, so its entry is filed into an
+// arrival run while the lower one sits in the rebuilt run.
+TEST(LazyTopKSelectorTest, RoundingCollisionsBreakByIndex) {
+  const int m = 32, k = 4;  // arms 20..22 take the first three places
+  const int lo = 5, hi = 9;  // the colliding pair, lo < hi
+  int cases = 0;
+  for (double exploration : {2.0, 3.0, 7.0}) {
+    for (double base : {0.3, 0.41, 0.55, 0.62}) {
+      for (const char* layout : {"same group", "across groups", "arrival"}) {
+        SCOPED_TRACE(std::string(layout) + " exploration " +
+                     std::to_string(exploration) + " base " +
+                     std::to_string(base));
+        const bool across = std::string(layout) == "across groups";
+        const bool arrival = std::string(layout) == "arrival";
+        // Counts first (they fix Σn and so every bonus), means second.
+        std::vector<ArmState> arms(static_cast<std::size_t>(m),
+                                   ArmState{40, 0.0});
+        for (int top : {20, 21, 22}) {
+          arms[static_cast<std::size_t>(top)] = ArmState{4, 0.95};
+        }
+        const std::uint64_t n_lo = 4, n_hi = across ? 5 : 4;
+        arms[lo].observations = n_lo;
+        arms[hi].observations = arrival ? n_hi - 1 : n_hi;
+        std::uint64_t total = 0;
+        for (const ArmState& a : arms) total += a.observations;
+        // The bonuses at the selection, after any arrival's one sample.
+        const double sl =
+            exploration *
+            std::log(static_cast<double>(total + (arrival ? 1 : 0)));
+        const double b_lo = std::sqrt(sl / static_cast<double>(n_lo));
+        const double b_hi = std::sqrt(sl / static_cast<double>(n_hi));
+
+        double mean_hi = base, mean_lo = -1.0;
+        if (arrival) {
+          // hi is restored one sample short and then observes 1.0, so its
+          // mean is whatever Eq. (18) rounds to.
+          arms[hi].mean = base;
+          const double n_old = static_cast<double>(n_hi - 1);
+          mean_hi = (base * n_old + 1.0) / (n_old + 1.0);
+        } else {
+          arms[hi].mean = mean_hi;
+        }
+        mean_lo = across ? MeanForValue(mean_hi + b_hi, b_lo)
+                         : CollidingMeanBelow(mean_hi, b_hi);
+        if (!(mean_lo >= 0.0 && mean_lo < mean_hi)) continue;
+        arms[lo].mean = mean_lo;
+
+        EstimatorBank bank = MakeBank(m, exploration);
+        GroupedTopKSelector selector;
+        ASSERT_TRUE(bank.Restore(arms, total).ok());
+        std::vector<int> got;
+        selector.SelectInto(bank, k, &got);  // rebuild
+        ASSERT_EQ(got, ReferenceTopK(bank, k));
+        if (arrival) {
+          ASSERT_TRUE(bank.Update(hi, {1.0}).ok());
+          selector.Invalidate(bank, hi);
+          ASSERT_EQ(bank.means()[hi], mean_hi);
+        }
+        ASSERT_EQ(bank.scaled_log(), sl);
+        std::vector<double> ucb;
+        UcbValuesReferenceInto(bank, &ucb);
+        ASSERT_EQ(ucb[lo], ucb[hi]);
+        ASSERT_LT(bank.means()[lo], bank.means()[hi]);
+        ASSERT_GT(ucb[20], ucb[lo]);
+        selector.SelectInto(bank, k, &got);
+        EXPECT_EQ(got, (std::vector<int>{20, 21, 22, lo}));
+        EXPECT_EQ(got, ReferenceTopK(bank, k));
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GE(cases, 24);
+}
+
+// An Update made behind the selector's back (through the bank pointer,
+// with no Invalidate), followed by an ordinary Observe before the next
+// selection, must still be caught: the Observe's Invalidate sees a gap in
+// the bank's update sequence.
+TEST(LazyTopKSelectorTest, OutOfBandUpdateIsNotMaskedByObserve) {
+  CucbOptions options;
+  options.num_sellers = 2000;
+  options.num_selected = 10;
+  options.exploration = 0.01;
+  auto created = CucbPolicy::Create(options);
+  ASSERT_TRUE(created.ok());
+  CucbPolicy& policy = created.value();
+  stats::Xoshiro256 rng(2024);
+  std::vector<int> selected;
+  std::vector<std::vector<double>> batches;
+  for (std::int64_t round = 1; round <= 40; ++round) {
+    ASSERT_TRUE(policy.SelectRoundInto(round, &selected).ok());
+    batches.assign(selected.size(), {});
+    for (auto& batch : batches) batch = QuantizedBatch(rng, 4, 8);
+    ASSERT_TRUE(policy.Observe(selected, batches).ok());
+  }
+  ASSERT_TRUE(policy.SelectRoundInto(41, &selected).ok());
+  // A warm, low-mean arm that was not selected.
+  EstimatorBank& bank = *policy.mutable_estimator();
+  int target = -1;
+  for (int i = 0; i < bank.num_arms(); ++i) {
+    if (std::find(selected.begin(), selected.end(), i) != selected.end()) {
+      continue;
+    }
+    if (bank.arm(i).observations > 0 && bank.means()[i] < 0.3) {
+      target = i;
+      break;
+    }
+  }
+  ASSERT_GE(target, 0);
+  ASSERT_TRUE(bank.Update(target, std::vector<double>(64, 1.0)).ok());
+  ASSERT_TRUE(policy.Observe({selected[0]}, {QuantizedBatch(rng, 4, 8)}).ok());
+
+  std::vector<int> want = bank.TopKByUcb(10);
+  ASSERT_EQ(want.front(), target);
+  ASSERT_TRUE(policy.SelectRoundInto(42, &selected).ok());
+  EXPECT_EQ(selected, want);
+}
+
+// Algorithm 1 at the large-M scale, observations from the quality
+// environment: the selector and the full-rescan oracle agree every round.
+TEST(LazyTopKSelectorTest, LargeMMatchesReferenceEveryRound) {
+  const int m = 100000, k = 316, rounds = 600;
+  EnvironmentConfig env_config;
+  env_config.num_sellers = m;
+  env_config.seed = 316;
+  auto env = QualityEnvironment::Create(env_config);
+  ASSERT_TRUE(env.ok());
+  EstimatorBank bank = MakeBank(m, static_cast<double>(k + 1));
+  GroupedTopKSelector selector;
+  std::vector<double> batch;
+  auto observe = [&](int arm) {
+    env.value().ObserveSellerInto(arm, &batch);
+    ASSERT_TRUE(bank.Update(arm, batch).ok());
+    selector.Invalidate(bank, arm);
+  };
+  for (int i = 0; i < m; ++i) observe(i);
+  std::vector<int> got;
+  for (int round = 2; round <= rounds; ++round) {
+    selector.SelectInto(bank, k, &got);
+    ASSERT_EQ(got, ReferenceTopK(bank, k)) << "round " << round;
+    for (int sel : got) observe(sel);
+  }
 }
 
 TEST(CucbPolicyPathsTest, ReferenceAndOptimizedSelectIdentically) {

@@ -1,5 +1,5 @@
 // Determinism suite for the production selection path: a CMAB-HS engine
-// selecting through CucbPolicy (SoA bank + lazy top-K, with kink reuse in
+// selecting through CucbPolicy (SoA bank + grouped top-K, with kink reuse in
 // the solver) and one selecting through the full-rescan oracle
 // (testsupport::ReferenceCucbPolicy: Eq. 19 scan + partial_sort) run side
 // by side on the fig07 and fig09 evaluation configs plus a 1e4-arm
@@ -69,7 +69,7 @@ TEST(SelectionDeterminismTest, Fig09ConfigBothPathsBitIdentical) {
 
 TEST(SelectionDeterminismTest, TenThousandArmSyntheticBitIdentical) {
   // Large-M synthetic: K ~ sqrt(M). Round 1 observes all 10^4 arms, so the
-  // lazy selector starts from a fully invalidated bank; the remaining
+  // selector starts by rebuilding from the bank; the remaining
   // rounds exercise the steady-state incremental path. The checker is off
   // to keep the runtime down.
   MechanismConfig config;

@@ -1,10 +1,10 @@
 // Full-rescan CUCB selection: the test oracle for the production selection
-// path (LazyTopKSelector inside CucbPolicy).
+// path (GroupedTopKSelector inside CucbPolicy).
 //
 // Every round scores all M arms with Eq. (19) and takes the top K with an
 // iota + partial_sort, the shape selection had before the SoA bank and the
-// lazy selector. Tests pin the production path byte-identical to it, and
-// the bench/ micro benchmarks link it for their *Reference rows.
+// incremental selector. Tests pin the production path byte-identical to
+// it, and the bench/ micro benchmarks link it for their *Reference rows.
 
 #ifndef CDT_TESTS_SUPPORT_REFERENCE_CUCB_H_
 #define CDT_TESTS_SUPPORT_REFERENCE_CUCB_H_
