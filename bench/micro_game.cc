@@ -1,8 +1,9 @@
 // Micro-benchmarks for the Stackelberg game: closed-form backward
-// induction, the exact piecewise stage-2 best response, the numeric
-// stage-1 fallback, and the Def.-13 equilibrium verification. The
-// *Reference rows run the same queries on the naive per-segment sweep
-// (tests/support/reference_stackelberg.h), so each optimized/reference
+// induction, the exact piecewise stage-2 best response, stage 1 off the
+// interior regime (the regime walk), and the Def.-13 equilibrium
+// verification. The *Reference rows run the same queries on the naive
+// per-segment sweep (tests/support/reference_stackelberg.h; for stage 1,
+// the heuristic search the walk replaced), so each optimized/reference
 // ratio comes from one run on one host.
 
 #include <vector>
@@ -62,19 +63,6 @@ void BM_PlatformBestPriceExactSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_PlatformBestPriceExactSweep)->Arg(10)->Arg(60);
 
-void BM_ConsumerNumericFallback(benchmark::State& state) {
-  // Force the numeric path by capping the collection price below the
-  // interior optimum.
-  game::GameConfig config = MakeConfig(10);
-  config.collection_price_bounds = {0.01, 1.0};
-  auto solver = game::StackelbergSolver::Create(config);
-  game::StackelbergSolver& hs = solver.value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hs.ConsumerBestPrice());
-  }
-}
-BENCHMARK(BM_ConsumerNumericFallback);
-
 // Consumer prices cycled through by the stage-2 rows: a grid over the
 // consumer box, so every envelope piece is visited.
 std::vector<double> QueryGrid(const game::GameConfig& config) {
@@ -108,9 +96,8 @@ void BM_PlatformBestPriceReference(benchmark::State& state) {
 }
 BENCHMARK(BM_PlatformBestPriceReference)->Arg(316)->Arg(1000);
 
-// Stage 1 forced onto its fallback (candidates, golden section, jump
-// bisection) by capping the collection price below the interior optimum,
-// as BM_ConsumerNumericFallback does at K=10.
+// Stage 1 moved off Theorem 16's point by capping the collection price
+// below the interior optimum.
 game::GameConfig FallbackConfig(int k) {
   game::GameConfig config = MakeConfig(k);
   config.collection_price_bounds = {0.01, 1.0};
@@ -125,7 +112,7 @@ void BM_ConsumerBestPriceFallback(benchmark::State& state) {
     benchmark::DoNotOptimize(hs.ConsumerBestPrice());
   }
 }
-BENCHMARK(BM_ConsumerBestPriceFallback)->Arg(316)->Arg(1000);
+BENCHMARK(BM_ConsumerBestPriceFallback)->Arg(10)->Arg(316)->Arg(1000);
 
 void BM_ConsumerBestPriceFallbackReference(benchmark::State& state) {
   testsupport::ReferenceStackelberg reference(
@@ -134,7 +121,10 @@ void BM_ConsumerBestPriceFallbackReference(benchmark::State& state) {
     benchmark::DoNotOptimize(reference.ConsumerBestPrice());
   }
 }
-BENCHMARK(BM_ConsumerBestPriceFallbackReference)->Arg(316)->Arg(1000);
+BENCHMARK(BM_ConsumerBestPriceFallbackReference)
+    ->Arg(10)
+    ->Arg(316)
+    ->Arg(1000);
 
 void BM_EquilibriumCheck(benchmark::State& state) {
   auto solver = game::StackelbergSolver::Create(MakeConfig(10));

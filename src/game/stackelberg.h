@@ -117,11 +117,29 @@ class StackelbergSolver {
   /// active and unsaturated), clamped to the box.
   double PlatformBestPriceInterior(double consumer_price) const;
 
-  /// Stage 1: the consumer's optimal price within its box. Uses the
-  /// Theorem-16 closed form when the induced solution is interior (every
-  /// τ_i in (0, T), prices unclamped); otherwise falls back to numeric
-  /// maximisation of the exact anticipated profit.
+  /// Stage 1: the consumer's optimal price within its box, exactly (Def.
+  /// 13). Theorem 16's point is kept, bit for bit, unless some price beats
+  /// it by more than 1e-12 relative; a tangent bound over every candidate
+  /// of the platform usually proves that without further work (DESIGN.md
+  /// §1). Otherwise the platform's response splits the box into regimes
+  /// (see RegimePartition); on each, the anticipated profit is concave or
+  /// falling, so its maximum is a closed-form point. The price returned is
+  /// one at which the solver attains the supremum: where that is a
+  /// one-sided limit at a jump of the platform's response, the jump is
+  /// bisected (within 1e-9) for the side PlatformBestPrice lands on. At a
+  /// tangency of an interior optimum with its pinned end point, a sampled
+  /// scan keeps the ~1e-9 that rounding of the platform's choice offers.
   double ConsumerBestPrice() const;
+
+  /// Stage 1's supremum over the consumer box, from the same regime walk,
+  /// and the consumer price at which the walk finds it. It is a one-sided
+  /// limit where the platform's response jumps, so it may exceed every
+  /// attained profit by rounding.
+  struct ConsumerSupremum {
+    double profit;
+    double price;
+  };
+  ConsumerSupremum ConsumerProfitSupremum() const;
 
   /// Stage 1, paper-interior form (Thm. 16 / Eq. 22), clamped to the box.
   double ConsumerBestPriceInterior() const;
@@ -183,9 +201,18 @@ class StackelbergSolver {
     std::vector<double> end_d2;      // λ·S at the endpoint
     std::vector<double> c;           // λa − 2θa·b_eff − b_eff
     std::vector<double> denom;       // 2a(1+θa)
-    /// Widened p^J window where the segment's interior optimum may fall
-    /// strictly inside the segment; the exact (original-expression) test
-    /// re-runs inside the window, so widening only costs false positives.
+    /// Θ = a/(2(1+θa)): the slope in p^J of the supply at the segment's
+    /// interior optimum, and the Theorem-16 curvature of its aggregates
+    /// (0 for a flat segment).
+    std::vector<double> curvature;
+    /// The p^J window [interior_lo, interior_hi] where the segment's
+    /// interior optimum lies inside the segment (empty for a flat one).
+    /// Stage 1's walk and certificate read it as is.
+    std::vector<double> interior_lo;
+    std::vector<double> interior_hi;
+    /// The same window widened, for PlatformBestPrice's pruning: the exact
+    /// (original-expression) test re-runs inside it, so widening only
+    /// costs false positives.
     std::vector<double> window_lo;
     std::vector<double> window_hi;
     double init_supply = 0.0;  // S at box.lo under segment 0, clamped
@@ -234,6 +261,52 @@ class StackelbergSolver {
     std::vector<int> cursor;
   };
 
+  /// Stage 1's regime partition of the consumer box, built by every walk
+  /// that the certificate does not settle (BuildRegimePartition). Segment
+  /// j's best platform value at consumer price x, G_j(x) = max over p in
+  /// the segment of Ω(x, p), is its lower end's line, then (on the window
+  /// where its interior optimum lies inside it) a parabola, then its upper
+  /// end's line. The platform's value is the upper envelope of the G_j,
+  /// and since its best response is nondecreasing in x (Topkis), G_j − G_i
+  /// is nondecreasing for i < j: the winners appear in segment order, so
+  /// one stack pass builds the envelope.
+  struct RegimePartition {
+    /// Per segment: φ = √(2Θ), the G sharing its lower line (j − 1, or −1
+    /// for box.lo's; −2 none) and where G_j overtakes that G (NaN: no
+    /// closed form).
+    std::vector<double> phi;
+    std::vector<int> below;
+    std::vector<double> cross;
+    /// The envelope: entry r is segment seg[r] (−1: the box.lo point)
+    /// winning on [start[r], start[r+1]] (the last up to the consumer
+    /// box's hi).
+    std::vector<int> seg;
+    std::vector<double> start;
+  };
+
+  /// A point of the regime walk: consumer price, the anticipated consumer
+  /// profit there, and the platform's response as a sweep position (−1 for
+  /// box.lo, 2j for segment j's interior optimum, 2j+1 for its upper end).
+  /// `edge` marks a point on a regime boundary, where the response may
+  /// jump and the value is only a one-sided limit; `tangent` one where
+  /// segment pos/2's interior optimum meets its upper end. Theorem 16's
+  /// point is valued at the actual response and has neither flag (nor a
+  /// meaningful pos).
+  struct RegimePoint {
+    double price;
+    double profit;
+    int pos;
+    bool edge;
+    bool tangent;
+  };
+  struct RegimeWalk {
+    RegimePoint choice;  // Theorem 16's point unless beaten by > 1e-12
+    RegimePoint best;    // the supremum's point
+    /// PlatformBestPrice(choice.price) when the walk evaluated it (Theorem
+    /// 16's point kept), else NaN.
+    double response;
+  };
+
   StackelbergSolver(GameConfig config, Aggregates agg)
       : config_(std::move(config)), agg_(agg) {
     BuildSupplyKinks();
@@ -247,15 +320,35 @@ class StackelbergSolver {
   /// Rebuilds env_ from seg_ (tail of every BuildSupplyKinks).
   void BuildEnvelopeIndex();
 
+  /// Fills `rg` from seg_.
+  void BuildRegimePartition(RegimePartition* rg) const;
+
+  /// First x >= from at which G_j exceeds G_i (i < j; i = −1 is the box.lo
+  /// line), +inf if none: `from` itself when G_j already does there.
+  double Overtake(const RegimePartition& rg, int i, int j, double from) const;
+
+  /// Value and slope (the supply) at x of sweep position `pos`'s platform
+  /// profit, with PlatformBestPrice's expressions (an interior optimum's
+  /// formula extends past its window).
+  double PositionValue(int pos, double x, double* supply) const;
+
+  /// Supply Στ the consumer is sold when the platform plays sweep position
+  /// `pos` at consumer price x, exactly as TotalTimeAt computes it.
+  double ConsumerSupply(int pos, double x) const;
+
+  /// ConsumerBestPrice, also storing in *response the platform's best
+  /// response to the price when Stage 1 already evaluated it (else NaN).
+  double ConsumerBestPrice(double* response) const;
+
+  /// Theorem 16's point as the incumbent; unless a tangent bound on ln
+  /// certifies it, the regime partition and every regime's closed-form
+  /// maximum, pruned by the same bound.
+  RegimeWalk WalkRegimes() const;
+
   /// Sorts event_scratch_ under the strict total order (price, delta_a,
   /// delta_b, delta_c, src), so the sorted sequence, and the kink
   /// accumulation over it, is unique.
   void SortKinkEvents();
-
-  /// True when (consumer_price, collection_price) reproduce the interior
-  /// regime: prices strictly inside their boxes' interiors is not required,
-  /// but every seller must be strictly active and unsaturated.
-  bool InteriorRegimeHolds(double collection_price) const;
 
   GameConfig config_;
   Aggregates agg_;

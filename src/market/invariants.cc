@@ -544,21 +544,25 @@ void InvariantChecker::CheckStationarity(const EngineStateView& view,
   }
 
   // Stage 1 (Eq. 8 / Thm. 16): the consumer's price maximises the
-  // anticipated profit; value comparison against a full re-solve. After a
+  // anticipated profit (Def. 13): its profit must reach the supremum over
+  // the consumer box, which the regime walk gives in closed form. After a
   // default re-settlement p^J stays committed from the pre-fault
   // coalition, so it is not optimal for the survivor game — the consumer
-  // optimality claim only applies to un-resettled rounds.
+  // optimality claim only applies to un-resettled rounds. The supremum
+  // comes from the engine's own walk, certificate included: the check
+  // catches a committed price that falls short of it, not a flaw in the
+  // walk, which tests/game's oracle fuzz guards.
   if (report.resettled) return;
-  double pj_star = solver.ConsumerBestPrice();
+  const game::StackelbergSolver::ConsumerSupremum sup =
+      solver.ConsumerProfitSupremum();
   double f_at = solver.ConsumerProfitAnticipating(pj);
-  double f_star = solver.ConsumerProfitAnticipating(pj_star);
-  if (f_star - f_at > tol * std::max(1.0, std::fabs(f_star))) {
+  if (sup.profit - f_at > tol * std::max(1.0, std::fabs(sup.profit))) {
     AddViolation(InvariantKind::kStationarity, report.round,
                  "stationarity.consumer_opt",
                  "consumer profit " + Num(f_at) + " at pJ=" + Num(pj) +
-                     " improvable to " + Num(f_star) + " at pJ=" +
-                     Num(pj_star),
-                 f_star - f_at);
+                     " below the supremum " + Num(sup.profit) + " near pJ=" +
+                     Num(sup.price),
+                 sup.profit - f_at);
   }
 }
 

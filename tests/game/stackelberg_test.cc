@@ -293,6 +293,55 @@ TEST(StackelbergTest, ConsumerPriceClampsToBox) {
   EXPECT_DOUBLE_EQ(clamped.value().ConsumerBestPrice(), interior * 0.5);
 }
 
+// Round 1728 of the paper-default campaign (core::MechanismConfig defaults,
+// seed 42): the selected sellers' cost parameters (MakeSellerCosts) and the
+// game's learned qualities. Theorem 16's point passes the interior-regime
+// test: its Theorem-15 price 0.781244 sits just above seller 7's activation
+// at 0.780595. But Ω is not concave across that kink, and the platform
+// does better at 0.779879 without seller 7, so the closed form's premise
+// fails and the consumer's best price lies elsewhere.
+GameConfig PaperRound1728() {
+  GameConfig config;
+  config.sellers = {{0.48034204151525628, 0.5212800570873658},
+                    {0.41240584385327927, 0.46770334505544797},
+                    {0.26836728052982278, 0.13658501509284277},
+                    {0.34269733369881578, 0.52868015657581124},
+                    {0.49087743811075901, 0.64237986021682891},
+                    {0.15909001083277483, 0.57585923505926695},
+                    {0.21253357307404844, 0.12353934041848953},
+                    {0.24485492398401335, 0.85397603530287425},
+                    {0.25188866323977482, 0.82430071086857148},
+                    {0.10585649367206225, 0.26410715914064031}};
+  config.qualities = {0.2160942731622662,  0.71836136835548259,
+                      0.48030257303996599, 0.89999535009960208,
+                      0.87159493899578888, 0.8584740197649029,
+                      0.76173214056743688, 0.91407113505091586,
+                      0.8670932691611879,  0.10488846509208685};
+  config.platform = {0.1, 1.0};
+  config.valuation = {1000.0};
+  config.consumer_price_bounds = {0.01, 100.0};
+  config.collection_price_bounds = {0.01, 5.0};
+  config.max_sensing_time = 1000.0;
+  return config;
+}
+
+TEST(StackelbergTest, Theorem16PointNeedsItsPlatformResponse) {
+  auto solver = StackelbergSolver::Create(PaperRound1728());
+  ASSERT_TRUE(solver.ok());
+  const StackelbergSolver& hs = solver.value();
+  const double thm16 = hs.ConsumerBestPriceInterior();
+  EXPECT_NEAR(thm16, 11.37788, 1e-5);
+  // At Theorem 16's point the platform does not play Theorem 15's price.
+  EXPECT_NEAR(hs.PlatformBestPriceInterior(thm16), 0.781244, 1e-6);
+  EXPECT_NEAR(hs.PlatformBestPrice(thm16), 0.779879, 1e-6);
+  EXPECT_NEAR(hs.ConsumerProfitAnticipating(thm16), 2922.359, 1e-3);
+  // The consumer's best price (a 2e5-point grid agrees) earns ~0.96 more.
+  const double pj = hs.ConsumerBestPrice();
+  EXPECT_NEAR(pj, 11.3782, 1e-4);
+  EXPECT_NEAR(hs.ConsumerProfitAnticipating(pj), 2923.316, 1e-3);
+  EXPECT_EQ(hs.Solve().consumer_price, pj);
+}
+
 TEST(StackelbergTest, DeltaDiscriminantAlwaysPositive) {
   // Δ = (q̄Λ−2)² + 8Θωq̄² > 0, so ConsumerBestPrice is total. Fuzz it.
   stats::Xoshiro256 rng(99);

@@ -15,6 +15,8 @@
 #include "game/stackelberg.h"
 #include "market/trading_engine.h"
 #include "stats/rng.h"
+#include "support/generators.h"
+#include "support/reference_stackelberg.h"
 
 namespace cdt {
 namespace market {
@@ -420,6 +422,85 @@ TEST(InvariantCheckerTest, StationaritySolverFollowsTheRoundsGame) {
   const std::size_t before = checker.violation_count();
   checker.CheckStationarity(view, EquilibriumReport(config, 7));
   EXPECT_EQ(checker.violation_count(), before);
+}
+
+// The report of a round of `config`'s game in which the consumer posted
+// `consumer_price` and the platform and sellers played their best
+// responses to it (sellers 0..K-1 of `costs` selected).
+RoundReport ReportAtConsumerPrice(const game::GameConfig& config,
+                                  std::int64_t round, double consumer_price) {
+  RoundReport report = EquilibriumReport(config, round);
+  auto solver = game::StackelbergSolver::Create(config);
+  EXPECT_TRUE(solver.ok());
+  report.consumer_price = consumer_price;
+  report.collection_price = solver.value().PlatformBestPrice(consumer_price);
+  report.tau = solver.value().SellerBestTimes(report.collection_price);
+  return report;
+}
+
+std::vector<std::string> StationarityChecks(const InvariantChecker& checker) {
+  std::vector<std::string> out;
+  for (const InvariantViolation& v : checker.violations()) {
+    out.push_back(v.check);
+  }
+  return out;
+}
+
+// A consumer price below the optimum, with every later stage responding
+// to it, violates only Stage 1's optimality.
+TEST(InvariantCheckerTest, DoctoredConsumerPriceViolatesStationarity) {
+  game::GameConfig config;
+  config.sellers = {{0.2, 0.5}, {0.3, 0.4}, {0.25, 0.3}};
+  config.qualities = {0.8, 0.6, 0.7};
+  config.platform = {0.1, 1.0};
+  config.valuation = {100.0};
+  config.consumer_price_bounds = {0.01, 100.0};
+  config.collection_price_bounds = {0.01, 10.0};
+  config.max_sensing_time = 1e6;
+  std::vector<game::SellerCostParams> costs = config.sellers;
+  const EngineStateView view = GameView(config, &costs);
+
+  InvariantChecker checker;
+  const RoundReport equilibrium = EquilibriumReport(config, 1);
+  checker.CheckStationarity(view, equilibrium);
+  EXPECT_EQ(checker.violation_count(), 0u);
+
+  checker.CheckStationarity(
+      view, ReportAtConsumerPrice(config, 2, 0.7 * equilibrium.consumer_price));
+  ASSERT_EQ(StationarityChecks(checker),
+            (std::vector<std::string>{"stationarity.consumer_opt"}));
+  EXPECT_EQ(checker.violations()[0].kind, InvariantKind::kStationarity);
+  EXPECT_GT(checker.violations()[0].magnitude, 0.0);
+}
+
+// A Stage-1 miss of the heuristic search (candidates, grid, golden section
+// and jump bisection; testsupport::ReferenceStackelberg) on a
+// RandomGameConfig game: its price earns 293.030 where the regime walk's
+// earns 294.577, so the checker flags it and passes the walk's. A checker
+// that re-ran the heuristic could not see the miss.
+TEST(InvariantCheckerTest, HeuristicStage1MissViolatesStationarity) {
+  stats::Xoshiro256 rng(2600 * 0x9E3779B97F4A7C15ULL);
+  const game::GameConfig config = testsupport::RandomGameConfig(rng);
+  std::vector<game::SellerCostParams> costs = config.sellers;
+  const EngineStateView view = GameView(config, &costs);
+  auto solver = game::StackelbergSolver::Create(config);
+  ASSERT_TRUE(solver.ok());
+
+  const double heuristic =
+      testsupport::ReferenceStackelberg(config).ConsumerBestPrice();
+  EXPECT_NEAR(heuristic, 9.1998, 1e-4);
+  EXPECT_NEAR(solver.value().ConsumerProfitAnticipating(heuristic), 293.030,
+              1e-3);
+  InvariantChecker checker;
+  checker.CheckStationarity(view, ReportAtConsumerPrice(config, 1, heuristic));
+  ASSERT_EQ(StationarityChecks(checker),
+            (std::vector<std::string>{"stationarity.consumer_opt"}));
+  EXPECT_NEAR(checker.violations()[0].magnitude, 294.577 - 293.030, 1e-3);
+
+  const double walk = solver.value().ConsumerBestPrice();
+  EXPECT_NEAR(walk, 6.9323, 1e-4);
+  checker.CheckStationarity(view, ReportAtConsumerPrice(config, 2, walk));
+  EXPECT_EQ(checker.violation_count(), 1u);
 }
 
 TEST(InvariantCheckerTest, RegretMonotonicityViolationIsDetected) {
