@@ -277,6 +277,7 @@ void ReliabilityTracker::RecordFault(int seller, std::int64_t round,
     s.probation_progress = 0;
     s.consecutive_faults = 0;
     ++s.times_opened;
+    ++total_opened_;
   }
 }
 
@@ -295,6 +296,12 @@ Status ReliabilityTracker::Restore(std::vector<SellerReliability> sellers,
   if (total_faults < 0) {
     return Status::InvalidArgument("negative total fault count");
   }
+  // RecordFault bumps the total with exactly one of defaults/corruptions,
+  // so the total must equal their sum. Every term is non-negative, so a
+  // running sum that would pass INT64_MAX can never match.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::int64_t fault_sum = 0;
+  std::int64_t opened_sum = 0;
   for (const SellerReliability& s : sellers) {
     if (s.deliveries < 0 || s.partials < 0 || s.defaults < 0 ||
         s.corruptions < 0 || s.quarantine_drops < 0 || s.times_opened < 0 ||
@@ -302,9 +309,22 @@ Status ReliabilityTracker::Restore(std::vector<SellerReliability> sellers,
         s.opened_round < 0) {
       return Status::InvalidArgument("negative reliability counter");
     }
+    if (s.defaults > kMax - fault_sum ||
+        s.corruptions > kMax - fault_sum - s.defaults ||
+        s.times_opened > kMax - opened_sum) {
+      return Status::InvalidArgument("reliability counters overflow int64");
+    }
+    fault_sum += s.defaults + s.corruptions;
+    opened_sum += s.times_opened;
+  }
+  if (fault_sum != total_faults) {
+    return Status::InvalidArgument(
+        "restored total_faults disagrees with per-seller counters: " +
+        std::to_string(total_faults) + " vs " + std::to_string(fault_sum));
   }
   sellers_ = std::move(sellers);
   total_faults_ = total_faults;
+  total_opened_ = opened_sum;
   return Status::OK();
 }
 

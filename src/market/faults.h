@@ -206,11 +206,16 @@ class ReliabilityTracker {
   void RecordQuarantineDrop(int seller);
 
   std::int64_t total_faults() const { return total_faults_; }
+  /// Breaker open transitions summed over all sellers (Σ times_opened).
+  std::int64_t total_opened() const { return total_opened_; }
 
   /// Full per-seller state, for snapshot capture.
   const std::vector<SellerReliability>& sellers() const { return sellers_; }
 
   /// Restores a previously captured tracker state (snapshot/replay).
+  /// Fails with kInvalidArgument, leaving the tracker untouched, on a
+  /// negative counter or a `total_faults` other than Σ(defaults +
+  /// corruptions).
   util::Status Restore(std::vector<SellerReliability> sellers,
                        std::int64_t total_faults);
 
@@ -224,6 +229,7 @@ class ReliabilityTracker {
   RecoveryOptions options_;
   std::vector<SellerReliability> sellers_;
   std::int64_t total_faults_ = 0;
+  std::int64_t total_opened_ = 0;
 };
 
 /// Adapts the breaker gate into the bandit layer's availability shape so an

@@ -1,6 +1,8 @@
 #include "market/trading_engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "game/profit.h"
 #include "obs/metrics.h"
@@ -14,9 +16,21 @@ namespace market {
 using util::Result;
 using util::Status;
 
-#if CDT_TELEMETRY
 namespace {
 
+// Price interval must be finite, non-empty, with a non-negative floor
+// (NaN-safe). `what` names the interval in error messages.
+Status ValidatePriceBounds(const util::Interval& bounds,
+                           const std::string& what) {
+  if (!std::isfinite(bounds.lo) || !std::isfinite(bounds.hi) ||
+      !bounds.valid() || bounds.lo < 0.0) {
+    return Status::InvalidArgument(
+        what + " must be a finite interval with 0 <= lo <= hi");
+  }
+  return Status::OK();
+}
+
+#if CDT_TELEMETRY
 // Handle getters for CDT_SPAN_TIMED: each site caches the result in a
 // function-local static, so the registry mutex is touched once per site.
 obs::Histogram* RoundLatencyHistogram() {
@@ -32,9 +46,9 @@ obs::Histogram* BanditSelectHistogram() {
       "Wall-clock seconds of the CMAB seller-selection step.",
       obs::DefaultLatencyBuckets());
 }
+#endif  // CDT_TELEMETRY
 
 }  // namespace
-#endif  // CDT_TELEMETRY
 
 Status EngineConfig::Validate(int num_sellers) const {
   CDT_RETURN_NOT_OK(job.Validate());
@@ -56,7 +70,10 @@ Status EngineConfig::Validate(int num_sellers) const {
   if (!(initial_tau > 0.0) || initial_tau > job.round_duration) {
     return Status::InvalidArgument("initial_tau must lie in (0, T]");
   }
-  CDT_RETURN_NOT_OK(ValidateQualityFloor(quality_floor));
+  if (!std::isfinite(quality_floor) || !(quality_floor > 0.0) ||
+      quality_floor > 1.0) {
+    return Status::InvalidArgument("quality_floor must be in (0, 1]");
+  }
   if (consumer_budget < 0.0) {
     return Status::InvalidArgument("consumer_budget must be >= 0");
   }

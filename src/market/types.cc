@@ -1,7 +1,5 @@
 #include "market/types.h"
 
-#include <cmath>
-
 namespace cdt {
 namespace market {
 
@@ -41,24 +39,6 @@ std::vector<int> DeliveredDataSellers(const RoundReport& report) {
     if (!corrupted) delivered.push_back(seller);
   }
   return delivered;
-}
-
-Status ValidateQualityFloor(double quality_floor) {
-  if (!std::isfinite(quality_floor) || !(quality_floor > 0.0) ||
-      quality_floor > 1.0) {
-    return Status::InvalidArgument("quality_floor must be in (0, 1]");
-  }
-  return Status::OK();
-}
-
-Status ValidatePriceBounds(const util::Interval& bounds,
-                           const std::string& what) {
-  if (!std::isfinite(bounds.lo) || !std::isfinite(bounds.hi) ||
-      !bounds.valid() || bounds.lo < 0.0) {
-    return Status::InvalidArgument(
-        what + " must be a finite interval with 0 <= lo <= hi");
-  }
-  return Status::OK();
 }
 
 }  // namespace market

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "market/faults.h"
-#include "util/math_util.h"
 #include "util/status.h"
 
 namespace cdt {
@@ -76,17 +75,6 @@ struct RoundReport {
 /// coalition minus corrupted reporters, or nobody for a voided round.
 /// (Defaulters are already absent from `selected` after re-settlement.)
 std::vector<int> DeliveredDataSellers(const RoundReport& report);
-
-// Shared config checks used by both EngineConfig::Validate and
-// MarketplaceConfig::Validate so the two cannot drift (NaN-safe).
-
-/// quality_floor must be finite and in (0, 1].
-util::Status ValidateQualityFloor(double quality_floor);
-
-/// Price interval must be finite, non-empty, with a non-negative floor.
-/// `what` names the interval in error messages.
-util::Status ValidatePriceBounds(const util::Interval& bounds,
-                                 const std::string& what);
 
 }  // namespace market
 }  // namespace cdt

@@ -123,10 +123,7 @@ Status TelemetryObserver::OnRound(const TradingEngine& engine,
   const market::ReliabilityTracker& rel = engine.reliability();
   breaker_open_sellers_->Set(
       static_cast<double>(rel.QuarantinedCount(report.round)));
-  std::int64_t opened = 0;
-  for (int i = 0; i < rel.num_sellers(); ++i) {
-    opened += rel.seller(i).times_opened;
-  }
+  const std::int64_t opened = rel.total_opened();
   if (opened > breaker_opened_seen_) {
     breaker_opened_total_->Add(
         static_cast<double>(opened - breaker_opened_seen_));

@@ -262,10 +262,12 @@ TEST(FaultAcceptanceTest, LongCampaignAtThirtyPercentDefaults) {
   EXPECT_GT(engine.fault_count(market::FaultKind::kPartialDelivery), 0);
   EXPECT_GT(engine.fault_count(market::FaultKind::kSettlementFailure), 0);
   EXPECT_GT(engine.fault_count(market::FaultKind::kQuarantine), 0);
-  std::int64_t opened = 0;
+  const std::int64_t opened = engine.reliability().total_opened();
+  std::int64_t per_seller_opened = 0;
   for (int i = 0; i < config.num_sellers; ++i) {
-    opened += engine.reliability().seller(i).times_opened;
+    per_seller_opened += engine.reliability().seller(i).times_opened;
   }
+  EXPECT_EQ(opened, per_seller_opened);
   EXPECT_GT(opened, 0);
 
   // Degradation must not have destroyed learning: the collector still saw

@@ -1,7 +1,6 @@
 // Integration tests for the extension features working *together*:
-// budgeted campaigns streamed to run logs and analysed offline, the
-// marketplace under shared learning, and delayed feedback inside the full
-// trading engine.
+// budgeted campaigns streamed to run logs and analysed offline, and
+// delayed feedback inside the full trading engine.
 
 #include <filesystem>
 #include <unistd.h>
@@ -12,7 +11,6 @@
 #include "bandit/cucb_policy.h"
 #include "bandit/delayed_feedback.h"
 #include "core/cmab_hs.h"
-#include "market/marketplace.h"
 #include "market/run_log.h"
 #include "market/trading_engine.h"
 #include "stats/rng.h"
@@ -116,53 +114,6 @@ TEST(ExtensionsIntegrationTest, DelayedFeedbackInsideFullEngine) {
             expected_prompt);
   EXPECT_EQ(lagged->total_observations(), expected_lagged);
   EXPECT_NEAR(engine.value()->ledger().NetPosition(), 0.0, 1e-6);
-}
-
-TEST(ExtensionsIntegrationTest, MarketplaceLearningMatchesSoloQuality) {
-  // After shared learning, the marketplace's estimate of each seller's
-  // quality converges to the environment's effective quality.
-  bandit::EnvironmentConfig env_config;
-  env_config.num_sellers = 9;
-  env_config.num_pois = 4;
-  env_config.seed = 14;
-  auto env = bandit::QualityEnvironment::Create(env_config);
-  ASSERT_TRUE(env.ok());
-
-  market::MarketplaceConfig config;
-  config.base_job.num_pois = 4;
-  config.base_job.num_rounds = 400;
-  config.base_job.round_duration = 1000.0;
-  market::MarketplaceJob a;
-  a.name = "job-a";
-  a.num_selected = 4;
-  a.valuation = {900.0};
-  a.consumer_price_bounds = {0.01, 100.0};
-  a.collection_price_bounds = {0.01, 5.0};
-  market::MarketplaceJob b = a;
-  b.name = "job-b";
-  b.num_selected = 5;
-  b.valuation = {1100.0};
-  config.jobs = {a, b};
-  stats::Xoshiro256 rng(2);
-  for (int i = 0; i < 9; ++i) {
-    config.seller_costs.push_back(
-        {rng.NextDouble(0.1, 0.5), rng.NextDouble(0.1, 1.0)});
-  }
-  config.platform_cost = {0.1, 1.0};
-
-  auto marketplace = market::Marketplace::Create(config, &env.value());
-  ASSERT_TRUE(marketplace.ok());
-  ASSERT_TRUE(marketplace.value()->RunAll().ok());
-
-  // With ΣK_j = M, every seller is selected every round: all estimates
-  // converge tightly.
-  for (int i = 0; i < 9; ++i) {
-    const bandit::ArmState& arm =
-        marketplace.value()->shared_estimates().arm(i);
-    EXPECT_EQ(arm.observations, 400u * 4u);
-    EXPECT_NEAR(arm.mean, env.value().effective_quality(i), 0.02)
-        << "seller " << i;
-  }
 }
 
 }  // namespace

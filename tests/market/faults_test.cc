@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace cdt {
 namespace market {
@@ -320,6 +321,63 @@ TEST(ReliabilityTrackerTest, QuarantineAvailabilityAdapterMatchesGate) {
   EXPECT_TRUE(gate(0, 5));
   EXPECT_FALSE(gate(2, 5));
   EXPECT_TRUE(gate(2, 13));
+}
+
+TEST(ReliabilityTrackerTest, RestoreRejectsAFaultTotalOffTheSellerSum) {
+  ReliabilityTracker source(3, BreakerOptions());
+  source.RecordFault(0, 1, FaultKind::kSellerDefault);
+  source.RecordFault(2, 2, FaultKind::kCorruptedReport);
+  source.RecordFault(2, 3, FaultKind::kSellerDefault);
+  ASSERT_EQ(source.total_faults(), 3);
+
+  ReliabilityTracker target(3, BreakerOptions());
+  util::Status bumped =
+      target.Restore(source.sellers(), source.total_faults() + 1);
+  EXPECT_EQ(bumped.code(), util::StatusCode::kInvalidArgument);
+  // A refused restore leaves the tracker untouched.
+  EXPECT_EQ(target.total_faults(), 0);
+  EXPECT_EQ(target.seller(2).defaults, 0);
+
+  // Two sellers at INT64_MAX plus 3 wrap to exactly 1 in 64 bits: only
+  // an overflowing sum would match this total.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<SellerReliability> wrapped(3);
+  wrapped[0].defaults = kMax;
+  wrapped[1].corruptions = kMax;
+  wrapped[2].defaults = 3;
+  util::Status overflow = target.Restore(wrapped, 1);
+  EXPECT_EQ(overflow.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(target.total_faults(), 0);
+
+  EXPECT_TRUE(target.Restore(source.sellers(), source.total_faults()).ok());
+  EXPECT_EQ(target.total_faults(), 3);
+}
+
+TEST(ReliabilityTrackerTest, TotalOpenedTracksTheSellerSumAcrossRestore) {
+  ReliabilityTracker source(3, BreakerOptions());
+  for (std::int64_t round = 1; round <= 3; ++round) {
+    source.RecordFault(0, round, FaultKind::kSellerDefault);
+    source.RecordFault(1, round, FaultKind::kCorruptedReport);
+  }
+  source.RecordDelivery(0, 14, /*partial=*/false);  // probation
+  source.RecordFault(0, 15, FaultKind::kSellerDefault);  // reopens
+  ASSERT_EQ(source.seller(0).times_opened, 2);
+  ASSERT_EQ(source.seller(1).times_opened, 1);
+  EXPECT_EQ(source.total_opened(), 3);
+
+  ReliabilityTracker target(3, BreakerOptions());
+  ASSERT_TRUE(target.Restore(source.sellers(), source.total_faults()).ok());
+  EXPECT_EQ(target.total_opened(), 3);
+  for (std::int64_t round = 16; round <= 18; ++round) {
+    target.RecordFault(2, round, FaultKind::kSellerDefault);
+  }
+  ASSERT_EQ(target.seller(2).state, BreakerState::kOpen);
+  std::int64_t per_seller = 0;
+  for (int i = 0; i < target.num_sellers(); ++i) {
+    per_seller += target.seller(i).times_opened;
+  }
+  EXPECT_EQ(per_seller, 4);
+  EXPECT_EQ(target.total_opened(), per_seller);
 }
 
 // --------------------------------------------------------------- encoding
