@@ -1,10 +1,11 @@
 // Campaign runner: the "operations" workflow a platform team would use.
 // Reads mechanism parameters from a key=value config file (or flags), runs
-// the campaign while streaming every round to a CSV run log, then loads
-// the log back and prints the offline analysis (summary, smoothed profit,
-// regret curve checkpoints, selection convergence).
+// the campaign while recording every round to an event log, then loads the
+// log back and prints the offline analysis (summary, regret curve
+// checkpoints, selection convergence). `cdt_replay verify` and
+// `cdt_replay export-csv` read the same log.
 //
-//   ./campaign_runner [--config=<file>] [--log=<csv>] [--m=50] [--k=5]
+//   ./campaign_runner [--config=<file>] [--log=<cdtlog>] [--m=50] [--k=5]
 //                     [--rounds=2000] [--seed=11]
 //
 // Config file lines mirror the flags, e.g.:
@@ -18,7 +19,8 @@
 
 #include "analysis/run_analysis.h"
 #include "core/cmab_hs.h"
-#include "market/run_log.h"
+#include "persist/recorder.h"
+#include "persist/replay.h"
 #include "util/config.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -78,7 +80,7 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(
       opts.value().GetInt("seed", 11).value_or(11));
   std::string log_path =
-      opts.value().GetString("log", "campaign_log.csv").value_or("");
+      opts.value().GetString("log", "campaign.cdtlog").value_or("");
 
   if (!config.Validate().ok()) {
     std::cerr << "invalid configuration: "
@@ -99,34 +101,33 @@ int main(int argc, char** argv) {
     std::cerr << run.status().ToString() << "\n";
     return 1;
   }
-  auto writer = market::RunLogWriter::Open(log_path);
-  if (!writer.ok()) {
-    std::cerr << writer.status().ToString() << "\n";
+  persist::RunRecorder::Options record;
+  record.log_path = log_path;
+  auto recorder = persist::RunRecorder::Create(record, config,
+                                               run.value()->policy_spec());
+  if (!recorder.ok()) {
+    std::cerr << recorder.status().ToString() << "\n";
     return 1;
   }
-  util::Status status =
-      run.value()->RunAll([&](const market::RoundReport& report) {
-        util::Status append = writer.value().Append(report);
-        if (!append.ok()) std::cerr << append.ToString() << "\n";
-      });
+  persist::RunRecorder* log = recorder.value().get();
+  run.value()->mutable_engine().AddObserver(std::move(recorder).value());
+  util::Status status = run.value()->RunAll();
+  if (status.ok()) status = log->Finish();
   if (!status.ok()) {
     std::cerr << status.ToString() << "\n";
     return 1;
   }
-  if (!writer.value().Close().ok()) {
-    std::cerr << "failed to close run log\n";
-    return 1;
-  }
-  std::cout << "Run log: " << log_path << " ("
-            << writer.value().rows_written() << " rounds)\n\n";
 
-  // --- offline analysis from the persisted log ---
-  auto rows = market::LoadRunLog(log_path);
-  if (!rows.ok()) {
-    std::cerr << rows.status().ToString() << "\n";
+  // --- offline analysis from the recorded log ---
+  auto recorded = persist::LoadRecordedRun(log_path);
+  if (!recorded.ok()) {
+    std::cerr << recorded.status().ToString() << "\n";
     return 1;
   }
-  auto stats = analysis::Summarize(rows.value());
+  const std::vector<market::RoundReport>& rounds = recorded.value().rounds;
+  std::cout << "Event log: " << log_path << " (" << rounds.size()
+            << " rounds)\n\n";
+  auto stats = analysis::Summarize(rounds);
   if (!stats.ok()) {
     std::cerr << stats.status().ToString() << "\n";
     return 1;
@@ -152,17 +153,18 @@ int main(int argc, char** argv) {
   double optimal_round =
       run.value()->environment().OptimalSetQuality(config.num_selected) *
       config.num_pois;
-  auto regret = analysis::CumulativeRegretCurve(rows.value(), optimal_round);
+  auto regret = analysis::CumulativeRegretCurve(rounds, optimal_round);
   if (regret.ok() && !regret.value().empty()) {
     std::cout << "\nCumulative regret checkpoints:\n";
     for (double frac : {0.25, 0.5, 0.75, 1.0}) {
-      std::size_t idx = static_cast<std::size_t>(
-          frac * static_cast<double>(regret.value().size())) - 1;
-      std::cout << "  round " << idx + 1 << ": "
-                << util::FormatDouble(regret.value()[idx], 1) << "\n";
+      std::size_t round = static_cast<std::size_t>(
+          frac * static_cast<double>(regret.value().size()));
+      if (round == 0) continue;  // fewer than 1/frac rounds
+      std::cout << "  round " << round << ": "
+                << util::FormatDouble(regret.value()[round - 1], 1) << "\n";
     }
   }
-  auto converged = analysis::DetectSelectionConvergence(rows.value(), 50);
+  auto converged = analysis::DetectSelectionConvergence(rounds, 50);
   if (converged.ok()) {
     if (converged.value() > 0) {
       std::cout << "\nSelection converged at round " << converged.value()

@@ -6,63 +6,63 @@
 namespace cdt {
 namespace analysis {
 
-using market::RunLogRow;
+using market::RoundReport;
 using util::Result;
 using util::Status;
 
-Result<RunStatistics> Summarize(const std::vector<RunLogRow>& rows) {
-  if (rows.empty()) {
-    return Status::InvalidArgument("cannot summarise an empty run log");
+Result<RunStatistics> Summarize(const std::vector<RoundReport>& rounds) {
+  if (rounds.empty()) {
+    return Status::InvalidArgument("cannot summarise an empty run");
   }
   RunStatistics stats;
-  stats.rounds = static_cast<std::int64_t>(rows.size());
-  for (const RunLogRow& row : rows) {
-    stats.total_consumer_profit += row.consumer_profit;
-    stats.total_platform_profit += row.platform_profit;
-    stats.total_seller_profit += row.seller_profit_total;
-    stats.total_expected_revenue += row.expected_quality_revenue;
-    stats.total_observed_revenue += row.observed_quality_revenue;
-    stats.mean_consumer_price += row.consumer_price;
-    stats.mean_collection_price += row.collection_price;
-    stats.mean_total_time += row.total_time;
-    if (row.initial_exploration) ++stats.exploration_rounds;
+  stats.rounds = static_cast<std::int64_t>(rounds.size());
+  for (const RoundReport& report : rounds) {
+    stats.total_consumer_profit += report.consumer_profit;
+    stats.total_platform_profit += report.platform_profit;
+    stats.total_seller_profit += report.seller_profit_total;
+    stats.total_expected_revenue += report.expected_quality_revenue;
+    stats.total_observed_revenue += report.observed_quality_revenue;
+    stats.mean_consumer_price += report.consumer_price;
+    stats.mean_collection_price += report.collection_price;
+    stats.mean_total_time += report.total_time;
+    if (report.initial_exploration) ++stats.exploration_rounds;
   }
-  double n = static_cast<double>(rows.size());
+  double n = static_cast<double>(rounds.size());
   stats.mean_consumer_price /= n;
   stats.mean_collection_price /= n;
   stats.mean_total_time /= n;
   return stats;
 }
 
-std::vector<double> ExtractMetric(const std::vector<RunLogRow>& rows,
+std::vector<double> ExtractMetric(const std::vector<RoundReport>& rounds,
                                   Metric metric) {
   std::vector<double> out;
-  out.reserve(rows.size());
-  for (const RunLogRow& row : rows) {
+  out.reserve(rounds.size());
+  for (const RoundReport& report : rounds) {
     switch (metric) {
       case Metric::kConsumerProfit:
-        out.push_back(row.consumer_profit);
+        out.push_back(report.consumer_profit);
         break;
       case Metric::kPlatformProfit:
-        out.push_back(row.platform_profit);
+        out.push_back(report.platform_profit);
         break;
       case Metric::kSellerProfitTotal:
-        out.push_back(row.seller_profit_total);
+        out.push_back(report.seller_profit_total);
         break;
       case Metric::kConsumerPrice:
-        out.push_back(row.consumer_price);
+        out.push_back(report.consumer_price);
         break;
       case Metric::kCollectionPrice:
-        out.push_back(row.collection_price);
+        out.push_back(report.collection_price);
         break;
       case Metric::kTotalTime:
-        out.push_back(row.total_time);
+        out.push_back(report.total_time);
         break;
       case Metric::kExpectedQualityRevenue:
-        out.push_back(row.expected_quality_revenue);
+        out.push_back(report.expected_quality_revenue);
         break;
       case Metric::kObservedQualityRevenue:
-        out.push_back(row.observed_quality_revenue);
+        out.push_back(report.observed_quality_revenue);
         break;
     }
   }
@@ -86,32 +86,30 @@ Result<std::vector<double>> MovingAverage(const std::vector<double>& values,
 }
 
 Result<std::vector<double>> CumulativeRegretCurve(
-    const std::vector<RunLogRow>& rows, double optimal_round_revenue) {
+    const std::vector<RoundReport>& rounds, double optimal_round_revenue) {
   if (optimal_round_revenue <= 0.0) {
     return Status::InvalidArgument("optimal_round_revenue must be > 0");
   }
-  std::vector<double> out(rows.size());
+  std::vector<double> out(rounds.size());
   double total = 0.0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    total += optimal_round_revenue - rows[i].expected_quality_revenue;
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    total += optimal_round_revenue - rounds[i].expected_quality_revenue;
     out[i] = total;
   }
   return out;
 }
 
 Result<std::int64_t> DetectSelectionConvergence(
-    const std::vector<RunLogRow>& rows, std::int64_t stable_rounds) {
+    const std::vector<RoundReport>& rounds, std::int64_t stable_rounds) {
   if (stable_rounds <= 0) {
     return Status::InvalidArgument("stable_rounds must be > 0");
   }
-  if (rows.empty()) return static_cast<std::int64_t>(0);
+  if (rounds.empty()) return static_cast<std::int64_t>(0);
 
   std::vector<std::set<int>> sets;
-  sets.reserve(rows.size());
-  for (const RunLogRow& row : rows) {
-    Result<std::vector<int>> ids = market::ParseSelectedSet(row.selected);
-    if (!ids.ok()) return ids.status();
-    sets.emplace_back(ids.value().begin(), ids.value().end());
+  sets.reserve(rounds.size());
+  for (const RoundReport& report : rounds) {
+    sets.emplace_back(report.selected.begin(), report.selected.end());
   }
   // Walk backwards: find the start of the final stable streak.
   std::size_t start = sets.size() - 1;

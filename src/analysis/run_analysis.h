@@ -1,7 +1,8 @@
-// Offline analysis over persisted run logs (market::RunLogRow): summary
-// statistics, metric extraction, moving-average smoothing, cumulative
-// regret curves and selection-convergence detection. Lets users audit a
-// long campaign from its CSV without re-simulation.
+// Offline analysis over recorded rounds (the market::RoundReport list that
+// persist::LoadRecordedRun decodes from an event log): summary statistics,
+// metric extraction, moving-average smoothing, cumulative regret curves and
+// selection-convergence detection. Lets users audit a long campaign from
+// its recording without re-simulation.
 
 #ifndef CDT_ANALYSIS_RUN_ANALYSIS_H_
 #define CDT_ANALYSIS_RUN_ANALYSIS_H_
@@ -9,13 +10,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "market/run_log.h"
+#include "market/types.h"
 #include "util/status.h"
 
 namespace cdt {
 namespace analysis {
 
-/// Whole-run aggregate of a run log.
+/// Whole-run aggregate of a recorded run.
 struct RunStatistics {
   std::int64_t rounds = 0;
   double total_consumer_profit = 0.0;
@@ -30,9 +31,9 @@ struct RunStatistics {
   std::int64_t exploration_rounds = 0;
 };
 
-/// Aggregates a run log; errors on empty input.
+/// Aggregates a recorded run; errors on empty input.
 util::Result<RunStatistics> Summarize(
-    const std::vector<market::RunLogRow>& rows);
+    const std::vector<market::RoundReport>& rounds);
 
 /// Selectable metric columns.
 enum class Metric {
@@ -47,8 +48,8 @@ enum class Metric {
 };
 
 /// Extracts one metric column in round order.
-std::vector<double> ExtractMetric(const std::vector<market::RunLogRow>& rows,
-                                  Metric metric);
+std::vector<double> ExtractMetric(
+    const std::vector<market::RoundReport>& rounds, Metric metric);
 
 /// Centred-as-possible trailing moving average with window `window` >= 1
 /// (the first window-1 entries average the available prefix).
@@ -59,14 +60,15 @@ util::Result<std::vector<double>> MovingAverage(
 /// (optimal_round_revenue − expected_quality_revenue). Initial-exploration
 /// rounds are included (they are part of Algorithm 1's cost).
 util::Result<std::vector<double>> CumulativeRegretCurve(
-    const std::vector<market::RunLogRow>& rows,
+    const std::vector<market::RoundReport>& rounds,
     double optimal_round_revenue);
 
 /// First 1-based round index from which the *selected set* (order
 /// ignored) stays identical for at least `stable_rounds` consecutive
-/// rounds and through the end of the log; 0 when never converged.
+/// rounds and through the end of the run; 0 when never converged.
 util::Result<std::int64_t> DetectSelectionConvergence(
-    const std::vector<market::RunLogRow>& rows, std::int64_t stable_rounds);
+    const std::vector<market::RoundReport>& rounds,
+    std::int64_t stable_rounds);
 
 }  // namespace analysis
 }  // namespace cdt

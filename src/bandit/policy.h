@@ -63,11 +63,8 @@ class SelectionPolicy {
   /// Mutable estimator for snapshot restore; nullptr when the policy keeps
   /// no learning state (or does not support restore).
   ///
-  /// Contract: a non-null bank is the policy's whole learning state, and
-  /// Observe() feeds every batch into it at once, so it never lags the
-  /// observations. TradingEngine relies on that to price from this bank
-  /// instead of keeping its own, so a policy whose bank can lag the
-  /// observations (DelayedFeedbackPolicy) must return nullptr.
+  /// Contract: a non-null bank is the policy's whole learning state.
+  /// TradingEngine prices from it instead of keeping its own bank.
   virtual EstimatorBank* mutable_estimator() { return nullptr; }
 };
 

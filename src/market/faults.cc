@@ -314,6 +314,16 @@ Status ReliabilityTracker::Restore(std::vector<SellerReliability> sellers,
         s.times_opened > kMax - opened_sum) {
       return Status::InvalidArgument("reliability counters overflow int64");
     }
+    // Only RecordFault opens a breaker, once per fault at most, and
+    // probation is entered only from open.
+    if (s.times_opened > s.defaults + s.corruptions) {
+      return Status::InvalidArgument(
+          "breaker opened more often than the seller faulted");
+    }
+    if (s.state != BreakerState::kClosed && s.times_opened == 0) {
+      return Status::InvalidArgument(
+          "breaker open or on probation but never opened");
+    }
     fault_sum += s.defaults + s.corruptions;
     opened_sum += s.times_opened;
   }

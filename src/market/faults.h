@@ -214,8 +214,10 @@ class ReliabilityTracker {
 
   /// Restores a previously captured tracker state (snapshot/replay).
   /// Fails with kInvalidArgument, leaving the tracker untouched, on a
-  /// negative counter or a `total_faults` other than Σ(defaults +
-  /// corruptions).
+  /// negative counter, a `total_faults` other than Σ(defaults +
+  /// corruptions), or a breaker history RecordFault cannot produce
+  /// (times_opened above the seller's faults, or an open/probation
+  /// breaker that never opened).
   util::Status Restore(std::vector<SellerReliability> sellers,
                        std::int64_t total_faults);
 

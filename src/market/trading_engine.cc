@@ -116,10 +116,10 @@ Result<std::unique_ptr<TradingEngine>> TradingEngine::Create(
   bool check_invariants = config.check_invariants;
   auto engine = std::unique_ptr<TradingEngine>(
       new TradingEngine(std::move(config), environment, std::move(policy)));
-  // Price from the policy's bank when it is the policy's whole learning
-  // state (see SelectionPolicy::mutable_estimator); otherwise keep a
-  // private Eq. (17)-(18) bank, whose exploration constant is irrelevant
-  // (only means are consumed) but must be positive.
+  // Price from the policy's bank when it exposes one (see
+  // SelectionPolicy::mutable_estimator); otherwise keep a private
+  // Eq. (17)-(18) bank fed the same batches, whose exploration constant is
+  // irrelevant (only means are consumed) but must be positive.
   engine->bank_ = engine->policy_->mutable_estimator();
   if (engine->bank_ == nullptr) {
     Result<bandit::EstimatorBank> bank =

@@ -1,7 +1,7 @@
 // Cooperative shutdown on SIGINT/SIGTERM for long-running binaries.
 //
 // InstallShutdownHandlers() registers async-signal-safe handlers that only
-// set a flag; loops that write durable artifacts (event logs, run-log CSVs,
+// set a flag; loops that write artifacts (event logs, CSV exports,
 // service drains) poll ShutdownRequested() between units of work and exit
 // through their normal flush/close path instead of dying mid-record with a
 // torn tail. A second signal restores the default disposition, so a stuck

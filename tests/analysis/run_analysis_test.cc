@@ -3,18 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "core/cmab_hs.h"
-#include "market/run_log.h"
 
 namespace cdt {
 namespace analysis {
 namespace {
 
-market::RunLogRow MakeRow(std::int64_t round, const std::string& selected,
-                          double poc = 10.0, double revenue = 5.0) {
-  market::RunLogRow row;
+market::RoundReport MakeRow(std::int64_t round, std::vector<int> selected,
+                            double poc = 10.0, double revenue = 5.0) {
+  market::RoundReport row;
   row.round = round;
   row.initial_exploration = round == 1;
-  row.selected = selected;
+  row.selected = std::move(selected);
   row.consumer_price = 2.0;
   row.collection_price = 1.0;
   row.total_time = 4.0;
@@ -31,8 +30,8 @@ TEST(SummarizeTest, ErrorsOnEmpty) {
 }
 
 TEST(SummarizeTest, AggregatesCorrectly) {
-  std::vector<market::RunLogRow> rows{MakeRow(1, "0+1", 10.0, 5.0),
-                                      MakeRow(2, "0+1", 20.0, 6.0)};
+  std::vector<market::RoundReport> rows{MakeRow(1, {0, 1}, 10.0, 5.0),
+                                        MakeRow(2, {0, 1}, 20.0, 6.0)};
   auto stats = Summarize(rows);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().rounds, 2);
@@ -44,7 +43,7 @@ TEST(SummarizeTest, AggregatesCorrectly) {
 }
 
 TEST(ExtractMetricTest, AllColumns) {
-  std::vector<market::RunLogRow> rows{MakeRow(1, "0")};
+  std::vector<market::RoundReport> rows{MakeRow(1, {0})};
   EXPECT_DOUBLE_EQ(ExtractMetric(rows, Metric::kConsumerProfit)[0], 10.0);
   EXPECT_DOUBLE_EQ(ExtractMetric(rows, Metric::kPlatformProfit)[0], 3.0);
   EXPECT_DOUBLE_EQ(ExtractMetric(rows, Metric::kSellerProfitTotal)[0], 1.5);
@@ -78,9 +77,9 @@ TEST(MovingAverageTest, WindowOneIsIdentity) {
 }
 
 TEST(CumulativeRegretCurveTest, PrefixSums) {
-  std::vector<market::RunLogRow> rows{MakeRow(1, "0", 0, 4.0),
-                                      MakeRow(2, "0", 0, 5.0),
-                                      MakeRow(3, "0", 0, 5.0)};
+  std::vector<market::RoundReport> rows{MakeRow(1, {0}, 0, 4.0),
+                                        MakeRow(2, {0}, 0, 5.0),
+                                        MakeRow(3, {0}, 0, 5.0)};
   auto curve = CumulativeRegretCurve(rows, 5.0);
   ASSERT_TRUE(curve.ok());
   EXPECT_DOUBLE_EQ(curve.value()[0], 1.0);
@@ -90,9 +89,9 @@ TEST(CumulativeRegretCurveTest, PrefixSums) {
 }
 
 TEST(ConvergenceTest, DetectsFinalStableStreak) {
-  std::vector<market::RunLogRow> rows{
-      MakeRow(1, "0+1+2"), MakeRow(2, "1+3"), MakeRow(3, "3+1"),
-      MakeRow(4, "1+3"),   MakeRow(5, "1+3")};
+  std::vector<market::RoundReport> rows{
+      MakeRow(1, {0, 1, 2}), MakeRow(2, {1, 3}), MakeRow(3, {3, 1}),
+      MakeRow(4, {1, 3}),    MakeRow(5, {1, 3})};
   // Rounds 2-5 share the set {1,3} (order ignored) -> converged at 2.
   auto converged = DetectSelectionConvergence(rows, 3);
   ASSERT_TRUE(converged.ok());
@@ -100,17 +99,15 @@ TEST(ConvergenceTest, DetectsFinalStableStreak) {
 }
 
 TEST(ConvergenceTest, ZeroWhenUnstable) {
-  std::vector<market::RunLogRow> rows{MakeRow(1, "0"), MakeRow(2, "1"),
-                                      MakeRow(3, "0")};
+  std::vector<market::RoundReport> rows{MakeRow(1, {0}), MakeRow(2, {1}),
+                                        MakeRow(3, {0})};
   auto converged = DetectSelectionConvergence(rows, 2);
   ASSERT_TRUE(converged.ok());
   EXPECT_EQ(converged.value(), 0);
 }
 
 TEST(ConvergenceTest, Validation) {
-  EXPECT_FALSE(DetectSelectionConvergence({MakeRow(1, "0")}, 0).ok());
-  EXPECT_FALSE(
-      DetectSelectionConvergence({MakeRow(1, "0+x")}, 1).ok());
+  EXPECT_FALSE(DetectSelectionConvergence({MakeRow(1, {0})}, 0).ok());
 }
 
 TEST(AnalysisIntegrationTest, EndToEndOverRealRunLog) {
@@ -122,10 +119,10 @@ TEST(AnalysisIntegrationTest, EndToEndOverRealRunLog) {
   config.seed = 15;
   auto run = core::CmabHs::Create(config);
   ASSERT_TRUE(run.ok());
-  std::vector<market::RunLogRow> rows;
+  std::vector<market::RoundReport> rows;
   ASSERT_TRUE(run.value()
                   ->RunAll([&](const market::RoundReport& report) {
-                    rows.push_back(market::ToRunLogRow(report));
+                    rows.push_back(report);
                   })
                   .ok());
   auto stats = Summarize(rows);
@@ -138,9 +135,7 @@ TEST(AnalysisIntegrationTest, EndToEndOverRealRunLog) {
   // Regret from the log matches the in-memory tracker.
   double optimal_round =
       run.value()->environment().OptimalSetQuality(2) * 3;
-  auto curve = CumulativeRegretCurve(
-      std::vector<market::RunLogRow>(rows.begin(), rows.end()),
-      optimal_round);
+  auto curve = CumulativeRegretCurve(rows, optimal_round);
   ASSERT_TRUE(curve.ok());
   EXPECT_NEAR(curve.value().back(), run.value()->metrics().regret(), 1e-6);
 

@@ -1,6 +1,6 @@
-// Integration tests for the extension features working *together*:
-// budgeted campaigns streamed to run logs and analysed offline, and
-// delayed feedback inside the full trading engine.
+// Integration tests for the extension features working *together*: a
+// budgeted campaign recorded to an event log and analysed offline from the
+// decoded rounds.
 
 #include <filesystem>
 #include <unistd.h>
@@ -8,12 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/run_analysis.h"
-#include "bandit/cucb_policy.h"
-#include "bandit/delayed_feedback.h"
 #include "core/cmab_hs.h"
-#include "market/run_log.h"
-#include "market/trading_engine.h"
-#include "stats/rng.h"
+#include "persist/recorder.h"
+#include "persist/replay.h"
 
 namespace cdt {
 namespace {
@@ -21,7 +18,7 @@ namespace {
 TEST(ExtensionsIntegrationTest, BudgetedCampaignRoundTripsThroughRunLog) {
   std::filesystem::path path =
       std::filesystem::temp_directory_path() /
-      ("cdt_ext_" + std::to_string(::getpid()) + ".csv");
+      ("cdt_ext_" + std::to_string(::getpid()) + ".cdtlog");
 
   core::MechanismConfig config;
   config.num_sellers = 12;
@@ -32,88 +29,36 @@ TEST(ExtensionsIntegrationTest, BudgetedCampaignRoundTripsThroughRunLog) {
   config.seed = 25;
   auto run = core::CmabHs::Create(config);
   ASSERT_TRUE(run.ok());
-  auto writer = market::RunLogWriter::Open(path.string());
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(run.value()
-                  ->RunAll([&](const market::RoundReport& report) {
-                    ASSERT_TRUE(writer.value().Append(report).ok());
-                  })
-                  .ok());
-  ASSERT_TRUE(writer.value().Close().ok());
+  persist::RunRecorder::Options options;
+  options.log_path = path.string();
+  auto recorder = persist::RunRecorder::Create(options, config,
+                                               run.value()->policy_spec());
+  ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
+  persist::RunRecorder* log = recorder.value().get();
+  run.value()->mutable_engine().AddObserver(std::move(recorder).value());
+  ASSERT_TRUE(run.value()->RunAll().ok());
+  ASSERT_TRUE(log->Finish().ok());
 
   // The campaign stopped early on budget; the log must agree exactly with
   // the engine on executed rounds and spend.
   ASSERT_TRUE(run.value()->engine().budget_exhausted());
-  auto rows = market::LoadRunLog(path.string());
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(static_cast<std::int64_t>(rows.value().size()),
+  auto recorded = persist::LoadRecordedRun(path.string());
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  const std::vector<market::RoundReport>& rounds = recorded.value().rounds;
+  EXPECT_EQ(static_cast<std::int64_t>(rounds.size()),
             run.value()->engine().current_round());
   double spend = 0.0;
-  for (const market::RunLogRow& row : rows.value()) {
-    spend += row.consumer_price * row.total_time;
+  for (const market::RoundReport& report : rounds) {
+    spend += report.consumer_price * report.total_time;
   }
   EXPECT_NEAR(spend, run.value()->engine().consumer_spend(), 1e-6);
   EXPECT_LE(spend, config.consumer_budget + 1e-6);
 
-  auto stats = analysis::Summarize(rows.value());
+  auto stats = analysis::Summarize(rounds);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().rounds,
             run.value()->engine().current_round());
   std::filesystem::remove(path);
-}
-
-TEST(ExtensionsIntegrationTest, DelayedFeedbackInsideFullEngine) {
-  // The trading engine runs unmodified with a delay-wrapped policy: the
-  // wrapped estimator lags, the engine's own pricing estimates do not.
-  bandit::EnvironmentConfig env_config;
-  env_config.num_sellers = 10;
-  env_config.num_pois = 3;
-  env_config.seed = 6;
-  auto env = bandit::QualityEnvironment::Create(env_config);
-  ASSERT_TRUE(env.ok());
-
-  bandit::CucbOptions options;
-  options.num_sellers = 10;
-  options.num_selected = 3;
-  auto inner = bandit::CucbPolicy::Create(options);
-  ASSERT_TRUE(inner.ok());
-  auto delayed = bandit::DelayedFeedbackPolicy::Create(
-      std::make_unique<bandit::CucbPolicy>(std::move(inner).value()), 4);
-  ASSERT_TRUE(delayed.ok());
-
-  market::EngineConfig engine_config;
-  engine_config.job.num_pois = 3;
-  engine_config.job.num_rounds = 30;
-  engine_config.job.round_duration = 1000.0;
-  engine_config.num_selected = 3;
-  stats::Xoshiro256 rng(4);
-  for (int i = 0; i < 10; ++i) {
-    engine_config.seller_costs.push_back(
-        {rng.NextDouble(0.1, 0.5), rng.NextDouble(0.1, 1.0)});
-  }
-  engine_config.platform_cost = {0.1, 1.0};
-  engine_config.valuation = {1000.0};
-  engine_config.consumer_price_bounds = {0.01, 100.0};
-  engine_config.collection_price_bounds = {0.01, 5.0};
-
-  auto engine = market::TradingEngine::Create(
-      engine_config, &env.value(),
-      std::make_unique<bandit::DelayedFeedbackPolicy>(
-          std::move(delayed).value()));
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE(engine.value()->RunAll().ok());
-  EXPECT_EQ(engine.value()->current_round(), 30);
-
-  // Policy estimator saw 30 − 4 rounds of feedback; the engine's pricing
-  // bank saw all 30. Round 1 observed all 10 sellers, later rounds 3.
-  const auto* lagged = engine.value()->policy().estimator();
-  ASSERT_NE(lagged, nullptr);
-  std::uint64_t expected_prompt = (10u + 29u * 3u) * 3u;
-  std::uint64_t expected_lagged = (10u + 25u * 3u) * 3u;
-  EXPECT_EQ(engine.value()->pricing_estimates().total_observations(),
-            expected_prompt);
-  EXPECT_EQ(lagged->total_observations(), expected_lagged);
-  EXPECT_NEAR(engine.value()->ledger().NetPosition(), 0.0, 1e-6);
 }
 
 }  // namespace

@@ -380,6 +380,57 @@ TEST(ReliabilityTrackerTest, TotalOpenedTracksTheSellerSumAcrossRestore) {
   EXPECT_EQ(target.total_opened(), per_seller);
 }
 
+TEST(ReliabilityTrackerTest, RestoreRejectsABreakerThatNeverOpened) {
+  ReliabilityTracker source(3, BreakerOptions());
+  for (std::int64_t round = 1; round <= 3; ++round) {
+    source.RecordFault(1, round, FaultKind::kSellerDefault);
+  }
+  ASSERT_EQ(source.seller(1).state, BreakerState::kOpen);
+  ASSERT_EQ(source.seller(1).times_opened, 1);
+
+  ReliabilityTracker target(3, BreakerOptions());
+  for (BreakerState state : {BreakerState::kOpen, BreakerState::kProbation}) {
+    std::vector<SellerReliability> edited = source.sellers();
+    edited[1].state = state;
+    edited[1].times_opened = 0;
+    util::Status status = target.Restore(edited, source.total_faults());
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << BreakerStateName(state);
+    // A refused restore leaves the tracker untouched.
+    EXPECT_EQ(target.seller(1).state, BreakerState::kClosed);
+    EXPECT_EQ(target.total_faults(), 0);
+  }
+  EXPECT_TRUE(target.Restore(source.sellers(), source.total_faults()).ok());
+  EXPECT_EQ(target.total_opened(), 1);
+}
+
+TEST(ReliabilityTrackerTest, RestoreRejectsMoreOpeningsThanFaults) {
+  ReliabilityTracker source(3, BreakerOptions());
+  for (std::int64_t round = 1; round <= 3; ++round) {
+    source.RecordFault(1, round, FaultKind::kCorruptedReport);
+  }
+  ASSERT_EQ(source.seller(1).times_opened, 1);
+
+  ReliabilityTracker target(3, BreakerOptions());
+  // Each opening needs a fault of its own: three faults allow at most
+  // three openings, and a seller with no faults never opened.
+  std::vector<SellerReliability> edited = source.sellers();
+  edited[1].times_opened = 4;
+  util::Status status = target.Restore(edited, source.total_faults());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  edited = source.sellers();
+  edited[0].times_opened = 1;
+  status = target.Restore(edited, source.total_faults());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(target.total_opened(), 0);
+  EXPECT_EQ(target.total_faults(), 0);
+
+  edited = source.sellers();
+  edited[1].times_opened = 3;
+  EXPECT_TRUE(target.Restore(edited, source.total_faults()).ok());
+  EXPECT_EQ(target.total_opened(), 3);
+}
+
 // --------------------------------------------------------------- encoding
 
 TEST(FaultEventTest, ToStringAndSummaryEncoding) {

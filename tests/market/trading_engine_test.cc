@@ -6,7 +6,8 @@
 
 #include "bandit/baseline_policies.h"
 #include "bandit/cucb_policy.h"
-#include "bandit/delayed_feedback.h"
+#include "bandit/availability_policy.h"
+#include "bandit/extension_policies.h"
 #include "stats/rng.h"
 
 namespace cdt {
@@ -327,17 +328,34 @@ TEST(TradingEngineTest, OtherPoliciesKeepAPrivatePricingBank) {
   auto oracle = bandit::OraclePolicy::Create(env.effective_qualities(),
                                              kSelected);
   auto random = bandit::RandomPolicy::Create(kSellers, kSelected, 11);
-  auto delayed = bandit::DelayedFeedbackPolicy::Create(MakeCucb(), 2);
+  auto first =
+      bandit::EpsilonFirstPolicy::Create(kSellers, kSelected, 20, 0.2, 12);
+  auto greedy =
+      bandit::EpsilonGreedyPolicy::Create(kSellers, kSelected, 0.3, 13);
+  auto thompson = bandit::ThompsonPolicy::Create(kSellers, kSelected, 14);
+  auto available = bandit::AvailabilityAwareCucbPolicy::Create(
+      kSellers, kSelected,
+      [](int seller, std::int64_t round) { return (seller + round) % 4 != 0; });
   ASSERT_TRUE(oracle.ok());
   ASSERT_TRUE(random.ok());
-  ASSERT_TRUE(delayed.ok());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(greedy.ok());
+  ASSERT_TRUE(thompson.ok());
+  ASSERT_TRUE(available.ok());
   std::vector<std::unique_ptr<bandit::SelectionPolicy>> policies;
   policies.push_back(
       std::make_unique<bandit::OraclePolicy>(std::move(oracle).value()));
   policies.push_back(
       std::make_unique<bandit::RandomPolicy>(std::move(random).value()));
-  policies.push_back(std::make_unique<bandit::DelayedFeedbackPolicy>(
-      std::move(delayed).value()));
+  policies.push_back(
+      std::make_unique<bandit::EpsilonFirstPolicy>(std::move(first).value()));
+  policies.push_back(std::make_unique<bandit::EpsilonGreedyPolicy>(
+      std::move(greedy).value()));
+  policies.push_back(
+      std::make_unique<bandit::ThompsonPolicy>(std::move(thompson).value()));
+  policies.push_back(std::make_unique<bandit::AvailabilityAwareCucbPolicy>(
+      std::move(available).value()));
+  int policy_banks = 0;
   for (auto& policy : policies) {
     const std::string name = policy->name();
     auto engine_env = MakeEnvironment();
@@ -346,18 +364,24 @@ TEST(TradingEngineTest, OtherPoliciesKeepAPrivatePricingBank) {
     ASSERT_TRUE(engine.ok()) << name;
     const TradingEngine& e = *engine.value();
     EXPECT_NE(&e.pricing_estimates(), e.policy().estimator()) << name;
-    for (int r = 0; r < 5; ++r) {
+    if (e.policy().estimator() != nullptr) ++policy_banks;
+    for (int r = 1; r <= 5; ++r) {
       ASSERT_TRUE(engine.value()->RunRound().ok()) << name;
-    }
-    // The private bank learns from every delivered batch, even when the
-    // policy's own bank lags (delayed feedback) or does not exist.
-    EXPECT_GT(e.pricing_estimates().total_observations(), 0u) << name;
-    if (const bandit::EstimatorBank* bank = e.policy().estimator()) {
-      EXPECT_LE(bank->total_observations(),
-                e.pricing_estimates().total_observations())
-          << name;
+      const bandit::EstimatorBank& pricing = e.pricing_estimates();
+      EXPECT_GT(pricing.total_observations(), 0u) << name;
+      // A policy bank is fed the same batches in the same order as the
+      // private bank, so the two agree arm by arm after every round.
+      if (const bandit::EstimatorBank* bank = e.policy().estimator()) {
+        EXPECT_EQ(bank->observation_counts(), pricing.observation_counts())
+            << name << " round " << r;
+        EXPECT_EQ(bank->means(), pricing.means()) << name << " round " << r;
+        EXPECT_EQ(bank->total_observations(), pricing.total_observations())
+            << name << " round " << r;
+      }
     }
   }
+  // ε-first, ε-greedy, Thompson and availability-aware CUCB own a bank.
+  EXPECT_EQ(policy_banks, 4);
 }
 
 TEST(TradingEngineTest, RestoreFailsClosedWhenPricingAndPolicyArmsDisagree) {

@@ -1,7 +1,6 @@
 // Durability suite: AtomicWriteFile's all-or-nothing contract under
 // injected write failures (the destination is never torn, temp files never
-// leak), snapshot-write failures propagating out of the recorder, and the
-// run-log writer's fsync-on-close path.
+// leak) and snapshot-write failures propagating out of the recorder.
 
 #include <filesystem>
 #include <string>
@@ -10,7 +9,6 @@
 
 #include "core/cmab_hs.h"
 #include "core/config.h"
-#include "market/run_log.h"
 #include "persist/atomic_io.h"
 #include "persist/event_log.h"
 #include "persist/recorder.h"
@@ -158,32 +156,6 @@ TEST_F(DurabilityTest, RecorderPropagatesSnapshotWriteFailure) {
   EXPECT_EQ(completed, 4);
   // The log never claims a snapshot that did not reach disk.
   EXPECT_FALSE(std::filesystem::exists(options.snapshot_path));
-}
-
-TEST_F(DurabilityTest, RunLogCloseIsDurableAndPoisonsOnFailure) {
-  const std::string path = stem_ + "_runlog.csv";
-  auto writer = market::RunLogWriter::Open(path);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  market::RoundReport report;
-  report.round = 1;
-  report.selected = {0};
-  report.game_qualities = {0.5};
-  report.tau = {1.0};
-  ASSERT_TRUE(writer.value().Append(report).ok());
-  // Close flushes and fsyncs via reopen; the row must be on disk.
-  ASSERT_TRUE(writer.value().Close().ok());
-  auto rows = market::LoadRunLog(path);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(rows.value().size(), 1u);
-
-  // Removing the file out from under the writer makes the fsync reopen
-  // fail; Close must report it (poisoned status), not pretend durability.
-  auto writer2 = market::RunLogWriter::Open(path);
-  ASSERT_TRUE(writer2.ok());
-  ASSERT_TRUE(writer2.value().Append(report).ok());
-  std::filesystem::remove(path);
-  util::Status closed = writer2.value().Close();
-  EXPECT_EQ(closed.code(), util::StatusCode::kIoError);
 }
 
 }  // namespace

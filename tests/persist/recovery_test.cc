@@ -1,9 +1,10 @@
 // Crash-recovery suite: kill a recorded campaign mid-run at randomized
 // round boundaries (no Finish — the log is torn, the snapshot covers an
 // earlier checkpoint), restore via snapshot + tail-replay, finish the
-// campaign live, and bit-compare the spliced run-log CSV against an
-// uninterrupted run of the same config. Faults and invariant checks stay
-// armed throughout, so recovery is proven over the degraded path too.
+// campaign live, and byte-compare the canonical encoding of every round
+// (recorded prefix, then live tail) against an uninterrupted run of the
+// same config. Faults and invariant checks stay armed throughout, so
+// recovery is proven over the degraded path too.
 
 #include <cstdint>
 #include <filesystem>
@@ -14,8 +15,7 @@
 
 #include "core/cmab_hs.h"
 #include "core/config.h"
-#include "market/run_log.h"
-#include "persist/atomic_io.h"
+#include "persist/event_log.h"
 #include "persist/recorder.h"
 #include "persist/replay.h"
 #include "stats/rng.h"
@@ -50,29 +50,25 @@ class RecoveryTest : public ::testing::Test {
             .string();
     log_path_ = stem + ".cdtlog";
     snapshot_path_ = stem + ".cdtsnap";
-    baseline_csv_ = stem + "_baseline.csv";
-    recovered_csv_ = stem + "_recovered.csv";
   }
 
   void TearDown() override {
-    for (const std::string& path :
-         {log_path_, snapshot_path_, baseline_csv_, recovered_csv_}) {
+    for (const std::string& path : {log_path_, snapshot_path_}) {
       std::filesystem::remove(path);
     }
   }
 
-  /// Runs the campaign uninterrupted, writing every round to `csv_path`.
-  void RunUninterrupted(const std::string& csv_path) {
+  /// Runs the campaign uninterrupted, keeping every round's canonical
+  /// bytes as the baseline.
+  void RunUninterrupted() {
     auto run = core::CmabHs::Create(CampaignConfig());
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    auto writer = market::RunLogWriter::Open(csv_path);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     util::Status status =
         run.value()->RunAll([&](const market::RoundReport& report) {
-          ASSERT_TRUE(writer.value().Append(report).ok());
+          baseline_.push_back(CanonicalRoundBytes(report));
         });
     ASSERT_TRUE(status.ok()) << status.ToString();
-    ASSERT_TRUE(writer.value().Close().ok());
+    ASSERT_EQ(baseline_.size(), static_cast<std::size_t>(kRounds));
   }
 
   /// Records the campaign but "crashes" after `crash_round` rounds: the
@@ -97,7 +93,7 @@ class RecoveryTest : public ::testing::Test {
   }
 
   /// Recovers from the torn log + snapshot, finishes the campaign live,
-  /// and writes the spliced CSV (recorded rounds, then live rounds).
+  /// and collects the spliced rounds (recorded prefix, then live tail).
   void RecoverAndFinish(std::int64_t crash_round) {
     auto recorded = LoadRecordedRun(log_path_, /*allow_torn_tail=*/true);
     ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
@@ -117,38 +113,35 @@ class RecoveryTest : public ::testing::Test {
               recorded.value().snapshot_rounds.back());
     EXPECT_EQ(resumed.value().resumed_round, crash_round);
 
-    auto writer = market::RunLogWriter::Open(recovered_csv_);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    recovered_.clear();
     for (const market::RoundReport& report : recorded.value().rounds) {
-      ASSERT_TRUE(writer.value().Append(report).ok());
+      recovered_.push_back(CanonicalRoundBytes(report));
     }
     util::Status status = resumed.value().run->RunAll(
         [&](const market::RoundReport& report) {
-          ASSERT_TRUE(writer.value().Append(report).ok());
+          recovered_.push_back(CanonicalRoundBytes(report));
         });
     ASSERT_TRUE(status.ok()) << status.ToString();
-    ASSERT_TRUE(writer.value().Close().ok());
   }
 
-  void ExpectCsvIdentical() {
-    auto baseline = ReadFileBytes(baseline_csv_);
-    auto recovered = ReadFileBytes(recovered_csv_);
-    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    // Byte-identical CSVs: recovery reproduced every round exactly,
-    // including fault metadata and formatting.
-    EXPECT_EQ(recovered.value(), baseline.value());
+  void ExpectRoundsIdentical() {
+    // Every field of every round, fault metadata included, at full
+    // precision: recovery reproduced the run exactly.
+    ASSERT_EQ(recovered_.size(), baseline_.size());
+    for (std::size_t i = 0; i < baseline_.size(); ++i) {
+      EXPECT_EQ(recovered_[i], baseline_[i]) << "round " << i + 1;
+    }
   }
 
   std::string log_path_;
   std::string snapshot_path_;
-  std::string baseline_csv_;
-  std::string recovered_csv_;
+  std::vector<std::string> baseline_;
+  std::vector<std::string> recovered_;
 };
 
 TEST_F(RecoveryTest, RandomizedCrashRoundsRecoverBitIdentically) {
-  RunUninterrupted(baseline_csv_);
-  // Crash at randomized boundaries; every recovery must splice to a CSV
+  RunUninterrupted();
+  // Crash at randomized boundaries; every recovery must splice to rounds
   // byte-identical with the uninterrupted run.
   stats::Xoshiro256 rng(0xC4A5F);
   std::vector<std::int64_t> crash_rounds;
@@ -162,19 +155,18 @@ TEST_F(RecoveryTest, RandomizedCrashRoundsRecoverBitIdentically) {
     SCOPED_TRACE("crash after round " + std::to_string(crash_round));
     RunAndCrash(crash_round);
     RecoverAndFinish(crash_round);
-    ExpectCsvIdentical();
+    ExpectRoundsIdentical();
     std::filesystem::remove(log_path_);
     std::filesystem::remove(snapshot_path_);
-    std::filesystem::remove(recovered_csv_);
   }
 }
 
 TEST_F(RecoveryTest, CrashBeforeFirstSnapshotReplaysFromRoundOne) {
   // A crash before the first checkpoint leaves no snapshot; the whole
   // prefix replays from round 1 via VerifyReplay semantics and the run
-  // still finishes to a byte-identical CSV.
+  // still finishes byte-identically.
   const std::int64_t crash_round = kSnapshotEvery - 3;
-  RunUninterrupted(baseline_csv_);
+  RunUninterrupted();
   RunAndCrash(crash_round);
   EXPECT_FALSE(std::filesystem::exists(snapshot_path_));
 
@@ -187,24 +179,21 @@ TEST_F(RecoveryTest, CrashBeforeFirstSnapshotReplaysFromRoundOne) {
   auto run = core::CmabHs::Create(recorded.value().config,
                                   recorded.value().policy);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  auto writer = market::RunLogWriter::Open(recovered_csv_);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   for (std::int64_t round = 0; round < crash_round; ++round) {
     auto report = run.value()->RunRound();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     // The re-executed prefix must match the recording bit-for-bit.
-    ASSERT_EQ(CanonicalRoundBytes(report.value()),
+    recovered_.push_back(CanonicalRoundBytes(report.value()));
+    ASSERT_EQ(recovered_.back(),
               recorded.value().round_payloads[static_cast<std::size_t>(
                   round)]);
-    ASSERT_TRUE(writer.value().Append(report.value()).ok());
   }
   util::Status status =
       run.value()->RunAll([&](const market::RoundReport& report) {
-        ASSERT_TRUE(writer.value().Append(report).ok());
+        recovered_.push_back(CanonicalRoundBytes(report));
       });
   ASSERT_TRUE(status.ok()) << status.ToString();
-  ASSERT_TRUE(writer.value().Close().ok());
-  ExpectCsvIdentical();
+  ExpectRoundsIdentical();
 }
 
 TEST_F(RecoveryTest, VerifyReplayPassesOnTornPrefix) {

@@ -2,23 +2,28 @@
 //
 //   cdt_replay inspect <log>                 header, config, round count
 //   cdt_replay verify <log>                  re-run + byte-compare (gate)
-//   cdt_replay export-csv <log> <csv>        decode rounds to run-log CSV
+//   cdt_replay export-csv <log> <csv>        decode rounds to a CSV table
 //   cdt_replay resume <log> <snapshot>       restore + tail-replay, then
 //                                            finish the campaign live
 //
 // `verify` is the replay upgrade gate: exit 0 means this build reproduces
 // the recorded trace bit-for-bit. `inspect` and `export-csv` tolerate torn
-// logs (crashed recordings); `verify` demands a sealed one.
+// logs (crashed recordings); `verify` demands a sealed one. The event log
+// is the durable recording; the CSV is a convenience export with no
+// durability contract.
 
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/cmab_hs.h"
-#include "market/run_log.h"
+#include "market/faults.h"
 #include "persist/event_log.h"
 #include "persist/replay.h"
+#include "util/csv.h"
 #include "util/signal.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -82,20 +87,35 @@ int ExportCsv(const std::string& log_path, const std::string& csv_path) {
   auto recorded =
       persist::LoadRecordedRun(log_path, /*allow_torn_tail=*/true);
   if (!recorded.ok()) return Fail(recorded.status());
-  auto writer = market::RunLogWriter::Open(csv_path);
-  if (!writer.ok()) return Fail(writer.status());
+  util::CsvTable table;
+  table.header = {"round", "initial_exploration", "selected",
+                  "consumer_price", "collection_price", "total_time",
+                  "consumer_profit", "platform_profit", "seller_profit_total",
+                  "expected_quality_revenue", "observed_quality_revenue",
+                  "degraded", "voided", "num_faults", "faults"};
   for (const market::RoundReport& report : recorded.value().rounds) {
-    if (util::ShutdownRequested()) {
-      std::fprintf(stderr, "cdt_replay: interrupted, closing CSV early\n");
-      break;
+    std::vector<std::string> ids;
+    for (int i : report.selected) ids.push_back(std::to_string(i));
+    util::CsvRow row{std::to_string(report.round),
+                     report.initial_exploration ? "1" : "0",
+                     util::Join(ids, '+')};
+    for (double value :
+         {report.consumer_price, report.collection_price, report.total_time,
+          report.consumer_profit, report.platform_profit,
+          report.seller_profit_total, report.expected_quality_revenue,
+          report.observed_quality_revenue}) {
+      row.push_back(util::FormatDouble(value, 9));
     }
-    util::Status status = writer.value().Append(report);
-    if (!status.ok()) return Fail(status);
+    row.push_back(report.degraded ? "1" : "0");
+    row.push_back(report.voided ? "1" : "0");
+    row.push_back(std::to_string(report.faults.size()));
+    row.push_back(market::EncodeFaultSummary(report.faults));
+    table.rows.push_back(std::move(row));
   }
-  util::Status closed = writer.value().Close();
-  if (!closed.ok()) return Fail(closed);
-  std::printf("wrote %" PRId64 " rows to %s\n",
-              writer.value().rows_written(), csv_path.c_str());
+  util::Status written = util::WriteCsvFile(csv_path, table);
+  if (!written.ok()) return Fail(written);
+  std::printf("wrote %zu rows to %s\n", table.rows.size(),
+              csv_path.c_str());
   return 0;
 }
 
