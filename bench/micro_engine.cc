@@ -55,20 +55,27 @@ BENCHMARK(BM_FullTradingRoundInvariants)->Arg(10);
 // reuse; the Reference variant selects through the full-rescan test oracle
 // (testsupport::ReferenceCucbPolicy). Both run the same engine wiring.
 // Fixed iteration counts keep the expensive select-all warm-up round (M
-// observations) out of the benchmark library's timing probes.
-void FullTradingRoundLargeM(benchmark::State& state, bool reference) {
+// observations) out of the benchmark library's timing probes. `armed`
+// installs the economic-invariant checker.
+void FullTradingRoundLargeM(benchmark::State& state, bool reference,
+                            bool armed = false) {
   int m = static_cast<int>(state.range(0));
   core::MechanismConfig config;
   config.num_sellers = m;
   config.num_selected = static_cast<int>(state.range(1));
   config.num_pois = 4;
   config.num_rounds = 1 << 30;
-  config.check_invariants = false;
+  config.check_invariants = armed;
   auto run = testsupport::MakeCucbEngine(config, reference);
   market::TradingEngine& engine = *run.value().engine;
   (void)engine.RunRound();  // round 1: select-all initial exploration
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.RunRound());
+    auto report = engine.RunRound();
+    if (!report.ok()) {
+      state.SkipWithError(report.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(report);
   }
 }
 void BM_FullTradingRoundLargeM(benchmark::State& state) {
@@ -95,6 +102,17 @@ BENCHMARK(BM_FullTradingRoundLargeM)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FullTradingRoundLargeMReference)
     ->Args({10000, 100})
+    ->Args({100000, 316})
+    ->Args({1000000, 1000})
+    ->Iterations(100)
+    ->Unit(benchmark::kMillisecond);
+
+// The LargeM round with the checker armed: the checker's overhead at
+// K ~ sqrt(M), read against BM_FullTradingRoundLargeM in the same report.
+void BM_FullTradingRoundLargeMInvariants(benchmark::State& state) {
+  FullTradingRoundLargeM(state, /*reference=*/false, /*armed=*/true);
+}
+BENCHMARK(BM_FullTradingRoundLargeMInvariants)
     ->Args({100000, 316})
     ->Args({1000000, 1000})
     ->Iterations(100)

@@ -21,6 +21,7 @@
 #include "persist/serialize.h"
 #include "stats/rng.h"
 #include "support/reference_crc32.h"
+#include "support/reference_snapshot_codec.h"
 
 namespace {
 
@@ -68,13 +69,19 @@ market::EngineSnapshot CaptureSnapshot(int m) {
   return engine.engine().CaptureSnapshot();
 }
 
-void BM_EncodeEngineSnapshot(benchmark::State& state) {
+// Encodes the snapshot into a fresh string: through persist's one raw
+// cursor, or (reference) field by field through the growing string.
+void EncodeEngineSnapshot(benchmark::State& state, bool reference) {
   const market::EngineSnapshot snapshot =
       CaptureSnapshot(static_cast<int>(state.range(0)));
   std::size_t size = 0;
   for (auto _ : state) {
     std::string bytes;
-    persist::EncodeEngineSnapshot(snapshot, &bytes);
+    if (reference) {
+      testsupport::ReferenceEncodeEngineSnapshot(snapshot, &bytes);
+    } else {
+      persist::EncodeEngineSnapshot(snapshot, &bytes);
+    }
     size = bytes.size();
     benchmark::DoNotOptimize(bytes.data());
     benchmark::ClobberMemory();
@@ -82,7 +89,14 @@ void BM_EncodeEngineSnapshot(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(size));
 }
+void BM_EncodeEngineSnapshot(benchmark::State& state) {
+  EncodeEngineSnapshot(state, /*reference=*/false);
+}
+void BM_EncodeEngineSnapshotReference(benchmark::State& state) {
+  EncodeEngineSnapshot(state, /*reference=*/true);
+}
 BENCHMARK(BM_EncodeEngineSnapshot)->Arg(300)->Arg(100000);
+BENCHMARK(BM_EncodeEngineSnapshotReference)->Arg(300)->Arg(100000);
 
 void BM_DecodeEngineSnapshot(benchmark::State& state) {
   std::string bytes;

@@ -148,8 +148,12 @@ Status CmabHs::RunAll(
   while (engine_->current_round() < config_.num_rounds) {
     Result<market::RoundReport> report = RunRound();
     if (!report.ok()) {
-      // A configured consumer budget running out is a clean stop.
-      if (engine_->budget_exhausted()) return Status::OK();
+      // A configured consumer budget running out is a clean stop (unless
+      // the audit that closes it found a violation).
+      if (engine_->budget_exhausted() &&
+          report.status().code() == util::StatusCode::kFailedPrecondition) {
+        return Status::OK();
+      }
       return report.status();
     }
     if (callback) callback(report.value());

@@ -226,13 +226,12 @@ void StackelbergSolver::BuildSupplyKinks() {
         b_lin += off;
       }
     }
+    const int src = 2 * static_cast<int>(i);
     if (activate > box.lo && activate < box.hi) {
-      events.push_back(
-          {activate, inv, off, 0.0, static_cast<int>(events.size())});
+      events.push_back({activate, inv, off, 0.0, src});
     }
     if (saturate > box.lo && saturate < box.hi && std::isfinite(saturate)) {
-      events.push_back(
-          {saturate, -inv, -off, t_cap, static_cast<int>(events.size())});
+      events.push_back({saturate, -inv, -off, t_cap, src + 1});
     }
   }
   SortKinkEvents();
@@ -580,6 +579,12 @@ double StackelbergSolver::TotalTimeAt(double collection_price) const {
 }
 
 double StackelbergSolver::PlatformBestPrice(double consumer_price) const {
+  int pos;
+  return PlatformBestPrice(consumer_price, &pos);
+}
+
+double StackelbergSolver::PlatformBestPrice(double consumer_price,
+                                            int* answer_pos) const {
   // The naive per-segment sweep's candidates are box.lo, then per segment
   // its interior optimum (when it lies strictly inside) and its upper
   // endpoint; the first candidate attaining the maximum wins. The envelope
@@ -641,9 +646,12 @@ double StackelbergSolver::PlatformBestPrice(double consumer_price) const {
 
   const double v_init =
       (x - box.lo) * seg_.init_supply - seg_.init_d1 - seg_.init_d2;
-  if (v_init >= best) return box.lo;
   // A NaN maximum matches no candidate; the naive sweep kept box.lo too.
-  if (!(best == best)) return box.lo;
+  if (v_init >= best || !(best == best)) {
+    *answer_pos = -1;
+    return box.lo;
+  }
+  *answer_pos = pos;
   return (pos & 1) != 0 ? ep[pos >> 1] : interior_p;
 }
 
@@ -842,7 +850,8 @@ void StackelbergSolver::BuildRegimePartition(RegimePartition* out) const {
   }
 }
 
-StackelbergSolver::RegimeWalk StackelbergSolver::WalkRegimes() const {
+StackelbergSolver::RegimeWalk StackelbergSolver::WalkRegimes(
+    SolveProof* proof) const {
   const double x_lo = config_.consumer_price_bounds.lo;
   const double x_hi = config_.consumer_price_bounds.hi;
   const double qbar = agg_.mean_quality;
@@ -860,9 +869,9 @@ StackelbergSolver::RegimeWalk StackelbergSolver::WalkRegimes() const {
   double best_supply;
   {
     const double x = ConsumerBestPriceInterior();
-    walk.response = PlatformBestPrice(x);
+    walk.response = PlatformBestPrice(x, &walk.response_pos);
     best_supply = TotalTimeAt(walk.response);
-    inc = {x, ConsumerProfit(x, qbar, best_supply, config_.valuation), -1,
+    inc = {x, ConsumerProfit(x, qbar, best_supply, config_.valuation), -2,
            false, false};
   }
   RegimePoint& best = walk.best;
@@ -900,33 +909,53 @@ StackelbergSolver::RegimeWalk StackelbergSolver::WalkRegimes() const {
   // If no candidate's bound over where it can play beats the incumbent,
   // nothing does. Segment g's window starts at lo_g and its supply lies
   // between its ends' (a first, cheap bound); survivors get the bounds
-  // above.
-  if (best.profit > -std::numeric_limits<double>::infinity()) {
-    bool certified = c0 + (t1 - x_lo) * ConsumerSupply(-1, x_lo) <= bar;
+  // above. Each domain's bound that settled it goes into the proof.
+  constexpr double kNone = -std::numeric_limits<double>::infinity();
+  if (best.profit > kNone) {
+    const double lo_bound = c0 + (t1 - x_lo) * ConsumerSupply(-1, x_lo);
+    bool certified = lo_bound <= bar;
+    if (proof != nullptr) proof->bounds.assign(1, lo_bound);
     for (std::size_t g = 0; certified && g < kinks_.size(); ++g) {
-      if (!(kinks_[g].a > 0.0)) continue;
+      // kNone stays for a flat segment (its candidates lose to lower ones)
+      // and for one whose candidates cannot play inside the box.
+      double bound = kNone;
       // Where any of segment g's candidates can first play.
       const double from = std::max(x_lo, std::min(lo[g], hi[g]));
-      if (from > x_hi) continue;
-      const double s_lo = g > 0 ? es[g - 1] : seg_.init_supply;
-      if (c0 + (t1 - from) * (t1 > from ? es[g] : s_lo) <= bar) continue;
-      // A window empty by rounding (or not finite): leave it to the walk.
-      certified = lo[g] < hi[g];
-      const double a0 = std::max(lo[g], x_lo);
-      const double a1 = std::min(hi[g], x_hi);
-      if (certified && a0 < a1) {
-        const double curv = curvature[g];
-        certified =
-            arc_bound(a0, a1, s_lo + curv * (a0 - lo[g]), curv) <= bar;
+      if (kinks_[g].a > 0.0 && from <= x_hi) {
+        const double s_lo = g > 0 ? es[g - 1] : seg_.init_supply;
+        const double cheap = c0 + (t1 - from) * (t1 > from ? es[g] : s_lo);
+        if (cheap <= bar) {
+          bound = cheap;
+        } else {
+          // A window empty by rounding (or not finite): leave it to the
+          // walk.
+          certified = lo[g] < hi[g];
+          const double a0 = std::max(lo[g], x_lo);
+          const double a1 = std::min(hi[g], x_hi);
+          if (certified && a0 < a1) {
+            const double curv = curvature[g];
+            bound = arc_bound(a0, a1, s_lo + curv * (a0 - lo[g]), curv);
+            certified = bound <= bar;
+          }
+          if (certified && hi[g] < x_hi) {
+            const double x = std::max(hi[g], x_lo);
+            const double end =
+                c0 + (t1 - x) * ConsumerSupply(2 * static_cast<int>(g) + 1, x);
+            bound = std::max(bound, end);
+            certified = end <= bar;
+          }
+        }
       }
-      if (hi[g] < x_hi) {
-        const double x = std::max(hi[g], x_lo);
-        certified = certified &&
-                    c0 + (t1 - x) * ConsumerSupply(2 * static_cast<int>(g) + 1,
-                                                   x) <= bar;
-      }
+      if (proof != nullptr) proof->bounds.push_back(bound);
     }
-    if (certified) return walk;
+    if (certified) {
+      if (proof != nullptr) {
+        proof->certified = true;
+        proof->t0 = c0;
+        proof->t1 = t1;
+      }
+      return walk;
+    }
   }
 
   RegimePartition rg;
@@ -998,18 +1027,28 @@ StackelbergSolver::RegimeWalk StackelbergSolver::WalkRegimes() const {
     inc = best;
     walk.response = std::numeric_limits<double>::quiet_NaN();
   }
+  if (proof != nullptr) {
+    proof->certified = false;
+    proof->regime_pos = best.pos;
+    proof->regime_price = best.price;
+    proof->regime_profit = best.profit;
+  }
   return walk;
 }
 
 double StackelbergSolver::ConsumerBestPrice() const {
   double response;
-  return ConsumerBestPrice(&response);
+  int response_pos;
+  return ConsumerBestPrice(&response, &response_pos, nullptr);
 }
 
-double StackelbergSolver::ConsumerBestPrice(double* response) const {
-  const RegimeWalk walk = WalkRegimes();
+double StackelbergSolver::ConsumerBestPrice(double* response,
+                                            int* response_pos,
+                                            SolveProof* proof) const {
+  const RegimeWalk walk = WalkRegimes(proof);
   const RegimePoint& pt = walk.choice;
   *response = walk.response;
+  *response_pos = walk.response_pos;
   if (pt.tangent) {
     const int g = pt.pos >> 1;
     // The walk stops at segment g's tangency x_t, where its interior
@@ -1095,27 +1134,35 @@ double StackelbergSolver::ConsumerBestPrice(double* response) const {
 
 StackelbergSolver::ConsumerSupremum StackelbergSolver::ConsumerProfitSupremum()
     const {
-  const RegimePoint best = WalkRegimes().best;
+  const RegimePoint best = WalkRegimes(nullptr).best;
   return {best.profit, best.price};
 }
 
-StrategyProfile StackelbergSolver::Solve() const {
+StrategyProfile StackelbergSolver::Solve(SolveProof* proof) const {
   // Backward induction over the three stages (Thms. 16, 15, 14), each
   // under its own span/latency histogram. The stage methods themselves
   // stay uninstrumented: ConsumerBestPrice may bisect a jump of the
   // platform's response, which would flood the trace with sub-spans.
   CDT_SPAN("game.solve");
   double pj, p;
+  int pos;
   {
     CDT_SPAN_TIMED("game.stage1.consumer_price",
                    [] { return StageSolveHistogram("consumer"); });
-    pj = ConsumerBestPrice(&p);
+    pj = ConsumerBestPrice(&p, &pos, proof);
   }
   {
     // Stage 1 has usually evaluated the response to its own price.
     CDT_SPAN_TIMED("game.stage2.platform_price",
                    [] { return StageSolveHistogram("platform"); });
-    if (!(p == p)) p = PlatformBestPrice(pj);
+    if (!(p == p)) p = PlatformBestPrice(pj, &pos);
+  }
+  if (proof != nullptr) {
+    proof->platform_pos = pos;
+    proof->kink_order.clear();
+    for (const KinkEvent& e : event_scratch_) {
+      proof->kink_order.push_back(e.src);
+    }
   }
   std::vector<double> tau;
   {

@@ -71,6 +71,40 @@ struct StrategyProfile {
   std::vector<double> seller_profits;  // Ψ_i, size K
 };
 
+/// What a solve proves beside its answer (after coincenter's
+/// TradeRangeStats, returned beside the trade): the facts an independent
+/// checker verifies in O(K) with its own arithmetic. A by-product of the
+/// solve; it is never part of a round's record.
+struct SolveProof {
+  /// The supply curve's kinks in price order, each as 2i (seller i of the
+  /// coalition activates at p = q̄_i b_i) or 2i+1 (it saturates at
+  /// p = q̄_i b_i + 2 q̄_i a_i T): exactly the kinks strictly inside the
+  /// collection box. Verifying that this is a sorted permutation is O(K).
+  std::vector<int> kink_order;
+  /// Stage 2: the sweep position of the returned collection price: -1 for
+  /// the box's lower end, 2j for segment j's interior optimum, 2j+1 for
+  /// segment j's upper end (segments in kink order).
+  int platform_pos = -1;
+  /// Stage 1: true when the tangent certificate proved Theorem 16's point
+  /// optimal (DESIGN.md §1 step 3), false when the regime walk ran in full.
+  bool certified = false;
+  /// Certificate: ω ln(1 + q̄s) <= t0 + t1·s, the tangent at the supply of
+  /// the returned price, and no bound above that price's profit plus
+  /// 1e-12 relative. bounds[0] bounds the box's lower end at the consumer
+  /// box's lower end; bounds[1 + g] bounds segment g's interior optimum and
+  /// upper end over where they can play (-inf for a flat segment or one
+  /// that cannot play inside the box).
+  double t0 = 0.0;
+  double t1 = 0.0;
+  std::vector<double> bounds;
+  /// Walk: the regime where the walk found the supremum (its sweep
+  /// position; -2 when Theorem 16's point stayed the best), and the
+  /// consumer price and profit there.
+  int regime_pos = -2;
+  double regime_price = 0.0;
+  double regime_profit = 0.0;
+};
+
 /// Closed-form solver for one round's game.
 class StackelbergSolver {
  public:
@@ -146,7 +180,11 @@ class StackelbergSolver {
 
   /// Full backward induction; the returned profile is the Stackelberg
   /// Equilibrium of Theorem 20 (projected onto the feasible boxes).
-  StrategyProfile Solve() const;
+  StrategyProfile Solve() const { return Solve(nullptr); }
+
+  /// Solve(), also filling `*proof` (when non-null) with what the solve
+  /// proved; its vectors keep their capacity across calls.
+  StrategyProfile Solve(SolveProof* proof) const;
 
   /// Consumer profit at `consumer_price` with the platform and sellers
   /// playing their (clamped) best responses — the stage-1 objective.
@@ -177,8 +215,8 @@ class StackelbergSolver {
   };
 
   /// One activation/saturation event while building the kink structure.
-  /// `src` is the event's position in generation order (seller order),
-  /// the last key of the sort order.
+  /// `src` is 2i for seller i's activation and 2i+1 for its saturation,
+  /// increasing in generation order: the last key of the sort order.
   struct KinkEvent {
     double price;
     double delta_a, delta_b, delta_c;
@@ -290,8 +328,8 @@ class StackelbergSolver {
   /// `edge` marks a point on a regime boundary, where the response may
   /// jump and the value is only a one-sided limit; `tangent` one where
   /// segment pos/2's interior optimum meets its upper end. Theorem 16's
-  /// point is valued at the actual response and has neither flag (nor a
-  /// meaningful pos).
+  /// point is valued at the actual response, has neither flag and has pos
+  /// -2.
   struct RegimePoint {
     double price;
     double profit;
@@ -303,8 +341,9 @@ class StackelbergSolver {
     RegimePoint choice;  // Theorem 16's point unless beaten by > 1e-12
     RegimePoint best;    // the supremum's point
     /// PlatformBestPrice(choice.price) when the walk evaluated it (Theorem
-    /// 16's point kept), else NaN.
+    /// 16's point kept), else NaN; and its sweep position.
     double response;
+    int response_pos;
   };
 
   StackelbergSolver(GameConfig config, Aggregates agg)
@@ -336,14 +375,21 @@ class StackelbergSolver {
   /// `pos` at consumer price x, exactly as TotalTimeAt computes it.
   double ConsumerSupply(int pos, double x) const;
 
+  /// PlatformBestPrice, also storing the answer's sweep position in *pos.
+  double PlatformBestPrice(double consumer_price, int* pos) const;
+
   /// ConsumerBestPrice, also storing in *response the platform's best
-  /// response to the price when Stage 1 already evaluated it (else NaN).
-  double ConsumerBestPrice(double* response) const;
+  /// response to the price when Stage 1 already evaluated it (else NaN),
+  /// with its sweep position in *response_pos, and Stage 1's part of
+  /// *proof when `proof` is non-null.
+  double ConsumerBestPrice(double* response, int* response_pos,
+                           SolveProof* proof) const;
 
   /// Theorem 16's point as the incumbent; unless a tangent bound on ln
   /// certifies it, the regime partition and every regime's closed-form
-  /// maximum, pruned by the same bound.
-  RegimeWalk WalkRegimes() const;
+  /// maximum, pruned by the same bound. Records the certificate or the
+  /// winning regime in *proof when `proof` is non-null.
+  RegimeWalk WalkRegimes(SolveProof* proof) const;
 
   /// Sorts event_scratch_ under the strict total order (price, delta_a,
   /// delta_b, delta_c, src), so the sorted sequence, and the kink

@@ -272,6 +272,11 @@ void ReliabilityTracker::RecordFault(int seller, std::int64_t round,
                     (s.state == BreakerState::kClosed &&
                      s.consecutive_faults >= options_.quarantine_threshold);
   if (trip) {
+    while (!open_rounds_.empty() &&
+           round >= open_rounds_.front() + options_.quarantine_cooldown) {
+      open_rounds_.pop_front();
+    }
+    open_rounds_.push_back(round);
     s.state = BreakerState::kOpen;
     s.opened_round = round;
     s.probation_progress = 0;
@@ -335,15 +340,20 @@ Status ReliabilityTracker::Restore(std::vector<SellerReliability> sellers,
   sellers_ = std::move(sellers);
   total_faults_ = total_faults;
   total_opened_ = opened_sum;
+  open_rounds_.clear();
+  for (const SellerReliability& s : sellers_) {
+    if (s.state == BreakerState::kOpen) open_rounds_.push_back(s.opened_round);
+  }
+  std::sort(open_rounds_.begin(), open_rounds_.end());
   return Status::OK();
 }
 
 int ReliabilityTracker::QuarantinedCount(std::int64_t round) const {
-  int count = 0;
-  for (int i = 0; i < num_sellers(); ++i) {
-    if (!Available(i, round)) ++count;
-  }
-  return count;
+  // Cooling at `round`: opened after round − cooldown.
+  const std::int64_t expired = round - options_.quarantine_cooldown;
+  return static_cast<int>(
+      open_rounds_.end() -
+      std::upper_bound(open_rounds_.begin(), open_rounds_.end(), expired));
 }
 
 bandit::AvailabilityFn QuarantineAvailability(

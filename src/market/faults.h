@@ -28,6 +28,7 @@
 #define CDT_MARKET_FAULTS_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -221,7 +222,10 @@ class ReliabilityTracker {
   util::Status Restore(std::vector<SellerReliability> sellers,
                        std::int64_t total_faults);
 
-  /// Sellers whose breaker is open and still cooling down at `round`.
+  /// Sellers whose breaker is open and still cooling down at `round`, in
+  /// O(log n) over the breakers opened within the last cooldown. `round`
+  /// must be at or after the last recorded fault's round (the gauge asks
+  /// about the round just settled).
   int QuarantinedCount(std::int64_t round) const;
 
  private:
@@ -232,6 +236,11 @@ class ReliabilityTracker {
   std::vector<SellerReliability> sellers_;
   std::int64_t total_faults_ = 0;
   std::int64_t total_opened_ = 0;
+  /// Opening rounds of the breakers that may still cool down, ascending.
+  /// An open breaker stays open until its cooldown elapses, so every entry
+  /// still cooling at a round is a quarantined seller; expired entries
+  /// leave from the front as faults arrive (amortised O(1)).
+  std::deque<std::int64_t> open_rounds_;
 };
 
 /// Adapts the breaker gate into the bandit layer's availability shape so an

@@ -6,15 +6,19 @@
 //
 //   (a) ledger conservation — consumer outflow equals platform inflow,
 //       platform inflow equals seller payments plus platform profit plus
-//       the aggregation cost C^J (Eq. 8), and the double-entry net position
-//       stays zero;
+//       the aggregation cost C^J (Eq. 8), every round for the accounts the
+//       round moved money between; every seller's balance and the
+//       double-entry net position at each O(M) audit (AuditLedger);
 //   (b) individual rationality — every selected seller's realised profit
 //       Ψ_i = p τ_i − C_i(τ_i, q̄_i) is non-negative (up to ε) at the
 //       Stage-3 best response of Eq. (20);
 //   (c) stationarity — the solved prices (p^{J*}, p*) satisfy the
 //       first-order conditions of Eqs. (7)-(8) within tolerance when the
-//       interior regime holds, and otherwise coincide with a re-solved
-//       stage optimum (box-boundary / active-set cases);
+//       interior regime holds, and otherwise reach each stage's optimum,
+//       recomputed from the raw costs and qualities with the checker's own
+//       arithmetic: Stage 2 by a plain sweep over the supply segments,
+//       Stage 1 by verifying the solve's proof (game::SolveProof) in O(K)
+//       or, for a solve without a certificate, by an independent search;
 //   (d) bandit sanity — UCB statistics finite, observation counters
 //       monotone, and cumulative oracle regret non-decreasing.
 //
@@ -28,7 +32,6 @@
 #define CDT_MARKET_INVARIANTS_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,10 +82,11 @@ struct InvariantOptions {
   /// ε for individual rationality: Ψ_i >= −ε · max(1, p τ_i).
   double ir_epsilon = 1e-7;
   /// Relative tolerance for stationarity/FOC residuals and for profit-value
-  /// comparisons against the re-solved stage optima.
+  /// comparisons against the recomputed stage optima.
   double stationarity_tolerance = 1e-5;
-  /// Stationarity re-solves the round's game; disable to cut the cost in
-  /// half when only accounting invariants are of interest.
+  /// Stationarity rebuilds the round's supply curve (in O(K) from a
+  /// proof's kink order, else by sorting its kinks); disable when only
+  /// accounting invariants are of interest.
   bool check_stationarity = true;
   bool check_bandit = true;
   /// Stop recording after this many violations (reporting stays truthful
@@ -110,6 +114,10 @@ struct EngineStateView {
   /// Oracle per-round expected revenue L · Σ_{S*} q (0 disables the regret
   /// monotonicity check).
   double oracle_round_revenue = 0.0;
+  /// What the round's solve proved (TradingEngine::solve_proof); null for
+  /// rounds without one and for fabricated views, which get stationarity's
+  /// independent Stage-1 search instead.
+  const game::SolveProof* proof = nullptr;
 };
 
 /// Per-round observer hook; the engine invokes observers after settlement.
@@ -129,7 +137,8 @@ class InvariantChecker : public RoundObserver {
  public:
   explicit InvariantChecker(InvariantOptions options = {});
 
-  /// Builds the EngineStateView from the live engine and calls Check().
+  /// Builds the EngineStateView from the live engine and calls Check();
+  /// after the run's last round also AuditLedger().
   util::Status OnRound(const TradingEngine& engine,
                        const RoundReport& report) override;
 
@@ -137,6 +146,14 @@ class InvariantChecker : public RoundObserver {
   /// error status when the round added violations. Callable directly with
   /// fabricated views (no engine required).
   util::Status Check(const EngineStateView& view, const RoundReport& report);
+
+  /// The O(M) ledger audit: every seller's balance against the payments
+  /// the checked rounds made, and the double-entry net position. Its
+  /// violations carry the last checked round. Run through
+  /// TradingEngine::AuditInvariants where a snapshot is captured and
+  /// wherever a run ends (OnRound runs it after the last round); Check()
+  /// covers only the accounts each round touched.
+  util::Status AuditLedger(const Ledger& ledger);
 
   /// Re-seeds the cumulative expectations from a mid-run engine state
   /// (snapshot restore): ledger aggregates, per-seller balances, bandit
@@ -169,6 +186,16 @@ class InvariantChecker : public RoundObserver {
   void CheckStationarity(const EngineStateView& view,
                          const RoundReport& report);
 
+  /// One piece of the round's supply curve Στ(p) = a·p − b + c, on
+  /// collection prices [lo, hi), with the Theorem-15 constants of its
+  /// interior optimum p*(x) = (x·a − num)/den and its supply at hi.
+  struct SupplySegment {
+    double lo, hi;
+    double a, b, c;
+    double num, den;
+    double end_supply;
+  };
+
   /// (d) Bandit counters, UCB finiteness and regret monotonicity.
   void CheckBandit(const EngineStateView& view, const RoundReport& report);
 
@@ -176,11 +203,22 @@ class InvariantChecker : public RoundObserver {
   void AddViolation(InvariantKind kind, std::int64_t round, std::string check,
                     std::string detail, double magnitude);
 
-  /// Points solver_ at the round's game (game_sellers_, game_qualities_
-  /// under the view's economics): a full Create when there is no solver or
-  /// the platform, valuation, boxes or T changed, ResetCoalition otherwise.
-  /// Either way the inputs pass GameConfig::Validate's checks, in its order.
-  util::Status RetargetSolver(const EngineStateView& view);
+  /// OK when no violation was added since the count was `before`, else an
+  /// Internal status quoting the first new record.
+  util::Status Outcome(std::size_t before, std::int64_t round) const;
+
+  /// Rebuilds segments_ for the coalition in sellers_ from its activation
+  /// and saturation kinks inside the collection box, in the order the
+  /// view's proof gives when that verifies in O(K) as a sorted permutation
+  /// of them (else a stationarity.kink_order violation), else sorted.
+  void BuildSupply(const EngineStateView& view, const RoundReport& report);
+
+  /// Stage 1 of CheckStationarity: the consumer's price against the
+  /// supremum over the consumer box, given the supply sold at the
+  /// reported collection price.
+  void CheckConsumerPrice(const EngineStateView& view,
+                          const RoundReport& report, double mean_quality,
+                          double supply);
 
   InvariantOptions options_;
   std::vector<InvariantViolation> violations_;
@@ -191,17 +229,41 @@ class InvariantChecker : public RoundObserver {
   std::int64_t last_round_ = 0;
   double expected_consumer_outflow_ = 0.0;
   double expected_seller_inflow_ = 0.0;
-  /// Expected per-seller cumulative inflow, lazily sized to M.
-  std::vector<double> expected_seller_balance_;
+  /// Per seller id, lazily sized to M: the balance the checked rounds paid
+  /// it and its bandit counter when last checked. One row per seller, so a
+  /// round's scattered reads miss the cache once per seller, not twice.
+  struct SellerRecord {
+    double balance = 0.0;
+    std::uint64_t observations = 0;
+  };
+  std::vector<SellerRecord> seller_records_;
+  /// The selected sellers' expected balances (CheckLedger) and cost rows
+  /// (CheckProfits).
+  std::vector<double> record_scratch_;
+  std::vector<game::SellerCostParams> cost_scratch_;
   std::uint64_t prev_total_observations_ = 0;
-  std::vector<std::uint64_t> prev_arm_observations_;
   double cumulative_regret_ = 0.0;
 
-  // Stationarity's re-solve: the checker's own solver and the coalition
-  // buffers it swaps with ResetCoalition (allocation-free in steady state).
-  std::optional<game::StackelbergSolver> solver_;
-  std::vector<game::SellerCostParams> game_sellers_;
-  std::vector<double> game_qualities_;
+  // Stationarity's scratch, capacity kept across rounds. Per coalition
+  // member: q̄_i, a_i, b_i and Eq. (20)'s slope 1/(2 q̄_i a_i) and offset
+  // b_i/(2 a_i).
+  struct GameSeller {
+    double q, a, b, slope, offset;
+  };
+  std::vector<GameSeller> sellers_;
+  /// A supply kink: its price and 2j (member j activates) or 2j+1 (member
+  /// j saturates at T).
+  struct Kink {
+    double price;
+    int event;
+  };
+  std::vector<Kink> kinks_;
+  std::vector<Kink> kink_scratch_;
+  /// Per event 2j / 2j+1: its price while it is an unplaced kink.
+  std::vector<double> kink_price_;
+  std::vector<SupplySegment> segments_;
+  /// Stage 1's per-domain tangent bounds (box.lo's line, then per segment).
+  std::vector<double> bounds_;
   /// CheckBandit's corrupted-report marks by seller id: seller s's report
   /// was corrupted this round iff corrupted_mark_[s] == mark_epoch_.
   std::vector<std::uint64_t> corrupted_mark_;

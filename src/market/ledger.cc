@@ -23,7 +23,7 @@ std::size_t Ledger::SlotOf(std::int32_t account) const {
 }
 
 Status Ledger::Record(std::int64_t round, std::int32_t from, std::int32_t to,
-                      double amount, std::string memo) {
+                      double amount, std::string_view memo) {
   if (!ValidAccount(from) || !ValidAccount(to)) {
     return Status::InvalidArgument("unknown ledger account");
   }
@@ -46,7 +46,7 @@ Status Ledger::Record(std::int64_t round, std::int32_t from, std::int32_t to,
     t.from = from;
     t.to = to;
     t.amount = amount;
-    t.memo = std::move(memo);
+    t.memo = memo;
     transfers_.push_back(std::move(t));
   }
   return Status::OK();

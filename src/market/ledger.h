@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -39,9 +40,10 @@ class Ledger {
   explicit Ledger(int num_sellers, bool keep_history = true);
 
   /// Records a transfer; negative amounts are rejected (use the reverse
-  /// direction instead) as are unknown accounts.
+  /// direction instead) as are unknown accounts. The memo is copied only
+  /// when the ledger keeps its history.
   util::Status Record(std::int64_t round, std::int32_t from, std::int32_t to,
-                      double amount, std::string memo);
+                      double amount, std::string_view memo);
 
   /// Net balance of an account (credits minus debits; starts at 0).
   util::Result<double> Balance(std::int32_t account) const;
@@ -57,6 +59,8 @@ class Ledger {
   double SellerInflow() const { return seller_inflow_; }
 
   const std::vector<Transfer>& transfers() const { return transfers_; }
+  /// Per-slot balances: consumer, platform, then the M sellers.
+  const std::vector<double>& balances() const { return balances_; }
   int num_sellers() const { return num_sellers_; }
   bool keep_history() const { return keep_history_; }
 

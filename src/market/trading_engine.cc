@@ -269,6 +269,7 @@ Result<RoundReport> TradingEngine::RunRound() {
 
   RoundReport report;
   report.round = t;
+  proof_valid_ = false;
 
   // Quarantine gate: sellers whose circuit breaker is open — and sellers
   // who departed via SetSellerActive — sit out the round, unless dropping
@@ -343,7 +344,10 @@ Result<RoundReport> TradingEngine::RunRound() {
     Result<const game::StackelbergSolver*> solver = PrepareSolver(selected);
     if (!solver.ok()) return solver.status();
     report.game_qualities = solver.value()->config().qualities;
-    game::StrategyProfile profile = solver.value()->Solve();
+    // The proof is only for the checker; disarmed rounds skip filling it.
+    proof_valid_ = checker_ != nullptr;
+    game::StrategyProfile profile =
+        solver.value()->Solve(proof_valid_ ? &solve_proof_ : nullptr);
     report.consumer_price = profile.consumer_price;
     report.collection_price = profile.collection_price;
     report.tau = std::move(profile.tau);
@@ -374,6 +378,7 @@ Result<RoundReport> TradingEngine::RunRound() {
   if (have_defaults) {
     CDT_SPAN("engine.resettle");
     report.degraded = true;
+    proof_valid_ = false;  // Stage 2 and 3 re-solve without a proof
     std::vector<int> survivors;
     std::vector<SellerFaultDraw> survivor_draws;
     survivors.reserve(selected.size());
@@ -465,6 +470,9 @@ Result<RoundReport> TradingEngine::RunRound() {
       stop.severity = config_.consumer_budget - consumer_spend_;
       fault_log_.push_back(stop);
       ++fault_counts_[static_cast<std::size_t>(FaultKind::kBudgetStop)];
+      // The run ends here, so the checker's O(M) ledger audit closes it; a
+      // violation is returned in place of the clean stop.
+      CDT_RETURN_NOT_OK(AuditInvariants());
       return Status::FailedPrecondition(
           "consumer budget exhausted after " +
           std::to_string(next_round_ - 1) + " rounds");
@@ -593,6 +601,11 @@ Status TradingEngine::SetSellerActive(int seller, bool active) {
   return Status::OK();
 }
 
+Status TradingEngine::AuditInvariants() const {
+  if (checker_ == nullptr) return Status::OK();
+  return checker_->AuditLedger(ledger_);
+}
+
 EngineSnapshot TradingEngine::CaptureSnapshot() const {
   EngineSnapshot snapshot;
   snapshot.next_round = next_round_;
@@ -617,15 +630,7 @@ EngineSnapshot TradingEngine::CaptureSnapshot() const {
     snapshot.policy_total_observations = policy_bank->total_observations();
   }
 
-  snapshot.ledger_balances.reserve(
-      static_cast<std::size_t>(ledger_.num_sellers()) + 2);
-  snapshot.ledger_balances.push_back(
-      ledger_.Balance(kConsumerAccount).value());
-  snapshot.ledger_balances.push_back(
-      ledger_.Balance(kPlatformAccount).value());
-  for (int i = 0; i < ledger_.num_sellers(); ++i) {
-    snapshot.ledger_balances.push_back(ledger_.Balance(i).value());
-  }
+  snapshot.ledger_balances = ledger_.balances();
   snapshot.ledger_consumer_outflow = ledger_.ConsumerOutflow();
   snapshot.ledger_seller_inflow = ledger_.SellerInflow();
   snapshot.ledger_transfers = ledger_.transfers();
@@ -744,8 +749,12 @@ Status TradingEngine::RunAll(
     if (!report.ok()) {
       // A configured budget running out ends the campaign cleanly; the
       // stop is visible as a kBudgetStop entry in fault_log() and through
-      // budget_exhausted().
-      if (budget_exhausted_) return Status::OK();
+      // budget_exhausted(). Any other status (the closing audit's
+      // violation) fails the run.
+      if (budget_exhausted_ &&
+          report.status().code() == util::StatusCode::kFailedPrecondition) {
+        return Status::OK();
+      }
       return report.status();
     }
     if (callback) callback(report.value());

@@ -86,7 +86,9 @@ class TradingEngine {
 
   /// Executes the next round; call at most N times. With a consumer budget
   /// configured, fails with FailedPrecondition once the budget cannot cover
-  /// the next round's reward (budget_exhausted() then reports true).
+  /// the next round's reward (budget_exhausted() then reports true). That
+  /// stop ends the run, so it first runs AuditInvariants(), whose Internal
+  /// status replaces the FailedPrecondition when the audit fails.
   util::Result<RoundReport> RunRound();
 
   /// True when a configured consumer budget stopped the trading early.
@@ -120,6 +122,23 @@ class TradingEngine {
 
   /// The checker installed by check_invariants (nullptr when disarmed).
   const InvariantChecker* invariant_checker() const { return checker_; }
+
+  /// What the last round's solve proved beside its prices, for the
+  /// checker to verify; nullptr when the round's prices did not all come
+  /// from one Solve (initial exploration, a re-settled round). Never
+  /// persisted.
+  const game::SolveProof* solve_proof() const {
+    return proof_valid_ ? &solve_proof_ : nullptr;
+  }
+
+  /// Runs the installed checker's O(M) ledger audit (every seller's
+  /// balance and the double-entry net position) against the ledger as it
+  /// stands; OK when disarmed. Callers that capture a snapshot run it
+  /// there, where O(M) is paid anyway, and whatever ends a run runs it
+  /// then: the checker after the last round, RunRound at a budget stop,
+  /// HostedMarketplace::FinishWal at an early close. The audit updates
+  /// only the checker's violation record, never the engine.
+  util::Status AuditInvariants() const;
 
   /// Oracle per-round expected revenue L · Σ_{S*} q (regret baseline).
   double oracle_round_revenue() const { return oracle_round_revenue_; }
@@ -229,6 +248,9 @@ class TradingEngine {
   std::vector<game::SellerCostParams> solve_sellers_;
   std::vector<double> solve_qualities_;
   std::optional<game::StackelbergSolver> solver_;
+  /// The last Solve's proof, valid while the round's prices are its.
+  game::SolveProof solve_proof_;
+  bool proof_valid_ = false;
   /// Selection scratch handed to SelectionPolicy::SelectRoundInto.
   std::vector<int> selected_scratch_;
   /// Collection-stage scratches: accepted learner ids, their batches, and

@@ -11,34 +11,21 @@ using util::Status;
 
 void PutVarint64(std::string* out, std::uint64_t value) {
   char bytes[10];
-  std::size_t n = 0;
-  while (value >= 0x80) {
-    bytes[n++] = static_cast<char>((value & 0x7F) | 0x80);
-    value >>= 7;
-  }
-  bytes[n++] = static_cast<char>(value);
-  out->append(bytes, n);
+  out->append(bytes, PutVarint64At(bytes, value) - bytes);
 }
 
 void PutZigzag64(std::string* out, std::int64_t value) {
-  std::uint64_t u = static_cast<std::uint64_t>(value);
-  PutVarint64(out, (u << 1) ^ (u >> 63 ? ~std::uint64_t{0} : 0));
+  PutVarint64(out, ZigzagEncode(value));
 }
 
 void PutFixed32(std::string* out, std::uint32_t value) {
   char bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
-  }
-  out->append(bytes, sizeof(bytes));
+  out->append(bytes, PutFixed32At(bytes, value) - bytes);
 }
 
 void PutFixed64(std::string* out, std::uint64_t value) {
   char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
-  }
-  out->append(bytes, sizeof(bytes));
+  out->append(bytes, PutFixed64At(bytes, value) - bytes);
 }
 
 void PutDouble(std::string* out, double value) {

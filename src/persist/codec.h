@@ -11,6 +11,7 @@
 #ifndef CDT_PERSIST_CODEC_H_
 #define CDT_PERSIST_CODEC_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -45,6 +46,47 @@ void PutString(std::string* out, std::string_view value);
 /// Varint count prefix + per-element PutDouble / PutZigzag64.
 void PutDoubleVector(std::string* out, const std::vector<double>& values);
 void PutIntVector(std::string* out, const std::vector<int>& values);
+
+// --- encoding through a raw cursor ------------------------------------
+// The same bytes as the Put* forms above, written at `cursor`, which must
+// have room for them; each returns the position after the last byte.
+
+// Inline, since a snapshot makes millions of these calls.
+
+/// Bytes PutVarint64 writes for `value` (1 to 10): one per started group
+/// of 7 significant bits.
+inline std::size_t VarintSize(std::uint64_t value) {
+  return static_cast<std::size_t>(std::bit_width(value | 1) + 6) / 7;
+}
+
+/// The zigzag map PutZigzag64 applies before its varint.
+inline std::uint64_t ZigzagEncode(std::int64_t value) {
+  const std::uint64_t u = static_cast<std::uint64_t>(value);
+  return (u << 1) ^ (u >> 63 ? ~std::uint64_t{0} : 0);
+}
+
+inline char* PutVarint64At(char* cursor, std::uint64_t value) {
+  while (value >= 0x80) {
+    *cursor++ = static_cast<char>((value & 0x7F) | 0x80);
+    value >>= 7;
+  }
+  *cursor++ = static_cast<char>(value);
+  return cursor;
+}
+
+inline char* PutFixed32At(char* cursor, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    *cursor++ = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return cursor;
+}
+
+inline char* PutFixed64At(char* cursor, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    *cursor++ = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return cursor;
+}
 
 // --- decoding ----------------------------------------------------------
 

@@ -4,6 +4,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
+#include <string_view>
 #include <utility>
 
 #include "persist/atomic_io.h"
@@ -469,16 +471,19 @@ Status DecodeRebasePayload(std::string_view payload,
 
 Status WriteSnapshotFile(const std::string& path, std::uint32_t config_crc,
                          const market::EngineSnapshot& snapshot) {
-  std::string payload;
-  PutFixed32(&payload, config_crc);
-  EncodeEngineSnapshot(snapshot, &payload);
-
-  std::string bytes(kSnapshotMagic, kMagicSize);
-  PutVarint64(&bytes, kFormatVersion);
-  PutVarint64(&bytes, payload.size());
-  bytes.append(payload);
-  PutFixed32(&bytes, Crc32(payload));
-  return AtomicWriteFile(path, bytes);
+  // One buffer, allocated once: the header, then the payload (config CRC
+  // and snapshot) encoded in place, then the payload's CRC.
+  std::string header(kSnapshotMagic, kMagicSize);
+  PutVarint64(&header, kFormatVersion);
+  const std::size_t payload = 4 + EngineSnapshotSize(snapshot);
+  PutVarint64(&header, payload);
+  const std::size_t size = header.size() + payload + 4;
+  std::unique_ptr<char[]> bytes(new char[size]);
+  std::memcpy(bytes.get(), header.data(), header.size());
+  char* body = bytes.get() + header.size();
+  char* end = EncodeEngineSnapshotAt(snapshot, PutFixed32At(body, config_crc));
+  PutFixed32At(end, Crc32(std::string_view(body, payload)));
+  return AtomicWriteFile(path, std::string_view(bytes.get(), size));
 }
 
 Result<SnapshotFile> ReadSnapshotFile(const std::string& path) {

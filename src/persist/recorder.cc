@@ -93,6 +93,8 @@ Status RunRecorder::CheckpointNow(const market::TradingEngine& engine) {
   // Snapshot notes must follow the round they cover; before round 1 there
   // is nothing to checkpoint.
   if (round < 1 || round != log_->rounds_written()) return Status::OK();
+  // The checker's O(M) ledger audit rides on the snapshot's O(M) capture.
+  CDT_RETURN_NOT_OK(engine.AuditInvariants());
   // Snapshot first, note second: the log never claims a snapshot that did
   // not reach disk.
   CDT_RETURN_NOT_OK(WriteSnapshotFile(options_.snapshot_path,

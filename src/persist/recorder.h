@@ -53,7 +53,10 @@ class RunRecorder : public market::RoundObserver {
   /// (compaction, re-arm): durably writes a snapshot of `engine`, then
   /// atomically swaps a rebased log in over `options.log_path` and notes
   /// the snapshot in it. A crash in between leaves the previous log plus a
-  /// newer snapshot, which still recovers. Needs a snapshot_path.
+  /// newer snapshot, which still recovers. Needs a snapshot_path. Unlike
+  /// the checkpoints, it runs no ledger audit: the caller runs
+  /// TradingEngine::AuditInvariants first, before it dismantles the
+  /// writers this recorder replaces.
   static util::Result<std::unique_ptr<RunRecorder>> Rebase(
       Options options, const core::MechanismConfig& config,
       const core::PolicySpec& policy, const market::TradingEngine& engine);
@@ -66,7 +69,9 @@ class RunRecorder : public market::RoundObserver {
 
   /// Forces a checkpoint outside the snapshot_every cadence (e.g. a
   /// graceful drain's final snapshot). No-op when snapshots are disabled
-  /// or no round has settled yet.
+  /// or no round has settled yet. Every checkpoint first runs the
+  /// checker's O(M) ledger audit (TradingEngine::AuditInvariants); a
+  /// violation returns its Internal status and writes no snapshot.
   util::Status CheckpointNow(const market::TradingEngine& engine);
 
   /// Seals the log with its footer (fsync + close). Idempotent. A crash

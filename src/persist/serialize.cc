@@ -1,6 +1,9 @@
 #include "persist/serialize.h"
 
+#include <bit>
 #include <cstddef>
+#include <cstring>
+#include <string_view>
 
 #include "market/faults.h"
 #include "market/ledger.h"
@@ -241,14 +244,51 @@ Status DecodeRoundReport(ByteReader* in, market::RoundReport* report) {
 
 namespace {
 
-void EncodeArms(const std::vector<bandit::ArmState>& arms,
-                std::uint64_t total, std::string* out) {
-  PutVarint64(out, arms.size());
-  for (const bandit::ArmState& arm : arms) {
-    PutVarint64(out, arm.observations);
-    PutDouble(out, arm.mean);
+// A snapshot is encoded in two passes over one field walk
+// (EncodeSnapshotFields): SizeSink counts its bytes, then CursorSink writes
+// them through a raw cursor into space reserved once. Both emit exactly
+// the bytes of the Put* forms in codec.h.
+class SizeSink {
+ public:
+  void Varint(std::uint64_t value) { size_ += VarintSize(value); }
+  void Zigzag(std::int64_t value) { Varint(ZigzagEncode(value)); }
+  void Fixed64(std::uint64_t) { size_ += 8; }
+  void Double(double) { size_ += 8; }
+  void Byte(std::uint8_t) { ++size_; }
+  void Bytes(std::string_view bytes) { size_ += bytes.size(); }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+class CursorSink {
+ public:
+  explicit CursorSink(char* cursor) : cursor_(cursor) {}
+  void Varint(std::uint64_t value) { cursor_ = PutVarint64At(cursor_, value); }
+  void Zigzag(std::int64_t value) { Varint(ZigzagEncode(value)); }
+  void Fixed64(std::uint64_t value) { cursor_ = PutFixed64At(cursor_, value); }
+  void Double(double value) { Fixed64(std::bit_cast<std::uint64_t>(value)); }
+  void Byte(std::uint8_t value) { *cursor_++ = static_cast<char>(value); }
+  void Bytes(std::string_view bytes) {
+    std::memcpy(cursor_, bytes.data(), bytes.size());
+    cursor_ += bytes.size();
   }
-  PutVarint64(out, total);
+  char* cursor() const { return cursor_; }
+
+ private:
+  char* cursor_;
+};
+
+template <typename Sink>
+void EncodeArms(const std::vector<bandit::ArmState>& arms,
+                std::uint64_t total, Sink& out) {
+  out.Varint(arms.size());
+  for (const bandit::ArmState& arm : arms) {
+    out.Varint(arm.observations);
+    out.Double(arm.mean);
+  }
+  out.Varint(total);
 }
 
 Status DecodeArms(ByteReader* in, std::vector<bandit::ArmState>* arms,
@@ -270,18 +310,18 @@ Status DecodeArms(ByteReader* in, std::vector<bandit::ArmState>* arms,
   return in->ReadVarint64(total);
 }
 
-void EncodeReliability(const market::SellerReliability& seller,
-                       std::string* out) {
-  PutZigzag64(out, seller.deliveries);
-  PutZigzag64(out, seller.partials);
-  PutZigzag64(out, seller.defaults);
-  PutZigzag64(out, seller.corruptions);
-  PutZigzag64(out, seller.quarantine_drops);
-  PutZigzag64(out, seller.times_opened);
-  PutZigzag64(out, seller.consecutive_faults);
-  PutZigzag64(out, seller.probation_progress);
-  PutByte(out, static_cast<std::uint8_t>(seller.state));
-  PutZigzag64(out, seller.opened_round);
+template <typename Sink>
+void EncodeReliability(const market::SellerReliability& seller, Sink& out) {
+  out.Zigzag(seller.deliveries);
+  out.Zigzag(seller.partials);
+  out.Zigzag(seller.defaults);
+  out.Zigzag(seller.corruptions);
+  out.Zigzag(seller.quarantine_drops);
+  out.Zigzag(seller.times_opened);
+  out.Zigzag(seller.consecutive_faults);
+  out.Zigzag(seller.probation_progress);
+  out.Byte(static_cast<std::uint8_t>(seller.state));
+  out.Zigzag(seller.opened_round);
 }
 
 Status DecodeReliability(ByteReader* in, market::SellerReliability* seller) {
@@ -304,55 +344,70 @@ Status DecodeReliability(ByteReader* in, market::SellerReliability* seller) {
   return in->ReadZigzag64(&seller->opened_round);
 }
 
-}  // namespace
-
-void EncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
-                          std::string* out) {
-  PutZigzag64(out, snapshot.next_round);
-  PutBool(out, snapshot.budget_exhausted);
-  PutDouble(out, snapshot.consumer_spend);
+template <typename Sink>
+void EncodeSnapshotFields(const market::EngineSnapshot& snapshot, Sink& out) {
+  out.Zigzag(snapshot.next_round);
+  out.Byte(snapshot.budget_exhausted ? 1 : 0);
+  out.Double(snapshot.consumer_spend);
   EncodeArms(snapshot.pricing_arms, snapshot.pricing_total_observations, out);
-  PutBool(out, snapshot.has_policy_arms);
+  out.Byte(snapshot.has_policy_arms ? 1 : 0);
   if (snapshot.has_policy_arms) {
     EncodeArms(snapshot.policy_arms, snapshot.policy_total_observations, out);
   }
-  PutDoubleVector(out, snapshot.ledger_balances);
-  PutDouble(out, snapshot.ledger_consumer_outflow);
-  PutDouble(out, snapshot.ledger_seller_inflow);
-  PutVarint64(out, snapshot.ledger_transfers.size());
+  out.Varint(snapshot.ledger_balances.size());
+  for (double balance : snapshot.ledger_balances) out.Double(balance);
+  out.Double(snapshot.ledger_consumer_outflow);
+  out.Double(snapshot.ledger_seller_inflow);
+  out.Varint(snapshot.ledger_transfers.size());
   for (const market::Transfer& transfer : snapshot.ledger_transfers) {
-    PutZigzag64(out, transfer.round);
-    PutZigzag64(out, transfer.from);
-    PutZigzag64(out, transfer.to);
-    PutDouble(out, transfer.amount);
-    PutString(out, transfer.memo);
+    out.Zigzag(transfer.round);
+    out.Zigzag(transfer.from);
+    out.Zigzag(transfer.to);
+    out.Double(transfer.amount);
+    out.Varint(transfer.memo.size());
+    out.Bytes(transfer.memo);
   }
-  PutVarint64(out, snapshot.reliability.size());
+  out.Varint(snapshot.reliability.size());
   for (const market::SellerReliability& seller : snapshot.reliability) {
     EncodeReliability(seller, out);
   }
-  PutZigzag64(out, snapshot.reliability_total_faults);
-  for (std::int64_t count : snapshot.fault_counts) {
-    PutZigzag64(out, count);
-  }
-  for (std::uint64_t word : snapshot.environment.rng_state) {
-    PutFixed64(out, word);
-  }
-  PutVarint64(out, snapshot.environment.has_spare.size());
-  for (std::uint8_t flag : snapshot.environment.has_spare) {
-    PutByte(out, flag);
-  }
-  PutDoubleVector(out, snapshot.environment.spare);
+  out.Zigzag(snapshot.reliability_total_faults);
+  for (std::int64_t count : snapshot.fault_counts) out.Zigzag(count);
+  for (std::uint64_t word : snapshot.environment.rng_state) out.Fixed64(word);
+  out.Varint(snapshot.environment.has_spare.size());
+  for (std::uint8_t flag : snapshot.environment.has_spare) out.Byte(flag);
+  out.Varint(snapshot.environment.spare.size());
+  for (double spare : snapshot.environment.spare) out.Double(spare);
   // Optional tail: the seller-departure bitmap (runtime seller-leave
   // events). Omitted entirely when every seller is active, so snapshots
   // from runs that never saw a departure keep the original byte layout
   // and pre-overlay snapshots decode unchanged.
   if (!snapshot.seller_active.empty()) {
-    PutVarint64(out, snapshot.seller_active.size());
-    for (std::uint8_t flag : snapshot.seller_active) {
-      PutByte(out, flag);
-    }
+    out.Varint(snapshot.seller_active.size());
+    for (std::uint8_t flag : snapshot.seller_active) out.Byte(flag);
   }
+}
+
+}  // namespace
+
+std::size_t EngineSnapshotSize(const market::EngineSnapshot& snapshot) {
+  SizeSink size;
+  EncodeSnapshotFields(snapshot, size);
+  return size.size();
+}
+
+char* EncodeEngineSnapshotAt(const market::EngineSnapshot& snapshot,
+                             char* cursor) {
+  CursorSink out(cursor);
+  EncodeSnapshotFields(snapshot, out);
+  return out.cursor();
+}
+
+void EncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
+                          std::string* out) {
+  const std::size_t at = out->size();
+  out->resize(at + EngineSnapshotSize(snapshot));
+  EncodeEngineSnapshotAt(snapshot, out->data() + at);
 }
 
 Status DecodeEngineSnapshot(ByteReader* in,

@@ -36,6 +36,14 @@ util::Status DecodePolicySpec(ByteReader* in, core::PolicySpec* spec);
 void EncodeRoundReport(const market::RoundReport& report, std::string* out);
 util::Status DecodeRoundReport(ByteReader* in, market::RoundReport* report);
 
+/// The snapshot in one sizing pass and one write pass through a raw
+/// cursor: EngineSnapshotSize counts the bytes, EncodeEngineSnapshotAt
+/// writes them at `cursor` (which must have that much room) and returns
+/// the end, and EncodeEngineSnapshot appends them to `out`, growing it
+/// once. tests/support keeps the per-field encoder as the byte oracle.
+std::size_t EngineSnapshotSize(const market::EngineSnapshot& snapshot);
+char* EncodeEngineSnapshotAt(const market::EngineSnapshot& snapshot,
+                             char* cursor);
 void EncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
                           std::string* out);
 util::Status DecodeEngineSnapshot(ByteReader* in,

@@ -137,8 +137,8 @@ Status DurabilityGuard::OnRound(const market::TradingEngine& engine,
     case Health::kFailed:
       return Status::OK();  // the host quarantines; nothing to write
     case Health::kDegraded:
-      if (report.round >= next_rearm_round_) TryRearm(engine, report.round);
-      return Status::OK();
+      if (report.round < next_rearm_round_) return Status::OK();
+      return TryRearm(engine, report.round);
     case Health::kDurable:
       break;
   }
@@ -208,6 +208,9 @@ Status DurabilityGuard::Rebase(const market::TradingEngine& engine) {
 }
 
 Status DurabilityGuard::Compact(const market::TradingEngine& engine) {
+  // The rebase snapshot's audit runs before any writer is touched: a
+  // violation stops the run and leaves the guard as it was.
+  CDT_RETURN_NOT_OK(engine.AuditInvariants());
   if (tuning().retain_compacted) {
     // A failed seal or rename leaves a recorder that can never append
     // again; it fails as a storage failure, so OnRound degrades (dropping
@@ -222,27 +225,31 @@ Status DurabilityGuard::Compact(const market::TradingEngine& engine) {
   return Status::OK();
 }
 
-void DurabilityGuard::TryRearm(const market::TradingEngine& engine,
-                               std::int64_t round) {
+Status DurabilityGuard::TryRearm(const market::TradingEngine& engine,
+                                 std::int64_t round) {
   if (tuning().max_rearm_attempts > 0 &&
       rearm_attempts_ >= tuning().max_rearm_attempts) {
     MarkFailed();
-    return;
+    return Status::OK();
   }
+  // The re-arm snapshot's audit: a violation stops the run; it is no
+  // failed re-arm.
+  CDT_RETURN_NOT_OK(engine.AuditInvariants());
   ++rearm_attempts_;
   Status status = Rebase(engine);
   if (status.ok()) {
     MarkRearmed();
-    return;
+    return Status::OK();
   }
   CountWalFailure(status);
   if (tuning().max_rearm_attempts > 0 &&
       rearm_attempts_ >= tuning().max_rearm_attempts) {
     MarkFailed();
-    return;
+    return Status::OK();
   }
   rearm_backoff_ = std::min(rearm_backoff_ * 2, tuning().rearm_max_rounds);
   next_rearm_round_ = round + rearm_backoff_;
+  return Status::OK();
 }
 
 void DurabilityGuard::CountWalFailure(const Status& status) {
@@ -312,8 +319,10 @@ Status DurabilityGuard::Finish(const market::TradingEngine& engine) {
       break;
     case Health::kDegraded:
       // One last probe outside the backoff schedule: if the fault has
-      // cleared, the drain still ends in a sealed, recoverable WAL.
-      status = Rebase(engine);
+      // cleared, the drain still ends in a sealed, recoverable WAL. Its
+      // snapshot's audit runs first, while the guard is still degraded.
+      status = engine.AuditInvariants();
+      if (status.ok()) status = Rebase(engine);
       if (!status.ok()) {
         last_error_ = status;
         return status;

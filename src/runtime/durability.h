@@ -159,10 +159,15 @@ class DurabilityGuard final : public market::RoundObserver {
   const Tuning& tuning() const { return options_.tuning; }
 
   /// Swing in a recorder rebased at the engine's round (snapshot first),
-  /// reset the journal. The core of re-arm and compaction.
+  /// reset the journal. The core of re-arm and compaction. Drops both
+  /// writers before anything can fail, so its callers run the snapshot's
+  /// ledger audit (TradingEngine::AuditInvariants) before calling it.
   util::Status Rebase(const market::TradingEngine& engine);
   util::Status Compact(const market::TradingEngine& engine);
-  void TryRearm(const market::TradingEngine& engine, std::int64_t round);
+  /// Non-OK only when the ledger audit fails, which stops the run; a
+  /// failed rebase is absorbed into the backoff.
+  util::Status TryRearm(const market::TradingEngine& engine,
+                        std::int64_t round);
   /// Counts one absorbed WAL failure and keeps it as last_error.
   void CountWalFailure(const util::Status& status);
   void RecordWalFailure(const util::Status& status, std::int64_t round);

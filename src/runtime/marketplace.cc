@@ -263,11 +263,16 @@ void HostedMarketplace::QuarantineIfGuardFailed() {
 Status HostedMarketplace::FinishWal() {
   if (state_ == State::kClosed) return Status::OK();
   Status status;
+  // A run closed before its last round ends here, so the checker's O(M)
+  // ledger audit closes it (the last round and a budget stop ran it
+  // already). A violation is reported, and the WAL is still sealed.
+  if (state_ == State::kActive) status = run_->engine().AuditInvariants();
   if (guard_ != nullptr) {
     // Final checkpoint + footer seal + journal sync; a degraded guard
     // makes one last rebase attempt so a cleared fault still drains to a
     // sealed, recoverable WAL.
-    status = guard_->Finish(run_->engine());
+    Status finished = guard_->Finish(run_->engine());
+    if (status.ok()) status = finished;
   }
   state_ = State::kClosed;
   return status;

@@ -92,7 +92,9 @@ class HostedMarketplace {
                           std::int64_t* rounds_remaining);
 
   /// Graceful drain: final snapshot, footer-sealed log, synced journal.
-  /// Idempotent; the marketplace is kClosed afterwards.
+  /// Idempotent; the marketplace is kClosed afterwards. Closing a
+  /// marketplace before its last round first runs the checker's O(M)
+  /// ledger audit, whose violation is returned (the WAL is sealed anyway).
   util::Status FinishWal();
 
   const std::string& id() const { return id_; }

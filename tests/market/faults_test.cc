@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <vector>
+
+#include "stats/rng.h"
 
 namespace cdt {
 namespace market {
@@ -256,6 +260,63 @@ TEST(ReliabilityTrackerTest, ConsecutiveFaultsOpenTheBreaker) {
   EXPECT_EQ(tracker.QuarantinedCount(13), 0);
   // Other sellers are untouched.
   EXPECT_EQ(tracker.seller(0).state, BreakerState::kClosed);
+}
+
+// The quarantined-seller count as it was computed before it was kept
+// incrementally: one Available test per seller.
+int QuarantinedCountByScan(const ReliabilityTracker& tracker,
+                           std::int64_t round) {
+  int count = 0;
+  for (int i = 0; i < tracker.num_sellers(); ++i) {
+    if (!tracker.Available(i, round)) ++count;
+  }
+  return count;
+}
+
+// A faulty campaign: each round a few sellers pass the breaker gate and
+// fault or deliver at random, so breakers open, cool down, go on probation,
+// close and reopen. After every round the kept count equals the scan, also
+// across a Restore into a fresh tracker every 50 rounds.
+TEST(ReliabilityTrackerTest, QuarantinedCountMatchesTheScanOverACampaign) {
+  constexpr int kSellers = 30;
+  auto tracker = std::make_unique<ReliabilityTracker>(kSellers,
+                                                      BreakerOptions());
+  stats::Xoshiro256 rng(0xB4EA);
+  int probations = 0;
+  int max_quarantined = 0;
+  for (std::int64_t round = 1; round <= 600; ++round) {
+    for (int pick = 0; pick < 6; ++pick) {
+      const int seller = static_cast<int>(rng.NextBounded(kSellers));
+      if (!tracker->Available(seller, round)) continue;
+      if (tracker->seller(seller).state == BreakerState::kOpen) ++probations;
+      if (rng.NextDouble() < 0.45) {
+        tracker->RecordFault(seller, round, rng.NextDouble() < 0.5
+                                                ? FaultKind::kSellerDefault
+                                                : FaultKind::kCorruptedReport);
+      } else {
+        tracker->RecordDelivery(seller, round, false);
+      }
+    }
+    const int count = tracker->QuarantinedCount(round);
+    ASSERT_EQ(count, QuarantinedCountByScan(*tracker, round))
+        << "round " << round;
+    max_quarantined = std::max(max_quarantined, count);
+    if (round % 50 == 0) {
+      auto restored = std::make_unique<ReliabilityTracker>(kSellers,
+                                                           BreakerOptions());
+      ASSERT_TRUE(
+          restored->Restore(tracker->sellers(), tracker->total_faults()).ok());
+      tracker = std::move(restored);
+      ASSERT_EQ(tracker->QuarantinedCount(round), count) << "round " << round;
+    }
+  }
+  std::int64_t reopened = 0;
+  for (const SellerReliability& s : tracker->sellers()) {
+    reopened += std::max<std::int64_t>(0, s.times_opened - 1);
+  }
+  EXPECT_GT(probations, 0);
+  EXPECT_GT(reopened, 0);
+  EXPECT_GT(max_quarantined, 1);
 }
 
 TEST(ReliabilityTrackerTest, DeliveryResetsTheConsecutiveRun) {

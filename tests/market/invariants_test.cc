@@ -5,6 +5,7 @@
 
 #include "market/invariants.h"
 
+#include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -358,8 +359,8 @@ EngineStateView GameView(const game::GameConfig& config,
   return view;
 }
 
-// The checker keeps one solver across rounds: re-targeted while the
-// economics hold, re-created when they change, and still rejecting games
+// The checker rebuilds each round's game from the view and the report: it
+// follows economics that change between rounds and rejects the games
 // GameConfig::Validate would reject.
 TEST(InvariantCheckerTest, StationaritySolverFollowsTheRoundsGame) {
   game::GameConfig config;
@@ -438,7 +439,7 @@ RoundReport ReportAtConsumerPrice(const game::GameConfig& config,
   return report;
 }
 
-std::vector<std::string> StationarityChecks(const InvariantChecker& checker) {
+std::vector<std::string> ViolationChecks(const InvariantChecker& checker) {
   std::vector<std::string> out;
   for (const InvariantViolation& v : checker.violations()) {
     out.push_back(v.check);
@@ -467,7 +468,7 @@ TEST(InvariantCheckerTest, DoctoredConsumerPriceViolatesStationarity) {
 
   checker.CheckStationarity(
       view, ReportAtConsumerPrice(config, 2, 0.7 * equilibrium.consumer_price));
-  ASSERT_EQ(StationarityChecks(checker),
+  ASSERT_EQ(ViolationChecks(checker),
             (std::vector<std::string>{"stationarity.consumer_opt"}));
   EXPECT_EQ(checker.violations()[0].kind, InvariantKind::kStationarity);
   EXPECT_GT(checker.violations()[0].magnitude, 0.0);
@@ -493,7 +494,7 @@ TEST(InvariantCheckerTest, HeuristicStage1MissViolatesStationarity) {
               1e-3);
   InvariantChecker checker;
   checker.CheckStationarity(view, ReportAtConsumerPrice(config, 1, heuristic));
-  ASSERT_EQ(StationarityChecks(checker),
+  ASSERT_EQ(ViolationChecks(checker),
             (std::vector<std::string>{"stationarity.consumer_opt"}));
   EXPECT_NEAR(checker.violations()[0].magnitude, 294.577 - 293.030, 1e-3);
 
@@ -501,6 +502,77 @@ TEST(InvariantCheckerTest, HeuristicStage1MissViolatesStationarity) {
   EXPECT_NEAR(walk, 6.9323, 1e-4);
   checker.CheckStationarity(view, ReportAtConsumerPrice(config, 2, walk));
   EXPECT_EQ(checker.violation_count(), 1u);
+}
+
+// The equilibria of the oracle fuzz's random games (tests/game), every
+// Stage-1 regime shape included, pass stationarity with no proof: the
+// checker's own tangent bounds and, where they do not settle a domain, its
+// bisection of the platform's response agree with the solver's regime walk.
+TEST(InvariantCheckerTest, RandomGameEquilibriaPassTheIndependentCheck) {
+  InvariantChecker checker;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    stats::Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ULL);
+    const game::GameConfig config = testsupport::RandomGameConfig(rng);
+    std::vector<game::SellerCostParams> costs = config.sellers;
+    checker.CheckStationarity(
+        GameView(config, &costs),
+        EquilibriumReport(config, static_cast<std::int64_t>(seed)));
+    ASSERT_EQ(checker.violation_count(), 0u)
+        << "seed " << seed << ": " << checker.violations()[0].ToString();
+  }
+}
+
+// A solve's proof passes as produced; each way of tampering with it is a
+// violation of its own: a kink order that is not a sorted permutation, a
+// Stage-2 candidate that does not price at p, a certificate whose tangent
+// or domain bound does not re-derive.
+TEST(InvariantCheckerTest, ProofThatDoesNotVerifyIsAViolation) {
+  game::GameConfig config;
+  game::SolveProof proof;
+  std::uint64_t seed = 1;
+  for (;; ++seed) {  // a certified solve with kinks inside the box
+    stats::Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ULL);
+    config = testsupport::RandomGameConfig(rng);
+    auto solver = game::StackelbergSolver::Create(config);
+    ASSERT_TRUE(solver.ok());
+    solver.value().Solve(&proof);
+    if (proof.certified && proof.kink_order.size() >= 3) break;
+  }
+  std::vector<game::SellerCostParams> costs = config.sellers;
+  EngineStateView view = GameView(config, &costs);
+  const RoundReport report = EquilibriumReport(config, 1);
+  auto checks_with = [&](const game::SolveProof& tampered) {
+    view.proof = &tampered;
+    InvariantChecker checker;
+    checker.CheckStationarity(view, report);
+    return ViolationChecks(checker);
+  };
+  EXPECT_EQ(checks_with(proof), std::vector<std::string>{}) << "seed " << seed;
+
+  game::SolveProof swapped = proof;
+  std::swap(swapped.kink_order.front(), swapped.kink_order.back());
+  EXPECT_EQ(checks_with(swapped),
+            std::vector<std::string>{"stationarity.kink_order"});
+  game::SolveProof repeated = proof;
+  repeated.kink_order[1] = repeated.kink_order[0];
+  EXPECT_EQ(checks_with(repeated),
+            std::vector<std::string>{"stationarity.kink_order"});
+
+  game::SolveProof moved = proof;
+  moved.platform_pos = proof.platform_pos == -1 ? 1 : -1;
+  EXPECT_EQ(checks_with(moved),
+            std::vector<std::string>{"stationarity.platform_proof"});
+
+  game::SolveProof tangent = proof;
+  tangent.t1 *= 1.01;
+  EXPECT_EQ(checks_with(tangent),
+            std::vector<std::string>{"stationarity.certificate"});
+  game::SolveProof understated = proof;
+  std::size_t domain = 0;
+  while (!(understated.bounds[domain] > -1e300)) ++domain;
+  understated.bounds[domain] -= 1.0 + std::fabs(understated.bounds[domain]);
+  EXPECT_EQ(checks_with(understated),
+            std::vector<std::string>{"stationarity.certificate"});
 }
 
 TEST(InvariantCheckerTest, RegretMonotonicityViolationIsDetected) {
@@ -582,6 +654,115 @@ TEST(InvariantCheckerEngineTest, CleanRunStaysViolationFree) {
       run.value()->engine().invariant_checker();
   ASSERT_NE(checker, nullptr);
   EXPECT_EQ(checker->violation_count(), 0u);
+}
+
+// Campaigns at K ~ sqrt(M), where most Stage-1 solves need the regime walk,
+// and at the paper's K = 10, where the tangent certificate settles most:
+// the armed checker verifies every solve with its own arithmetic, so a
+// flaw in the engine's regime partition or certificate fails the run.
+TEST(InvariantCheckerEngineTest, ScaledCampaignsVerifyEveryStage1Solve) {
+  struct Shape {
+    int sellers, selected, rounds;
+  };
+  for (const Shape& shape : {Shape{2000, 45, 60}, Shape{300, 10, 300}}) {
+    for (std::uint64_t seed : {3u, 17u}) {
+      core::MechanismConfig config;
+      config.num_sellers = shape.sellers;
+      config.num_selected = shape.selected;
+      config.num_pois = 10;
+      config.num_rounds = shape.rounds;
+      config.seed = seed;
+      auto run = core::CmabHs::Create(config);
+      ASSERT_TRUE(run.ok());
+      util::Status status = run.value()->RunAll();
+      EXPECT_TRUE(status.ok())
+          << "M=" << shape.sellers << " seed " << seed << ": "
+          << status.ToString();
+    }
+  }
+}
+
+// Without snapshots the O(M) audit runs after the run's last round: a
+// corrupted balance of a seller that never trades survives every round
+// until then.
+TEST(InvariantCheckerEngineTest, LastRoundAuditCatchesAnUnselectedSeller) {
+  core::MechanismConfig config;
+  config.num_sellers = 12;
+  config.num_selected = 3;
+  config.num_pois = 4;
+  config.num_rounds = 8;
+  config.seed = 5;
+  auto run = core::CmabHs::Create(config);
+  ASSERT_TRUE(run.ok());
+  TradingEngine& engine = run.value()->mutable_engine();
+  ASSERT_TRUE(engine.SetSellerActive(4, false).ok());
+  ASSERT_TRUE(run.value()->RunRound().ok());
+  const Ledger& ledger = engine.ledger();
+  std::vector<double> balances = ledger.balances();
+  balances[2 + 4] -= 1.25;
+  ASSERT_TRUE(const_cast<Ledger&>(ledger)
+                  .Restore(balances, ledger.ConsumerOutflow(),
+                           ledger.SellerInflow(), ledger.transfers())
+                  .ok());
+  for (int round = 2; round <= 7; ++round) {
+    ASSERT_TRUE(run.value()->RunRound().ok()) << "round " << round;
+  }
+  auto last = run.value()->RunRound();
+  ASSERT_FALSE(last.ok());
+  EXPECT_NE(last.status().ToString().find("invariant violation in round 8"),
+            std::string::npos)
+      << last.status().ToString();
+  ASSERT_EQ(ViolationChecks(*engine.invariant_checker()),
+            (std::vector<std::string>{"ledger.net_position",
+                                      "ledger.seller_balance"}));
+}
+
+// A budget stop ends the run before its last round, so the audit runs at
+// the stop: a corrupted balance of a seller that never trades is caught
+// there, in the last settled round, and the run fails instead of stopping
+// cleanly.
+TEST(InvariantCheckerEngineTest, BudgetStopAuditCatchesAnUnselectedSeller) {
+  core::MechanismConfig config;
+  config.num_sellers = 12;
+  config.num_selected = 3;
+  config.num_pois = 4;
+  config.num_rounds = 40;
+  config.seed = 5;
+  constexpr int kDeparted = 4;
+  // The budget covers exactly the first 10 rounds' rewards.
+  {
+    auto reference = core::CmabHs::Create(config);
+    ASSERT_TRUE(reference.ok());
+    ASSERT_TRUE(
+        reference.value()->mutable_engine().SetSellerActive(kDeparted, false)
+            .ok());
+    for (int round = 1; round <= 10; ++round) {
+      ASSERT_TRUE(reference.value()->RunRound().ok());
+    }
+    config.consumer_budget = reference.value()->engine().consumer_spend();
+  }
+  auto run = core::CmabHs::Create(config);
+  ASSERT_TRUE(run.ok());
+  TradingEngine& engine = run.value()->mutable_engine();
+  ASSERT_TRUE(engine.SetSellerActive(kDeparted, false).ok());
+  ASSERT_TRUE(run.value()->RunRound().ok());
+  const Ledger& ledger = engine.ledger();
+  std::vector<double> balances = ledger.balances();
+  balances[2 + kDeparted] -= 1.25;
+  ASSERT_TRUE(const_cast<Ledger&>(ledger)
+                  .Restore(balances, ledger.ConsumerOutflow(),
+                           ledger.SellerInflow(), ledger.transfers())
+                  .ok());
+  util::Status status = run.value()->RunAll();
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(engine.budget_exhausted());
+  EXPECT_EQ(engine.current_round(), 10);
+  EXPECT_NE(status.ToString().find("invariant violation in round 10"),
+            std::string::npos)
+      << status.ToString();
+  ASSERT_EQ(ViolationChecks(*engine.invariant_checker()),
+            (std::vector<std::string>{"ledger.net_position",
+                                      "ledger.seller_balance"}));
 }
 
 TEST(InvariantCheckerEngineTest, DisarmedEngineInstallsNoChecker) {

@@ -21,6 +21,7 @@
 #include "persist/serialize.h"
 #include "stats/rng.h"
 #include "support/reference_crc32.h"
+#include "support/reference_snapshot_codec.h"
 
 namespace cdt {
 namespace persist {
@@ -474,6 +475,106 @@ TEST(SerializeTest, EngineSnapshotRoundTrips) {
   EXPECT_EQ(decoded.reliability[1].state, market::BreakerState::kOpen);
   EXPECT_EQ(decoded.ledger_transfers[0].memo, "reward");
   EXPECT_EQ(decoded.environment.rng_state[3], 4u);
+}
+
+// A snapshot with every section random: arms whose counters reach the
+// 10-byte varints, negative zigzags in the cursor, transfers and breaker
+// fields, memos of every length, fault counts, and the seller-activity
+// tail in some draws.
+market::EngineSnapshot RandomSnapshot(stats::Xoshiro256& rng) {
+  auto wide = [&rng]() -> std::uint64_t {
+    const int bits = static_cast<int>(rng.NextBounded(65));
+    return bits == 64 ? rng.Next() : rng.Next() & ((1ULL << bits) - 1);
+  };
+  auto signed_wide = [&]() {
+    return static_cast<std::int64_t>(wide()) *
+           (rng.NextDouble() < 0.5 ? -1 : 1);
+  };
+  market::EngineSnapshot snapshot;
+  const int m = static_cast<int>(rng.NextBounded(40));
+  snapshot.next_round = signed_wide();
+  snapshot.budget_exhausted = rng.NextDouble() < 0.5;
+  snapshot.consumer_spend = rng.NextDouble(-1e9, 1e9);
+  for (int i = 0; i < m; ++i) {
+    snapshot.pricing_arms.push_back({wide(), rng.NextDouble()});
+  }
+  snapshot.pricing_total_observations = wide();
+  snapshot.has_policy_arms = rng.NextDouble() < 0.5;
+  if (snapshot.has_policy_arms) {
+    snapshot.policy_arms = snapshot.pricing_arms;
+    snapshot.policy_total_observations = wide();
+  }
+  for (int i = 0; i < m + 2; ++i) {
+    snapshot.ledger_balances.push_back(rng.NextDouble(-1e6, 1e6));
+  }
+  snapshot.ledger_consumer_outflow = rng.NextDouble(0.0, 1e9);
+  snapshot.ledger_seller_inflow = rng.NextDouble(0.0, 1e9);
+  const int transfers = static_cast<int>(rng.NextBounded(20));
+  for (int t = 0; t < transfers; ++t) {
+    std::string memo(rng.NextBounded(200), ' ');
+    for (char& c : memo) c = static_cast<char>(rng.NextBounded(256));
+    snapshot.ledger_transfers.push_back(
+        {signed_wide(), static_cast<std::int32_t>(rng.Next()),
+         static_cast<std::int32_t>(rng.Next()), rng.NextDouble(0.0, 1e4),
+         std::move(memo)});
+  }
+  snapshot.reliability.resize(static_cast<std::size_t>(m));
+  for (market::SellerReliability& seller : snapshot.reliability) {
+    seller.deliveries = signed_wide();
+    seller.partials = signed_wide();
+    seller.defaults = signed_wide();
+    seller.corruptions = signed_wide();
+    seller.quarantine_drops = signed_wide();
+    seller.times_opened = signed_wide();
+    seller.consecutive_faults = static_cast<int>(rng.Next());
+    seller.probation_progress = static_cast<int>(rng.Next());
+    seller.state = static_cast<market::BreakerState>(rng.NextBounded(3));
+    seller.opened_round = signed_wide();
+  }
+  snapshot.reliability_total_faults = signed_wide();
+  for (std::int64_t& count : snapshot.fault_counts) count = signed_wide();
+  for (std::uint64_t& word : snapshot.environment.rng_state) word = rng.Next();
+  for (int i = 0; i < m; ++i) {
+    snapshot.environment.has_spare.push_back(
+        static_cast<std::uint8_t>(rng.NextBounded(2)));
+    snapshot.environment.spare.push_back(rng.NextDouble(-3.0, 3.0));
+  }
+  if (rng.NextDouble() < 0.5) {
+    for (int i = 0; i < m; ++i) {
+      snapshot.seller_active.push_back(
+          static_cast<std::uint8_t>(rng.NextBounded(2)));
+    }
+  }
+  return snapshot;
+}
+
+// The one-cursor encoder and snapshot file writer emit the per-field
+// encoder's bytes exactly, appended after existing bytes too.
+TEST(SerializeTest, SnapshotEncodingMatchesThePerFieldOracle) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("cdt_snapshot_oracle_" + std::to_string(::getpid()) + ".cdtsnap"))
+          .string();
+  stats::Xoshiro256 rng(0x5A9C0DE);
+  for (int trial = 0; trial < 300; ++trial) {
+    const market::EngineSnapshot snapshot = RandomSnapshot(rng);
+    std::string want = "prefix";
+    testsupport::ReferenceEncodeEngineSnapshot(snapshot, &want);
+    std::string got = "prefix";
+    EncodeEngineSnapshot(snapshot, &got);
+    ASSERT_EQ(got, want) << "trial " << trial;
+    ASSERT_EQ(EngineSnapshotSize(snapshot), want.size() - 6);
+
+    if (trial % 5 != 0) continue;  // each file write syncs
+    const std::uint32_t crc = static_cast<std::uint32_t>(rng.Next());
+    ASSERT_TRUE(WriteSnapshotFile(path, crc, snapshot).ok());
+    auto file = ReadFileBytes(path);
+    ASSERT_TRUE(file.ok());
+    ASSERT_EQ(file.value(), testsupport::ReferenceSnapshotFileBytes(crc,
+                                                                    snapshot))
+        << "trial " << trial;
+  }
+  std::filesystem::remove(path);
 }
 
 // --- file-level corruption ---------------------------------------------

@@ -12,6 +12,8 @@
 #include "persist/atomic_io.h"
 #include "persist/event_log.h"
 #include "persist/recorder.h"
+#include "market/invariants.h"
+#include "market/ledger.h"
 
 namespace cdt {
 namespace persist {
@@ -115,6 +117,73 @@ TEST_F(DurabilityTest, SnapshotWriteFailurePreservesPreviousSnapshot) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered.value().config_crc, 77u);
   EXPECT_EQ(recovered.value().snapshot.next_round, 11);
+}
+
+// Each round the checker reads only the accounts the round paid; every
+// other seller's balance is audited where a snapshot is captured. A
+// corrupted balance of a seller that never trades (departed) passes rounds
+// 3 and 4 and is caught by the round-5 checkpoint's audit, before the
+// snapshot is written, and the run stops there.
+TEST_F(DurabilityTest, SnapshotAuditCatchesAnUnselectedSellersBalance) {
+  core::MechanismConfig config;
+  config.num_sellers = 12;
+  config.num_selected = 3;
+  config.num_pois = 4;
+  config.num_rounds = 12;
+  config.seed = 0xA0D17;
+  auto run = core::CmabHs::Create(config);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  market::TradingEngine& engine = run.value()->mutable_engine();
+  constexpr int kDeparted = 7;
+  ASSERT_TRUE(engine.SetSellerActive(kDeparted, false).ok());
+  RunRecorder::Options options;
+  options.log_path = stem_ + ".cdtlog";
+  options.snapshot_path = stem_ + ".cdtsnap";
+  options.snapshot_every = 5;
+  auto recorder = RunRecorder::Create(options, config, {});
+  ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
+  engine.AddObserver(std::move(recorder).value());
+
+  for (int round = 1; round <= 2; ++round) {
+    ASSERT_TRUE(run.value()->RunRound().ok());
+  }
+  // The corruption: the departed seller's balance alone moves, as a
+  // flipped bit in memory would move it.
+  const market::Ledger& ledger = engine.ledger();
+  std::vector<double> balances = ledger.balances();
+  ASSERT_EQ(balances[2 + kDeparted], 0.0);
+  balances[2 + kDeparted] = 0.5;
+  ASSERT_TRUE(const_cast<market::Ledger&>(ledger)
+                  .Restore(balances, ledger.ConsumerOutflow(),
+                           ledger.SellerInflow(), ledger.transfers())
+                  .ok());
+
+  util::Status status = util::Status::OK();
+  std::int64_t completed = 2;
+  for (std::int64_t round = 3; round <= 12; ++round) {
+    auto report = run.value()->RunRound();
+    if (!report.ok()) {
+      status = report.status();
+      break;
+    }
+    ++completed;
+  }
+  EXPECT_EQ(completed, 4);
+  EXPECT_NE(status.ToString().find("invariant violation in round 5"),
+            std::string::npos)
+      << status.ToString();
+  const market::InvariantChecker* checker = engine.invariant_checker();
+  ASSERT_NE(checker, nullptr);
+  std::vector<std::string> checks;
+  for (const market::InvariantViolation& v : checker->violations()) {
+    EXPECT_EQ(v.round, 5);
+    checks.push_back(v.check);
+  }
+  ASSERT_EQ(checks, (std::vector<std::string>{"ledger.net_position",
+                                              "ledger.seller_balance"}));
+  EXPECT_EQ(checker->violations()[1].detail,
+            "audit: seller 7 balance 0.5, want 0");
+  EXPECT_FALSE(std::filesystem::exists(options.snapshot_path));
 }
 
 TEST_F(DurabilityTest, RecorderPropagatesSnapshotWriteFailure) {

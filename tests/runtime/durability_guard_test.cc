@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config.h"
+#include "market/ledger.h"
 #include "market/trading_engine.h"
 #include "persist/atomic_io.h"
 #include "persist/event_log.h"
@@ -56,6 +57,17 @@ Event Flip(const std::string& id, EventType type, int seller) {
   event.marketplace = id;
   event.seller = seller;
   return event;
+}
+
+// Moves one seller's balance alone, as a flipped bit in memory would.
+void CorruptBalance(const HostedMarketplace& marketplace, int seller) {
+  const market::Ledger& ledger = marketplace.run().engine().ledger();
+  std::vector<double> balances = ledger.balances();
+  balances[2 + static_cast<std::size_t>(seller)] += 0.5;
+  ASSERT_TRUE(const_cast<market::Ledger&>(ledger)
+                  .Restore(balances, ledger.ConsumerOutflow(),
+                           ledger.SellerInflow(), ledger.transfers())
+                  .ok());
 }
 
 std::string EngineBytes(const HostedMarketplace& marketplace) {
@@ -329,6 +341,130 @@ TEST_F(DurabilityGuardTest, RetentionRenameFailureDegradesNotQuarantines) {
   auto recovered = HostedMarketplace::Recover("flt", options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(EngineBytes(*recovered.value()), want);
+}
+
+// The ledger audit that precedes a compaction's rebase snapshot runs
+// before any writer is touched. A corrupted balance of a seller that never
+// trades (departed) is caught at the round-6 compaction, between the
+// round-4 and round-8 checkpoints: the marketplace is quarantined with its
+// guard intact, and the drain still seals a WAL that recovers.
+TEST_F(DurabilityGuardTest, CompactionAuditViolationQuarantinesAndSeals) {
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  options.snapshot_every = 4;
+  options.durability.compact_after_rounds = 6;
+  auto created = HostedMarketplace::Create("cmp", SmallSpec(20), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  HostedMarketplace& marketplace = *created.value();
+  std::int64_t remaining = 0;
+  ASSERT_TRUE(marketplace
+                  .ApplyEvent(Flip("cmp", EventType::kSellerLeave, 5), 0,
+                              &remaining)
+                  .ok());
+  ApplyDemand(marketplace, 4);
+  CorruptBalance(marketplace, 5);
+
+  Status status = marketplace.ApplyEvent(Demand("cmp", 10), 0, &remaining);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("invariant violation in round 6"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(marketplace.state(), HostedMarketplace::State::kQuarantined);
+  EXPECT_EQ(marketplace.rounds_settled(), 6);
+  const DurabilityGuard::Stats stats = marketplace.guard()->stats();
+  EXPECT_EQ(stats.health, DurabilityGuard::Health::kDurable);
+  EXPECT_EQ(stats.compactions, 0u);
+  EXPECT_EQ(stats.wal_failures, 0u);
+
+  // The drain's final checkpoint audits again and writes no snapshot, but
+  // the log is sealed and recovers through round 6.
+  EXPECT_FALSE(marketplace.FinishWal().ok());
+  EXPECT_EQ(marketplace.state(), HostedMarketplace::State::kClosed);
+  auto recovered = HostedMarketplace::Recover("cmp", options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->state(), HostedMarketplace::State::kClosed);
+  EXPECT_EQ(recovered.value()->rounds_settled(), 6);
+}
+
+// A degraded guard's re-arm snapshot is audited first: a corrupted
+// balance stops the run in the re-arm round (15 = degrade at 11 + 4), and
+// is not counted as a failed re-arm.
+TEST_F(DurabilityGuardTest, RearmAuditViolationStopsTheRun) {
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  options.snapshot_every = 4;
+  options.durability.degrade_after_failures = 1;
+  options.durability.rearm_initial_rounds = 4;
+  IoHooks::Instance().EnableCounting();
+  auto created = HostedMarketplace::Create("rearm", SmallSpec(60), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  HostedMarketplace& marketplace = *created.value();
+  std::int64_t remaining = 0;
+  ASSERT_TRUE(marketplace
+                  .ApplyEvent(Flip("rearm", EventType::kSellerLeave, 5), 0,
+                              &remaining)
+                  .ok());
+  ApplyDemand(marketplace, 10);
+  IoFault fault;
+  fault.op = IoOp::kWrite;
+  fault.from_index = IoHooks::Instance().ops_seen(IoOp::kWrite);
+  fault.count = 1;
+  IoHooks::Instance().Arm(fault);
+  ApplyDemand(marketplace, 2);
+  ASSERT_EQ(marketplace.guard()->health(),
+            DurabilityGuard::Health::kDegraded);
+  const std::uint64_t wal_failures =
+      marketplace.guard()->stats().wal_failures;
+  CorruptBalance(marketplace, 5);
+
+  Status status =
+      marketplace.ApplyEvent(Demand("rearm", 10), 0, &remaining);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("invariant violation in round 15"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(marketplace.state(), HostedMarketplace::State::kQuarantined);
+  EXPECT_EQ(marketplace.rounds_settled(), 15);
+  const DurabilityGuard::Stats stats = marketplace.guard()->stats();
+  EXPECT_EQ(stats.health, DurabilityGuard::Health::kDegraded);
+  EXPECT_EQ(stats.wal_failures, wal_failures);
+  EXPECT_EQ(stats.rearms, 0u);
+  // The drain's last re-arm probe audits first too, and fails cleanly.
+  EXPECT_FALSE(marketplace.FinishWal().ok());
+  EXPECT_EQ(marketplace.state(), HostedMarketplace::State::kClosed);
+}
+
+// A marketplace closed before its last round ends its run there, so the
+// drain runs the audit even without snapshots, and still seals the log.
+TEST_F(DurabilityGuardTest, EarlyCloseAuditsTheLedger) {
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  auto created = HostedMarketplace::Create("early", SmallSpec(20), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  HostedMarketplace& marketplace = *created.value();
+  std::int64_t remaining = 0;
+  ASSERT_TRUE(marketplace
+                  .ApplyEvent(Flip("early", EventType::kSellerLeave, 5), 0,
+                              &remaining)
+                  .ok());
+  ApplyDemand(marketplace, 3);
+  CorruptBalance(marketplace, 5);
+  ApplyDemand(marketplace, 2);
+  ASSERT_EQ(marketplace.state(), HostedMarketplace::State::kActive);
+
+  Event close;
+  close.type = EventType::kCloseMarketplace;
+  close.marketplace = "early";
+  Status status = marketplace.ApplyEvent(close, 0, &remaining);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("invariant violation in round 5"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(marketplace.state(), HostedMarketplace::State::kClosed);
+  auto recovered = HostedMarketplace::Recover("early", options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->state(), HostedMarketplace::State::kClosed);
+  EXPECT_EQ(recovered.value()->rounds_settled(), 5);
 }
 
 TEST_F(DurabilityGuardTest, CompactionBoundsLogGrowthAndRecoversExactly) {

@@ -1,0 +1,98 @@
+#include "support/reference_snapshot_codec.h"
+
+#include "persist/codec.h"
+#include "persist/event_log.h"
+
+namespace cdt {
+namespace testsupport {
+
+namespace {
+
+using namespace persist;
+
+void EncodeArms(const std::vector<bandit::ArmState>& arms,
+                std::uint64_t total, std::string* out) {
+  PutVarint64(out, arms.size());
+  for (const bandit::ArmState& arm : arms) {
+    PutVarint64(out, arm.observations);
+    PutDouble(out, arm.mean);
+  }
+  PutVarint64(out, total);
+}
+
+void EncodeReliability(const market::SellerReliability& seller,
+                       std::string* out) {
+  PutZigzag64(out, seller.deliveries);
+  PutZigzag64(out, seller.partials);
+  PutZigzag64(out, seller.defaults);
+  PutZigzag64(out, seller.corruptions);
+  PutZigzag64(out, seller.quarantine_drops);
+  PutZigzag64(out, seller.times_opened);
+  PutZigzag64(out, seller.consecutive_faults);
+  PutZigzag64(out, seller.probation_progress);
+  PutByte(out, static_cast<std::uint8_t>(seller.state));
+  PutZigzag64(out, seller.opened_round);
+}
+
+}  // namespace
+
+void ReferenceEncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
+                                   std::string* out) {
+  PutZigzag64(out, snapshot.next_round);
+  PutBool(out, snapshot.budget_exhausted);
+  PutDouble(out, snapshot.consumer_spend);
+  EncodeArms(snapshot.pricing_arms, snapshot.pricing_total_observations, out);
+  PutBool(out, snapshot.has_policy_arms);
+  if (snapshot.has_policy_arms) {
+    EncodeArms(snapshot.policy_arms, snapshot.policy_total_observations, out);
+  }
+  PutDoubleVector(out, snapshot.ledger_balances);
+  PutDouble(out, snapshot.ledger_consumer_outflow);
+  PutDouble(out, snapshot.ledger_seller_inflow);
+  PutVarint64(out, snapshot.ledger_transfers.size());
+  for (const market::Transfer& transfer : snapshot.ledger_transfers) {
+    PutZigzag64(out, transfer.round);
+    PutZigzag64(out, transfer.from);
+    PutZigzag64(out, transfer.to);
+    PutDouble(out, transfer.amount);
+    PutString(out, transfer.memo);
+  }
+  PutVarint64(out, snapshot.reliability.size());
+  for (const market::SellerReliability& seller : snapshot.reliability) {
+    EncodeReliability(seller, out);
+  }
+  PutZigzag64(out, snapshot.reliability_total_faults);
+  for (std::int64_t count : snapshot.fault_counts) {
+    PutZigzag64(out, count);
+  }
+  for (std::uint64_t word : snapshot.environment.rng_state) {
+    PutFixed64(out, word);
+  }
+  PutVarint64(out, snapshot.environment.has_spare.size());
+  for (std::uint8_t flag : snapshot.environment.has_spare) {
+    PutByte(out, flag);
+  }
+  PutDoubleVector(out, snapshot.environment.spare);
+  if (!snapshot.seller_active.empty()) {
+    PutVarint64(out, snapshot.seller_active.size());
+    for (std::uint8_t flag : snapshot.seller_active) {
+      PutByte(out, flag);
+    }
+  }
+}
+
+std::string ReferenceSnapshotFileBytes(
+    std::uint32_t config_crc, const market::EngineSnapshot& snapshot) {
+  std::string payload;
+  PutFixed32(&payload, config_crc);
+  ReferenceEncodeEngineSnapshot(snapshot, &payload);
+  std::string bytes(kSnapshotMagic, 8);
+  PutVarint64(&bytes, kFormatVersion);
+  PutVarint64(&bytes, payload.size());
+  bytes.append(payload);
+  PutFixed32(&bytes, Crc32(payload));
+  return bytes;
+}
+
+}  // namespace testsupport
+}  // namespace cdt

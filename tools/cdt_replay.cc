@@ -143,7 +143,10 @@ int Resume(const std::string& log_path, const std::string& snapshot_path) {
     }
     auto report = resumed.value().run->RunRound();
     if (!report.ok()) {
-      if (resumed.value().run->engine().budget_exhausted()) break;
+      if (resumed.value().run->engine().budget_exhausted() &&
+          report.status().code() == util::StatusCode::kFailedPrecondition) {
+        break;
+      }
       return Fail(report.status());
     }
     ++live_rounds;

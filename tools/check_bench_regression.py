@@ -19,28 +19,34 @@ Same-report ratio gates (--ratio NUMERATOR DENOMINATOR MAX, repeatable)
 compare two rows of the one fresh report, typically an optimized row and
 its Reference twin, so the gate measures the change rather than the host.
 A ratio above MAX FAILS the run, and so does a missing row. With only
---ratio gates, --baseline and --binary may be omitted.
+--ratio gates, --baseline and --binary may be omitted. A report run with
+--benchmark_repetitions is read as each row's median over its
+repetitions, which a gate on a small ratio needs to read more than noise.
 
 Stdlib only; exits 0 when every gated row holds, 1 otherwise.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def _rows(report):
-    """name -> real_time in ns for every non-aggregate benchmark row."""
-    out = {}
+    """name -> real_time in ns for every non-aggregate benchmark row; the
+    median over a row's repetitions when the report repeats it
+    (--benchmark_repetitions)."""
+    runs = {}
     for bench in report.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
         name = bench["name"]
         unit = bench.get("time_unit", "ns")
-        out[name] = float(bench["real_time"]) * _UNIT_NS[unit]
-    return out
+        runs.setdefault(name, []).append(
+            float(bench["real_time"]) * _UNIT_NS[unit])
+    return {name: statistics.median(times) for name, times in runs.items()}
 
 
 def _check_baseline(args, cur):
