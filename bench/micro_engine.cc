@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/cmab_hs.h"
+#include "stats/rng.h"
+#include "support/reference_collect.h"
 #include "support/reference_cucb.h"
 
 namespace {
@@ -135,6 +137,69 @@ BENCHMARK(BM_FullTradingRoundPaperKReference)
     ->Args({100000, 10})
     ->Args({1000000, 10})
     ->Iterations(2000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The collect stage alone at M sellers, K per coalition and L=10:
+// market::CollectCoalition (prefetch every member's rows, draw every batch,
+// then judge and account) against the one-pass oracle kept in tests/support.
+// Each iteration takes the next of 1024 random coalitions, so over a run the
+// stage touches rows across all M sellers, as a live round at that scale
+// does. No faults are injected, as on svcbench's large_m.
+template <auto Collect>
+void CollectCoalitionRows(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  bandit::EnvironmentConfig env_config;
+  env_config.num_sellers = m;
+  env_config.num_pois = 10;
+  env_config.seed = 11;
+  auto env = bandit::QualityEnvironment::Create(env_config);
+  market::ReliabilityTracker tracker(m, market::RecoveryOptions{});
+  constexpr std::size_t kCoalitions = 1024;
+  std::vector<std::vector<int>> coalitions(kCoalitions);
+  std::vector<int> ids(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) ids[static_cast<std::size_t>(i)] = i;
+  stats::Xoshiro256 rng(7);
+  for (std::vector<int>& coalition : coalitions) {
+    // The first k slots of a partial Fisher-Yates shuffle.
+    for (int j = 0; j < k; ++j) {
+      const std::size_t pick =
+          static_cast<std::size_t>(j) +
+          static_cast<std::size_t>(rng.Next() %
+                                   static_cast<std::uint64_t>(m - j));
+      std::swap(ids[static_cast<std::size_t>(j)], ids[pick]);
+    }
+    coalition.assign(ids.begin(), ids.begin() + k);
+  }
+  const std::vector<market::SellerFaultDraw> no_faults;
+  market::CollectBuffers buffers;
+  market::RoundReport report;
+  for (auto _ : state) {
+    ++report.round;
+    report.selected =
+        coalitions[static_cast<std::size_t>(report.round) % kCoalitions];
+    report.observed_quality_revenue = 0.0;
+    report.expected_quality_revenue = 0.0;
+    Collect(nullptr, no_faults, &env.value(), &tracker, &report, &buffers);
+    benchmark::DoNotOptimize(report.observed_quality_revenue);
+    buffers.Recycle();
+  }
+}
+void BM_CollectCoalition(benchmark::State& state) {
+  CollectCoalitionRows<market::CollectCoalition>(state);
+}
+void BM_CollectCoalitionReference(benchmark::State& state) {
+  CollectCoalitionRows<testsupport::ReferenceCollectCoalition>(state);
+}
+BENCHMARK(BM_CollectCoalition)
+    ->Args({300, 10})
+    ->Args({100000, 316})
+    ->Args({1000000, 1000})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CollectCoalitionReference)
+    ->Args({300, 10})
+    ->Args({100000, 316})
+    ->Args({1000000, 1000})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_FullRunThousandRounds(benchmark::State& state) {

@@ -18,6 +18,7 @@
 //   BM_FullTradingRound armed    ~11.4 us   compiled out entirely)
 //
 // CI smoke: --benchmark_filter=FullTradingRound exercises both variants.
+// BM_FullTradingRoundMillion repeats the pair at M=10⁶ (see below).
 
 #include <benchmark/benchmark.h>
 
@@ -98,6 +99,43 @@ BENCHMARK(BM_FullTradingRound)
     ->Arg(0)
     ->Arg(1)
     ->ArgName("armed")
+    ->Unit(benchmark::kMicrosecond);
+
+// The same pair at M=10⁶ sellers, K=1000 (K ~ sqrt(M)) and the paper's
+// K=10, L=10. Armed telemetry still makes one O(M) pass per round (the
+// explore/exploit split's TopKByMeanInto), so at this M the armed row
+// shows what that pass costs against a round's O(K) work. Rounds 1 and 2
+// run untimed: the select-all exploration round makes M observations, and
+// the first selection after it costs ~0.1 s at M=10⁶, which would swamp
+// the mean of a few hundred rounds.
+void BM_FullTradingRoundMillion(benchmark::State& state) {
+  obs::ResetForTesting();
+  core::MechanismConfig config;
+  config.num_sellers = static_cast<int>(state.range(0));
+  config.num_selected = static_cast<int>(state.range(1));
+  config.num_rounds = 1 << 30;
+  config.check_invariants = false;
+  auto run = core::CmabHs::Create(config);
+  core::CmabHs& engine = *run.value();
+  (void)engine.RunRound();  // round 1: select-all initial exploration
+  (void)engine.RunRound();  // round 2: the first selection after it
+  if (state.range(2) == 1) obs::Enable();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.RunRound());
+  }
+  obs::ResetForTesting();
+}
+BENCHMARK(BM_FullTradingRoundMillion)
+    ->Args({1000000, 1000, 0})
+    ->Args({1000000, 1000, 1})
+    ->Iterations(50)
+    ->ArgNames({"m", "k", "armed"})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FullTradingRoundMillion)
+    ->Args({1000000, 10, 0})
+    ->Args({1000000, 10, 1})
+    ->Iterations(200)
+    ->ArgNames({"m", "k", "armed"})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

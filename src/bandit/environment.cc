@@ -89,6 +89,25 @@ void QualityEnvironment::ObserveSellerInto(int seller,
   for (double& x : *out) x = sampler.Sample(rng_);
 }
 
+void QualityEnvironment::ObserveSellersInto(
+    const std::vector<int>& sellers, std::vector<std::vector<double>>* rows) {
+  if (rows->size() < sellers.size()) rows->resize(sellers.size());
+  for (std::size_t j = 0; j < sellers.size(); ++j) {
+    ObserveSellerInto(sellers[j], &(*rows)[j]);
+  }
+}
+
+void QualityEnvironment::PrefetchSeller(int seller) const {
+  const std::size_t i = static_cast<std::size_t>(seller);
+  if (i >= samplers_.size()) return;
+  // A 48-byte sampler row may straddle two cache lines; its spare is
+  // written, so ask for both lines in write intent.
+  const char* row = reinterpret_cast<const char*>(&samplers_[i]);
+  __builtin_prefetch(row, 1);
+  __builtin_prefetch(row + sizeof(stats::TruncatedGaussianSampler) - 1, 1);
+  __builtin_prefetch(&effective_[i]);
+}
+
 EnvironmentState QualityEnvironment::SaveState() const {
   EnvironmentState state;
   state.rng_state = rng_.state();

@@ -71,9 +71,19 @@ class QualityEnvironment {
   std::vector<double> ObserveSeller(int seller);
 
   /// ObserveSeller into a caller-owned buffer (resized to L; identical
-  /// draw sequence). The engine's per-round collection loop reuses its
-  /// batch buffers through this, keeping the round allocation-free.
+  /// draw sequence), so a reused buffer keeps the round allocation-free.
   void ObserveSellerInto(int seller, std::vector<double>* out);
+
+  /// ObserveSellerInto for every seller of `sellers`, in order: (*rows)[j]
+  /// gets sellers[j]'s batch. `rows` grows to at least sellers.size();
+  /// rows past it are left as they are. The draws, the RNG words and every
+  /// sampler's spare end exactly as the per-seller calls leave them.
+  void ObserveSellersInto(const std::vector<int>& sellers,
+                          std::vector<std::vector<double>>* rows);
+
+  /// Asks the cache for `seller`'s sampler row and effective quality ahead
+  /// of ObserveSellersInto and effective_quality. No effect on any value.
+  void PrefetchSeller(int seller) const;
 
   /// Indices of the top-k sellers by effective quality (descending),
   /// deterministic tie-break by index.

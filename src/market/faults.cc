@@ -231,6 +231,14 @@ bool ReliabilityTracker::Available(int seller, std::int64_t round) const {
   return round >= s.opened_round + options_.quarantine_cooldown;
 }
 
+void ReliabilityTracker::Prefetch(int seller) const {
+  const std::size_t i = static_cast<std::size_t>(seller);
+  if (i >= sellers_.size()) return;
+  const char* row = reinterpret_cast<const char*>(&sellers_[i]);
+  __builtin_prefetch(row, 1);
+  __builtin_prefetch(row + sizeof(SellerReliability) - 1, 1);
+}
+
 void ReliabilityTracker::MaybeEnterProbation(SellerReliability* s,
                                              std::int64_t round) {
   if (s->state == BreakerState::kOpen &&

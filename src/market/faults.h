@@ -178,6 +178,8 @@ struct SellerReliability {
 
   /// deliveries / (deliveries + defaults + corruptions); 1 when unseen.
   double delivery_rate() const;
+
+  bool operator==(const SellerReliability& other) const = default;
 };
 
 /// Tracks every seller's reliability and drives the quarantine breaker.
@@ -195,6 +197,10 @@ class ReliabilityTracker {
   /// Breaker gate: false while the seller's breaker is open and the
   /// cooldown has not elapsed by `round`. Probation sellers are available.
   bool Available(int seller, std::int64_t round) const;
+
+  /// Asks the cache for `seller`'s row (both lines it may span) ahead of a
+  /// RecordDelivery or RecordFault. No effect on any value.
+  void Prefetch(int seller) const;
 
   /// A clean (or partial) delivery in `round`; advances probation and
   /// resets the consecutive-fault run.

@@ -30,6 +30,19 @@ Status ValidatePriceBounds(const util::Interval& bounds,
   return Status::OK();
 }
 
+// Appends a fault event to the round report; RunRound copies the round's
+// events into the run's fault log once the round is done.
+void LogFault(RoundReport* report, FaultKind kind, int seller,
+              double severity, bool recovered) {
+  FaultEvent event;
+  event.round = report->round;
+  event.kind = kind;
+  event.seller = seller;
+  event.severity = severity;
+  event.recovered = recovered;
+  report->faults.push_back(event);
+}
+
 #if CDT_TELEMETRY
 // Handle getters for CDT_SPAN_TIMED: each site caches the result in a
 // function-local static, so the registry mutex is touched once per site.
@@ -46,9 +59,73 @@ obs::Histogram* BanditSelectHistogram() {
       "Wall-clock seconds of the CMAB seller-selection step.",
       obs::DefaultLatencyBuckets());
 }
+
+obs::Histogram* EngineCollectHistogram() {
+  return obs::registry().GetHistogram(
+      "cdt_engine_collect_seconds",
+      "Wall-clock seconds of the data-collection step of a settled round.",
+      obs::DefaultLatencyBuckets());
+}
 #endif  // CDT_TELEMETRY
 
 }  // namespace
+
+void CollectBuffers::Recycle() {
+  for (std::size_t j = 0; j < batches.size(); ++j) {
+    rows[j] = std::move(batches[j]);
+  }
+  batches.clear();
+}
+
+void CollectCoalition(const FaultInjector* injector,
+                      const std::vector<SellerFaultDraw>& fault_draws,
+                      bandit::QualityEnvironment* environment,
+                      ReliabilityTracker* tracker, RoundReport* report,
+                      CollectBuffers* buffers) {
+  const std::int64_t round = report->round;
+  const std::vector<int>& coalition = report->selected;
+  for (int seller : coalition) {
+    tracker->Prefetch(seller);
+    environment->PrefetchSeller(seller);
+  }
+  std::vector<std::vector<double>>& rows = buffers->rows;
+  environment->ObserveSellersInto(coalition, &rows);
+
+  std::vector<int>& learners = buffers->learners;
+  std::vector<std::vector<double>>& batches = buffers->batches;
+  learners.clear();
+  batches.clear();
+  learners.reserve(coalition.size());
+  batches.reserve(coalition.size());
+  const bool armed = injector != nullptr;
+  for (std::size_t j = 0; j < coalition.size(); ++j) {
+    const int seller = coalition[j];
+    std::vector<double>& batch = rows[j];
+    if (armed && fault_draws[j].outcome == DeliveryOutcome::kCorrupted) {
+      injector->Corrupt(round, seller, &batch);
+    }
+    if (!ValidObservationBatch(batch)) {
+      report->degraded = true;
+      tracker->RecordFault(seller, round, FaultKind::kCorruptedReport);
+      LogFault(report, FaultKind::kCorruptedReport, seller, 0.0, true);
+      continue;
+    }
+    double sum = 0.0;
+    for (double q : batch) sum += q;
+    report->observed_quality_revenue += sum;
+    report->expected_quality_revenue +=
+        static_cast<double>(environment->num_pois()) *
+        environment->effective_quality(seller);
+    tracker->RecordDelivery(
+        seller, round,
+        armed && fault_draws[j].outcome == DeliveryOutcome::kPartial);
+    learners.push_back(seller);
+    batches.push_back(std::move(batch));
+    // Keep the moved-from rows in front, where Recycle refills them; the
+    // row swapped back is one already judged.
+    rows[j].swap(rows[batches.size() - 1]);
+  }
+}
 
 Status EngineConfig::Validate(int num_sellers) const {
   CDT_RETURN_NOT_OK(job.Validate());
@@ -201,17 +278,6 @@ Result<const game::StackelbergSolver*> TradingEngine::PrepareSolver(
   if (!solver.ok()) return solver.status();
   solver_.emplace(std::move(solver).value());
   return &*solver_;
-}
-
-void TradingEngine::LogFault(RoundReport* report, FaultKind kind, int seller,
-                             double severity, bool recovered) {
-  FaultEvent event;
-  event.round = report->round;
-  event.kind = kind;
-  event.seller = seller;
-  event.severity = severity;
-  event.recovered = recovered;
-  report->faults.push_back(event);
 }
 
 void TradingEngine::RecomputeProfits(RoundReport* report) const {
@@ -516,54 +582,19 @@ Result<RoundReport> TradingEngine::RunRound() {
   // the policy's learner, a private pricing bank, or the revenue
   // accounting, so corrupted reports can never bias the quality estimates.
   if (!report.voided) {
-    CDT_SPAN("engine.collect");
-    std::vector<int>& learners = learners_scratch_;
-    std::vector<std::vector<double>>& batches = batches_scratch_;
-    learners.clear();
-    batches.clear();
-    learners.reserve(report.selected.size());
-    batches.reserve(report.selected.size());
-    for (std::size_t j = 0; j < report.selected.size(); ++j) {
-      int seller = report.selected[j];
-      // Recycled batch buffer: slot batches.size() of the pool (rejected
-      // batches leave the slot in place for the next seller).
-      if (batch_pool_.size() <= batches.size()) batch_pool_.emplace_back();
-      std::vector<double>& observation = batch_pool_[batches.size()];
-      environment_->ObserveSellerInto(seller, &observation);
-      if (injector_ != nullptr &&
-          draws[j].outcome == DeliveryOutcome::kCorrupted) {
-        injector_->Corrupt(t, seller, &observation);
+    CDT_SPAN_TIMED("engine.collect", EngineCollectHistogram);
+    CollectCoalition(injector_.get(), draws, environment_, reliability_,
+                     &report, &collect_);
+    if (owned_bank_ != nullptr) {
+      for (std::size_t j = 0; j < collect_.learners.size(); ++j) {
+        CDT_RETURN_NOT_OK(
+            owned_bank_->Update(collect_.learners[j], collect_.batches[j]));
       }
-      if (!ValidObservationBatch(observation)) {
-        report.degraded = true;
-        reliability_->RecordFault(seller, t, FaultKind::kCorruptedReport);
-        LogFault(&report, FaultKind::kCorruptedReport, seller, 0.0, true);
-        continue;
-      }
-      double sum = 0.0;
-      for (double q : observation) sum += q;
-      report.observed_quality_revenue += sum;
-      report.expected_quality_revenue +=
-          static_cast<double>(config_.job.num_pois) *
-          environment_->effective_quality(seller);
-      if (owned_bank_ != nullptr) {
-        CDT_RETURN_NOT_OK(owned_bank_->Update(seller, observation));
-      }
-      bool partial = injector_ != nullptr &&
-                     draws[j].outcome == DeliveryOutcome::kPartial;
-      reliability_->RecordDelivery(seller, t, partial);
-      learners.push_back(seller);
-      batches.push_back(std::move(observation));
     }
-    if (!learners.empty()) {
-      CDT_RETURN_NOT_OK(policy_->Observe(learners, batches));
+    if (!collect_.learners.empty()) {
+      CDT_RETURN_NOT_OK(policy_->Observe(collect_.learners, collect_.batches));
     }
-    // Hand the moved-out buffers back to their pool slots so their
-    // capacity survives into the next round.
-    for (std::size_t j = 0; j < batches.size(); ++j) {
-      batch_pool_[j] = std::move(batches[j]);
-    }
-    batches.clear();
+    collect_.Recycle();
   }
 
   for (const FaultEvent& e : report.faults) {

@@ -74,6 +74,44 @@ struct EngineConfig {
   util::Status Validate(int num_sellers) const;
 };
 
+/// The collect stage's buffers, reused round to round so the stage makes
+/// no per-seller allocation in steady state.
+struct CollectBuffers {
+  /// One batch vector per coalition member: rows[j] holds member j's L
+  /// draws. Rows past the coalition stay allocated for later rounds.
+  std::vector<std::vector<double>> rows;
+  /// Sellers whose batch passed validation and their batches, in coalition
+  /// order: the pair SelectionPolicy::Observe takes. The n accepted batches
+  /// are moved out of rows, whose moved-from vectors sit in rows[0, n).
+  std::vector<int> learners;
+  std::vector<std::vector<double>> batches;
+
+  /// Moves the batches back into rows[0, n) once they have been read, so
+  /// every vector keeps its capacity.
+  void Recycle();
+};
+
+/// Algorithm 1's collection step for the settled round `report->round`:
+/// every member of `report->selected` senses its L PoIs. A batch the injector corrupts (its
+/// `fault_draws[j]`, read only when `injector` is non-null) or that fails
+/// ValidObservationBatch is rejected: a kCorruptedReport fault is recorded
+/// and logged. An accepted batch adds to the report's observed and expected
+/// quality revenue, records a delivery and joins `buffers`' learners and
+/// batches.
+///
+/// Three passes over the coalition: first every member's tracker and
+/// environment rows are prefetched, then every batch is drawn in one
+/// ObserveSellersInto, then each member's batch is judged and accounted in
+/// coalition order. The misses of one member's rows so overlap the others',
+/// instead of each waiting behind the previous member's RNG chain. Draws,
+/// fault log and tracker state are those of the one-pass loop (kept as the
+/// test oracle testsupport::ReferenceCollectCoalition).
+void CollectCoalition(const FaultInjector* injector,
+                      const std::vector<SellerFaultDraw>& fault_draws,
+                      bandit::QualityEnvironment* environment,
+                      ReliabilityTracker* tracker, RoundReport* report,
+                      CollectBuffers* buffers);
+
 /// Runs a CDT simulation: one QualityEnvironment (ground truth), one
 /// SelectionPolicy (seller selection), and the HS game each round.
 class TradingEngine {
@@ -197,10 +235,6 @@ class TradingEngine {
   /// Learned (or true, in oracle mode) quality of a seller, floored.
   double GameQuality(int seller) const;
 
-  /// Appends a fault event to both the round report and the run log.
-  void LogFault(RoundReport* report, FaultKind kind, int seller,
-                double severity, bool recovered);
-
   /// Re-evaluates total time and all profits at the report's current
   /// (prices, tau) — used after recovery rewrote the round's strategies.
   void RecomputeProfits(RoundReport* report) const;
@@ -253,13 +287,8 @@ class TradingEngine {
   bool proof_valid_ = false;
   /// Selection scratch handed to SelectionPolicy::SelectRoundInto.
   std::vector<int> selected_scratch_;
-  /// Collection-stage scratches: accepted learner ids, their batches, and
-  /// the recycled batch buffers. Batches move pool → batches → pool each
-  /// round, so the inner buffers keep their capacity (no per-seller
-  /// allocation in steady state).
-  std::vector<int> learners_scratch_;
-  std::vector<std::vector<double>> batches_scratch_;
-  std::vector<std::vector<double>> batch_pool_;
+  /// Collect-stage buffers (CollectCoalition).
+  CollectBuffers collect_;
 
   /// Non-null only when the config's fault profile is armed.
   std::unique_ptr<FaultInjector> injector_;

@@ -1,7 +1,12 @@
 #include "bandit/environment.h"
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "stats/rng.h"
 #include "stats/summary.h"
 
 namespace cdt {
@@ -106,6 +111,63 @@ TEST(QualityEnvironmentTest, SameSeedSameQualities) {
     EXPECT_DOUBLE_EQ(a.value().nominal_quality(i),
                      b.value().nominal_quality(i));
   }
+}
+
+// The batch draw against its oracle, per-seller ObserveSellerInto on a copy
+// of the environment: the same values bit for bit, and the same RNG words
+// and Box–Muller spares after every round. An odd L leaves a spare cached
+// across rounds, an even L may not; L=1 alternates it on every call.
+TEST(QualityEnvironmentTest, BatchDrawMatchesPerSellerDraws) {
+  for (int pois : {1, 3, 10}) {
+    EnvironmentConfig config;
+    config.num_sellers = 200;
+    config.num_pois = pois;
+    config.seed = 77 + static_cast<std::uint64_t>(pois);
+    auto created = QualityEnvironment::Create(config);
+    ASSERT_TRUE(created.ok());
+    QualityEnvironment batched = created.value();
+    QualityEnvironment oracle = created.value();
+    stats::Xoshiro256 rng(static_cast<std::uint64_t>(pois));
+    std::vector<int> ids(static_cast<std::size_t>(config.num_sellers));
+    std::iota(ids.begin(), ids.end(), 0);
+    std::vector<std::vector<double>> rows;
+    std::vector<double> one;
+    for (int round = 0; round < 60; ++round) {
+      // A random coalition in random order; every tenth round repeats a
+      // member, so a sampler's spare also chains within one batch.
+      for (std::size_t i = ids.size() - 1; i > 0; --i) {
+        std::swap(ids[i], ids[rng.Next() % (i + 1)]);
+      }
+      std::vector<int> coalition(
+          ids.begin(), ids.begin() + 1 + static_cast<long>(rng.Next() % 60));
+      if (round % 10 == 9) coalition.push_back(coalition.front());
+      const std::size_t kept = rows.size();
+      batched.ObserveSellersInto(coalition, &rows);
+      // Rows past the coalition survive for later rounds.
+      ASSERT_EQ(rows.size(), std::max(kept, coalition.size()));
+      for (std::size_t j = 0; j < coalition.size(); ++j) {
+        oracle.ObserveSellerInto(coalition[j], &one);
+        ASSERT_EQ(rows[j], one)
+            << "L=" << pois << " round " << round << " member " << j;
+      }
+      const EnvironmentState a = batched.SaveState();
+      const EnvironmentState b = oracle.SaveState();
+      ASSERT_EQ(a.rng_state, b.rng_state) << "L=" << pois;
+      ASSERT_EQ(a.has_spare, b.has_spare) << "L=" << pois;
+      ASSERT_EQ(a.spare, b.spare) << "L=" << pois;
+    }
+  }
+}
+
+TEST(QualityEnvironmentTest, PrefetchLeavesStateAlone) {
+  auto env = QualityEnvironment::CreateWithQualities({0.2, 0.7}, 3, 0.1, 5);
+  ASSERT_TRUE(env.ok());
+  const EnvironmentState before = env.value().SaveState();
+  for (int seller : {0, 1, -1, 2, 1 << 30}) env.value().PrefetchSeller(seller);
+  const EnvironmentState after = env.value().SaveState();
+  EXPECT_EQ(before.rng_state, after.rng_state);
+  EXPECT_EQ(before.has_spare, after.has_spare);
+  EXPECT_EQ(before.spare, after.spare);
 }
 
 }  // namespace

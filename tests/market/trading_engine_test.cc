@@ -9,6 +9,7 @@
 #include "bandit/availability_policy.h"
 #include "bandit/extension_policies.h"
 #include "stats/rng.h"
+#include "support/reference_collect.h"
 
 namespace cdt {
 namespace market {
@@ -432,6 +433,91 @@ TEST(TradingEngineTest, RestoreFailsClosedWhenPricingAndPolicyArmsDisagree) {
   edited_total.pricing_total_observations += kPois;
   edited_total.pricing_arms[0].observations += kPois;
   EXPECT_FALSE(restore(edited_total).ok());
+}
+
+// The collect stage against its oracle, the one-pass loop: over random
+// coalitions on copies of one environment and one tracker, the prefetched
+// batched stage must leave the same report (revenues, fault log, degraded
+// flag), the same learners and batches, the same tracker rows and the same
+// observation stream. The armed case corrupts and shortens deliveries and
+// opens breakers (threshold 2), so RecordFault, probation and re-opening
+// all run; the unarmed case is the production large-M path.
+TEST(TradingEngineTest, CollectCoalitionMatchesOnePassOracle) {
+  for (bool armed : {false, true}) {
+    for (int pois : {3, 10}) {
+      bandit::EnvironmentConfig env_config;
+      env_config.num_sellers = 400;
+      env_config.num_pois = pois;
+      env_config.seed = 31 + static_cast<std::uint64_t>(pois);
+      auto created = bandit::QualityEnvironment::Create(env_config);
+      ASSERT_TRUE(created.ok());
+      bandit::QualityEnvironment env = created.value();
+      bandit::QualityEnvironment oracle_env = created.value();
+      RecoveryOptions recovery;
+      recovery.quarantine_threshold = 2;
+      recovery.quarantine_cooldown = 3;
+      ReliabilityTracker tracker(env_config.num_sellers, recovery);
+      ReliabilityTracker oracle_tracker(env_config.num_sellers, recovery);
+      FaultProfile profile;
+      profile.corrupt_rate = 0.3;
+      profile.partial_rate = 0.2;
+      FaultInjector injector(profile);
+      const FaultInjector* maybe = armed ? &injector : nullptr;
+      CollectBuffers buffers;
+      CollectBuffers oracle_buffers;
+      stats::Xoshiro256 rng(armed ? 3 : 4);
+      std::vector<int> ids(static_cast<std::size_t>(env_config.num_sellers));
+      for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
+      std::int64_t corrupt = 0;
+      for (std::int64_t t = 1; t <= 80; ++t) {
+        for (std::size_t i = ids.size() - 1; i > 0; --i) {
+          std::swap(ids[i], ids[rng.Next() % (i + 1)]);
+        }
+        RoundReport report;
+        report.round = t;
+        report.selected.assign(ids.begin(),
+                               ids.begin() + 1 +
+                                   static_cast<long>(rng.Next() % 120));
+        std::vector<SellerFaultDraw> draws;
+        if (armed) {
+          for (int seller : report.selected) {
+            draws.push_back(injector.DrawSeller(t, seller));
+          }
+        }
+        RoundReport oracle_report = report;
+        CollectCoalition(maybe, draws, &env, &tracker, &report, &buffers);
+        testsupport::ReferenceCollectCoalition(maybe, draws, &oracle_env,
+                                               &oracle_tracker,
+                                               &oracle_report, &oracle_buffers);
+        ASSERT_EQ(report.observed_quality_revenue,
+                  oracle_report.observed_quality_revenue);
+        ASSERT_EQ(report.expected_quality_revenue,
+                  oracle_report.expected_quality_revenue);
+        ASSERT_EQ(report.degraded, oracle_report.degraded);
+        ASSERT_EQ(EncodeFaultSummary(report.faults),
+                  EncodeFaultSummary(oracle_report.faults));
+        corrupt += static_cast<std::int64_t>(report.faults.size());
+        ASSERT_EQ(buffers.learners, oracle_buffers.learners);
+        ASSERT_EQ(buffers.batches, oracle_buffers.batches);
+        ASSERT_EQ(tracker.sellers(), oracle_tracker.sellers()) << "round " << t;
+        ASSERT_EQ(tracker.total_faults(), oracle_tracker.total_faults());
+        ASSERT_EQ(tracker.total_opened(), oracle_tracker.total_opened());
+        const bandit::EnvironmentState a = env.SaveState();
+        const bandit::EnvironmentState b = oracle_env.SaveState();
+        ASSERT_EQ(a.rng_state, b.rng_state);
+        ASSERT_EQ(a.has_spare, b.has_spare);
+        ASSERT_EQ(a.spare, b.spare);
+        buffers.Recycle();
+        oracle_buffers.Recycle();
+      }
+      if (armed) {
+        EXPECT_GT(corrupt, 0);
+        EXPECT_GT(tracker.total_opened(), 0);
+      } else {
+        EXPECT_EQ(corrupt, 0);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -129,7 +129,7 @@ TEST_F(TelemetryPipelineTest, ArmedRunPopulatesTheMetricCatalogue) {
         "cdt_ledger_seller_inflow", "cdt_breaker_open_sellers",
         "cdt_bandit_picks_total", "cdt_bandit_exploration_ratio",
         "cdt_round_latency_seconds", "cdt_bandit_select_seconds",
-        "cdt_stage_solve_seconds"}) {
+        "cdt_engine_collect_seconds", "cdt_stage_solve_seconds"}) {
     EXPECT_TRUE(names.count(required)) << "missing metric " << required;
   }
 
@@ -157,6 +157,28 @@ TEST_F(TelemetryPipelineTest, ArmedRunPopulatesTheMetricCatalogue) {
             std::string::npos);
   std::string jsonl = MetricsJsonl(registry());
   EXPECT_NE(jsonl.find("\"name\":\"cdt_rounds_total\""), std::string::npos);
+}
+
+TEST_F(TelemetryPipelineTest, CollectHistogramTakesOneSamplePerSettledRound) {
+  // A voided round (every seller defaulted, or settlement ran out of
+  // retries) collects nothing, so it records no collect sample.
+  core::MechanismConfig config = SmallConfig(true);
+  config.num_rounds = 200;
+  Enable();
+  auto run = core::CmabHs::Create(config);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::uint64_t settled = 0;
+  std::uint64_t voided = 0;
+  ASSERT_TRUE(run.value()
+                  ->RunAll([&](const market::RoundReport& r) {
+                    ++(r.voided ? voided : settled);
+                  })
+                  .ok());
+  Disable();
+  EXPECT_GT(voided, 0u);
+  Histogram* collect = registry().GetHistogram(
+      "cdt_engine_collect_seconds", "", DefaultLatencyBuckets());
+  EXPECT_EQ(collect->count(), settled);
 }
 
 TEST_F(TelemetryPipelineTest, DormantEngineTouchesNoGlobals) {

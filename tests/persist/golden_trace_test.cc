@@ -22,6 +22,7 @@
 #include "persist/event_log.h"
 #include "persist/recorder.h"
 #include "persist/replay.h"
+#include "persist/serialize.h"
 
 namespace cdt {
 namespace persist {
@@ -107,6 +108,73 @@ TEST_F(GoldenTraceTest, GoldenTraceReplaysBitForBit) {
   auto verified = VerifyReplay(recorded.value());
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
   EXPECT_EQ(verified.value().rounds_verified, 200);
+}
+
+/// The corruption campaign: the golden trace arms no corrupt_rate, so this
+/// one pins the rejected-batch path (corruption after the draw, validation,
+/// RecordFault against RecordDelivery) beside defaults and partials, at a
+/// coalition large enough for the collect stage's batching to matter.
+core::MechanismConfig CorruptionConfig() {
+  core::MechanismConfig config;
+  config.num_sellers = 2000;
+  config.num_selected = 45;
+  config.num_pois = 10;
+  config.num_rounds = 300;
+  config.seed = 0xC0BB;
+  config.faults.corrupt_rate = 0.05;
+  config.faults.default_rate = 0.05;
+  config.faults.partial_rate = 0.05;
+  return config;
+}
+
+/// Runs the corruption campaign and returns its two digests: the CRC-32 of
+/// every round's canonical bytes, in order, and of the closing engine
+/// snapshot (reliability rows, estimator bank and the environment's RNG
+/// words and sampler spares).
+struct CorruptionDigests {
+  std::uint32_t rounds = 0;
+  std::uint32_t snapshot = 0;
+  std::int64_t corrupt_faults = 0;
+  std::int64_t breakers_opened = 0;
+
+  std::string ToString() const {
+    return "rounds " + std::to_string(rounds) + "\nsnapshot " +
+           std::to_string(snapshot) + "\n";
+  }
+};
+
+CorruptionDigests RunCorruptionCampaign() {
+  CorruptionDigests digests;
+  auto run = core::CmabHs::Create(CorruptionConfig());
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return digests;
+  market::TradingEngine& engine = run.value()->mutable_engine();
+  util::Status status = engine.RunAll([&](const market::RoundReport& report) {
+    digests.rounds = Crc32(CanonicalRoundBytes(report), digests.rounds);
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  std::string snapshot;
+  EncodeEngineSnapshot(engine.CaptureSnapshot(), &snapshot);
+  digests.snapshot = Crc32(snapshot);
+  digests.corrupt_faults =
+      engine.fault_count(market::FaultKind::kCorruptedReport);
+  digests.breakers_opened = engine.reliability().total_opened();
+  return digests;
+}
+
+TEST(CorruptionCampaignTest, MatchesDigestsRecordedBeforeBatchedCollect) {
+  const std::string path = GoldenPath("corrupt_campaign.digest");
+  const CorruptionDigests digests = RunCorruptionCampaign();
+  // The campaign must reach the path it pins: rejected batches, and
+  // breakers opened by them.
+  EXPECT_GT(digests.corrupt_faults, 100);
+  EXPECT_GT(digests.breakers_opened, 0);
+  if (std::getenv("CDT_REGEN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(AtomicWriteFile(path, digests.ToString()).ok());
+  }
+  auto recorded = ReadFileBytes(path);
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  EXPECT_EQ(recorded.value(), digests.ToString());
 }
 
 TEST_F(GoldenTraceTest, FutureFormatVersionFailsClosed) {
