@@ -85,24 +85,6 @@ struct SolveProof {
   /// the box's lower end, 2j for segment j's interior optimum, 2j+1 for
   /// segment j's upper end (segments in kink order).
   int platform_pos = -1;
-  /// Stage 1: true when the tangent certificate proved Theorem 16's point
-  /// optimal (DESIGN.md §1 step 3), false when the regime walk ran in full.
-  bool certified = false;
-  /// Certificate: ω ln(1 + q̄s) <= t0 + t1·s, the tangent at the supply of
-  /// the returned price, and no bound above that price's profit plus
-  /// 1e-12 relative. bounds[0] bounds the box's lower end at the consumer
-  /// box's lower end; bounds[1 + g] bounds segment g's interior optimum and
-  /// upper end over where they can play (-inf for a flat segment or one
-  /// that cannot play inside the box).
-  double t0 = 0.0;
-  double t1 = 0.0;
-  std::vector<double> bounds;
-  /// Walk: the regime where the walk found the supremum (its sweep
-  /// position; -2 when Theorem 16's point stayed the best), and the
-  /// consumer price and profit there.
-  int regime_pos = -2;
-  double regime_price = 0.0;
-  double regime_profit = 0.0;
 };
 
 /// Closed-form solver for one round's game.
@@ -141,10 +123,10 @@ class StackelbergSolver {
   /// p = q̄_i b_i + 2 q̄_i a_i T (above which τ_i clamps to T); between kinks
   /// the Theorem-15 formula applies with the active sellers' aggregates.
   /// The answer is the first maximiser of the per-segment sweep (box.lo,
-  /// then per segment its interior optimum and its upper endpoint), found
-  /// in O(log K) plus a small bucket through the certified envelope index
-  /// (see EnvelopeIndex). Coincides with Theorem 15 whenever the interior
-  /// solution keeps every seller strictly inside (0, T).
+  /// then per segment its interior optimum and its upper endpoint), in
+  /// O(K) per query over the segment table. Coincides with Theorem 15
+  /// whenever the interior solution keeps every seller strictly inside
+  /// (0, T).
   double PlatformBestPrice(double consumer_price) const;
 
   /// Stage 2, paper-interior form (corrected Thm. 15, all sellers assumed
@@ -183,7 +165,7 @@ class StackelbergSolver {
   StrategyProfile Solve() const { return Solve(nullptr); }
 
   /// Solve(), also filling `*proof` (when non-null) with what the solve
-  /// proved; its vectors keep their capacity across calls.
+  /// proved; its kink order keeps its capacity across calls.
   StrategyProfile Solve(SolveProof* proof) const;
 
   /// Consumer profit at `consumer_price` with the platform and sellers
@@ -258,47 +240,6 @@ class StackelbergSolver {
     double init_d2 = 0.0;      // λ·S at box.lo
   };
 
-  /// Certified upper-envelope index over the segment table, rebuilt with
-  /// it (BuildEnvelopeIndex). Segment j's endpoint candidate is a line in
-  /// the consumer price x: v_j(x) = (x − end_price_j)·end_supply_j −
-  /// end_d1_j − end_d2_j. The consumer box is cut into pieces along the
-  /// upper envelope of these lines, and each piece keeps a bucket: the
-  /// segments whose interior window meets the piece and the segments whose
-  /// endpoint line may win on it, each in sweep order. A line is left out
-  /// of a piece only when some other line's *rounded* value is provably
-  /// strictly larger at every x of the piece (a two-point test of a linear
-  /// gap against the worst-case rounding error of both evaluations).
-  /// Chains of "strictly larger" end at a kept line, so the
-  /// bucket holds every line that can attain the rounded maximum and the
-  /// query answer is the full sweep's, bit for bit. Queries outside the
-  /// box, coalitions under kMinIndexedSegments segments and coalitions
-  /// whose constants come near overflow use the last bucket, which holds
-  /// every segment.
-  struct EnvelopeIndex {
-    /// Piece boundaries, nondecreasing: breaks[0] = box.lo, breaks.back()
-    /// = box.hi (consumer box); piece r is [breaks[r], breaks[r+1]]. Empty
-    /// when the coalition is not indexed.
-    std::vector<double> breaks;
-    /// CSR over segment indices: bucket r lists its windows' segments in
-    /// [begin[r], split[r]) and its lines' in [split[r], begin[r+1]), each
-    /// ascending; the last bucket lists every segment in both.
-    std::vector<int> begin;
-    std::vector<int> split;
-    std::vector<int> entries;
-    // Build scratch, kept for its capacity (steady state allocates nothing).
-    std::vector<double> intercept;  // −(end_price·end_supply + d1 + d2)
-    std::vector<double> magnitude;  // end_price·end_supply + d1 + d2
-    std::vector<double> at_lo, at_hi;    // line values at the box ends
-    std::vector<double> err_lo, err_hi;  // their rounding-error bounds
-    std::vector<int> order;         // lines sorted by (slope, intercept)
-    std::vector<int> hull;          // envelope lines, slope ascending
-    std::vector<int> piece_line;    // envelope line of each piece
-    /// First/last piece per candidate: 2j for segment j's window, 2j+1
-    /// for its line.
-    std::vector<int> range_lo, range_hi;
-    std::vector<int> cursor;
-  };
-
   /// Stage 1's regime partition of the consumer box, built by every walk
   /// that the certificate does not settle (BuildRegimePartition). Segment
   /// j's best platform value at consumer price x, G_j(x) = max over p in
@@ -356,9 +297,6 @@ class StackelbergSolver {
   /// Rebuilds seg_ from kinks_ (tail of every BuildSupplyKinks).
   void BuildSegmentTable();
 
-  /// Rebuilds env_ from seg_ (tail of every BuildSupplyKinks).
-  void BuildEnvelopeIndex();
-
   /// Fills `rg` from seg_.
   void BuildRegimePartition(RegimePartition* rg) const;
 
@@ -380,16 +318,13 @@ class StackelbergSolver {
 
   /// ConsumerBestPrice, also storing in *response the platform's best
   /// response to the price when Stage 1 already evaluated it (else NaN),
-  /// with its sweep position in *response_pos, and Stage 1's part of
-  /// *proof when `proof` is non-null.
-  double ConsumerBestPrice(double* response, int* response_pos,
-                           SolveProof* proof) const;
+  /// with its sweep position in *response_pos.
+  double ConsumerBestPrice(double* response, int* response_pos) const;
 
   /// Theorem 16's point as the incumbent; unless a tangent bound on ln
   /// certifies it, the regime partition and every regime's closed-form
-  /// maximum, pruned by the same bound. Records the certificate or the
-  /// winning regime in *proof when `proof` is non-null.
-  RegimeWalk WalkRegimes(SolveProof* proof) const;
+  /// maximum, pruned by the same bound.
+  RegimeWalk WalkRegimes() const;
 
   /// Sorts event_scratch_ under the strict total order (price, delta_a,
   /// delta_b, delta_c, src), so the sorted sequence, and the kink
@@ -403,19 +338,8 @@ class StackelbergSolver {
   std::vector<SupplyKink> kinks_;
   /// Hoisted per-segment query constants (parallel to kinks_).
   SegmentTable seg_;
-  EnvelopeIndex env_;
   /// Scratch reused across BuildSupplyKinks calls (ResetCoalition).
   std::vector<KinkEvent> event_scratch_;
-
- public:
-  /// Envelope-index shape: its piece count (0 when the coalition is not
-  /// indexed) and the entries its piece buckets hold together.
-  int envelope_pieces() const {
-    return env_.breaks.empty() ? 0 : static_cast<int>(env_.breaks.size()) - 1;
-  }
-  std::size_t envelope_bucket_entries() const {
-    return env_.entries.size() - 2 * kinks_.size();
-  }
 };
 
 /// Computes the Theorem 15/16 aggregates for a validated config.

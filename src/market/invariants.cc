@@ -821,45 +821,9 @@ void InvariantChecker::CheckConsumerPrice(const EngineStateView& view,
     bounds_[g + 1] = std::max(arc_bound(arc), line_bound(arc, seg));
   }
 
-  // A certificate must verify: same tangent, and no domain bound above the
-  // bar or above what the proof claims for it.
-  const game::SolveProof* proof = view.proof;
-  if (proof != nullptr && proof->certified) {
-    std::string why;
-    double excess = 0.0;
-    if (proof->bounds.size() != bounds_.size()) {
-      why = "proof bounds " + std::to_string(proof->bounds.size()) +
-            " domains, the round's game has " + std::to_string(n + 1);
-    } else if (std::fabs(proof->t1 - t1) >
-                   tol * std::max(1.0, std::fabs(t1)) ||
-               std::fabs(proof->t0 - t0) >
-                   tol * std::max(1.0, std::fabs(t0))) {
-      why = "proof tangent (t0, t1) = (" + Num(proof->t0) + ", " +
-            Num(proof->t1) + "), recomputed (" + Num(t0) + ", " + Num(t1) +
-            ")";
-      excess = std::fabs(proof->t1 - t1);
-    } else {
-      for (std::size_t d = 0; d <= n && why.empty(); ++d) {
-        const double claimed = proof->bounds[d];
-        const double limit =
-            claimed > kNone ? std::min(bar, claimed + slack) : bar;
-        if (bounds_[d] > limit) {
-          why = "domain " + std::to_string(d) + " bounds " + Num(bounds_[d]) +
-                ", proof claims " + Num(claimed) + " under the bar " +
-                Num(bar);
-          excess = bounds_[d] - limit;
-        }
-      }
-    }
-    if (!why.empty()) {
-      AddViolation(InvariantKind::kStationarity, report.round,
-                   "stationarity.certificate", why, excess);
-    }
-  }
-
   // Every domain whose bound passes the bar holds no better price. In the
   // others (solves the certificate did not settle, fabricated reports, a
-  // certificate that did not verify) find where the platform really plays
+  // flawed certificate or partition) find where the platform really plays
   // the candidate, by bisecting its monotone response (Topkis) with the
   // sweep above, and take F's maximum there: a line's at its left end, an
   // arc's at the segment's Theorem-16 point clamped into it.
@@ -944,17 +908,6 @@ void InvariantChecker::CheckConsumerPrice(const EngineStateView& view,
                      " (platform sweep position " + std::to_string(best_pos) +
                      ")",
                  best - f_at);
-  } else if (proof != nullptr && !proof->certified &&
-             proof->regime_profit - f_at > slack) {
-    // The walk's own supremum must be reached by the committed price.
-    AddViolation(InvariantKind::kStationarity, report.round,
-                 "stationarity.consumer_opt",
-                 "consumer profit " + Num(f_at) + " at pJ=" + Num(pj) +
-                     " below the solve's supremum " +
-                     Num(proof->regime_profit) + " near pJ=" +
-                     Num(proof->regime_price) + " (platform sweep position " +
-                     std::to_string(proof->regime_pos) + ")",
-                 proof->regime_profit - f_at);
   }
 }
 

@@ -17,8 +17,10 @@
 //       interior regime holds, and otherwise reach each stage's optimum,
 //       recomputed from the raw costs and qualities with the checker's own
 //       arithmetic: Stage 2 by a plain sweep over the supply segments,
-//       Stage 1 by verifying the solve's proof (game::SolveProof) in O(K)
-//       or, for a solve without a certificate, by an independent search;
+//       in the kink order the solve's proof (game::SolveProof) gives when
+//       that verifies in O(K); Stage 1 by tangent bounds at the committed
+//       supply and, where they do not settle a domain, an independent
+//       search;
 //   (d) bandit sanity — UCB statistics finite, observation counters
 //       monotone, and cumulative oracle regret non-decreasing.
 //
@@ -115,8 +117,8 @@ struct EngineStateView {
   /// monotonicity check).
   double oracle_round_revenue = 0.0;
   /// What the round's solve proved (TradingEngine::solve_proof); null for
-  /// rounds without one and for fabricated views, which get stationarity's
-  /// independent Stage-1 search instead.
+  /// rounds without one and for fabricated views, whose kinks the checker
+  /// then sorts itself.
   const game::SolveProof* proof = nullptr;
 };
 

@@ -1,9 +1,9 @@
 // Differential fuzz of the stage-2 best response: StackelbergSolver's
-// segment table and certified envelope index against
-// the naive per-segment sweep (testsupport::ReferenceStackelberg), bit for
-// bit, at coalition sizes from 1 to 1000 and at the consumer prices where
-// rounding decides the winner: window edges, regime-switch crossings,
-// per-segment Theorem-16 points and envelope crossings, each with its
+// sweep over its segment table against the naive per-segment sweep
+// (testsupport::ReferenceStackelberg), bit for bit, at coalition sizes
+// from 1 to 1000 and at the consumer prices where rounding decides the
+// winner: window edges, regime-switch crossings, per-segment Theorem-16
+// points and crossings of the endpoint lines, each with its
 // ±1-ulp neighbours. Stage 1's regime walk rides on the same games: its
 // price must do at least as well as two oracles, the heuristic search it
 // replaced and a dense grid.
@@ -283,14 +283,6 @@ TEST_P(PlatformBestPriceScaleTest, BitEqualOnAdversarialPoints) {
                               std::to_string(seed);
     ExpectBitEqual(solver.value(), ref, QueryPoints(ref), label);
     ExpectStage1BeatsOracles(solver.value(), ref, 4000, label);
-    // The index is in use (not the every-segment bucket) at scale, and
-    // its buckets stay O(K) (at most 16 entries per segment, plus 64).
-    if (k >= 60 && family == Family::kPlain) {
-      EXPECT_GT(solver.value().envelope_pieces(), 1) << label;
-    }
-    EXPECT_LE(solver.value().envelope_bucket_entries(),
-              16u * (2u * static_cast<unsigned>(k) + 1u) + 64u)
-        << label;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "market/invariants.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -522,57 +523,99 @@ TEST(InvariantCheckerTest, RandomGameEquilibriaPassTheIndependentCheck) {
   }
 }
 
-// A solve's proof passes as produced; each way of tampering with it is a
-// violation of its own: a kink order that is not a sorted permutation, a
-// Stage-2 candidate that does not price at p, a certificate whose tangent
-// or domain bound does not re-derive.
-TEST(InvariantCheckerTest, ProofThatDoesNotVerifyIsAViolation) {
+// A RandomGameConfig game with kinks inside the collection box whose solve
+// keeps Theorem 16's point (`keeps_theorem16`; the tangent certificate
+// settles most of these) or moves off it (the regime walk ran), with the
+// first seed that has one and the solve's proof.
+struct ProvedGame {
+  std::uint64_t seed;
   game::GameConfig config;
   game::SolveProof proof;
-  std::uint64_t seed = 1;
-  for (;; ++seed) {  // a certified solve with kinks inside the box
-    stats::Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ULL);
-    config = testsupport::RandomGameConfig(rng);
-    auto solver = game::StackelbergSolver::Create(config);
-    ASSERT_TRUE(solver.ok());
-    solver.value().Solve(&proof);
-    if (proof.certified && proof.kink_order.size() >= 3) break;
+};
+
+ProvedGame FindProvedGame(bool keeps_theorem16) {
+  ProvedGame proved;
+  for (proved.seed = 1;; ++proved.seed) {
+    stats::Xoshiro256 rng(proved.seed * 0x9E3779B97F4A7C15ULL);
+    proved.config = testsupport::RandomGameConfig(rng);
+    auto solver = game::StackelbergSolver::Create(proved.config);
+    EXPECT_TRUE(solver.ok());
+    const game::StrategyProfile eq = solver.value().Solve(&proved.proof);
+    const bool kept =
+        eq.consumer_price == solver.value().ConsumerBestPriceInterior();
+    if (kept == keeps_theorem16 && proved.proof.kink_order.size() >= 3) {
+      return proved;
+    }
   }
-  std::vector<game::SellerCostParams> costs = config.sellers;
-  EngineStateView view = GameView(config, &costs);
-  const RoundReport report = EquilibriumReport(config, 1);
-  auto checks_with = [&](const game::SolveProof& tampered) {
-    view.proof = &tampered;
+}
+
+// The sweep position at which `config`'s platform plays collection price
+// `p`: -1 for the box's lower end, 2j + 1 for segment j's upper end, 2j
+// for a price inside segment j (its interior optimum).
+int SweepPosition(const game::GameConfig& config, double p) {
+  const testsupport::ReferenceStackelberg ref(config);
+  const auto& kinks = ref.kinks();
+  if (p == config.collection_price_bounds.lo) return -1;
+  const std::size_t j =
+      static_cast<std::size_t>(
+          std::lower_bound(kinks.begin(), kinks.end(), p,
+                           [](const testsupport::ReferenceStackelberg::Kink& k,
+                              double x) { return k.price < x; }) -
+          kinks.begin()) -
+      1;
+  const double end = j + 1 < kinks.size() ? kinks[j + 1].price
+                                          : config.collection_price_bounds.hi;
+  return static_cast<int>(p == end ? 2 * j + 1 : 2 * j);
+}
+
+// A solve's proof passes as produced; each way of tampering with it is a
+// violation of its own: a kink order that is not a sorted permutation, a
+// Stage-2 candidate that does not price at p. Stage 1 carries no claim to
+// tamper with: a consumer price moved off the optimum, of a solve that
+// kept Theorem 16's point and of one the walk moved, is caught by the
+// checker's own search, with the proof a solve playing that price gives.
+TEST(InvariantCheckerTest, ProofThatDoesNotVerifyIsAViolation) {
+  auto checks_with = [](const ProvedGame& proved, const RoundReport& report,
+                        const game::SolveProof& proof) {
+    std::vector<game::SellerCostParams> costs = proved.config.sellers;
+    EngineStateView view = GameView(proved.config, &costs);
+    view.proof = &proof;
     InvariantChecker checker;
     checker.CheckStationarity(view, report);
     return ViolationChecks(checker);
   };
-  EXPECT_EQ(checks_with(proof), std::vector<std::string>{}) << "seed " << seed;
+  const ProvedGame kept = FindProvedGame(true);
+  const game::SolveProof& proof = kept.proof;
+  const RoundReport report = EquilibriumReport(kept.config, 1);
 
   game::SolveProof swapped = proof;
   std::swap(swapped.kink_order.front(), swapped.kink_order.back());
-  EXPECT_EQ(checks_with(swapped),
+  EXPECT_EQ(checks_with(kept, report, swapped),
             std::vector<std::string>{"stationarity.kink_order"});
   game::SolveProof repeated = proof;
   repeated.kink_order[1] = repeated.kink_order[0];
-  EXPECT_EQ(checks_with(repeated),
+  EXPECT_EQ(checks_with(kept, report, repeated),
             std::vector<std::string>{"stationarity.kink_order"});
 
   game::SolveProof moved = proof;
   moved.platform_pos = proof.platform_pos == -1 ? 1 : -1;
-  EXPECT_EQ(checks_with(moved),
+  EXPECT_EQ(checks_with(kept, report, moved),
             std::vector<std::string>{"stationarity.platform_proof"});
 
-  game::SolveProof tangent = proof;
-  tangent.t1 *= 1.01;
-  EXPECT_EQ(checks_with(tangent),
-            std::vector<std::string>{"stationarity.certificate"});
-  game::SolveProof understated = proof;
-  std::size_t domain = 0;
-  while (!(understated.bounds[domain] > -1e300)) ++domain;
-  understated.bounds[domain] -= 1.0 + std::fabs(understated.bounds[domain]);
-  EXPECT_EQ(checks_with(understated),
-            std::vector<std::string>{"stationarity.certificate"});
+  for (const ProvedGame& proved : {kept, FindProvedGame(false)}) {
+    const std::string label = "seed " + std::to_string(proved.seed);
+    const RoundReport eq = EquilibriumReport(proved.config, 1);
+    EXPECT_EQ(checks_with(proved, eq, proved.proof), std::vector<std::string>{})
+        << label;
+    const double pj = 0.9 * eq.consumer_price;
+    ASSERT_GT(pj, proved.config.consumer_price_bounds.lo) << label;
+    const RoundReport doctored = ReportAtConsumerPrice(proved.config, 2, pj);
+    game::SolveProof at_pj = proved.proof;
+    at_pj.platform_pos = SweepPosition(proved.config, doctored.collection_price);
+    EXPECT_EQ(checks_with(proved, doctored, at_pj),
+              std::vector<std::string>{"stationarity.consumer_opt"})
+        << label;
+  }
 }
 
 TEST(InvariantCheckerTest, RegretMonotonicityViolationIsDetected) {

@@ -1,6 +1,6 @@
 // The naive per-segment Stackelberg sweep: the test oracle for the
-// production stage-2 best response (StackelbergSolver's segment table and
-// certified envelope index), and the heuristic stage-1 search that the
+// production stage-2 best response (StackelbergSolver's sweep over its
+// hoisted segment table), and the heuristic stage-1 search that the
 // solver's exact regime walk replaced, kept as an oracle the walk must
 // match or beat.
 //
