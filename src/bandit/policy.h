@@ -51,7 +51,10 @@ class SelectionPolicy {
       const std::vector<int>& selected,
       const std::vector<std::vector<double>>& observations) = 0;
 
-  /// The learning state, when the policy maintains one (else nullptr).
+  /// The policy's Eq. (17)-(18) bank, when it maintains one (else
+  /// nullptr). TradingEngine prices from this bank instead of keeping its
+  /// own, so Observe must feed it exactly the round's batches: every
+  /// (selected[j], observations[j]) pair, once, in order.
   virtual const EstimatorBank* estimator() const { return nullptr; }
 
   /// Snapshot support: true when the policy's entire mutable state is the
@@ -60,11 +63,10 @@ class SelectionPolicy {
   /// Thompson) keep the default false and snapshot restore fails closed.
   virtual bool snapshot_safe() const { return false; }
 
-  /// Mutable estimator for snapshot restore; nullptr when the policy keeps
-  /// no learning state (or does not support restore).
-  ///
-  /// Contract: a non-null bank is the policy's whole learning state.
-  /// TradingEngine prices from it instead of keeping its own bank.
+  /// The estimator() bank, writable, for snapshot restore only: a policy
+  /// whose snapshot_safe() is true and that has an estimator() returns that
+  /// same bank here, and TradingEngine::RestoreSnapshot refuses any other
+  /// answer. nullptr otherwise.
   virtual EstimatorBank* mutable_estimator() { return nullptr; }
 };
 

@@ -29,15 +29,12 @@ struct EngineSnapshot {
   double consumer_spend = 0.0;
 
   // --- learning state --------------------------------------------------
-  /// The engine's pricing estimates (Eqs. 17-18). When the engine prices
-  /// from the policy's bank (CUCB) this duplicates policy_arms, and
-  /// RestoreSnapshot refuses a snapshot whose two copies differ.
+  /// The one Eq. (17)-(18) bank the engine prices from
+  /// (TradingEngine::pricing_estimates): the policy's own bank when it has
+  /// one, else the engine's private bank. The policy's selection reads the
+  /// same arms, so they are stored once.
   std::vector<bandit::ArmState> pricing_arms;
   std::uint64_t pricing_total_observations = 0;
-  /// The selection policy's estimator bank, when it maintains one.
-  bool has_policy_arms = false;
-  std::vector<bandit::ArmState> policy_arms;
-  std::uint64_t policy_total_observations = 0;
 
   // --- accounting ------------------------------------------------------
   /// Per-slot balances (consumer, platform, sellers — size M+2).

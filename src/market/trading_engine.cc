@@ -193,11 +193,11 @@ Result<std::unique_ptr<TradingEngine>> TradingEngine::Create(
   bool check_invariants = config.check_invariants;
   auto engine = std::unique_ptr<TradingEngine>(
       new TradingEngine(std::move(config), environment, std::move(policy)));
-  // Price from the policy's bank when it exposes one (see
-  // SelectionPolicy::mutable_estimator); otherwise keep a private
-  // Eq. (17)-(18) bank fed the same batches, whose exploration constant is
-  // irrelevant (only means are consumed) but must be positive.
-  engine->bank_ = engine->policy_->mutable_estimator();
+  // Price from the policy's bank when it has one (see
+  // SelectionPolicy::estimator); otherwise keep a private Eq. (17)-(18)
+  // bank fed the round's batches, whose exploration constant is irrelevant
+  // (only means are consumed) but must be positive.
+  engine->bank_ = engine->policy_->estimator();
   if (engine->bank_ == nullptr) {
     Result<bandit::EstimatorBank> bank =
         bandit::EstimatorBank::Create(environment->num_sellers(), 1.0);
@@ -579,7 +579,7 @@ Result<RoundReport> TradingEngine::RunRound() {
 
   // Data collection: observe the environment for every delivering seller.
   // Each batch — injected or not — must pass validation before it feeds
-  // the policy's learner, a private pricing bank, or the revenue
+  // the pricing bank (the policy's or owned_bank_) or the revenue
   // accounting, so corrupted reports can never bias the quality estimates.
   if (!report.voided) {
     CDT_SPAN_TIMED("engine.collect", EngineCollectHistogram);
@@ -643,23 +643,11 @@ EngineSnapshot TradingEngine::CaptureSnapshot() const {
   snapshot.budget_exhausted = budget_exhausted_;
   snapshot.consumer_spend = consumer_spend_;
 
-  // Under a borrowed bank both sections hold the same arms; the format
-  // keeps the two copies.
   snapshot.pricing_arms.reserve(static_cast<std::size_t>(bank_->num_arms()));
   for (int i = 0; i < bank_->num_arms(); ++i) {
     snapshot.pricing_arms.push_back(bank_->arm(i));
   }
   snapshot.pricing_total_observations = bank_->total_observations();
-
-  if (const bandit::EstimatorBank* policy_bank = policy_->estimator()) {
-    snapshot.has_policy_arms = true;
-    snapshot.policy_arms.reserve(
-        static_cast<std::size_t>(policy_bank->num_arms()));
-    for (int i = 0; i < policy_bank->num_arms(); ++i) {
-      snapshot.policy_arms.push_back(policy_bank->arm(i));
-    }
-    snapshot.policy_total_observations = policy_bank->total_observations();
-  }
 
   snapshot.ledger_balances = ledger_.balances();
   snapshot.ledger_consumer_outflow = ledger_.ConsumerOutflow();
@@ -693,19 +681,15 @@ Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {
         "policy '" + policy_->name() +
         "' keeps private state and cannot restore exactly");
   }
-  bandit::EstimatorBank* policy_bank = policy_->mutable_estimator();
-  if (snapshot.has_policy_arms != (policy_bank != nullptr)) {
-    return Status::InvalidArgument(
-        "snapshot and policy disagree on whether a policy estimator exists");
-  }
-  const bool borrowed = policy_bank == bank_;
-  // One bank restores from one section, so the two copies must agree.
-  if (borrowed && (snapshot.pricing_arms != snapshot.policy_arms ||
-                   snapshot.pricing_total_observations !=
-                       snapshot.policy_total_observations)) {
-    return Status::InvalidArgument(
-        "snapshot pricing and policy estimates disagree, but the engine "
-        "prices from the policy's bank");
+  // A borrowed bank restores through the policy, which must hand back the
+  // very bank the engine prices from.
+  bandit::EstimatorBank* bank = owned_bank_ != nullptr
+                                    ? owned_bank_.get()
+                                    : policy_->mutable_estimator();
+  if (bank != bank_) {
+    return Status::FailedPrecondition(
+        "policy '" + policy_->name() +
+        "' does not expose the bank the engine prices from for restore");
   }
   if (!(snapshot.consumer_spend >= 0.0)) {
     return Status::OutOfRange("negative consumer spend in snapshot");
@@ -724,12 +708,8 @@ Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {
   // Sub-restores validate before mutating; once one has succeeded a later
   // failure leaves the engine partially restored, so callers must discard
   // the engine on any non-OK status.
-  CDT_RETURN_NOT_OK(bank_->Restore(snapshot.pricing_arms,
-                                   snapshot.pricing_total_observations));
-  if (policy_bank != nullptr && !borrowed) {
-    CDT_RETURN_NOT_OK(policy_bank->Restore(
-        snapshot.policy_arms, snapshot.policy_total_observations));
-  }
+  CDT_RETURN_NOT_OK(bank->Restore(snapshot.pricing_arms,
+                                  snapshot.pricing_total_observations));
   CDT_RETURN_NOT_OK(ledger_.Restore(
       snapshot.ledger_balances, snapshot.ledger_consumer_outflow,
       snapshot.ledger_seller_inflow, snapshot.ledger_transfers));

@@ -147,10 +147,11 @@ class TradingEngine {
     return *environment_;
   }
 
-  /// The learned quality estimates the HS game prices from. Under a policy
-  /// with a non-null mutable_estimator() (CUCB) this is the policy's own
-  /// bank, so &pricing_estimates() == policy().estimator(); every other
-  /// policy gets a private bank the engine updates itself.
+  /// The learned quality estimates (Eqs. 17-18) the HS game prices from.
+  /// Under a policy with a non-null estimator() this is the policy's own
+  /// bank, so &pricing_estimates() == policy().estimator(); a policy
+  /// without one (random, oracle, the non-stationary UCBs) gets a private
+  /// bank the engine feeds the round's batches itself.
   const bandit::EstimatorBank& pricing_estimates() const { return *bank_; }
 
   /// Registers an observer invoked after every settled round, in
@@ -218,12 +219,12 @@ class TradingEngine {
 
   /// Applies a snapshot captured from an engine with identical
   /// configuration. Must be called before any round has run; fails closed
-  /// when the policy cannot restore exactly (snapshot_safe() false), on
-  /// any size/seller-count mismatch, on corrupt counters, or when the
-  /// engine prices from the policy's bank and the snapshot's pricing and
-  /// policy sections disagree — the engine is left untouched on error
-  /// except when a late sub-restore fails (the returned status then says
-  /// the engine must be discarded).
+  /// when the policy cannot restore exactly (snapshot_safe() false), when
+  /// the engine prices from the policy's bank but the policy's
+  /// mutable_estimator() is not that bank, on any size/seller-count
+  /// mismatch, or on corrupt counters — the engine is left untouched on
+  /// error except when a late sub-restore fails (the returned status then
+  /// says the engine must be discarded).
   /// The cumulative fault_log() is not persisted: after a restore it
   /// contains only post-restore events (fault_count() totals survive).
   util::Status RestoreSnapshot(const EngineSnapshot& snapshot);
@@ -259,8 +260,9 @@ class TradingEngine {
   EngineConfig config_;
   bandit::QualityEnvironment* environment_;  // borrowed
   std::unique_ptr<bandit::SelectionPolicy> policy_;
-  /// Pricing bank: the policy's (borrowed) or owned_bank_.
-  bandit::EstimatorBank* bank_ = nullptr;
+  /// Pricing bank: the policy's estimator() when it has one, else
+  /// owned_bank_, which exists only then.
+  const bandit::EstimatorBank* bank_ = nullptr;
   std::unique_ptr<bandit::EstimatorBank> owned_bank_;
   Ledger ledger_;
   std::vector<std::unique_ptr<RoundObserver>> observers_;

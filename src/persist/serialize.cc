@@ -349,11 +349,11 @@ void EncodeSnapshotFields(const market::EngineSnapshot& snapshot, Sink& out) {
   out.Zigzag(snapshot.next_round);
   out.Byte(snapshot.budget_exhausted ? 1 : 0);
   out.Double(snapshot.consumer_spend);
+  // The arms once, then a flag byte 0: the layout every version-1 reader
+  // accepts. DecodeEngineSnapshot also reads flag 1, a second copy of the
+  // arms that older writers appended under CUCB.
   EncodeArms(snapshot.pricing_arms, snapshot.pricing_total_observations, out);
-  out.Byte(snapshot.has_policy_arms ? 1 : 0);
-  if (snapshot.has_policy_arms) {
-    EncodeArms(snapshot.policy_arms, snapshot.policy_total_observations, out);
-  }
+  out.Byte(0);
   out.Varint(snapshot.ledger_balances.size());
   for (double balance : snapshot.ledger_balances) out.Double(balance);
   out.Double(snapshot.ledger_consumer_outflow);
@@ -417,13 +417,19 @@ Status DecodeEngineSnapshot(ByteReader* in,
   CDT_RETURN_NOT_OK(in->ReadDouble(&snapshot->consumer_spend));
   CDT_RETURN_NOT_OK(DecodeArms(in, &snapshot->pricing_arms,
                                &snapshot->pricing_total_observations));
-  CDT_RETURN_NOT_OK(in->ReadBool(&snapshot->has_policy_arms));
-  if (snapshot->has_policy_arms) {
-    CDT_RETURN_NOT_OK(DecodeArms(in, &snapshot->policy_arms,
-                                 &snapshot->policy_total_observations));
-  } else {
-    snapshot->policy_arms.clear();
-    snapshot->policy_total_observations = 0;
+  bool legacy_copy;
+  CDT_RETURN_NOT_OK(in->ReadBool(&legacy_copy));
+  if (legacy_copy) {
+    // A snapshot an older writer took under CUCB: the policy's bank was
+    // the pricing bank, so its section must repeat the first exactly.
+    std::vector<bandit::ArmState> arms;
+    std::uint64_t total;
+    CDT_RETURN_NOT_OK(DecodeArms(in, &arms, &total));
+    if (arms != snapshot->pricing_arms ||
+        total != snapshot->pricing_total_observations) {
+      return Status::ParseError(
+          "legacy policy-arms section differs from the pricing arms");
+    }
   }
   CDT_RETURN_NOT_OK(in->ReadDoubleVector(&snapshot->ledger_balances));
   CDT_RETURN_NOT_OK(in->ReadDouble(&snapshot->ledger_consumer_outflow));

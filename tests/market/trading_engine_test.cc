@@ -8,6 +8,7 @@
 #include "bandit/cucb_policy.h"
 #include "bandit/availability_policy.h"
 #include "bandit/extension_policies.h"
+#include "bandit/nonstationary_policies.h"
 #include "stats/rng.h"
 #include "support/reference_collect.h"
 
@@ -324,11 +325,57 @@ TEST(TradingEngineTest, CucbEnginePricesFromThePolicysBank) {
             static_cast<std::uint64_t>((kSellers + 4 * kSelected) * kPois));
 }
 
-TEST(TradingEngineTest, OtherPoliciesKeepAPrivatePricingBank) {
+// CUCB that claims to restore exactly but hands out no writable bank.
+class HiddenBankCucb : public bandit::SelectionPolicy {
+ public:
+  HiddenBankCucb() : inner_(MakeCucb()) {}
+  std::string name() const override { return "hidden-bank"; }
+  int num_sellers() const override { return inner_->num_sellers(); }
+  util::Result<std::vector<int>> SelectRound(std::int64_t round) override {
+    return inner_->SelectRound(round);
+  }
+  util::Status Observe(
+      const std::vector<int>& selected,
+      const std::vector<std::vector<double>>& observations) override {
+    return inner_->Observe(selected, observations);
+  }
+  const bandit::EstimatorBank* estimator() const override {
+    return inner_->estimator();
+  }
+  bool snapshot_safe() const override { return true; }
+
+ private:
+  std::unique_ptr<bandit::SelectionPolicy> inner_;
+};
+
+TEST(TradingEngineTest, RestoreRefusesAPolicyThatHidesItsBank) {
+  auto env = MakeEnvironment();
+  auto engine = TradingEngine::Create(MakeConfig(), &env, MakeCucb());
+  ASSERT_TRUE(engine.ok());
+  for (int r = 0; r < 3; ++r) ASSERT_TRUE(engine.value()->RunRound().ok());
+  const EngineSnapshot snapshot = engine.value()->CaptureSnapshot();
+
+  auto fresh_env = MakeEnvironment();
+  auto fresh = TradingEngine::Create(MakeConfig(), &fresh_env,
+                                     std::make_unique<HiddenBankCucb>());
+  ASSERT_TRUE(fresh.ok());
+  const util::Status status = fresh.value()->RestoreSnapshot(snapshot);
+  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition)
+      << status.ToString();
+  // Refused before any mutation.
+  EXPECT_EQ(fresh.value()->current_round(), 0);
+  EXPECT_EQ(fresh.value()->pricing_estimates().total_observations(), 0u);
+}
+
+TEST(TradingEngineTest, EnginePricesFromThePolicysBankOrAPrivateOne) {
   auto env = MakeEnvironment();
   auto oracle = bandit::OraclePolicy::Create(env.effective_qualities(),
                                              kSelected);
   auto random = bandit::RandomPolicy::Create(kSellers, kSelected, 11);
+  auto window =
+      bandit::SlidingWindowCucbPolicy::Create(kSellers, kSelected, 8);
+  auto discounted =
+      bandit::DiscountedUcbPolicy::Create(kSellers, kSelected, 0.9);
   auto first =
       bandit::EpsilonFirstPolicy::Create(kSellers, kSelected, 20, 0.2, 12);
   auto greedy =
@@ -339,15 +386,22 @@ TEST(TradingEngineTest, OtherPoliciesKeepAPrivatePricingBank) {
       [](int seller, std::int64_t round) { return (seller + round) % 4 != 0; });
   ASSERT_TRUE(oracle.ok());
   ASSERT_TRUE(random.ok());
+  ASSERT_TRUE(window.ok());
+  ASSERT_TRUE(discounted.ok());
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(greedy.ok());
   ASSERT_TRUE(thompson.ok());
   ASSERT_TRUE(available.ok());
+  // The first four keep no Eq. (17)-(18) bank; the last four do.
   std::vector<std::unique_ptr<bandit::SelectionPolicy>> policies;
   policies.push_back(
       std::make_unique<bandit::OraclePolicy>(std::move(oracle).value()));
   policies.push_back(
       std::make_unique<bandit::RandomPolicy>(std::move(random).value()));
+  policies.push_back(std::make_unique<bandit::SlidingWindowCucbPolicy>(
+      std::move(window).value()));
+  policies.push_back(std::make_unique<bandit::DiscountedUcbPolicy>(
+      std::move(discounted).value()));
   policies.push_back(
       std::make_unique<bandit::EpsilonFirstPolicy>(std::move(first).value()));
   policies.push_back(std::make_unique<bandit::EpsilonGreedyPolicy>(
@@ -356,83 +410,38 @@ TEST(TradingEngineTest, OtherPoliciesKeepAPrivatePricingBank) {
       std::make_unique<bandit::ThompsonPolicy>(std::move(thompson).value()));
   policies.push_back(std::make_unique<bandit::AvailabilityAwareCucbPolicy>(
       std::move(available).value()));
-  int policy_banks = 0;
-  for (auto& policy : policies) {
-    const std::string name = policy->name();
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    const std::string name = policies[p]->name();
+    const bool has_bank = p >= 4;
     auto engine_env = MakeEnvironment();
-    auto engine =
-        TradingEngine::Create(MakeConfig(), &engine_env, std::move(policy));
+    auto engine = TradingEngine::Create(MakeConfig(), &engine_env,
+                                        std::move(policies[p]));
     ASSERT_TRUE(engine.ok()) << name;
     const TradingEngine& e = *engine.value();
-    EXPECT_NE(&e.pricing_estimates(), e.policy().estimator()) << name;
-    if (e.policy().estimator() != nullptr) ++policy_banks;
+    const bandit::EstimatorBank& pricing = e.pricing_estimates();
+    if (has_bank) {
+      // One bank: the engine prices from the policy's.
+      EXPECT_EQ(&pricing, e.policy().estimator()) << name;
+    } else {
+      EXPECT_EQ(e.policy().estimator(), nullptr) << name;
+    }
+    // No faults are armed, so every selected seller delivers L samples,
+    // and the one bank holds each of them exactly once.
+    std::vector<std::uint64_t> delivered(kSellers, 0);
     for (int r = 1; r <= 5; ++r) {
-      ASSERT_TRUE(engine.value()->RunRound().ok()) << name;
-      const bandit::EstimatorBank& pricing = e.pricing_estimates();
-      EXPECT_GT(pricing.total_observations(), 0u) << name;
-      // A policy bank is fed the same batches in the same order as the
-      // private bank, so the two agree arm by arm after every round.
-      if (const bandit::EstimatorBank* bank = e.policy().estimator()) {
-        EXPECT_EQ(bank->observation_counts(), pricing.observation_counts())
-            << name << " round " << r;
-        EXPECT_EQ(bank->means(), pricing.means()) << name << " round " << r;
-        EXPECT_EQ(bank->total_observations(), pricing.total_observations())
-            << name << " round " << r;
+      auto report = engine.value()->RunRound();
+      ASSERT_TRUE(report.ok()) << name;
+      for (int seller : report.value().selected) {
+        delivered[static_cast<std::size_t>(seller)] += kPois;
       }
+      std::uint64_t total = 0;
+      for (std::uint64_t n : delivered) total += n;
+      EXPECT_EQ(pricing.observation_counts(), delivered)
+          << name << " round " << r;
+      EXPECT_EQ(pricing.total_observations(), total)
+          << name << " round " << r;
     }
   }
-  // ε-first, ε-greedy, Thompson and availability-aware CUCB own a bank.
-  EXPECT_EQ(policy_banks, 4);
-}
-
-TEST(TradingEngineTest, RestoreFailsClosedWhenPricingAndPolicyArmsDisagree) {
-  auto env = MakeEnvironment();
-  auto engine = TradingEngine::Create(MakeConfig(), &env, MakeCucb());
-  ASSERT_TRUE(engine.ok());
-  for (int r = 0; r < 4; ++r) ASSERT_TRUE(engine.value()->RunRound().ok());
-  const EngineSnapshot snapshot = engine.value()->CaptureSnapshot();
-  // The format still carries both sections, written from the one bank.
-  ASSERT_TRUE(snapshot.has_policy_arms);
-  EXPECT_EQ(snapshot.pricing_arms, snapshot.policy_arms);
-  EXPECT_EQ(snapshot.pricing_total_observations,
-            snapshot.policy_total_observations);
-
-  auto restore = [](const EngineSnapshot& s) {
-    auto fresh_env = MakeEnvironment();
-    auto fresh = TradingEngine::Create(MakeConfig(), &fresh_env, MakeCucb());
-    EXPECT_TRUE(fresh.ok());
-    util::Status status = fresh.value()->RestoreSnapshot(s);
-    // A refused snapshot leaves the engine untouched.
-    if (!status.ok()) {
-      EXPECT_EQ(fresh.value()->current_round(), 0);
-    }
-    return status;
-  };
-  EXPECT_TRUE(restore(snapshot).ok());
-
-  // Hand-edited: one pricing mean moved. Each section alone is a valid
-  // bank state, but the one bank cannot hold both.
-  EngineSnapshot edited_mean = snapshot;
-  edited_mean.pricing_arms[0].mean =
-      edited_mean.pricing_arms[0].mean > 0.5 ? 0.25 : 0.75;
-  util::Status status = restore(edited_mean);
-  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
-      << status.ToString();
-  EXPECT_NE(status.message().find("disagree"), std::string::npos);
-
-  // Hand-edited: the same observations moved between two arms (totals
-  // still agree section by section).
-  EngineSnapshot edited_counts = snapshot;
-  std::swap(edited_counts.policy_arms[0], edited_counts.policy_arms[1]);
-  if (edited_counts.policy_arms != snapshot.policy_arms) {
-    EXPECT_FALSE(restore(edited_counts).ok());
-  }
-
-  // Hand-edited: the pricing section's total no longer matches.
-  EngineSnapshot edited_total = snapshot;
-  edited_total.pricing_total_observations += kPois;
-  edited_total.pricing_arms[0].observations += kPois;
-  EXPECT_FALSE(restore(edited_total).ok());
 }
 
 // The collect stage against its oracle, the one-pass loop: over random

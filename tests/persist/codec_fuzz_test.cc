@@ -444,9 +444,6 @@ TEST(SerializeTest, EngineSnapshotRoundTrips) {
   snapshot.consumer_spend = 321.25;
   snapshot.pricing_arms = {{10, 0.5}, {0, 0.0}, {7, 0.25}};
   snapshot.pricing_total_observations = 17;
-  snapshot.has_policy_arms = true;
-  snapshot.policy_arms = snapshot.pricing_arms;
-  snapshot.policy_total_observations = 17;
   snapshot.ledger_balances = {-5.0, 2.0, 1.0, 1.0, 1.0};
   snapshot.ledger_consumer_outflow = 5.0;
   snapshot.ledger_seller_inflow = 3.0;
@@ -499,11 +496,6 @@ market::EngineSnapshot RandomSnapshot(stats::Xoshiro256& rng) {
     snapshot.pricing_arms.push_back({wide(), rng.NextDouble()});
   }
   snapshot.pricing_total_observations = wide();
-  snapshot.has_policy_arms = rng.NextDouble() < 0.5;
-  if (snapshot.has_policy_arms) {
-    snapshot.policy_arms = snapshot.pricing_arms;
-    snapshot.policy_total_observations = wide();
-  }
   for (int i = 0; i < m + 2; ++i) {
     snapshot.ledger_balances.push_back(rng.NextDouble(-1e6, 1e6));
   }
@@ -575,6 +567,75 @@ TEST(SerializeTest, SnapshotEncodingMatchesThePerFieldOracle) {
         << "trial " << trial;
   }
   std::filesystem::remove(path);
+}
+
+// Writers before the arms were stored once appended, under CUCB, a flag
+// byte 1 and a copy of the arms section. The decoder reads that layout
+// as the one-section snapshot when the copy repeats the arms exactly, and
+// refuses it otherwise.
+TEST(SerializeTest, TwoSectionSnapshotDecodesOnlyWhenItsCopyMatches) {
+  stats::Xoshiro256 rng(0x2C0B1E5);
+  int refused = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    market::EngineSnapshot snapshot = RandomSnapshot(rng);
+    const std::vector<bandit::ArmState>& arms = snapshot.pricing_arms;
+    const std::uint64_t total = snapshot.pricing_total_observations;
+    std::string one_section;
+    EncodeEngineSnapshot(snapshot, &one_section);
+    auto decode = [](const std::string& bytes,
+                     market::EngineSnapshot* decoded) {
+      ByteReader reader(bytes);
+      util::Status status = DecodeEngineSnapshot(&reader, decoded);
+      if (status.ok() && !reader.empty()) {
+        return util::Status::ParseError("trailing bytes");
+      }
+      return status;
+    };
+
+    std::string two_sections;
+    testsupport::ReferenceEncodeTwoSectionSnapshot(snapshot, arms, total,
+                                                   &two_sections);
+    // The copy is the only difference: one arms section's bytes.
+    std::size_t section = VarintSize(arms.size()) + VarintSize(total);
+    for (const bandit::ArmState& arm : arms) {
+      section += VarintSize(arm.observations) + 8;
+    }
+    ASSERT_EQ(two_sections.size(), one_section.size() + section);
+    market::EngineSnapshot decoded;
+    ASSERT_TRUE(decode(two_sections, &decoded).ok()) << "trial " << trial;
+    std::string reencoded;
+    EncodeEngineSnapshot(decoded, &reencoded);
+    ASSERT_EQ(reencoded, one_section) << "trial " << trial;
+
+    auto expect_refused = [&](const std::vector<bandit::ArmState>& copy,
+                              std::uint64_t copy_total, const char* edit) {
+      std::string bytes;
+      testsupport::ReferenceEncodeTwoSectionSnapshot(snapshot, copy,
+                                                     copy_total, &bytes);
+      market::EngineSnapshot out;
+      util::Status status = decode(bytes, &out);
+      EXPECT_EQ(status.code(), util::StatusCode::kParseError)
+          << edit << ", trial " << trial << ": " << status.ToString();
+      ++refused;
+    };
+    // A changed total.
+    expect_refused(arms, total + 1, "changed total");
+    if (arms.empty()) continue;
+    // A moved mean, still a valid mean in [0, 1].
+    std::vector<bandit::ArmState> moved = arms;
+    const std::size_t i = rng.NextBounded(arms.size());
+    moved[i].mean = moved[i].mean > 0.5 ? moved[i].mean - 0.25
+                                        : moved[i].mean + 0.25;
+    expect_refused(moved, total, "moved mean");
+    // Two swapped arms (the same observations in a different order).
+    const std::size_t j = rng.NextBounded(arms.size());
+    if (arms[i] != arms[j]) {
+      std::vector<bandit::ArmState> swapped = arms;
+      std::swap(swapped[i], swapped[j]);
+      expect_refused(swapped, total, "swapped arms");
+    }
+  }
+  EXPECT_GT(refused, 200);
 }
 
 // --- file-level corruption ---------------------------------------------

@@ -13,12 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include "bandit/arm.h"
 #include "core/cmab_hs.h"
 #include "core/config.h"
+#include "persist/atomic_io.h"
 #include "persist/event_log.h"
 #include "persist/recorder.h"
 #include "persist/replay.h"
 #include "stats/rng.h"
+#include "support/reference_snapshot_codec.h"
 
 namespace cdt {
 namespace persist {
@@ -159,6 +162,70 @@ TEST_F(RecoveryTest, RandomizedCrashRoundsRecoverBitIdentically) {
     std::filesystem::remove(log_path_);
     std::filesystem::remove(snapshot_path_);
   }
+}
+
+TEST_F(RecoveryTest, TwoSectionCucbSnapshotResumesBitIdentically) {
+  // Under CUCB, writers before the arms were stored once followed the
+  // arms with a flag byte 1 and a copy of them. Such a file still decodes,
+  // restores, tail-replays and finishes the campaign byte-identically.
+  const std::int64_t crash_round = 37;
+  RunUninterrupted();
+  RunAndCrash(crash_round);
+  auto snapshot = ReadSnapshotFile(snapshot_path_);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const market::EngineSnapshot& one = snapshot.value().snapshot;
+  std::string two_sections;
+  testsupport::ReferenceEncodeTwoSectionSnapshot(
+      one, one.pricing_arms, one.pricing_total_observations, &two_sections);
+  ASSERT_TRUE(AtomicWriteFile(snapshot_path_,
+                              testsupport::ReferenceSnapshotFileBytes(
+                                  snapshot.value().config_crc, two_sections))
+                  .ok());
+  RecoverAndFinish(crash_round);
+  ExpectRoundsIdentical();
+}
+
+TEST_F(RecoveryTest, MovedArmMeanIsCaughtByTheTailReplay) {
+  // With the arms stored once, no second copy can disagree with an edited
+  // mean. A CRC-valid file whose selected seller's mean moved within
+  // [0, 1] restores, and the byte-verified tail replay names the first
+  // round it changes.
+  const std::int64_t crash_round = 37;
+  RunAndCrash(crash_round);
+  auto recorded = LoadRecordedRun(log_path_, /*allow_torn_tail=*/true);
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  auto snapshot = ReadSnapshotFile(snapshot_path_);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  SnapshotFile edited = snapshot.value();
+  const std::int64_t first_tail = edited.snapshot.next_round;
+  ASSERT_LE(first_tail, crash_round);
+  const int seller = recorded.value()
+                         .rounds[static_cast<std::size_t>(first_tail - 1)]
+                         .selected.front();
+  bandit::ArmState& arm =
+      edited.snapshot.pricing_arms[static_cast<std::size_t>(seller)];
+  arm.mean = arm.mean > 0.5 ? arm.mean - 0.25 : arm.mean + 0.25;
+  ASSERT_TRUE(
+      WriteSnapshotFile(snapshot_path_, edited.config_crc, edited.snapshot)
+          .ok());
+  auto reread = ReadSnapshotFile(snapshot_path_);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+
+  auto run = core::CmabHs::Create(recorded.value().config,
+                                  recorded.value().policy);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  util::Status restored =
+      run.value()->mutable_engine().RestoreSnapshot(reread.value().snapshot);
+  EXPECT_TRUE(restored.ok()) << restored.ToString();
+
+  auto resumed = ResumeFromSnapshot(recorded.value(), reread.value());
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), util::StatusCode::kInternal);
+  EXPECT_NE(resumed.status().message().find(
+                "replay diverged at round " + std::to_string(first_tail) +
+                " "),
+            std::string::npos)
+      << resumed.status().ToString();
 }
 
 TEST_F(RecoveryTest, CrashBeforeFirstSnapshotReplaysFromRoundOne) {

@@ -34,18 +34,17 @@ void EncodeReliability(const market::SellerReliability& seller,
   PutZigzag64(out, seller.opened_round);
 }
 
-}  // namespace
-
-void ReferenceEncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
-                                   std::string* out) {
+// Both layouts: a null `second_arms` writes the arms once and flag 0, a
+// non-null one writes flag 1 and `second_arms`/`second_total` after them.
+void EncodeSnapshot(const market::EngineSnapshot& snapshot,
+                    const std::vector<bandit::ArmState>* second_arms,
+                    std::uint64_t second_total, std::string* out) {
   PutZigzag64(out, snapshot.next_round);
   PutBool(out, snapshot.budget_exhausted);
   PutDouble(out, snapshot.consumer_spend);
   EncodeArms(snapshot.pricing_arms, snapshot.pricing_total_observations, out);
-  PutBool(out, snapshot.has_policy_arms);
-  if (snapshot.has_policy_arms) {
-    EncodeArms(snapshot.policy_arms, snapshot.policy_total_observations, out);
-  }
+  PutBool(out, second_arms != nullptr);
+  if (second_arms != nullptr) EncodeArms(*second_arms, second_total, out);
   PutDoubleVector(out, snapshot.ledger_balances);
   PutDouble(out, snapshot.ledger_consumer_outflow);
   PutDouble(out, snapshot.ledger_seller_inflow);
@@ -81,11 +80,32 @@ void ReferenceEncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
   }
 }
 
+}  // namespace
+
+void ReferenceEncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
+                                   std::string* out) {
+  EncodeSnapshot(snapshot, nullptr, 0, out);
+}
+
+void ReferenceEncodeTwoSectionSnapshot(
+    const market::EngineSnapshot& snapshot,
+    const std::vector<bandit::ArmState>& second_arms,
+    std::uint64_t second_total, std::string* out) {
+  EncodeSnapshot(snapshot, &second_arms, second_total, out);
+}
+
 std::string ReferenceSnapshotFileBytes(
     std::uint32_t config_crc, const market::EngineSnapshot& snapshot) {
+  std::string encoded;
+  ReferenceEncodeEngineSnapshot(snapshot, &encoded);
+  return ReferenceSnapshotFileBytes(config_crc, encoded);
+}
+
+std::string ReferenceSnapshotFileBytes(std::uint32_t config_crc,
+                                       const std::string& encoded_snapshot) {
   std::string payload;
   PutFixed32(&payload, config_crc);
-  ReferenceEncodeEngineSnapshot(snapshot, &payload);
+  payload.append(encoded_snapshot);
   std::string bytes(kSnapshotMagic, 8);
   PutVarint64(&bytes, kFormatVersion);
   PutVarint64(&bytes, payload.size());
