@@ -1,8 +1,8 @@
 #include "bandit/environment.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
+
+#include "bandit/arm.h"
 
 namespace cdt {
 namespace bandit {
@@ -148,15 +148,7 @@ Status QualityEnvironment::RestoreState(const EnvironmentState& state) {
 }
 
 std::vector<int> QualityEnvironment::OptimalSet(int k) const {
-  std::vector<int> order(nominal_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
-    return effective_[static_cast<std::size_t>(a)] >
-           effective_[static_cast<std::size_t>(b)];
-  });
-  int take = std::min<int>(k, static_cast<int>(order.size()));
-  order.resize(static_cast<std::size_t>(take));
-  return order;
+  return TopKIndices(effective_, k);
 }
 
 double QualityEnvironment::OptimalSetQuality(int k) const {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <numeric>
+
+#include "bandit/arm.h"
 
 namespace cdt {
 namespace bandit {
@@ -51,9 +53,11 @@ Result<RegretTracker> RegretTracker::Create(std::vector<double> qualities,
   if (num_pois <= 0) {
     return Status::InvalidArgument("num_pois must be > 0");
   }
-  std::vector<double> sorted = qualities;
-  std::sort(sorted.begin(), sorted.end(), std::greater<double>());
-  double top = std::accumulate(sorted.begin(), sorted.begin() + k, 0.0);
+  // The K best in descending order, as a full sort would add them.
+  double top = 0.0;
+  for (int i : TopKIndices(qualities, k)) {
+    top += qualities[static_cast<std::size_t>(i)];
+  }
   return RegretTracker(std::move(qualities), k, num_pois,
                        static_cast<double>(num_pois) * top);
 }

@@ -96,7 +96,6 @@ market::EngineConfig MechanismConfig::MakeEngineConfig() const {
                                     collection_price_max};
   engine.initial_tau = initial_tau;
   engine.quality_floor = quality_floor;
-  engine.track_transfers = track_transfers;
   engine.check_invariants = check_invariants;
   engine.consumer_budget = consumer_budget;
   engine.faults = faults;

@@ -46,7 +46,6 @@ struct MechanismConfig {
   /// Algorithm 1's round-1 select-all initial exploration.
   bool select_all_first_round = true;
   double quality_floor = 1e-3;
-  bool track_transfers = false;
   /// Arm the per-round economic-invariant checker (ledger conservation,
   /// individual rationality, stationarity, bandit sanity). Defaults on so
   /// tests and examples always run under the net; the benchmark harnesses

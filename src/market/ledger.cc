@@ -1,14 +1,16 @@
 #include "market/ledger.h"
 
+#include <cmath>
+#include <string>
+
 namespace cdt {
 namespace market {
 
 using util::Result;
 using util::Status;
 
-Ledger::Ledger(int num_sellers, bool keep_history)
+Ledger::Ledger(int num_sellers)
     : num_sellers_(num_sellers),
-      keep_history_(keep_history),
       balances_(static_cast<std::size_t>(num_sellers) + 2, 0.0) {}
 
 bool Ledger::ValidAccount(std::int32_t account) const {
@@ -22,17 +24,17 @@ std::size_t Ledger::SlotOf(std::int32_t account) const {
   return static_cast<std::size_t>(account) + 2;
 }
 
-Status Ledger::Record(std::int64_t round, std::int32_t from, std::int32_t to,
-                      double amount, std::string_view memo) {
+Status Ledger::Record(std::int32_t from, std::int32_t to, double amount) {
   if (!ValidAccount(from) || !ValidAccount(to)) {
     return Status::InvalidArgument("unknown ledger account");
   }
   if (from == to) {
     return Status::InvalidArgument("self-transfer is not allowed");
   }
-  if (amount < 0.0) {
+  if (!std::isfinite(amount) || amount < 0.0) {
     return Status::InvalidArgument(
-        "negative transfer; record the reverse direction instead");
+        "negative or non-finite transfer; record a finite amount in the "
+        "reverse direction instead");
   }
   balances_[SlotOf(from)] -= amount;
   balances_[SlotOf(to)] += amount;
@@ -40,15 +42,6 @@ Status Ledger::Record(std::int64_t round, std::int32_t from, std::int32_t to,
   if (to == kConsumerAccount) consumer_outflow_ -= amount;
   if (to >= kSellerBase) seller_inflow_ += amount;
   if (from >= kSellerBase) seller_inflow_ -= amount;
-  if (keep_history_) {
-    Transfer t;
-    t.round = round;
-    t.from = from;
-    t.to = to;
-    t.amount = amount;
-    t.memo = memo;
-    transfers_.push_back(std::move(t));
-  }
   return Status::OK();
 }
 
@@ -77,27 +70,29 @@ double Ledger::NetPosition() const {
 }
 
 Status Ledger::Restore(std::vector<double> balances, double consumer_outflow,
-                       double seller_inflow,
-                       std::vector<Transfer> transfers) {
+                       double seller_inflow) {
   if (balances.size() != balances_.size()) {
     return Status::InvalidArgument(
         "ledger restore balance count mismatch: have " +
         std::to_string(balances_.size()) + " slots, snapshot has " +
         std::to_string(balances.size()));
   }
-  if (!keep_history_ && !transfers.empty()) {
-    return Status::InvalidArgument(
-        "snapshot carries transfer history but this ledger keeps none");
-  }
-  for (const Transfer& t : transfers) {
-    if (!ValidAccount(t.from) || !ValidAccount(t.to) || t.amount < 0.0) {
-      return Status::InvalidArgument("invalid transfer in ledger snapshot");
+  // A non-finite value would pass every later `residual > bound` check of
+  // the invariant checker, whose baseline is copied from these values.
+  for (double balance : balances) {
+    if (!std::isfinite(balance)) {
+      return Status::OutOfRange("non-finite ledger balance in snapshot");
     }
+  }
+  if (!std::isfinite(consumer_outflow) || !std::isfinite(seller_inflow)) {
+    return Status::OutOfRange("non-finite ledger aggregate in snapshot");
+  }
+  if (consumer_outflow < 0.0) {
+    return Status::OutOfRange("negative consumer outflow in snapshot");
   }
   balances_ = std::move(balances);
   consumer_outflow_ = consumer_outflow;
   seller_inflow_ = seller_inflow;
-  transfers_ = std::move(transfers);
   return Status::OK();
 }
 

@@ -1,14 +1,14 @@
-// Payment ledger: double-entry accounting of every monetary transfer in the
-// CDT system (Def. 5's settlement step). Balances must conserve money —
-// every transfer debits exactly one account and credits exactly one — which
-// the test suite asserts as an invariant across whole simulations.
+// Payment ledger: double-entry balances of the consumer, the platform and
+// the M sellers (Def. 5's settlement step). Every recorded transfer debits
+// exactly one account and credits exactly one, so balances conserve money,
+// which the invariant checker audits. The ledger keeps balances and two
+// aggregates only: each round's moves are functions of its RoundReport,
+// which the event log already records, so no transfer history is kept.
 
 #ifndef CDT_MARKET_LEDGER_H_
 #define CDT_MARKET_LEDGER_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -23,27 +23,15 @@ enum AccountId : std::int32_t {
   kSellerBase = 0,
 };
 
-/// One recorded transfer.
-struct Transfer {
-  std::int64_t round = 0;
-  std::int32_t from = 0;
-  std::int32_t to = 0;
-  double amount = 0.0;
-  std::string memo;
-};
-
 /// Double-entry ledger over the consumer, the platform, and M sellers.
 class Ledger {
  public:
-  /// `keep_history` false maintains balances only (O(1) memory) — used by
-  /// large-N benchmark sweeps; transfers() is then empty.
-  explicit Ledger(int num_sellers, bool keep_history = true);
+  explicit Ledger(int num_sellers);
 
-  /// Records a transfer; negative amounts are rejected (use the reverse
-  /// direction instead) as are unknown accounts. The memo is copied only
-  /// when the ledger keeps its history.
-  util::Status Record(std::int64_t round, std::int32_t from, std::int32_t to,
-                      double amount, std::string_view memo);
+  /// Moves `amount` from one account to another. Unknown accounts, a
+  /// self-transfer and a negative or non-finite amount are rejected (record
+  /// the reverse direction instead of a negative amount).
+  util::Status Record(std::int32_t from, std::int32_t to, double amount);
 
   /// Net balance of an account (credits minus debits; starts at 0).
   util::Result<double> Balance(std::int32_t account) const;
@@ -51,36 +39,31 @@ class Ledger {
   /// Σ of all balances — exactly 0 under double entry (up to float error).
   double NetPosition() const;
 
-  /// Total amount the consumer has paid out (maintained even without
-  /// history).
+  /// Total amount the consumer has paid out.
   double ConsumerOutflow() const { return consumer_outflow_; }
 
-  /// Total amount sellers have received (maintained even without history).
+  /// Total amount sellers have received.
   double SellerInflow() const { return seller_inflow_; }
 
-  const std::vector<Transfer>& transfers() const { return transfers_; }
   /// Per-slot balances: consumer, platform, then the M sellers.
   const std::vector<double>& balances() const { return balances_; }
   int num_sellers() const { return num_sellers_; }
-  bool keep_history() const { return keep_history_; }
 
   /// Restores a previously captured ledger state (snapshot/replay):
-  /// per-slot balances (consumer, platform, sellers — size M+2), the
-  /// outflow/inflow aggregates, and the transfer history. A history is
-  /// only accepted when this ledger keeps one; a history-keeping ledger
-  /// accepts an empty history (recorded with track_transfers off).
+  /// per-slot balances (consumer, platform, sellers — size M+2) and the
+  /// outflow/inflow aggregates. Refuses, without mutating, a wrong balance
+  /// count, a non-finite balance or aggregate, and a negative consumer
+  /// outflow.
   util::Status Restore(std::vector<double> balances, double consumer_outflow,
-                       double seller_inflow, std::vector<Transfer> transfers);
+                       double seller_inflow);
 
  private:
   bool ValidAccount(std::int32_t account) const;
   std::size_t SlotOf(std::int32_t account) const;
 
   int num_sellers_;
-  bool keep_history_;
   // Slot 0: consumer, slot 1: platform, slots 2..: sellers.
   std::vector<double> balances_;
-  std::vector<Transfer> transfers_;
   double consumer_outflow_ = 0.0;
   double seller_inflow_ = 0.0;
 };

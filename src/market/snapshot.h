@@ -15,7 +15,6 @@
 #include "bandit/arm.h"
 #include "bandit/environment.h"
 #include "market/faults.h"
-#include "market/ledger.h"
 
 namespace cdt {
 namespace market {
@@ -26,7 +25,6 @@ struct EngineSnapshot {
   // --- round cursor / budget ------------------------------------------
   std::int64_t next_round = 1;
   bool budget_exhausted = false;
-  double consumer_spend = 0.0;
 
   // --- learning state --------------------------------------------------
   /// The one Eq. (17)-(18) bank the engine prices from
@@ -41,8 +39,6 @@ struct EngineSnapshot {
   std::vector<double> ledger_balances;
   double ledger_consumer_outflow = 0.0;
   double ledger_seller_inflow = 0.0;
-  /// Transfer history; empty when the ledger maintains balances only.
-  std::vector<Transfer> ledger_transfers;
 
   // --- reliability / fault accounting ---------------------------------
   std::vector<SellerReliability> reliability;

@@ -165,7 +165,7 @@ TradingEngine::TradingEngine(EngineConfig config,
     : config_(std::move(config)),
       environment_(environment),
       policy_(std::move(policy)),
-      ledger_(environment_->num_sellers(), config_.track_transfers) {}
+      ledger_(environment_->num_sellers()) {}
 
 Result<std::unique_ptr<TradingEngine>> TradingEngine::Create(
     EngineConfig config, bandit::QualityEnvironment* environment,
@@ -528,12 +528,12 @@ Result<RoundReport> TradingEngine::RunRound() {
   // when the consumer cannot afford the delivered coalition's reward.
   if (!report.voided && config_.consumer_budget > 0.0) {
     double reward = report.consumer_price * report.total_time;
-    if (consumer_spend_ + reward > config_.consumer_budget) {
+    if (ledger_.ConsumerOutflow() + reward > config_.consumer_budget) {
       budget_exhausted_ = true;
       FaultEvent stop;
       stop.round = t;
       stop.kind = FaultKind::kBudgetStop;
-      stop.severity = config_.consumer_budget - consumer_spend_;
+      stop.severity = config_.consumer_budget - ledger_.ConsumerOutflow();
       fault_log_.push_back(stop);
       ++fault_counts_[static_cast<std::size_t>(FaultKind::kBudgetStop)];
       // The run ends here, so the checker's O(M) ledger audit closes it; a
@@ -641,7 +641,6 @@ EngineSnapshot TradingEngine::CaptureSnapshot() const {
   EngineSnapshot snapshot;
   snapshot.next_round = next_round_;
   snapshot.budget_exhausted = budget_exhausted_;
-  snapshot.consumer_spend = consumer_spend_;
 
   snapshot.pricing_arms.reserve(static_cast<std::size_t>(bank_->num_arms()));
   for (int i = 0; i < bank_->num_arms(); ++i) {
@@ -652,7 +651,6 @@ EngineSnapshot TradingEngine::CaptureSnapshot() const {
   snapshot.ledger_balances = ledger_.balances();
   snapshot.ledger_consumer_outflow = ledger_.ConsumerOutflow();
   snapshot.ledger_seller_inflow = ledger_.SellerInflow();
-  snapshot.ledger_transfers = ledger_.transfers();
 
   snapshot.reliability = reliability_->sellers();
   snapshot.reliability_total_faults = reliability_->total_faults();
@@ -691,9 +689,6 @@ Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {
         "policy '" + policy_->name() +
         "' does not expose the bank the engine prices from for restore");
   }
-  if (!(snapshot.consumer_spend >= 0.0)) {
-    return Status::OutOfRange("negative consumer spend in snapshot");
-  }
   for (std::int64_t count : snapshot.fault_counts) {
     if (count < 0) {
       return Status::OutOfRange("negative fault counter in snapshot");
@@ -707,19 +702,19 @@ Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {
   }
   // Sub-restores validate before mutating; once one has succeeded a later
   // failure leaves the engine partially restored, so callers must discard
-  // the engine on any non-OK status.
+  // the engine on any non-OK status. The ledger goes first, so a refused
+  // ledger leaves the engine untouched.
+  CDT_RETURN_NOT_OK(ledger_.Restore(snapshot.ledger_balances,
+                                    snapshot.ledger_consumer_outflow,
+                                    snapshot.ledger_seller_inflow));
   CDT_RETURN_NOT_OK(bank->Restore(snapshot.pricing_arms,
                                   snapshot.pricing_total_observations));
-  CDT_RETURN_NOT_OK(ledger_.Restore(
-      snapshot.ledger_balances, snapshot.ledger_consumer_outflow,
-      snapshot.ledger_seller_inflow, snapshot.ledger_transfers));
   CDT_RETURN_NOT_OK(reliability_->Restore(
       snapshot.reliability, snapshot.reliability_total_faults));
   CDT_RETURN_NOT_OK(environment_->RestoreState(snapshot.environment));
 
   next_round_ = snapshot.next_round;
   budget_exhausted_ = snapshot.budget_exhausted;
-  consumer_spend_ = snapshot.consumer_spend;
   fault_counts_ = snapshot.fault_counts;
   fault_log_.clear();
   seller_active_ = snapshot.seller_active;
@@ -737,18 +732,14 @@ Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {
 }
 
 Status TradingEngine::SettlePayments(const RoundReport& report) {
-  // Consumer → platform: p^J · Στ; platform → seller i: p · τ_i. Balances
-  // are always maintained; the per-transfer history obeys track_transfers.
-  double reward = report.consumer_price * report.total_time;
-  consumer_spend_ += reward;
-  CDT_RETURN_NOT_OK(ledger_.Record(report.round, kConsumerAccount,
-                                   kPlatformAccount, reward,
-                                   "data service reward"));
+  // Consumer → platform: p^J · Στ; platform → seller i: p · τ_i.
+  CDT_RETURN_NOT_OK(ledger_.Record(kConsumerAccount, kPlatformAccount,
+                                   report.consumer_price * report.total_time));
   for (std::size_t j = 0; j < report.selected.size(); ++j) {
-    CDT_RETURN_NOT_OK(ledger_.Record(
-        report.round, kPlatformAccount,
-        static_cast<std::int32_t>(report.selected[j]),
-        report.collection_price * report.tau[j], "data collection pay"));
+    CDT_RETURN_NOT_OK(
+        ledger_.Record(kPlatformAccount,
+                       static_cast<std::int32_t>(report.selected[j]),
+                       report.collection_price * report.tau[j]));
   }
   return Status::OK();
 }

@@ -47,9 +47,6 @@ struct EngineConfig {
   /// trading stops before any round whose reward payment would push the
   /// consumer's cumulative outflow beyond the budget.
   double consumer_budget = 0.0;
-  /// Record every monetary transfer in the ledger (memory ~ N·K; disable
-  /// for large-N benchmark sweeps — balances are still maintained).
-  bool track_transfers = false;
   /// Arm the economic-invariant checker: after every settled round an
   /// InvariantChecker verifies ledger conservation, individual rationality,
   /// Stackelberg stationarity and bandit sanity, and a violation aborts the
@@ -132,15 +129,14 @@ class TradingEngine {
   /// True when a configured consumer budget stopped the trading early.
   bool budget_exhausted() const { return budget_exhausted_; }
 
-  /// Cumulative rewards the consumer has paid so far.
-  double consumer_spend() const { return consumer_spend_; }
-
   /// Runs all remaining rounds, invoking `callback` (may be null) per round.
   util::Status RunAll(
       const std::function<void(const RoundReport&)>& callback = nullptr);
 
   std::int64_t current_round() const { return next_round_ - 1; }
   const EngineConfig& config() const { return config_; }
+  /// The one record of money; its ConsumerOutflow() is the consumer's
+  /// cumulative reward payments, which the budget gate reads.
   const Ledger& ledger() const { return ledger_; }
   const bandit::SelectionPolicy& policy() const { return *policy_; }
   const bandit::QualityEnvironment& environment() const {
@@ -270,7 +266,6 @@ class TradingEngine {
   double oracle_round_revenue_ = 0.0;
   std::int64_t next_round_ = 1;
   bool budget_exhausted_ = false;
-  double consumer_spend_ = 0.0;
 
   /// Seller-departure overlay (SetSellerActive). Lazily sized on first
   /// deactivation; empty means everyone is active (the common case adds

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "market/faults.h"
-#include "market/ledger.h"
 
 namespace cdt {
 namespace persist {
@@ -44,7 +43,8 @@ void EncodeMechanismConfig(const core::MechanismConfig& config,
   PutDouble(out, config.exploration);
   PutBool(out, config.select_all_first_round);
   PutDouble(out, config.quality_floor);
-  PutBool(out, config.track_transfers);
+  // Once a transfer-history flag; always 0 now, and ignored when read.
+  PutByte(out, 0);
   PutBool(out, config.check_invariants);
   PutDouble(out, config.consumer_budget);
   // Fault profile.
@@ -105,7 +105,8 @@ Status DecodeMechanismConfig(ByteReader* in, core::MechanismConfig* config) {
   CDT_RETURN_NOT_OK(in->ReadDouble(&config->exploration));
   CDT_RETURN_NOT_OK(in->ReadBool(&config->select_all_first_round));
   CDT_RETURN_NOT_OK(in->ReadDouble(&config->quality_floor));
-  CDT_RETURN_NOT_OK(in->ReadBool(&config->track_transfers));
+  bool legacy_history_flag;
+  CDT_RETURN_NOT_OK(in->ReadBool(&legacy_history_flag));
   CDT_RETURN_NOT_OK(in->ReadBool(&config->check_invariants));
   CDT_RETURN_NOT_OK(in->ReadDouble(&config->consumer_budget));
   CDT_RETURN_NOT_OK(in->ReadDouble(&config->faults.default_rate));
@@ -348,7 +349,8 @@ template <typename Sink>
 void EncodeSnapshotFields(const market::EngineSnapshot& snapshot, Sink& out) {
   out.Zigzag(snapshot.next_round);
   out.Byte(snapshot.budget_exhausted ? 1 : 0);
-  out.Double(snapshot.consumer_spend);
+  // The old consumer-spend slot: it always equalled the ledger outflow.
+  out.Double(snapshot.ledger_consumer_outflow);
   // The arms once, then a flag byte 0: the layout every version-1 reader
   // accepts. DecodeEngineSnapshot also reads flag 1, a second copy of the
   // arms that older writers appended under CUCB.
@@ -358,15 +360,7 @@ void EncodeSnapshotFields(const market::EngineSnapshot& snapshot, Sink& out) {
   for (double balance : snapshot.ledger_balances) out.Double(balance);
   out.Double(snapshot.ledger_consumer_outflow);
   out.Double(snapshot.ledger_seller_inflow);
-  out.Varint(snapshot.ledger_transfers.size());
-  for (const market::Transfer& transfer : snapshot.ledger_transfers) {
-    out.Zigzag(transfer.round);
-    out.Zigzag(transfer.from);
-    out.Zigzag(transfer.to);
-    out.Double(transfer.amount);
-    out.Varint(transfer.memo.size());
-    out.Bytes(transfer.memo);
-  }
+  out.Varint(0);  // the old transfer-history count, always empty
   out.Varint(snapshot.reliability.size());
   for (const market::SellerReliability& seller : snapshot.reliability) {
     EncodeReliability(seller, out);
@@ -414,7 +408,8 @@ Status DecodeEngineSnapshot(ByteReader* in,
                             market::EngineSnapshot* snapshot) {
   CDT_RETURN_NOT_OK(in->ReadZigzag64(&snapshot->next_round));
   CDT_RETURN_NOT_OK(in->ReadBool(&snapshot->budget_exhausted));
-  CDT_RETURN_NOT_OK(in->ReadDouble(&snapshot->consumer_spend));
+  double spend_slot;
+  CDT_RETURN_NOT_OK(in->ReadDouble(&spend_slot));
   CDT_RETURN_NOT_OK(DecodeArms(in, &snapshot->pricing_arms,
                                &snapshot->pricing_total_observations));
   bool legacy_copy;
@@ -434,32 +429,18 @@ Status DecodeEngineSnapshot(ByteReader* in,
   CDT_RETURN_NOT_OK(in->ReadDoubleVector(&snapshot->ledger_balances));
   CDT_RETURN_NOT_OK(in->ReadDouble(&snapshot->ledger_consumer_outflow));
   CDT_RETURN_NOT_OK(in->ReadDouble(&snapshot->ledger_seller_inflow));
+  // Writers kept the consumer's spend apart from the ledger outflow and
+  // could append a transfer history. Neither survives: a spend that is not
+  // the outflow's exact bits, or a non-empty history, is refused.
+  if (std::bit_cast<std::uint64_t>(spend_slot) !=
+      std::bit_cast<std::uint64_t>(snapshot->ledger_consumer_outflow)) {
+    return Status::ParseError(
+        "snapshot consumer spend differs from its ledger outflow");
+  }
   std::uint64_t transfer_count;
   CDT_RETURN_NOT_OK(in->ReadVarint64(&transfer_count));
-  // A serialized Transfer is at least 12 bytes.
-  if (transfer_count > in->remaining() / 12) {
-    return Status::ParseError("transfer count exceeds payload");
-  }
-  snapshot->ledger_transfers.clear();
-  snapshot->ledger_transfers.reserve(
-      static_cast<std::size_t>(transfer_count));
-  for (std::uint64_t i = 0; i < transfer_count; ++i) {
-    market::Transfer transfer;
-    CDT_RETURN_NOT_OK(in->ReadZigzag64(&transfer.round));
-    std::int64_t account;
-    CDT_RETURN_NOT_OK(in->ReadZigzag64(&account));
-    if (account < INT32_MIN || account > INT32_MAX) {
-      return Status::ParseError("transfer account overflows int32");
-    }
-    transfer.from = static_cast<std::int32_t>(account);
-    CDT_RETURN_NOT_OK(in->ReadZigzag64(&account));
-    if (account < INT32_MIN || account > INT32_MAX) {
-      return Status::ParseError("transfer account overflows int32");
-    }
-    transfer.to = static_cast<std::int32_t>(account);
-    CDT_RETURN_NOT_OK(in->ReadDouble(&transfer.amount));
-    CDT_RETURN_NOT_OK(in->ReadString(&transfer.memo));
-    snapshot->ledger_transfers.push_back(std::move(transfer));
+  if (transfer_count != 0) {
+    return Status::ParseError("snapshot carries a transfer history");
   }
   std::uint64_t seller_count;
   CDT_RETURN_NOT_OK(in->ReadVarint64(&seller_count));

@@ -88,6 +88,31 @@ TEST(QualityEnvironmentTest, OptimalSetIsTopKByEffectiveQuality) {
               env.value().effective_quality(3) +
                   env.value().effective_quality(1),
               1e-12);
+
+  // Many ties: 300 sellers over four quality levels. Ties rank by index,
+  // as a stable sort of all M indices orders them, and the quality sum
+  // adds the same values in the same order.
+  stats::Xoshiro256 rng(0x71E5);
+  const double levels[] = {0.2, 0.45, 0.7, 0.95};
+  std::vector<double> qualities(300);
+  for (double& q : qualities) q = levels[rng.NextBounded(4)];
+  auto tied = QualityEnvironment::CreateWithQualities(qualities, 4, 0.05, 2);
+  ASSERT_TRUE(tied.ok());
+  std::vector<int> order(qualities.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return tied.value().effective_quality(a) >
+           tied.value().effective_quality(b);
+  });
+  for (int k : {1, 7, 74, 75, 76, 150, 299, 300, 400}) {
+    std::vector<int> want(
+        order.begin(),
+        order.begin() + std::min<std::size_t>(k, order.size()));
+    EXPECT_EQ(tied.value().OptimalSet(k), want) << "k=" << k;
+    double sum = 0.0;
+    for (int i : want) sum += tied.value().effective_quality(i);
+    EXPECT_EQ(tied.value().OptimalSetQuality(k), sum) << "k=" << k;
+  }
 }
 
 TEST(QualityEnvironmentTest, RejectsBadExplicitQualities) {

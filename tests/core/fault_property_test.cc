@@ -18,6 +18,7 @@
 #include "market/faults.h"
 #include "market/invariants.h"
 #include "market/trading_engine.h"
+#include "support/transfer_trail.h"
 
 namespace cdt {
 namespace core {
@@ -31,7 +32,6 @@ MechanismConfig SmallConfig(std::uint64_t seed, std::int64_t rounds = 300) {
   config.num_rounds = rounds;
   config.seed = seed;
   config.check_invariants = true;
-  config.track_transfers = true;
   return config;
 }
 
@@ -69,6 +69,21 @@ void ExpectFaultsFullyAccounted(
   }
 }
 
+// Checks the ledger bit-exactly against the transfer trail rebuilt from the
+// reports, in which voided rounds move no money; returns how many rounds
+// were voided.
+int ExpectLedgerMatchesTrail(const market::TradingEngine& engine,
+                             const std::vector<market::RoundReport>& reports) {
+  testsupport::TransferTrail trail(engine.environment().num_sellers());
+  int voided = 0;
+  for (const market::RoundReport& r : reports) {
+    trail.AddRound(r);
+    if (r.voided) ++voided;
+  }
+  EXPECT_EQ(trail.Mismatch(engine.ledger()), "");
+  return voided;
+}
+
 class FaultCampaignTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(FaultCampaignTest, CampaignIsViolationFreeConservedAndAccounted) {
@@ -102,6 +117,7 @@ TEST_P(FaultCampaignTest, CampaignIsViolationFreeConservedAndAccounted) {
   EXPECT_EQ(engine.invariant_checker()->violation_count(), 0u);
   EXPECT_NEAR(engine.ledger().NetPosition(), 0.0, 1e-6);
   ExpectFaultsFullyAccounted(*run.value(), reports);
+  ExpectLedgerMatchesTrail(engine, reports);
 
   if (GetParam() == 0.0) {
     EXPECT_TRUE(engine.fault_log().empty());
@@ -237,7 +253,6 @@ TEST(FaultAcceptanceTest, LongCampaignAtThirtyPercentDefaults) {
   config.num_rounds = 5000;
   config.seed = 20260805;
   config.check_invariants = true;
-  config.track_transfers = false;  // keep memory flat over 5k rounds
   ArmFaults(&config, 0.3);
   ASSERT_TRUE(config.Validate().ok());
 
@@ -255,6 +270,8 @@ TEST(FaultAcceptanceTest, LongCampaignAtThirtyPercentDefaults) {
   EXPECT_EQ(engine.invariant_checker()->violation_count(), 0u);
   EXPECT_NEAR(engine.ledger().NetPosition(), 0.0, 1e-6);
   ExpectFaultsFullyAccounted(*run.value(), reports);
+  // Settlement failures past the retry budget void rounds here.
+  EXPECT_GT(ExpectLedgerMatchesTrail(engine, reports), 0);
 
   // At this rate every fault family and the breaker must actually fire.
   EXPECT_GT(engine.fault_count(market::FaultKind::kSellerDefault), 0);

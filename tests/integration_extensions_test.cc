@@ -51,7 +51,8 @@ TEST(ExtensionsIntegrationTest, BudgetedCampaignRoundTripsThroughRunLog) {
   for (const market::RoundReport& report : rounds) {
     spend += report.consumer_price * report.total_time;
   }
-  EXPECT_NEAR(spend, run.value()->engine().consumer_spend(), 1e-6);
+  EXPECT_NEAR(spend, run.value()->engine().ledger().ConsumerOutflow(),
+              1e-6);
   EXPECT_LE(spend, config.consumer_budget + 1e-6);
 
   auto stats = analysis::Summarize(rounds);

@@ -10,6 +10,7 @@
 #include "core/cmab_hs.h"
 #include "core/comparison.h"
 #include "game/equilibrium.h"
+#include "support/transfer_trail.h"
 #include "trace/generator.h"
 #include "trace/poi.h"
 #include "trace/seller_mapping.h"
@@ -146,15 +147,20 @@ TEST(IntegrationTest, MoneyConservationOverFullRun) {
   config.num_selected = 3;
   config.num_pois = 3;
   config.num_rounds = 50;
-  config.track_transfers = true;
   config.seed = 5;
   auto run = core::CmabHs::Create(config);
   ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(run.value()->RunAll().ok());
+  testsupport::TransferTrail trail(config.num_sellers);
+  ASSERT_TRUE(run.value()
+                  ->RunAll([&](const market::RoundReport& report) {
+                    trail.AddRound(report);
+                  })
+                  .ok());
   const market::Ledger& ledger = run.value()->engine().ledger();
   EXPECT_NEAR(ledger.NetPosition(), 0.0, 1e-6);
-  EXPECT_EQ(ledger.transfers().size(),
+  EXPECT_EQ(trail.transfers().size(),
             50u /*reward rows*/ + 49u * 3u + 10u /*round-1 payouts*/);
+  EXPECT_EQ(trail.Mismatch(ledger), "");
 }
 
 }  // namespace

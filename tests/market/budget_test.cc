@@ -79,7 +79,7 @@ TEST(BudgetTest, ZeroBudgetMeansUnlimited) {
   ASSERT_TRUE(engine->RunAll().ok());
   EXPECT_EQ(engine->current_round(), 100);
   EXPECT_FALSE(engine->budget_exhausted());
-  EXPECT_GT(engine->consumer_spend(), 0.0);
+  EXPECT_GT(engine->ledger().ConsumerOutflow(), 0.0);
 }
 
 TEST(BudgetTest, StopsWhenBudgetRunsOut) {
@@ -87,7 +87,7 @@ TEST(BudgetTest, StopsWhenBudgetRunsOut) {
   auto env_probe = MakeEnv();
   auto probe = MakeEngine(&env_probe, 0.0);
   ASSERT_TRUE(probe->RunAll().ok());
-  double full_spend = probe->consumer_spend();
+  double full_spend = probe->ledger().ConsumerOutflow();
 
   auto env = MakeEnv();
   auto engine = MakeEngine(&env, full_spend / 2.0);
@@ -96,7 +96,8 @@ TEST(BudgetTest, StopsWhenBudgetRunsOut) {
   EXPECT_LT(engine->current_round(), 100);
   EXPECT_GT(engine->current_round(), 0);
   // Never overspends.
-  EXPECT_LE(engine->consumer_spend(), full_spend / 2.0 + 1e-9);
+  EXPECT_LE(engine->ledger().ConsumerOutflow(),
+            full_spend / 2.0 + 1e-9);
 }
 
 TEST(BudgetTest, AbandonedRoundLeavesNoTrace) {
@@ -108,7 +109,7 @@ TEST(BudgetTest, AbandonedRoundLeavesNoTrace) {
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(engine->budget_exhausted());
   EXPECT_EQ(engine->current_round(), 0);
-  EXPECT_DOUBLE_EQ(engine->consumer_spend(), 0.0);
+  EXPECT_DOUBLE_EQ(engine->ledger().ConsumerOutflow(), 0.0);
   EXPECT_NEAR(engine->ledger().NetPosition(), 0.0, 1e-12);
 }
 
@@ -125,7 +126,7 @@ TEST(BudgetTest, FacadeStopsCleanly) {
   ASSERT_TRUE(run.value()->RunAll().ok());
   EXPECT_TRUE(run.value()->engine().budget_exhausted());
   EXPECT_LT(run.value()->metrics().rounds(), 200);
-  EXPECT_LE(run.value()->engine().consumer_spend(), 5000.0);
+  EXPECT_LE(run.value()->engine().ledger().ConsumerOutflow(), 5000.0);
 }
 
 TEST(BudgetTest, LargerBudgetBuysMoreRounds) {

@@ -31,7 +31,7 @@ namespace {
 // stationarity families, isolating the ledger checks. (The view holds
 // pointers into the scenario, so it is built in place, never copied.)
 struct BrokenScenario {
-  Ledger ledger{2, true};
+  Ledger ledger{2};
   std::vector<game::SellerCostParams> costs{{0.2, 0.5}, {0.3, 0.4}};
   EngineStateView view;
   RoundReport report;
@@ -75,17 +75,16 @@ struct BrokenScenario {
 void Settle(BrokenScenario& s, double skim) {
   const RoundReport& r = s.report;
   ASSERT_TRUE(s.ledger
-                  .Record(r.round, kConsumerAccount, kPlatformAccount,
-                          r.consumer_price * r.total_time, "reward")
+                  .Record(kConsumerAccount, kPlatformAccount,
+                          r.consumer_price * r.total_time)
                   .ok());
   ASSERT_TRUE(s.ledger
-                  .Record(r.round, kPlatformAccount, 0,
-                          r.collection_price * r.tau[0] - skim, "pay")
+                  .Record(kPlatformAccount, 0,
+                          r.collection_price * r.tau[0] - skim)
                   .ok());
-  ASSERT_TRUE(s.ledger
-                  .Record(r.round, kPlatformAccount, 1,
-                          r.collection_price * r.tau[1], "pay")
-                  .ok());
+  ASSERT_TRUE(
+      s.ledger.Record(kPlatformAccount, 1, r.collection_price * r.tau[1])
+          .ok());
 }
 
 TEST(InvariantCheckerTest, ConsistentFabricatedRoundPasses) {
@@ -745,7 +744,7 @@ TEST(InvariantCheckerEngineTest, LastRoundAuditCatchesAnUnselectedSeller) {
   balances[2 + 4] -= 1.25;
   ASSERT_TRUE(const_cast<Ledger&>(ledger)
                   .Restore(balances, ledger.ConsumerOutflow(),
-                           ledger.SellerInflow(), ledger.transfers())
+                           ledger.SellerInflow())
                   .ok());
   for (int round = 2; round <= 7; ++round) {
     ASSERT_TRUE(run.value()->RunRound().ok()) << "round " << round;
@@ -782,7 +781,8 @@ TEST(InvariantCheckerEngineTest, BudgetStopAuditCatchesAnUnselectedSeller) {
     for (int round = 1; round <= 10; ++round) {
       ASSERT_TRUE(reference.value()->RunRound().ok());
     }
-    config.consumer_budget = reference.value()->engine().consumer_spend();
+    config.consumer_budget =
+        reference.value()->engine().ledger().ConsumerOutflow();
   }
   auto run = core::CmabHs::Create(config);
   ASSERT_TRUE(run.ok());
@@ -794,7 +794,7 @@ TEST(InvariantCheckerEngineTest, BudgetStopAuditCatchesAnUnselectedSeller) {
   balances[2 + kDeparted] -= 1.25;
   ASSERT_TRUE(const_cast<Ledger&>(ledger)
                   .Restore(balances, ledger.ConsumerOutflow(),
-                           ledger.SellerInflow(), ledger.transfers())
+                           ledger.SellerInflow())
                   .ok());
   util::Status status = run.value()->RunAll();
   ASSERT_FALSE(status.ok());

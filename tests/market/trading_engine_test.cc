@@ -36,7 +36,6 @@ EngineConfig MakeConfig(std::int64_t rounds = 20) {
   config.valuation = {1000.0};
   config.consumer_price_bounds = {0.01, 100.0};
   config.collection_price_bounds = {0.01, 5.0};
-  config.track_transfers = true;
   return config;
 }
 

@@ -356,7 +356,6 @@ core::MechanismConfig SmallConfig() {
   config.num_rounds = 48;
   config.seed = 0xFEED;
   config.consumer_budget = 123.5;
-  config.track_transfers = true;
   config.faults.default_rate = 0.1;
   config.faults.partial_rate = 0.05;
   config.faults.settlement_failure_rate = 0.07;
@@ -384,6 +383,49 @@ TEST(SerializeTest, MechanismConfigRoundTripsEveryField) {
   EXPECT_EQ(decoded.faults.seed, 0xABCDu);
   EXPECT_EQ(decoded.recovery.quarantine_cooldown, 9);
   EXPECT_EQ(decoded.consumer_budget, 123.5);
+}
+
+// Writers once stored a transfer-history flag just before
+// check_invariants. A flag of 1 (the golden trace carries one) decodes and
+// re-encodes as 0; any other byte there is refused, and every strict
+// prefix fails.
+TEST(SerializeTest, LegacyHistoryFlagInConfigDecodesAndReencodesAsZero) {
+  core::MechanismConfig config = SmallConfig();
+  std::string armed;
+  EncodeMechanismConfig(config, &armed);
+  config.check_invariants = false;
+  std::string disarmed;
+  EncodeMechanismConfig(config, &disarmed);
+  ASSERT_EQ(armed.size(), disarmed.size());
+  const std::size_t check_at = static_cast<std::size_t>(
+      std::mismatch(armed.begin(), armed.end(), disarmed.begin()).first -
+      armed.begin());
+  ASSERT_GT(check_at, 0u);
+  ASSERT_LT(check_at, armed.size());
+  const std::size_t flag_at = check_at - 1;
+  ASSERT_EQ(armed[flag_at], '\0');
+
+  std::string legacy = armed;
+  legacy[flag_at] = '\x01';
+  core::MechanismConfig decoded;
+  ByteReader reader(legacy);
+  ASSERT_TRUE(DecodeMechanismConfig(&reader, &decoded).ok());
+  EXPECT_TRUE(reader.empty());
+  EXPECT_TRUE(decoded.check_invariants);
+  std::string reencoded;
+  EncodeMechanismConfig(decoded, &reencoded);
+  EXPECT_EQ(reencoded, armed);
+
+  legacy[flag_at] = '\x02';
+  ByteReader bad(legacy);
+  EXPECT_EQ(DecodeMechanismConfig(&bad, &decoded).code(),
+            util::StatusCode::kParseError);
+  legacy[flag_at] = '\x01';
+  for (std::size_t cut = 0; cut < legacy.size(); ++cut) {
+    ByteReader prefix(std::string_view(legacy).substr(0, cut));
+    EXPECT_FALSE(DecodeMechanismConfig(&prefix, &decoded).ok())
+        << "prefix of length " << cut << " decoded";
+  }
 }
 
 market::RoundReport SampleReport() {
@@ -441,15 +483,11 @@ TEST(SerializeTest, EngineSnapshotRoundTrips) {
   market::EngineSnapshot snapshot;
   snapshot.next_round = 41;
   snapshot.budget_exhausted = false;
-  snapshot.consumer_spend = 321.25;
   snapshot.pricing_arms = {{10, 0.5}, {0, 0.0}, {7, 0.25}};
   snapshot.pricing_total_observations = 17;
   snapshot.ledger_balances = {-5.0, 2.0, 1.0, 1.0, 1.0};
   snapshot.ledger_consumer_outflow = 5.0;
   snapshot.ledger_seller_inflow = 3.0;
-  snapshot.ledger_transfers.push_back(
-      {3, market::kConsumerAccount, market::kPlatformAccount, 2.5,
-       "reward"});
   snapshot.reliability.resize(3);
   snapshot.reliability[1].defaults = 2;
   snapshot.reliability[1].state = market::BreakerState::kOpen;
@@ -470,14 +508,13 @@ TEST(SerializeTest, EngineSnapshotRoundTrips) {
   EncodeEngineSnapshot(decoded, &reencoded);
   EXPECT_EQ(reencoded, bytes);
   EXPECT_EQ(decoded.reliability[1].state, market::BreakerState::kOpen);
-  EXPECT_EQ(decoded.ledger_transfers[0].memo, "reward");
+  EXPECT_EQ(decoded.ledger_consumer_outflow, 5.0);
   EXPECT_EQ(decoded.environment.rng_state[3], 4u);
 }
 
 // A snapshot with every section random: arms whose counters reach the
-// 10-byte varints, negative zigzags in the cursor, transfers and breaker
-// fields, memos of every length, fault counts, and the seller-activity
-// tail in some draws.
+// 10-byte varints, negative zigzags in the cursor and breaker fields,
+// fault counts, and the seller-activity tail in some draws.
 market::EngineSnapshot RandomSnapshot(stats::Xoshiro256& rng) {
   auto wide = [&rng]() -> std::uint64_t {
     const int bits = static_cast<int>(rng.NextBounded(65));
@@ -491,7 +528,6 @@ market::EngineSnapshot RandomSnapshot(stats::Xoshiro256& rng) {
   const int m = static_cast<int>(rng.NextBounded(40));
   snapshot.next_round = signed_wide();
   snapshot.budget_exhausted = rng.NextDouble() < 0.5;
-  snapshot.consumer_spend = rng.NextDouble(-1e9, 1e9);
   for (int i = 0; i < m; ++i) {
     snapshot.pricing_arms.push_back({wide(), rng.NextDouble()});
   }
@@ -501,15 +537,6 @@ market::EngineSnapshot RandomSnapshot(stats::Xoshiro256& rng) {
   }
   snapshot.ledger_consumer_outflow = rng.NextDouble(0.0, 1e9);
   snapshot.ledger_seller_inflow = rng.NextDouble(0.0, 1e9);
-  const int transfers = static_cast<int>(rng.NextBounded(20));
-  for (int t = 0; t < transfers; ++t) {
-    std::string memo(rng.NextBounded(200), ' ');
-    for (char& c : memo) c = static_cast<char>(rng.NextBounded(256));
-    snapshot.ledger_transfers.push_back(
-        {signed_wide(), static_cast<std::int32_t>(rng.Next()),
-         static_cast<std::int32_t>(rng.Next()), rng.NextDouble(0.0, 1e4),
-         std::move(memo)});
-  }
   snapshot.reliability.resize(static_cast<std::size_t>(m));
   for (market::SellerReliability& seller : snapshot.reliability) {
     seller.deliveries = signed_wide();
@@ -593,8 +620,11 @@ TEST(SerializeTest, TwoSectionSnapshotDecodesOnlyWhenItsCopyMatches) {
     };
 
     std::string two_sections;
-    testsupport::ReferenceEncodeTwoSectionSnapshot(snapshot, arms, total,
-                                                   &two_sections);
+    testsupport::LegacySnapshotLayout layout;
+    layout.second_arms = &arms;
+    layout.second_total = total;
+    testsupport::ReferenceEncodeLegacySnapshot(snapshot, layout,
+                                               &two_sections);
     // The copy is the only difference: one arms section's bytes.
     std::size_t section = VarintSize(arms.size()) + VarintSize(total);
     for (const bandit::ArmState& arm : arms) {
@@ -610,8 +640,10 @@ TEST(SerializeTest, TwoSectionSnapshotDecodesOnlyWhenItsCopyMatches) {
     auto expect_refused = [&](const std::vector<bandit::ArmState>& copy,
                               std::uint64_t copy_total, const char* edit) {
       std::string bytes;
-      testsupport::ReferenceEncodeTwoSectionSnapshot(snapshot, copy,
-                                                     copy_total, &bytes);
+      testsupport::LegacySnapshotLayout copied;
+      copied.second_arms = &copy;
+      copied.second_total = copy_total;
+      testsupport::ReferenceEncodeLegacySnapshot(snapshot, copied, &bytes);
       market::EngineSnapshot out;
       util::Status status = decode(bytes, &out);
       EXPECT_EQ(status.code(), util::StatusCode::kParseError)
@@ -636,6 +668,81 @@ TEST(SerializeTest, TwoSectionSnapshotDecodesOnlyWhenItsCopyMatches) {
     }
   }
   EXPECT_GT(refused, 200);
+}
+
+// Writers once kept the consumer's spend in its own slot and could append
+// a transfer history after the ledger aggregates. A snapshot whose spend
+// slot holds its outflow's exact bits and whose history is empty is the
+// canonical layout and round-trips byte-identically; a history or any
+// other spend is refused; every strict prefix fails.
+TEST(SerializeTest, LegacyLedgerSectionDecodesOnlyWithoutHistory) {
+  stats::Xoshiro256 rng(0x1ED6E5);
+  auto decode = [](const std::string& bytes) {
+    market::EngineSnapshot decoded;
+    ByteReader reader(bytes);
+    util::Status status = DecodeEngineSnapshot(&reader, &decoded);
+    if (status.ok() && !reader.empty()) {
+      return util::Status::ParseError("trailing bytes");
+    }
+    return status;
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    market::EngineSnapshot snapshot = RandomSnapshot(rng);
+    // The activity tail is optional, so a prefix ending before it decodes.
+    snapshot.seller_active.clear();
+    const double outflow = snapshot.ledger_consumer_outflow;
+    std::string canonical;
+    EncodeEngineSnapshot(snapshot, &canonical);
+
+    testsupport::LegacySnapshotLayout layout;
+    layout.consumer_spend = outflow;
+    std::string legacy;
+    testsupport::ReferenceEncodeLegacySnapshot(snapshot, layout, &legacy);
+    ASSERT_EQ(legacy, canonical) << "trial " << trial;
+    market::EngineSnapshot decoded;
+    ByteReader reader(legacy);
+    ASSERT_TRUE(DecodeEngineSnapshot(&reader, &decoded).ok())
+        << "trial " << trial;
+    ASSERT_TRUE(reader.empty()) << "trial " << trial;
+    std::string reencoded;
+    EncodeEngineSnapshot(decoded, &reencoded);
+    ASSERT_EQ(reencoded, legacy) << "trial " << trial;
+    for (std::size_t cut = 0; cut < legacy.size(); ++cut) {
+      ASSERT_FALSE(decode(legacy.substr(0, cut)).ok())
+          << "trial " << trial << ": prefix of length " << cut << " decoded";
+    }
+
+    auto expect_refused = [&](const testsupport::LegacySnapshotLayout& edit,
+                              const char* what) {
+      std::string bytes;
+      testsupport::ReferenceEncodeLegacySnapshot(snapshot, edit, &bytes);
+      const util::Status status = decode(bytes);
+      EXPECT_EQ(status.code(), util::StatusCode::kParseError)
+          << what << ", trial " << trial << ": " << status.ToString();
+    };
+    testsupport::LegacySnapshotLayout history;
+    const int transfers = 1 + static_cast<int>(rng.NextBounded(20));
+    for (int t = 0; t < transfers; ++t) {
+      std::string memo(rng.NextBounded(200), ' ');
+      for (char& c : memo) c = static_cast<char>(rng.NextBounded(256));
+      history.transfers.push_back(
+          {static_cast<std::int64_t>(rng.Next()),
+           static_cast<std::int32_t>(rng.Next()),
+           static_cast<std::int32_t>(rng.Next()), rng.NextDouble(0.0, 1e4),
+           std::move(memo)});
+    }
+    expect_refused(history, "transfer history");
+
+    testsupport::LegacySnapshotLayout spend;
+    spend.consumer_spend = outflow + 1.0;
+    expect_refused(spend, "larger spend");
+    spend.consumer_spend = std::nextafter(outflow, 2e9);
+    expect_refused(spend, "spend one ulp above");
+    spend.consumer_spend = -outflow;
+    expect_refused(spend, "negated spend");
+    spend.consumer_spend = std::numeric_limits<double>::quiet_NaN();
+    expect_refused(spend, "NaN spend");
+  }
 }
 
 // --- file-level corruption ---------------------------------------------

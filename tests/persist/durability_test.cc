@@ -155,7 +155,7 @@ TEST_F(DurabilityTest, SnapshotAuditCatchesAnUnselectedSellersBalance) {
   balances[2 + kDeparted] = 0.5;
   ASSERT_TRUE(const_cast<market::Ledger&>(ledger)
                   .Restore(balances, ledger.ConsumerOutflow(),
-                           ledger.SellerInflow(), ledger.transfers())
+                           ledger.SellerInflow())
                   .ok());
 
   util::Status status = util::Status::OK();

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -175,8 +176,10 @@ TEST_F(RecoveryTest, TwoSectionCucbSnapshotResumesBitIdentically) {
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   const market::EngineSnapshot& one = snapshot.value().snapshot;
   std::string two_sections;
-  testsupport::ReferenceEncodeTwoSectionSnapshot(
-      one, one.pricing_arms, one.pricing_total_observations, &two_sections);
+  testsupport::LegacySnapshotLayout layout;
+  layout.second_arms = &one.pricing_arms;
+  layout.second_total = one.pricing_total_observations;
+  testsupport::ReferenceEncodeLegacySnapshot(one, layout, &two_sections);
   ASSERT_TRUE(AtomicWriteFile(snapshot_path_,
                               testsupport::ReferenceSnapshotFileBytes(
                                   snapshot.value().config_crc, two_sections))
@@ -226,6 +229,76 @@ TEST_F(RecoveryTest, MovedArmMeanIsCaughtByTheTailReplay) {
                 " "),
             std::string::npos)
       << resumed.status().ToString();
+}
+
+TEST_F(RecoveryTest, NonFiniteLedgerFieldIsRefusedWithoutMutation) {
+  // A CRC-valid snapshot may still carry NaN or inf in its ledger. Were it
+  // restored, the armed checker would copy it into its baseline, where
+  // every `residual > bound` test is false, and the audits would pass
+  // while NetPosition() reads NaN. Restore refuses each such field in
+  // turn, and a negative consumer outflow, before the engine changes: the
+  // same engine then takes the clean snapshot and finishes the campaign
+  // byte-identically.
+  const std::int64_t crash_round = 37;
+  RunUninterrupted();
+  RunAndCrash(crash_round);
+  auto recorded = LoadRecordedRun(log_path_, /*allow_torn_tail=*/true);
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  auto snapshot = ReadSnapshotFile(snapshot_path_);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const market::EngineSnapshot& clean = snapshot.value().snapshot;
+  const std::size_t slots = clean.ledger_balances.size();
+  ASSERT_GT(slots, 2u);
+
+  auto expect_refused = [&](const char* what, auto edit) {
+    SCOPED_TRACE(what);
+    market::EngineSnapshot edited = clean;
+    edit(edited);
+    auto run = core::CmabHs::Create(recorded.value().config,
+                                    recorded.value().policy);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    market::TradingEngine& engine = run.value()->mutable_engine();
+    const util::Status refused = engine.RestoreSnapshot(edited);
+    EXPECT_EQ(refused.code(), util::StatusCode::kOutOfRange)
+        << refused.ToString();
+    EXPECT_EQ(engine.current_round(), 0);
+    EXPECT_EQ(engine.ledger().balances(), std::vector<double>(slots, 0.0));
+
+    ASSERT_TRUE(engine.RestoreSnapshot(clean).ok());
+    ASSERT_TRUE(
+        ReplayRecordedRounds(recorded.value(), {}, run.value().get()).ok());
+    recovered_.clear();
+    for (const market::RoundReport& report : recorded.value().rounds) {
+      recovered_.push_back(CanonicalRoundBytes(report));
+    }
+    ASSERT_TRUE(run.value()
+                    ->RunAll([&](const market::RoundReport& report) {
+                      recovered_.push_back(CanonicalRoundBytes(report));
+                    })
+                    .ok());
+    ExpectRoundsIdentical();
+  };
+  using Snapshot = market::EngineSnapshot;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_refused("consumer balance -inf",
+                 [&](Snapshot& s) { s.ledger_balances[0] = -inf; });
+  expect_refused("platform balance NaN",
+                 [&](Snapshot& s) { s.ledger_balances[1] = nan; });
+  expect_refused("seller balance NaN",
+                 [&](Snapshot& s) { s.ledger_balances.back() = nan; });
+  expect_refused("seller balance +inf",
+                 [&](Snapshot& s) { s.ledger_balances.back() = inf; });
+  expect_refused("consumer outflow NaN",
+                 [&](Snapshot& s) { s.ledger_consumer_outflow = nan; });
+  expect_refused("consumer outflow +inf",
+                 [&](Snapshot& s) { s.ledger_consumer_outflow = inf; });
+  expect_refused("consumer outflow negative",
+                 [&](Snapshot& s) { s.ledger_consumer_outflow = -1.0; });
+  expect_refused("seller inflow NaN",
+                 [&](Snapshot& s) { s.ledger_seller_inflow = nan; });
+  expect_refused("seller inflow -inf",
+                 [&](Snapshot& s) { s.ledger_seller_inflow = -inf; });
 }
 
 TEST_F(RecoveryTest, CrashBeforeFirstSnapshotReplaysFromRoundOne) {

@@ -66,7 +66,7 @@ void CorruptBalance(const HostedMarketplace& marketplace, int seller) {
   balances[2 + static_cast<std::size_t>(seller)] += 0.5;
   ASSERT_TRUE(const_cast<market::Ledger&>(ledger)
                   .Restore(balances, ledger.ConsumerOutflow(),
-                           ledger.SellerInflow(), ledger.transfers())
+                           ledger.SellerInflow())
                   .ok());
 }
 

@@ -34,22 +34,25 @@ void EncodeReliability(const market::SellerReliability& seller,
   PutZigzag64(out, seller.opened_round);
 }
 
-// Both layouts: a null `second_arms` writes the arms once and flag 0, a
-// non-null one writes flag 1 and `second_arms`/`second_total` after them.
-void EncodeSnapshot(const market::EngineSnapshot& snapshot,
-                    const std::vector<bandit::ArmState>* second_arms,
-                    std::uint64_t second_total, std::string* out) {
+}  // namespace
+
+void ReferenceEncodeLegacySnapshot(const market::EngineSnapshot& snapshot,
+                                   const LegacySnapshotLayout& layout,
+                                   std::string* out) {
   PutZigzag64(out, snapshot.next_round);
   PutBool(out, snapshot.budget_exhausted);
-  PutDouble(out, snapshot.consumer_spend);
+  PutDouble(out,
+            layout.consumer_spend.value_or(snapshot.ledger_consumer_outflow));
   EncodeArms(snapshot.pricing_arms, snapshot.pricing_total_observations, out);
-  PutBool(out, second_arms != nullptr);
-  if (second_arms != nullptr) EncodeArms(*second_arms, second_total, out);
+  PutBool(out, layout.second_arms != nullptr);
+  if (layout.second_arms != nullptr) {
+    EncodeArms(*layout.second_arms, layout.second_total, out);
+  }
   PutDoubleVector(out, snapshot.ledger_balances);
   PutDouble(out, snapshot.ledger_consumer_outflow);
   PutDouble(out, snapshot.ledger_seller_inflow);
-  PutVarint64(out, snapshot.ledger_transfers.size());
-  for (const market::Transfer& transfer : snapshot.ledger_transfers) {
+  PutVarint64(out, layout.transfers.size());
+  for (const LegacyTransfer& transfer : layout.transfers) {
     PutZigzag64(out, transfer.round);
     PutZigzag64(out, transfer.from);
     PutZigzag64(out, transfer.to);
@@ -80,18 +83,9 @@ void EncodeSnapshot(const market::EngineSnapshot& snapshot,
   }
 }
 
-}  // namespace
-
 void ReferenceEncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
                                    std::string* out) {
-  EncodeSnapshot(snapshot, nullptr, 0, out);
-}
-
-void ReferenceEncodeTwoSectionSnapshot(
-    const market::EngineSnapshot& snapshot,
-    const std::vector<bandit::ArmState>& second_arms,
-    std::uint64_t second_total, std::string* out) {
-  EncodeSnapshot(snapshot, &second_arms, second_total, out);
+  ReferenceEncodeLegacySnapshot(snapshot, {}, out);
 }
 
 std::string ReferenceSnapshotFileBytes(
