@@ -1,10 +1,12 @@
 // Micro-benchmarks for the persistence hot paths that set recovery time:
 // CRC-32 over a record, a round and a snapshot-sized buffer; snapshot
 // encode and decode at paper scale (M=300) and at M=1e5; reading a log
-// file; and the one event-log scan over a recorded paper-scale run. The
-// BM_Crc32Reference rows run the bytewise table loop kept as the test
-// oracle (tests/support/reference_crc32.h), so the optimized/reference
-// ratio comes from one run on one host.
+// file; the one event-log scan over a recorded paper-scale run; and a
+// whole hosted recovery of a paper-scale marketplace. The *Reference rows
+// run the oracles kept in tests/support (the bytewise CRC-32, the
+// per-field snapshot encoder, the recovery that read its WAL files
+// twice), so each optimized/reference ratio comes from one run on one
+// host.
 
 #include <unistd.h>
 
@@ -19,8 +21,10 @@
 #include "persist/codec.h"
 #include "persist/event_log.h"
 #include "persist/serialize.h"
+#include "runtime/marketplace.h"
 #include "stats/rng.h"
 #include "support/reference_crc32.h"
+#include "support/reference_recover.h"
 #include "support/reference_snapshot_codec.h"
 
 namespace {
@@ -167,6 +171,83 @@ void BM_ScanEventLog(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_ScanEventLog);
+
+// A hosted paper-scale marketplace (M sellers, K=10, L=10, checkpoint
+// every 100 rounds) that crashed after 2,950 rounds: its unsealed WAL
+// holds ~3,000 rounds, and recovery restores the round-2,900 snapshot and
+// verifies a 50-round tail, as in a svcbench paper_fleet crash. Recovery
+// leaves the files as it found them, so every iteration recovers the same
+// WAL.
+class CrashedMarketplace {
+ public:
+  static constexpr const char* kId = "mkt";
+
+  explicit CrashedMarketplace(int sellers) {
+    options_.wal_dir =
+        (std::filesystem::temp_directory_path() /
+         ("cdt_micro_persist_recover_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(options_.wal_dir);
+    std::filesystem::create_directories(options_.wal_dir);
+    options_.snapshot_every = 100;
+    runtime::MarketplaceSpec spec;
+    spec.config.num_sellers = sellers;
+    spec.config.num_selected = 10;
+    spec.config.num_pois = 10;
+    spec.config.check_invariants = false;
+    auto marketplace = runtime::HostedMarketplace::Create(kId, spec, options_);
+    runtime::Event demand;
+    demand.type = runtime::EventType::kConsumerDemand;
+    demand.marketplace = kId;
+    demand.rounds = 2950;
+    std::int64_t remaining = 0;
+    ok_ = marketplace.ok() &&
+          marketplace.value()->ApplyEvent(demand, 0, &remaining).ok();
+    // Scope exit drops the marketplace without sealing its log: the crash.
+  }
+  ~CrashedMarketplace() { std::filesystem::remove_all(options_.wal_dir); }
+
+  bool ok() const { return ok_; }
+  const runtime::HostedMarketplace::Options& options() const {
+    return options_;
+  }
+
+ private:
+  runtime::HostedMarketplace::Options options_;
+  bool ok_ = false;
+};
+
+void BM_RecoverMarketplace(benchmark::State& state) {
+  const CrashedMarketplace crashed(static_cast<int>(state.range(0)));
+  if (!crashed.ok()) state.SkipWithError("could not record the marketplace");
+  for (auto _ : state) {
+    auto recovered = runtime::HostedMarketplace::Recover(
+        CrashedMarketplace::kId, crashed.options());
+    if (!recovered.ok()) {
+      state.SkipWithError(recovered.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(recovered.value()->rounds_settled());
+  }
+}
+BENCHMARK(BM_RecoverMarketplace)->Arg(300)->Unit(benchmark::kMillisecond);
+
+void BM_RecoverMarketplaceReference(benchmark::State& state) {
+  const CrashedMarketplace crashed(static_cast<int>(state.range(0)));
+  if (!crashed.ok()) state.SkipWithError("could not record the marketplace");
+  for (auto _ : state) {
+    auto recovered = testsupport::ReferenceRecoverMarketplace(
+        CrashedMarketplace::kId, crashed.options());
+    if (!recovered.ok()) {
+      state.SkipWithError(recovered.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(recovered.value().run->engine().current_round());
+  }
+}
+BENCHMARK(BM_RecoverMarketplaceReference)
+    ->Arg(300)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

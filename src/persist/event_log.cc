@@ -73,6 +73,26 @@ Result<std::unique_ptr<EventLogWriter>> EventLogWriter::Open(
 }
 
 Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenForAppend(
+    const std::string& path, const EventLogTail& tail) {
+  // Drop a torn final record by truncating back to valid_end.
+  std::FILE* file = std::fopen(path.c_str(), "r+b");
+  if (file == nullptr) {
+    return Status::IoError("cannot reopen event log '" + path +
+                           "': " + std::strerror(errno));
+  }
+  std::unique_ptr<EventLogWriter> writer(new EventLogWriter(path, file));
+  if (::ftruncate(fileno(file), static_cast<off_t>(tail.valid_end)) != 0 ||
+      std::fseek(file, static_cast<long>(tail.valid_end), SEEK_SET) != 0) {
+    return WriteError(path);
+  }
+  writer->rounds_written_ = tail.base_round + tail.round_count;
+  writer->base_round_ = tail.base_round;
+  writer->config_crc_ = tail.config_crc;
+  writer->rolling_crc_ = tail.rolling_crc;
+  return writer;
+}
+
+Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenForAppend(
     const std::string& path) {
   auto bytes = ReadFileBytes(path);
   CDT_RETURN_NOT_OK(bytes.status());
@@ -83,23 +103,9 @@ Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenForAppend(
         "event log '" + path + "' is sealed (footer present); "
         "cannot append to a finished log");
   }
-
-  // Drop a torn final record by truncating back to valid_end.
-  std::FILE* file = std::fopen(path.c_str(), "r+b");
-  if (file == nullptr) {
-    return Status::IoError("cannot reopen event log '" + path +
-                           "': " + std::strerror(errno));
-  }
-  std::unique_ptr<EventLogWriter> writer(new EventLogWriter(path, file));
-  if (::ftruncate(fileno(file), static_cast<off_t>(scan.valid_end)) != 0 ||
-      std::fseek(file, static_cast<long>(scan.valid_end), SEEK_SET) != 0) {
-    return WriteError(path);
-  }
-  writer->rounds_written_ = scan.base_round + scan.round_count;
-  writer->base_round_ = scan.base_round;
-  writer->config_crc_ = scan.config_crc;
-  writer->rolling_crc_ = scan.rolling_crc;
-  return writer;
+  return OpenForAppend(path, {scan.valid_end, scan.base_round,
+                              scan.round_count, scan.config_crc,
+                              scan.rolling_crc});
 }
 
 Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenRebased(

@@ -94,6 +94,17 @@ struct EventLogScan {
   std::string reason;
 };
 
+/// What a writer reattaching to an unsealed log carries on from: where the
+/// last complete record ends (a torn tail past it is cut off) and the
+/// scan's round count and CRCs.
+struct EventLogTail {
+  std::size_t valid_end = 0;
+  std::int64_t base_round = 0;
+  std::int64_t round_count = 0;
+  std::uint32_t config_crc = 0;
+  std::uint32_t rolling_crc = 0;
+};
+
 /// Walks an event log once and checks every rule of the format, in order:
 ///   * the magic, then the format version;
 ///   * per record: a known type, a payload of at most 64 MiB, the CRC;
@@ -120,11 +131,17 @@ class EventLogWriter {
       const core::PolicySpec& policy);
 
   /// Reopens an existing unfinished log to continue appending — the
-  /// crash-recovery path. Fails with ScanEventLog's status on any broken
-  /// rule and with FailedPrecondition on a sealed log; otherwise truncates
-  /// a torn final record and restores the writer's round count, config
-  /// CRC and rolling CRC so appended rounds continue gap-free and the
-  /// eventual footer covers the whole log.
+  /// crash-recovery path. Truncates a torn final record at
+  /// `tail.valid_end` and restores the writer's round count, config CRC
+  /// and rolling CRC so appended rounds continue gap-free and the eventual
+  /// footer covers the whole log. `tail` must come from a scan of the
+  /// file as it stands, which found it unsealed.
+  static util::Result<std::unique_ptr<EventLogWriter>> OpenForAppend(
+      const std::string& path, const EventLogTail& tail);
+
+  /// The same for a caller that holds no scan: reads and scans `path`
+  /// first. Fails with ScanEventLog's status on any broken rule and with
+  /// FailedPrecondition on a sealed log.
   static util::Result<std::unique_ptr<EventLogWriter>> OpenForAppend(
       const std::string& path);
 

@@ -42,9 +42,10 @@ Result<std::unique_ptr<RunRecorder>> RunRecorder::Create(
       new RunRecorder(std::move(options), std::move(log).value()));
 }
 
-Result<std::unique_ptr<RunRecorder>> RunRecorder::Attach(Options options) {
+Result<std::unique_ptr<RunRecorder>> RunRecorder::Attach(
+    Options options, const EventLogTail& tail) {
   CDT_RETURN_NOT_OK(ValidateOptions(options));
-  auto log = EventLogWriter::OpenForAppend(options.log_path);
+  auto log = EventLogWriter::OpenForAppend(options.log_path, tail);
   CDT_RETURN_NOT_OK(log.status());
   return std::unique_ptr<RunRecorder>(
       new RunRecorder(std::move(options), std::move(log).value()));

@@ -43,11 +43,13 @@ class RunRecorder : public market::RoundObserver {
       const core::PolicySpec& policy);
 
   /// Reattaches to an existing unfinished log (crash recovery): reopens
-  /// `options.log_path` in append mode, dropping a torn final record, and
-  /// continues recording from the round after the last complete one. The
-  /// observed engine must already be positioned there (snapshot restore +
-  /// tail replay) — AppendRound enforces the gap-free round sequence.
-  static util::Result<std::unique_ptr<RunRecorder>> Attach(Options options);
+  /// `options.log_path` in append mode at `tail`, taken from the scan
+  /// recovery already made, dropping a torn final record, and continues
+  /// recording from the round after the last complete one. The observed
+  /// engine must already be positioned there (snapshot restore + tail
+  /// replay) — AppendRound enforces the gap-free round sequence.
+  static util::Result<std::unique_ptr<RunRecorder>> Attach(
+      Options options, const EventLogTail& tail);
 
   /// Starts a log whose first round follows `engine`'s current round
   /// (compaction, re-arm): durably writes a snapshot of `engine`, then

@@ -1,6 +1,8 @@
 #include "persist/replay.h"
 
 #include <limits>
+#include <memory>
+#include <string_view>
 #include <utility>
 
 #include "market/trading_engine.h"
@@ -14,11 +16,14 @@ namespace persist {
 using util::Result;
 using util::Status;
 
-Result<RecordedRun> LoadRecordedRun(const std::string& path,
-                                    bool allow_torn_tail) {
+Result<RecordedLog> RecordedLog::Load(
+    const std::string& path, bool allow_torn_tail,
+    std::vector<market::RoundReport>* rounds) {
   auto bytes = ReadFileBytes(path);
   CDT_RETURN_NOT_OK(bytes.status());
-  const EventLogScan scan = ScanEventLog(bytes.value());
+  RecordedLog log;
+  log.bytes_ = std::make_unique<const std::string>(std::move(bytes).value());
+  const EventLogScan scan = ScanEventLog(*log.bytes_);
   CDT_RETURN_NOT_OK(scan.status);
   if (!allow_torn_tail && scan.torn_tail) {
     return Status::ParseError("event log truncated mid-record");
@@ -29,34 +34,39 @@ Result<RecordedRun> LoadRecordedRun(const std::string& path,
         "allow_torn_tail to load the recoverable prefix");
   }
 
-  RecordedRun run;
-  run.config_crc = scan.config_crc;
-  run.base_round = scan.base_round;
-  run.sealed = scan.sealed;
-  run.torn_tail = scan.torn_tail;
-  run.rounds.reserve(static_cast<std::size_t>(scan.round_count));
-  run.round_payloads.reserve(static_cast<std::size_t>(scan.round_count));
+  log.config_crc = scan.config_crc;
+  log.base_round = scan.base_round;
+  log.round_count = scan.round_count;
+  log.sealed = scan.sealed;
+  log.torn_tail = scan.torn_tail;
+  log.valid_end = scan.valid_end;
+  log.rolling_crc = scan.rolling_crc;
+  log.round_payloads.reserve(static_cast<std::size_t>(scan.round_count));
+  if (rounds != nullptr) {
+    rounds->reserve(static_cast<std::size_t>(scan.round_count));
+  }
+  market::RoundReport scratch;
   for (const LogRecord& record : scan.records) {
     switch (record.type) {
       case RecordType::kConfig:
         CDT_RETURN_NOT_OK(
-            DecodeConfigPayload(record.payload, &run.config, &run.policy));
+            DecodeConfigPayload(record.payload, &log.config, &log.policy));
         break;
       case RecordType::kRound: {
-        market::RoundReport report;
+        market::RoundReport& report =
+            rounds != nullptr ? rounds->emplace_back() : scratch;
         ByteReader payload(record.payload);
         CDT_RETURN_NOT_OK(DecodeRoundReport(&payload, &report));
         if (!payload.empty()) {
           return Status::ParseError("trailing bytes after round payload");
         }
-        run.rounds.push_back(std::move(report));
-        run.round_payloads.emplace_back(record.payload);
+        log.round_payloads.push_back(record.payload);
         break;
       }
       case RecordType::kSnapshotNote: {
         std::int64_t round = 0;
         CDT_RETURN_NOT_OK(DecodeSnapshotNotePayload(record.payload, &round));
-        run.snapshot_rounds.push_back(round);
+        log.snapshot_rounds.push_back(round);
         break;
       }
       case RecordType::kRebase:
@@ -64,6 +74,20 @@ Result<RecordedRun> LoadRecordedRun(const std::string& path,
         break;
     }
   }
+  return log;
+}
+
+Result<RecordedLog> LoadRecordedLog(const std::string& path,
+                                    bool allow_torn_tail) {
+  return RecordedLog::Load(path, allow_torn_tail, nullptr);
+}
+
+Result<RecordedRun> LoadRecordedRun(const std::string& path,
+                                    bool allow_torn_tail) {
+  RecordedRun run;
+  auto log = RecordedLog::Load(path, allow_torn_tail, &run.rounds);
+  CDT_RETURN_NOT_OK(log.status());
+  static_cast<RecordedLog&>(run) = std::move(log).value();
   return run;
 }
 
@@ -76,9 +100,15 @@ std::string CanonicalRoundBytes(const market::RoundReport& report) {
 namespace {
 
 /// Human-readable context for the first divergent round: which scalar
-/// fields moved, so a gate failure names the suspect subsystem.
-std::string DivergenceDetail(const market::RoundReport& recorded,
+/// fields moved, so a gate failure names the suspect subsystem. Decodes
+/// the one recorded payload (the load already decoded it once).
+std::string DivergenceDetail(std::string_view recorded_payload,
                              const market::RoundReport& replayed) {
+  market::RoundReport recorded;
+  ByteReader payload(recorded_payload);
+  if (!DecodeRoundReport(&payload, &recorded).ok()) {
+    return "recorded payload no longer decodes";
+  }
   std::string detail;
   auto note = [&detail](const char* field) {
     if (!detail.empty()) detail += ", ";
@@ -120,12 +150,11 @@ std::string DivergenceDetail(const market::RoundReport& recorded,
 
 }  // namespace
 
-Status ReplayRecordedRounds(const RecordedRun& recorded,
+Status ReplayRecordedRounds(const RecordedLog& recorded,
                             const std::vector<SellerFlip>& flips,
                             core::CmabHs* run) {
   const std::int64_t from = run->engine().current_round();
-  const std::int64_t last_round =
-      recorded.base_round + static_cast<std::int64_t>(recorded.rounds.size());
+  const std::int64_t last_round = recorded.base_round + recorded.round_count;
   if (from < recorded.base_round || from > last_round) {
     return Status::FailedPrecondition(
         "cannot replay from round " + std::to_string(from) +
@@ -150,7 +179,7 @@ Status ReplayRecordedRounds(const RecordedRun& recorded,
       return Status::Internal(
           "replay diverged at round " + std::to_string(round) +
           " (differing fields: " +
-          DivergenceDetail(recorded.rounds[index], report.value()) +
+          DivergenceDetail(recorded.round_payloads[index], report.value()) +
           ") — the build no longer reproduces the recorded log");
     }
   }
@@ -158,7 +187,7 @@ Status ReplayRecordedRounds(const RecordedRun& recorded,
   return Status::OK();
 }
 
-Result<ReplayResult> VerifyReplay(const RecordedRun& recorded) {
+Result<ReplayResult> VerifyReplay(const RecordedLog& recorded) {
   if (recorded.base_round != 0) {
     return Status::FailedPrecondition(
         "rebased log starts at round " +
@@ -170,11 +199,11 @@ Result<ReplayResult> VerifyReplay(const RecordedRun& recorded) {
   CDT_RETURN_NOT_OK(run.status());
   CDT_RETURN_NOT_OK(ReplayRecordedRounds(recorded, {}, run.value().get()));
   ReplayResult result;
-  result.rounds_verified = static_cast<std::int64_t>(recorded.rounds.size());
+  result.rounds_verified = recorded.round_count;
   return result;
 }
 
-Result<ResumedRun> ResumeFromSnapshot(const RecordedRun& recorded,
+Result<ResumedRun> ResumeFromSnapshot(const RecordedLog& recorded,
                                       const SnapshotFile& snapshot) {
   if (snapshot.config_crc != recorded.config_crc) {
     return Status::FailedPrecondition(

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cmab_hs.h"
@@ -29,35 +30,80 @@
 namespace cdt {
 namespace persist {
 
-/// A fully parsed event log.
-struct RecordedRun {
+struct RecordedRun;
+
+/// An event log as replay needs it, from one read and one scan of the
+/// file: the config, and each round's canonical payload bytes as a view
+/// into the log's bytes, which the record owns. Every round payload was
+/// decoded once on load, so a malformed one fails the load as it would a
+/// full decode. Move-only: a copy would hold views into bytes it does not
+/// own.
+struct RecordedLog {
+  RecordedLog() = default;
+  RecordedLog(RecordedLog&&) = default;
+  RecordedLog& operator=(RecordedLog&&) = default;
+  RecordedLog(const RecordedLog&) = delete;
+  RecordedLog& operator=(const RecordedLog&) = delete;
+
   core::MechanismConfig config;
   core::PolicySpec policy;
   /// CRC-32 of the config payload; pairs the log with snapshot files.
   std::uint32_t config_crc = 0;
   /// Rounds [1, base_round] were compacted away (they live only in the
-  /// paired snapshot); the first record in `rounds` is round
-  /// base_round + 1. Zero for ordinary (non-rebased) logs.
+  /// paired snapshot); the first round record is round base_round + 1.
+  /// Zero for ordinary (non-rebased) logs.
   std::int64_t base_round = 0;
-  /// Decoded round reports, in order (round base_round + i at index i-1).
-  std::vector<market::RoundReport> rounds;
-  /// The raw canonical payload bytes of each round (replay compares
-  /// against these, not the re-encoded decode — no codec round trip in
-  /// the trust chain).
-  std::vector<std::string> round_payloads;
+  /// The log's rounds are base_round + 1 .. base_round + round_count.
+  std::int64_t round_count = 0;
+  /// The raw canonical payload bytes of each round, in order (round
+  /// base_round + i at index i-1). Replay compares against these, not a
+  /// re-encoded decode — no codec round trip in the trust chain.
+  std::vector<std::string_view> round_payloads;
   /// Rounds after which a snapshot was durably written, in order.
   std::vector<std::int64_t> snapshot_rounds;
   /// True when the log ended with a verified footer (clean finish).
   bool sealed = false;
   /// True when a truncated final record was absorbed (crash case).
   bool torn_tail = false;
+  /// End of the last complete record, and the CRC chained over every
+  /// round payload: with the fields above, where a writer reattaching to
+  /// the unsealed log carries on (EventLogWriter::OpenForAppend).
+  std::size_t valid_end = 0;
+  std::uint32_t rolling_crc = 0;
+
+  EventLogTail tail() const {
+    return {valid_end, base_round, round_count, config_crc, rolling_crc};
+  }
+
+ private:
+  friend util::Result<RecordedLog> LoadRecordedLog(const std::string&, bool);
+  friend util::Result<RecordedRun> LoadRecordedRun(const std::string&, bool);
+  /// The one loader: decodes each round into `*rounds` when it is given,
+  /// else into one scratch report.
+  static util::Result<RecordedLog> Load(
+      const std::string& path, bool allow_torn_tail,
+      std::vector<market::RoundReport>* rounds);
+
+  /// The file's bytes; behind a pointer so that a move keeps every view.
+  std::unique_ptr<const std::string> bytes_;
 };
 
 /// Loads a recorded log: ScanEventLog's verdict (any broken rule fails),
-/// then the decoded config, rounds and snapshot notes. With
-/// `allow_torn_tail` the crash case (truncated final record, missing
+/// then the decoded config, the round payloads and the snapshot notes.
+/// With `allow_torn_tail` the crash case (truncated final record, missing
 /// footer) loads what is complete; without it any truncation or missing
 /// footer is an error.
+util::Result<RecordedLog> LoadRecordedLog(const std::string& path,
+                                          bool allow_torn_tail = false);
+
+/// A recorded log with every round also kept decoded, for tools that
+/// analyse the rounds.
+struct RecordedRun : RecordedLog {
+  /// Decoded round reports, in order (round base_round + i at index i-1).
+  std::vector<market::RoundReport> rounds;
+};
+
+/// LoadRecordedLog, keeping each decoded round.
 util::Result<RecordedRun> LoadRecordedRun(const std::string& path,
                                           bool allow_torn_tail = false);
 
@@ -80,7 +126,7 @@ struct SellerFlip {
 /// their round; those at or before `from` are already in the run's state,
 /// those past the end apply after it. A flip's own status is ignored: a
 /// refusal the live run saw repeats here.
-util::Status ReplayRecordedRounds(const RecordedRun& recorded,
+util::Status ReplayRecordedRounds(const RecordedLog& recorded,
                                   const std::vector<SellerFlip>& flips,
                                   core::CmabHs* run);
 
@@ -95,10 +141,10 @@ struct ReplayResult {
 /// error; OK means the build reproduces the recording bit-for-bit.
 /// Rebased logs (base_round > 0) cannot be replayed from round 1 —
 /// resume from their snapshot instead (FailedPrecondition).
-util::Result<ReplayResult> VerifyReplay(const RecordedRun& recorded);
+util::Result<ReplayResult> VerifyReplay(const RecordedLog& recorded);
 
 /// A run resumed from snapshot + tail-replay: `run` is live and
-/// positioned after round `resumed_round` (== recorded.rounds.size()),
+/// positioned after round `resumed_round` (the log's last round),
 /// ready for RunRound to continue the campaign. Note the run's
 /// MetricsCollector only covers post-snapshot rounds; campaign-level CSV
 /// output should splice recorded rounds with live ones (see
@@ -114,7 +160,7 @@ struct ResumedRun {
 /// Restores from `snapshot` (which must pair with `recorded` — config
 /// CRCs are compared) and tail-replays recorded rounds
 /// (snapshot_round, end], verifying each byte-for-byte.
-util::Result<ResumedRun> ResumeFromSnapshot(const RecordedRun& recorded,
+util::Result<ResumedRun> ResumeFromSnapshot(const RecordedLog& recorded,
                                             const SnapshotFile& snapshot);
 
 }  // namespace persist

@@ -120,11 +120,12 @@ Result<std::unique_ptr<DurabilityGuard>> DurabilityGuard::Create(
 
 Result<std::unique_ptr<DurabilityGuard>> DurabilityGuard::Attach(
     Options options, const core::MechanismConfig& config,
-    const core::PolicySpec& policy) {
+    const core::PolicySpec& policy, const persist::EventLogTail& log,
+    const JournalContents& journal_contents) {
   CDT_RETURN_NOT_OK(ValidateOptions(options));
-  auto recorder = persist::RunRecorder::Attach(RecorderOptions(options));
+  auto recorder = persist::RunRecorder::Attach(RecorderOptions(options), log);
   CDT_RETURN_NOT_OK(recorder.status());
-  auto journal = JournalWriter::Open(options.journal_path);
+  auto journal = JournalWriter::Open(options.journal_path, journal_contents);
   CDT_RETURN_NOT_OK(journal.status());
   return std::unique_ptr<DurabilityGuard>(new DurabilityGuard(
       std::move(options), config, policy, std::move(recorder).value(),

@@ -110,12 +110,15 @@ class DurabilityGuard final : public market::RoundObserver {
       const core::PolicySpec& policy);
 
   /// Crash recovery: reopens an existing unsealed log and journal in
-  /// append mode. `config`/`policy` must be the recorded ones (they
+  /// append mode from what recovery already read of them — the log's
+  /// scanned tail and the journal's contents — without reading either
+  /// again. `config`/`policy` must be the recorded ones (they
   /// parameterize later re-arm rebases). The compaction cadence resumes
   /// from the log's base round, as if the run had never stopped.
   static util::Result<std::unique_ptr<DurabilityGuard>> Attach(
       Options options, const core::MechanismConfig& config,
-      const core::PolicySpec& policy);
+      const core::PolicySpec& policy, const persist::EventLogTail& log,
+      const JournalContents& journal);
 
   /// RoundObserver: appends/checkpoints when durable, absorbs storage
   /// failures into the breaker, runs re-arm probes while degraded and

@@ -42,10 +42,10 @@ void EncodeEntry(const JournalEntry& entry, std::string* out) {
   persist::PutFixed32(out, Crc32(*out));
 }
 
-/// Walks the journal body, filling `contents` and reporting where the
-/// valid prefix ends (for the writer's torn-tail truncation).
+/// Walks the journal body, filling `contents` and where its valid prefix
+/// ends (for the writer's torn-tail truncation).
 Status ScanJournal(const std::string& path, const std::string& buffer,
-                   JournalContents* contents, std::size_t* valid_end) {
+                   JournalContents* contents) {
   if (buffer.size() < kMagicSize ||
       std::memcmp(buffer.data(), kJournalMagic, kMagicSize) != 0) {
     return Status::ParseError("'" + path + "' is not a CDT runtime journal");
@@ -60,7 +60,7 @@ Status ScanJournal(const std::string& path, const std::string& buffer,
         std::to_string(kJournalVersion));
   }
   std::size_t pos = kMagicSize + header.position();
-  *valid_end = pos;
+  contents->valid_end = pos;
   while (pos < buffer.size()) {
     ByteReader reader(std::string_view(buffer).substr(pos));
     std::uint8_t type;
@@ -99,7 +99,7 @@ Status ScanJournal(const std::string& path, const std::string& buffer,
     entry.seller = static_cast<int>(seller);
     contents->entries.push_back(entry);
     pos += reader.position();
-    *valid_end = pos;
+    contents->valid_end = pos;
   }
   return Status::OK();
 }
@@ -113,8 +113,7 @@ Result<JournalContents> ReadJournal(const std::string& path) {
   }
   CDT_RETURN_NOT_OK(bytes.status());
   JournalContents contents;
-  std::size_t valid_end = 0;
-  CDT_RETURN_NOT_OK(ScanJournal(path, bytes.value(), &contents, &valid_end));
+  CDT_RETURN_NOT_OK(ScanJournal(path, bytes.value(), &contents));
   return contents;
 }
 
@@ -124,8 +123,14 @@ JournalWriter::~JournalWriter() {
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
     const std::string& path) {
-  auto bytes = persist::ReadFileBytes(path);
-  if (bytes.status().code() == util::StatusCode::kNotFound) {
+  auto contents = ReadJournal(path);
+  CDT_RETURN_NOT_OK(contents.status());
+  return Open(path, contents.value());
+}
+
+Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
+    const std::string& path, const JournalContents& contents) {
+  if (contents.valid_end == 0) {
     std::FILE* file = std::fopen(path.c_str(), "wb");
     if (file == nullptr) {
       return Status::IoError("cannot create journal '" + path +
@@ -141,19 +146,16 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
     }
     return std::unique_ptr<JournalWriter>(new JournalWriter(path, file));
   }
-  CDT_RETURN_NOT_OK(bytes.status());
 
-  JournalContents contents;
-  std::size_t valid_end = 0;
-  CDT_RETURN_NOT_OK(ScanJournal(path, bytes.value(), &contents, &valid_end));
   std::FILE* file = std::fopen(path.c_str(), "r+b");
   if (file == nullptr) {
     return Status::IoError("cannot reopen journal '" + path +
                            "': " + std::strerror(errno));
   }
   std::unique_ptr<JournalWriter> writer(new JournalWriter(path, file));
-  if (::ftruncate(fileno(file), static_cast<off_t>(valid_end)) != 0 ||
-      std::fseek(file, static_cast<long>(valid_end), SEEK_SET) != 0) {
+  const std::size_t end = contents.valid_end;
+  if (::ftruncate(fileno(file), static_cast<off_t>(end)) != 0 ||
+      std::fseek(file, static_cast<long>(end), SEEK_SET) != 0) {
     return WriteError(path);
   }
   return writer;

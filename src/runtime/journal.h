@@ -46,6 +46,9 @@ struct JournalContents {
   std::vector<JournalEntry> entries;
   /// True when a truncated final record was dropped (crash tear).
   bool torn_tail = false;
+  /// End of the last complete entry, where a reopened writer resumes; 0
+  /// when there is no journal file.
+  std::size_t valid_end = 0;
 };
 
 /// Reads `path`, validating magic/version and every record CRC. A missing
@@ -54,14 +57,20 @@ struct JournalContents {
 util::Result<JournalContents> ReadJournal(const std::string& path);
 
 /// Append-mode journal writer. Open() creates the file (with header) when
-/// absent, otherwise validates the existing content and truncates a torn
-/// final record before positioning at the end — the same writer serves
-/// first-run and crash-recovery paths. Appends flush to the OS before
-/// returning so the journal is never behind the engine state it explains.
+/// absent, otherwise truncates a torn final record before positioning at
+/// the end — the same writer serves first-run and crash-recovery paths.
+/// Appends flush to the OS before returning so the journal is never behind
+/// the engine state it explains.
 class JournalWriter {
  public:
+  /// Reads and validates `path` with ReadJournal, then opens it.
   static util::Result<std::unique_ptr<JournalWriter>> Open(
       const std::string& path);
+
+  /// Opens `path` from `contents`, what ReadJournal returned for the file
+  /// as it stands (crash recovery has already read it).
+  static util::Result<std::unique_ptr<JournalWriter>> Open(
+      const std::string& path, const JournalContents& contents);
 
   ~JournalWriter();
   JournalWriter(const JournalWriter&) = delete;

@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "market/trading_engine.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "persist/replay.h"
 
 namespace cdt {
@@ -84,13 +86,14 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Create(
 
 Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
     const std::string& id, const Options& options) {
-  auto loaded = persist::LoadRecordedRun(
+  // Each WAL file is read once: the log's scan also gives the reattached
+  // writer its tail, and the journal's contents reopen the journal.
+  auto loaded = persist::LoadRecordedLog(
       MarketplaceLogPath(options.wal_dir, id), /*allow_torn_tail=*/true);
   CDT_RETURN_NOT_OK(loaded.status());
-  const persist::RecordedRun& recorded = loaded.value();
+  const persist::RecordedLog& recorded = loaded.value();
   const std::int64_t base_round = recorded.base_round;
-  const std::int64_t last_round =
-      base_round + static_cast<std::int64_t>(recorded.rounds.size());
+  const std::int64_t last_round = base_round + recorded.round_count;
 
   auto journal_read =
       ReadJournal(MarketplaceJournalPath(options.wal_dir, id));
@@ -103,22 +106,32 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
 
   // Prefer snapshot + tail-replay; any snapshot problem (missing file,
   // config mismatch, restore-unsafe policy) degrades to a full replay —
-  // slower, never wrong. A rebased (compacted) log holds no rounds before
-  // its base, so there the snapshot is mandatory.
+  // slower, never wrong, and counted by reason. A rebased (compacted) log
+  // holds no rounds before its base, so there the snapshot is mandatory.
   std::unique_ptr<core::CmabHs> run;
+  const char* full_replay_reason = nullptr;
   auto snap =
       persist::ReadSnapshotFile(MarketplaceSnapshotPath(options.wal_dir, id));
-  if (snap.ok() && snap.value().config_crc == recorded.config_crc) {
-    const std::int64_t snap_round = snap.value().snapshot.next_round - 1;
-    if (snap_round >= base_round && snap_round <= last_round) {
-      auto candidate = core::CmabHs::Create(recorded.config, recorded.policy);
-      CDT_RETURN_NOT_OK(candidate.status());
-      if (candidate.value()
-              ->mutable_engine()
-              .RestoreSnapshot(snap.value().snapshot)
-              .ok()) {
-        run = std::move(candidate).value();
-      }
+  if (!snap.ok()) {
+    full_replay_reason = snap.status().code() == StatusCode::kNotFound
+                             ? "no_snapshot"
+                             : "unreadable_snapshot";
+  } else if (snap.value().config_crc != recorded.config_crc) {
+    full_replay_reason = "config_mismatch";
+  } else if (const std::int64_t snap_round =
+                 snap.value().snapshot.next_round - 1;
+             snap_round < base_round || snap_round > last_round) {
+    full_replay_reason = "snapshot_out_of_range";
+  } else {
+    auto candidate = core::CmabHs::Create(recorded.config, recorded.policy);
+    CDT_RETURN_NOT_OK(candidate.status());
+    if (candidate.value()
+            ->mutable_engine()
+            .RestoreSnapshot(snap.value().snapshot)
+            .ok()) {
+      run = std::move(candidate).value();
+    } else {
+      full_replay_reason = "restore_refused";
     }
   }
   if (run == nullptr) {
@@ -129,6 +142,12 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
           " but no usable snapshot — rounds before the base are "
           "unrecoverable");
     }
+    obs::registry()
+        .GetCounter("cdt_runtime_recovery_full_replays_total",
+                    "Recoveries that replayed the whole log instead of a "
+                    "snapshot's tail, by why the snapshot was not used",
+                    {{"reason", full_replay_reason}})
+        ->Increment();
     auto candidate = core::CmabHs::Create(recorded.config, recorded.policy);
     CDT_RETURN_NOT_OK(candidate.status());
     run = std::move(candidate).value();
@@ -154,7 +173,8 @@ Result<std::unique_ptr<HostedMarketplace>> HostedMarketplace::Recover(
   }
 
   auto guard = DurabilityGuard::Attach(GuardOptions(options, id),
-                                       recorded.config, recorded.policy);
+                                       recorded.config, recorded.policy,
+                                       recorded.tail(), journal_read.value());
   CDT_RETURN_NOT_OK(guard.status());
   marketplace->guard_ = guard.value().get();
   marketplace->run_->mutable_engine().AddObserver(std::move(guard).value());

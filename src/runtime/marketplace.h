@@ -73,10 +73,12 @@ class HostedMarketplace {
       const Options& options);
 
   /// Rebuilds a marketplace from its WAL after a crash: loads the torn
-  /// log, restores the latest usable snapshot (or replays from round 1),
+  /// log, restores the latest usable snapshot (or replays from round 1,
+  /// counted in cdt_runtime_recovery_full_replays_total by reason),
   /// re-applies journaled activity flips at their recorded cursors while
   /// byte-verifying the replayed tail, then reopens log + journal in
-  /// append mode. A sealed log recovers into kClosed (read-only).
+  /// append mode. Reads each of the three files once. A sealed log
+  /// recovers into kClosed (read-only).
   static util::Result<std::unique_ptr<HostedMarketplace>> Recover(
       const std::string& id, const Options& options);
 

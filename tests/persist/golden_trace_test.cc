@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +102,35 @@ TEST_F(GoldenTraceTest, GoldenTraceLoadsSealed) {
   EXPECT_EQ(recorded.value().rounds.size(), 200u);
   EXPECT_EQ(recorded.value().config.num_sellers, 12);
   EXPECT_EQ(recorded.value().config.seed, 0x601Du);
+}
+
+// The loader's record owns the log's bytes and hands out views into them,
+// so it may move but never copy.
+static_assert(!std::is_copy_constructible_v<RecordedLog>);
+static_assert(!std::is_copy_constructible_v<RecordedRun>);
+static_assert(std::is_move_constructible_v<RecordedRun>);
+
+TEST_F(GoldenTraceTest, RecordedLogViewsTheRoundBytesAcrossAMove) {
+  // The lean load keeps each round as a view into the one read of the
+  // file: the views equal the canonical bytes of the decoded rounds, still
+  // after the record has moved, and they replay bit for bit.
+  auto decoded = LoadRecordedRun(GoldenPath("golden_trace.cdtlog"));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto loaded = LoadRecordedLog(GoldenPath("golden_trace.cdtlog"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const RecordedLog log = std::move(loaded).value();
+  EXPECT_TRUE(log.sealed);
+  EXPECT_EQ(log.round_count, 200);
+  EXPECT_EQ(log.valid_end, ReadGolden("golden_trace.cdtlog").size());
+  ASSERT_EQ(log.round_payloads.size(), decoded.value().rounds.size());
+  for (std::size_t i = 0; i < log.round_payloads.size(); ++i) {
+    EXPECT_EQ(log.round_payloads[i],
+              CanonicalRoundBytes(decoded.value().rounds[i]))
+        << "round " << i + 1;
+  }
+  auto verified = VerifyReplay(log);
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(verified.value().rounds_verified, 200);
 }
 
 TEST_F(GoldenTraceTest, GoldenTraceReplaysBitForBit) {

@@ -229,6 +229,14 @@ TEST_F(RecoveryTest, MovedArmMeanIsCaughtByTheTailReplay) {
                 " "),
             std::string::npos)
       << resumed.status().ToString();
+  // The differing fields come from decoding the one recorded payload that
+  // diverged: the load keeps payload bytes only.
+  EXPECT_NE(resumed.status().message().find(
+                "(differing fields: selected, game_qualities, "
+                "consumer_price, collection_price, tau, consumer_profit, "
+                "platform_profit, seller_profits, observed_quality_revenue)"),
+            std::string::npos)
+      << resumed.status().ToString();
 }
 
 TEST_F(RecoveryTest, NonFiniteLedgerFieldIsRefusedWithoutMutation) {

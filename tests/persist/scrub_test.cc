@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -108,7 +109,9 @@ class ScrubTest : public ::testing::Test {
     pristine_ = std::move(bytes).value();
     auto run = LoadRecordedRun(log_path_);
     ASSERT_TRUE(run.ok());
-    pristine_payloads_ = std::move(run).value().round_payloads;
+    for (std::string_view payload : run.value().round_payloads) {
+      pristine_payloads_.emplace_back(payload);
+    }
   }
 
   void TearDown() override { fs::remove_all(dir_); }

@@ -5,10 +5,13 @@
 // explicit quarantine, and snapshot-compaction bounds log growth while
 // preserving exact recovery — also across a crash.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,13 +19,17 @@
 #include "core/config.h"
 #include "market/ledger.h"
 #include "market/trading_engine.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "persist/atomic_io.h"
+#include "persist/codec.h"
 #include "persist/event_log.h"
 #include "persist/io_hooks.h"
 #include "persist/replay.h"
 #include "persist/serialize.h"
 #include "runtime/durability.h"
 #include "runtime/marketplace.h"
+#include "support/reference_recover.h"
 
 namespace cdt {
 namespace runtime {
@@ -70,11 +77,31 @@ void CorruptBalance(const HostedMarketplace& marketplace, int seller) {
                   .ok());
 }
 
-std::string EngineBytes(const HostedMarketplace& marketplace) {
+std::string EngineBytes(const market::TradingEngine& engine) {
   std::string bytes;
-  persist::EncodeEngineSnapshot(
-      marketplace.run().engine().CaptureSnapshot(), &bytes);
+  persist::EncodeEngineSnapshot(engine.CaptureSnapshot(), &bytes);
   return bytes;
+}
+
+std::string EngineBytes(const HostedMarketplace& marketplace) {
+  return EngineBytes(marketplace.run().engine());
+}
+
+// One event-log record framed as EventLogWriter frames it: type byte,
+// varint length, payload, CRC-32 of the type byte and the payload.
+std::string FrameRecord(persist::RecordType type, std::string_view payload) {
+  std::string frame;
+  persist::PutByte(&frame, static_cast<std::uint8_t>(type));
+  persist::PutVarint64(&frame, payload.size());
+  frame.append(payload.data(), payload.size());
+  persist::PutFixed32(
+      &frame, persist::Crc32(payload, persist::Crc32(frame.substr(0, 1))));
+  return frame;
+}
+
+obs::Counter* FullReplays(const char* reason) {
+  return obs::registry().GetCounter(
+      "cdt_runtime_recovery_full_replays_total", "", {{"reason", reason}});
 }
 
 class DurabilityGuardTest : public ::testing::Test {
@@ -628,6 +655,199 @@ TEST_F(DurabilityGuardTest, EveryReplayPathReportsTheDivergentRoundAndField) {
       persist::ResumeFromSnapshot(tampered.value(), snapshot.value())
           .status());
   expect_divergence(HostedMarketplace::Recover("div", options).status());
+}
+
+TEST_F(DurabilityGuardTest, RecoveryReadsEachWalFileOnce) {
+  // Log, journal and snapshot are read once each: the log's scan also
+  // positions the reattached writer, and the journal's contents reopen the
+  // journal. The reference recovery, which reads and scans both again to
+  // reattach, makes five reads and rebuilds the same engine.
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  options.snapshot_every = 4;
+  {
+    auto live = HostedMarketplace::Create("mkt", SmallSpec(40), options);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ApplyDemand(*live.value(), 10);
+    std::int64_t remaining = 0;
+    ASSERT_TRUE(live.value()
+                    ->ApplyEvent(Flip("mkt", EventType::kSellerLeave, 2), 0,
+                                 &remaining)
+                    .ok());
+    ApplyDemand(*live.value(), 3);
+    // Crash: dropped without FinishWal.
+  }
+  IoHooks& hooks = IoHooks::Instance();
+  hooks.EnableCounting();
+  auto recovered = HostedMarketplace::Recover("mkt", options);
+  EXPECT_EQ(hooks.ops_seen(IoOp::kRead), 3u);
+  hooks.Reset();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->rounds_settled(), 13);
+  EXPECT_FALSE(recovered.value()->run().engine().seller_active(2));
+
+  hooks.EnableCounting();
+  auto reference = testsupport::ReferenceRecoverMarketplace("mkt", options);
+  EXPECT_EQ(hooks.ops_seen(IoOp::kRead), 5u);
+  hooks.Reset();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(EngineBytes(reference.value().run->engine()),
+            EngineBytes(*recovered.value()));
+}
+
+TEST_F(DurabilityGuardTest, TornTailRecoveryTruncatesToTheScanEnd) {
+  // A crash tore the log's last record. Recovery still reads each file
+  // once, the reattached writer cuts the log back to where its scan found
+  // the last complete record, and the finished WAL is byte-identical to an
+  // uninterrupted run's.
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  options.snapshot_every = 4;
+  {
+    auto reference = HostedMarketplace::Create("ref", SmallSpec(20), options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ApplyDemand(*reference.value(), 20);
+    ASSERT_TRUE(reference.value()->FinishWal().ok());
+  }
+  {
+    auto live = HostedMarketplace::Create("mkt", SmallSpec(20), options);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ApplyDemand(*live.value(), 13);
+  }
+  const std::string log_path = MarketplaceLogPath(dir_, "mkt");
+  const auto complete = fs::file_size(log_path);
+  {
+    const std::string torn =
+        FrameRecord(persist::RecordType::kRound, std::string(40, 'x'))
+            .substr(0, 20);
+    std::FILE* file = std::fopen(log_path.c_str(), "ab");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(torn.data(), 1, torn.size(), file), torn.size());
+    std::fclose(file);
+  }
+  ASSERT_GT(fs::file_size(log_path), complete);
+
+  IoHooks& hooks = IoHooks::Instance();
+  hooks.EnableCounting();
+  auto recovered = HostedMarketplace::Recover("mkt", options);
+  EXPECT_EQ(hooks.ops_seen(IoOp::kRead), 3u);
+  hooks.Reset();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->rounds_settled(), 13);
+  EXPECT_EQ(fs::file_size(log_path), complete);
+
+  ApplyDemand(*recovered.value(), 7);
+  ASSERT_TRUE(recovered.value()->FinishWal().ok());
+  for (auto path_of : {MarketplaceLogPath, MarketplaceSnapshotPath,
+                       MarketplaceJournalPath}) {
+    auto got = persist::ReadFileBytes(path_of(dir_, "mkt"));
+    auto want = persist::ReadFileBytes(path_of(dir_, "ref"));
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_TRUE(got.value() == want.value())
+        << path_of(dir_, "mkt") << " differs from the uninterrupted run";
+  }
+}
+
+TEST_F(DurabilityGuardTest, UnreadableSnapshotFallsBackToAFullReplayThatIsCounted) {
+  // One flipped byte fails the snapshot's CRC. Recovery replays the whole
+  // log instead, counts why, and checkpoints at once so the next crash
+  // need not. The finished WAL matches an uninterrupted run's in every
+  // round record, snapshot and journal byte; the log carries one more
+  // snapshot note, the repair checkpoint's.
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  options.snapshot_every = 4;
+  {
+    auto reference = HostedMarketplace::Create("ref", SmallSpec(20), options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ApplyDemand(*reference.value(), 20);
+    ASSERT_TRUE(reference.value()->FinishWal().ok());
+  }
+  {
+    auto live = HostedMarketplace::Create("mkt", SmallSpec(20), options);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ApplyDemand(*live.value(), 10);
+  }
+  const std::string snapshot_path = MarketplaceSnapshotPath(dir_, "mkt");
+  {
+    auto bytes = persist::ReadFileBytes(snapshot_path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    std::string flipped = std::move(bytes).value();
+    flipped[flipped.size() / 2] ^= 0x01;
+    ASSERT_TRUE(persist::AtomicWriteFile(snapshot_path, flipped).ok());
+  }
+  const double unreadable = FullReplays("unreadable_snapshot")->value();
+  const double missing = FullReplays("no_snapshot")->value();
+
+  auto recovered = HostedMarketplace::Recover("mkt", options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(FullReplays("unreadable_snapshot")->value(), unreadable + 1);
+  EXPECT_EQ(FullReplays("no_snapshot")->value(), missing);
+  EXPECT_EQ(recovered.value()->rounds_settled(), 10);
+  ApplyDemand(*recovered.value(), 10);
+  ASSERT_TRUE(recovered.value()->FinishWal().ok());
+
+  for (auto path_of : {MarketplaceSnapshotPath, MarketplaceJournalPath}) {
+    auto got = persist::ReadFileBytes(path_of(dir_, "mkt"));
+    auto want = persist::ReadFileBytes(path_of(dir_, "ref"));
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_TRUE(got.value() == want.value())
+        << path_of(dir_, "mkt") << " differs from the uninterrupted run";
+  }
+  auto got = persist::LoadRecordedLog(MarketplaceLogPath(dir_, "mkt"));
+  auto want = persist::LoadRecordedLog(MarketplaceLogPath(dir_, "ref"));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(got.value().round_payloads == want.value().round_payloads);
+  std::vector<std::int64_t> notes = want.value().snapshot_rounds;
+  notes.insert(std::find(notes.begin(), notes.end(), 12), 10);
+  EXPECT_EQ(got.value().snapshot_rounds, notes);
+}
+
+TEST_F(DurabilityGuardTest, GarbledRoundBeforeTheSnapshotFailsEveryLoad) {
+  // Round 2's record is re-framed around a payload with a trailing byte,
+  // under a valid CRC. The scan passes it and the tail replay never
+  // reaches it, but the load decodes every round: both loaders and
+  // recovery fail with ParseError.
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  options.snapshot_every = 4;
+  {
+    auto live = HostedMarketplace::Create("mkt", SmallSpec(20), options);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ApplyDemand(*live.value(), 10);
+  }
+  const std::string log_path = MarketplaceLogPath(dir_, "mkt");
+  {
+    auto bytes = persist::ReadFileBytes(log_path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    const persist::EventLogScan scan = persist::ScanEventLog(bytes.value());
+    ASSERT_TRUE(scan.status.ok()) << scan.status.ToString();
+    std::string garbled(persist::kLogMagic, 8);
+    persist::PutVarint64(&garbled, persist::kFormatVersion);
+    std::int64_t rounds = 0;
+    for (const persist::LogRecord& record : scan.records) {
+      std::string payload(record.payload);
+      if (record.type == persist::RecordType::kRound && ++rounds == 2) {
+        payload.push_back('\0');
+      }
+      garbled += FrameRecord(record.type, payload);
+    }
+    ASSERT_TRUE(persist::AtomicWriteFile(log_path, garbled).ok());
+    const persist::EventLogScan rescan = persist::ScanEventLog(garbled);
+    ASSERT_TRUE(rescan.status.ok()) << rescan.status.ToString();
+    ASSERT_EQ(rescan.round_count, 10);
+  }
+  auto expect_parse_error = [](const Status& status) {
+    EXPECT_EQ(status.code(), util::StatusCode::kParseError)
+        << status.ToString();
+    EXPECT_NE(status.message().find("trailing bytes after round payload"),
+              std::string::npos)
+        << status.ToString();
+  };
+  expect_parse_error(persist::LoadRecordedRun(log_path, true).status());
+  expect_parse_error(persist::LoadRecordedLog(log_path, true).status());
+  expect_parse_error(HostedMarketplace::Recover("mkt", options).status());
 }
 
 }  // namespace
