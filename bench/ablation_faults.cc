@@ -94,7 +94,11 @@ int Run(const sim::BenchFlags& flags) {
         point.regret = m.regret();
         point.voided = m.voided_rounds();
         point.degraded = m.degraded_rounds();
-        point.faults = engine.fault_log().size();
+        point.faults = 0;
+        for (int kind = 0; kind < market::kNumFaultKinds; ++kind) {
+          point.faults += static_cast<std::size_t>(
+              engine.fault_count(static_cast<market::FaultKind>(kind)));
+        }
         point.quarantine_drops =
             engine.fault_count(market::FaultKind::kQuarantine);
         point.violations = engine.invariant_checker() != nullptr

@@ -17,6 +17,7 @@
 // runtime; see docs/OBSERVABILITY.md.
 
 #include <algorithm>
+#include <cstdint>
 #include <iostream>
 
 #include "core/cmab_hs.h"
@@ -134,9 +135,13 @@ int main(int argc, char** argv) {
 
   if (config.faults.any()) {
     const market::TradingEngine& engine = run.value()->engine();
+    std::int64_t fault_events = 0;
+    for (int kind = 0; kind < market::kNumFaultKinds; ++kind) {
+      fault_events += engine.fault_count(static_cast<market::FaultKind>(kind));
+    }
     std::cout << "\nFault injection (default rate "
               << util::FormatDouble(fault_rate, 2) << "):\n"
-              << "  fault events:        " << engine.fault_log().size()
+              << "  fault events:        " << fault_events
               << "\n"
               << "  seller defaults:     "
               << engine.fault_count(market::FaultKind::kSellerDefault) << "\n"

@@ -69,22 +69,6 @@ std::vector<double> ExtractMetric(const std::vector<RoundReport>& rounds,
   return out;
 }
 
-Result<std::vector<double>> MovingAverage(const std::vector<double>& values,
-                                          std::size_t window) {
-  if (window == 0) {
-    return Status::InvalidArgument("window must be >= 1");
-  }
-  std::vector<double> out(values.size());
-  double running = 0.0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    running += values[i];
-    if (i >= window) running -= values[i - window];
-    std::size_t denom = std::min(i + 1, window);
-    out[i] = running / static_cast<double>(denom);
-  }
-  return out;
-}
-
 Result<std::vector<double>> CumulativeRegretCurve(
     const std::vector<RoundReport>& rounds, double optimal_round_revenue) {
   if (optimal_round_revenue <= 0.0) {

@@ -51,11 +51,6 @@ enum class Metric {
 std::vector<double> ExtractMetric(
     const std::vector<market::RoundReport>& rounds, Metric metric);
 
-/// Centred-as-possible trailing moving average with window `window` >= 1
-/// (the first window-1 entries average the available prefix).
-util::Result<std::vector<double>> MovingAverage(
-    const std::vector<double>& values, std::size_t window);
-
 /// Cumulative regret curve: prefix sums of
 /// (optimal_round_revenue − expected_quality_revenue). Initial-exploration
 /// rounds are included (they are part of Algorithm 1's cost).

@@ -75,17 +75,6 @@ Status RegretTracker::RecordRound(const std::vector<int>& selected) {
   return Status::OK();
 }
 
-Status RegretTracker::RecordRoundObserved(
-    const std::vector<int>& selected,
-    const std::vector<double>& observed_sums) {
-  if (selected.size() != observed_sums.size()) {
-    return Status::InvalidArgument("selected/observed size mismatch");
-  }
-  CDT_RETURN_NOT_OK(RecordRound(selected));
-  for (double s : observed_sums) observed_revenue_ += s;
-  return Status::OK();
-}
-
 double RegretTracker::optimal_revenue() const {
   return optimal_round_revenue_ * static_cast<double>(rounds_);
 }

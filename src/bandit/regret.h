@@ -30,8 +30,7 @@ util::Result<GapStatistics> ComputeGaps(const std::vector<double>& qualities,
 /// Accumulates expected revenue/regret for one policy run.
 ///
 /// Expected revenue of a round is L · Σ_{i∈S} q_i using the ground-truth
-/// expected qualities (regret is defined on expectations, Eq. 34); the
-/// tracker also accumulates realised (observed) revenue when provided.
+/// expected qualities (regret is defined on expectations, Eq. 34).
 class RegretTracker {
  public:
   /// `qualities` are ground-truth expected qualities; k is the per-round
@@ -39,19 +38,13 @@ class RegretTracker {
   static util::Result<RegretTracker> Create(std::vector<double> qualities,
                                             int k, int num_pois);
 
-  /// Records one round's selection; optionally the realised per-seller
-  /// observation sums (Σ_l q_{i,l}) for observed-revenue accounting.
+  /// Records one round's selection.
   util::Status RecordRound(const std::vector<int>& selected);
-  util::Status RecordRoundObserved(const std::vector<int>& selected,
-                                   const std::vector<double>& observed_sums);
 
   std::int64_t rounds() const { return rounds_; }
 
   /// L · Σ q over every selection so far.
   double cumulative_expected_revenue() const { return expected_revenue_; }
-
-  /// Σ of provided observation sums (equals expected in the limit).
-  double cumulative_observed_revenue() const { return observed_revenue_; }
 
   /// rounds · L · Σ_{S*} q.
   double optimal_revenue() const;
@@ -72,7 +65,6 @@ class RegretTracker {
   double optimal_round_revenue_;
   std::int64_t rounds_ = 0;
   double expected_revenue_ = 0.0;
-  double observed_revenue_ = 0.0;
 };
 
 /// Lemma 18's bound on the expected counter E[β_i^N]:

@@ -364,12 +364,5 @@ int ReliabilityTracker::QuarantinedCount(std::int64_t round) const {
       std::upper_bound(open_rounds_.begin(), open_rounds_.end(), expired));
 }
 
-bandit::AvailabilityFn QuarantineAvailability(
-    const ReliabilityTracker* tracker) {
-  return [tracker](int seller, std::int64_t round) {
-    return tracker->Available(seller, round);
-  };
-}
-
 }  // namespace market
 }  // namespace cdt

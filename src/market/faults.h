@@ -15,8 +15,8 @@
 //   * RecoveryOptions + ReliabilityTracker — the engine-side degradation
 //     policy: capped exponential settlement backoff and a per-seller
 //     circuit breaker (closed → open after a run of consecutive faults →
-//     cooldown → probation re-entry → closed) whose gate plugs into the
-//     existing bandit::AvailabilityFn machinery via QuarantineAvailability.
+//     cooldown → probation re-entry → closed), whose gate the engine
+//     applies to every coalition it selects.
 //
 // TradingEngine consumes both: it re-settles faulted rounds on the
 // delivered coalition (re-solving Stage 2/3 over the survivors so the
@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "bandit/availability_policy.h"
 #include "util/status.h"
 
 namespace cdt {
@@ -53,7 +52,7 @@ constexpr int kNumFaultKinds = 6;
 const char* FaultKindName(FaultKind kind);
 
 /// One structured fault/recovery record, kept per round in
-/// RoundReport::faults and cumulatively in TradingEngine::fault_log().
+/// RoundReport::faults and counted by kind in TradingEngine::fault_count().
 struct FaultEvent {
   std::int64_t round = 0;
   FaultKind kind = FaultKind::kSellerDefault;
@@ -248,12 +247,6 @@ class ReliabilityTracker {
   /// leave from the front as faults arrive (amortised O(1)).
   std::deque<std::int64_t> open_rounds_;
 };
-
-/// Adapts the breaker gate into the bandit layer's availability shape so an
-/// AvailabilityAwareCucbPolicy never proposes a quarantined seller in the
-/// first place. `tracker` must outlive the returned function.
-bandit::AvailabilityFn QuarantineAvailability(
-    const ReliabilityTracker* tracker);
 
 }  // namespace market
 }  // namespace cdt

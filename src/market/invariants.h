@@ -123,7 +123,7 @@ struct EngineStateView {
 };
 
 /// Per-round observer hook; the engine invokes observers after settlement.
-/// A non-OK status aborts the run and propagates out of RunRound/RunAll.
+/// A non-OK status aborts the run and is what RunRound returns.
 class RoundObserver {
  public:
   virtual ~RoundObserver() = default;

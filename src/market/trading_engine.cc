@@ -165,7 +165,8 @@ TradingEngine::TradingEngine(EngineConfig config,
     : config_(std::move(config)),
       environment_(environment),
       policy_(std::move(policy)),
-      ledger_(environment_->num_sellers()) {}
+      ledger_(environment_->num_sellers()),
+      reliability_(environment_->num_sellers(), config_.recovery) {}
 
 Result<std::unique_ptr<TradingEngine>> TradingEngine::Create(
     EngineConfig config, bandit::QualityEnvironment* environment,
@@ -184,11 +185,6 @@ Result<std::unique_ptr<TradingEngine>> TradingEngine::Create(
   if (config.job.num_pois != environment->num_pois()) {
     return Status::InvalidArgument(
         "job and environment disagree on the PoI count");
-  }
-  if (config.reliability != nullptr &&
-      config.reliability->num_sellers() != environment->num_sellers()) {
-    return Status::InvalidArgument(
-        "reliability tracker and environment disagree on the seller count");
   }
   bool check_invariants = config.check_invariants;
   auto engine = std::unique_ptr<TradingEngine>(
@@ -211,13 +207,6 @@ Result<std::unique_ptr<TradingEngine>> TradingEngine::Create(
       environment->OptimalSetQuality(engine->config_.num_selected);
   if (engine->config_.faults.any()) {
     engine->injector_ = std::make_unique<FaultInjector>(engine->config_.faults);
-  }
-  if (engine->config_.reliability != nullptr) {
-    engine->reliability_ = engine->config_.reliability;
-  } else {
-    engine->owned_reliability_ = std::make_unique<ReliabilityTracker>(
-        environment->num_sellers(), engine->config_.recovery);
-    engine->reliability_ = engine->owned_reliability_.get();
   }
   if (check_invariants) {
     engine->checker_ = static_cast<InvariantChecker*>(
@@ -342,10 +331,9 @@ Result<RoundReport> TradingEngine::RunRound() {
   // them would empty the coalition entirely, in which case the round
   // proceeds unfiltered (degrade, never deadlock). Breaker drops are
   // logged as kQuarantine faults; departures are not faults and leave the
-  // round's fault record untouched. With no injector, no external tracker
-  // and no departures the clean path is untouched.
-  if (injector_ != nullptr || config_.reliability != nullptr ||
-      inactive_count_ > 0) {
+  // round's fault record untouched. With no injector and no departures the
+  // clean path is untouched.
+  if (injector_ != nullptr || inactive_count_ > 0) {
     CDT_SPAN("engine.quarantine_gate");
     std::vector<int> admitted;
     std::vector<int> quarantined;
@@ -354,7 +342,7 @@ Result<RoundReport> TradingEngine::RunRound() {
     for (int seller : selected) {
       if (!seller_active(seller)) {
         departed_drop = true;
-      } else if (reliability_->Available(seller, t)) {
+      } else if (reliability_.Available(seller, t)) {
         admitted.push_back(seller);
       } else {
         quarantined.push_back(seller);
@@ -363,7 +351,7 @@ Result<RoundReport> TradingEngine::RunRound() {
     if (!admitted.empty() && (!quarantined.empty() || departed_drop)) {
       selected = std::move(admitted);
       for (int seller : quarantined) {
-        reliability_->RecordQuarantineDrop(seller);
+        reliability_.RecordQuarantineDrop(seller);
         LogFault(&report, FaultKind::kQuarantine, seller, 0.0, true);
       }
     }
@@ -451,7 +439,7 @@ Result<RoundReport> TradingEngine::RunRound() {
     survivor_draws.reserve(selected.size());
     for (std::size_t j = 0; j < selected.size(); ++j) {
       if (draws[j].outcome == DeliveryOutcome::kDefaulted) {
-        reliability_->RecordFault(selected[j], t, FaultKind::kSellerDefault);
+        reliability_.RecordFault(selected[j], t, FaultKind::kSellerDefault);
         LogFault(&report, FaultKind::kSellerDefault, selected[j], 0.0, true);
       } else {
         survivors.push_back(selected[j]);
@@ -530,11 +518,6 @@ Result<RoundReport> TradingEngine::RunRound() {
     double reward = report.consumer_price * report.total_time;
     if (ledger_.ConsumerOutflow() + reward > config_.consumer_budget) {
       budget_exhausted_ = true;
-      FaultEvent stop;
-      stop.round = t;
-      stop.kind = FaultKind::kBudgetStop;
-      stop.severity = config_.consumer_budget - ledger_.ConsumerOutflow();
-      fault_log_.push_back(stop);
       ++fault_counts_[static_cast<std::size_t>(FaultKind::kBudgetStop)];
       // The run ends here, so the checker's O(M) ledger audit closes it; a
       // violation is returned in place of the clean stop.
@@ -583,7 +566,7 @@ Result<RoundReport> TradingEngine::RunRound() {
   // accounting, so corrupted reports can never bias the quality estimates.
   if (!report.voided) {
     CDT_SPAN_TIMED("engine.collect", EngineCollectHistogram);
-    CollectCoalition(injector_.get(), draws, environment_, reliability_,
+    CollectCoalition(injector_.get(), draws, environment_, &reliability_,
                      &report, &collect_);
     if (owned_bank_ != nullptr) {
       for (std::size_t j = 0; j < collect_.learners.size(); ++j) {
@@ -598,7 +581,6 @@ Result<RoundReport> TradingEngine::RunRound() {
   }
 
   for (const FaultEvent& e : report.faults) {
-    fault_log_.push_back(e);
     ++fault_counts_[static_cast<std::size_t>(e.kind)];
   }
   ++next_round_;
@@ -652,8 +634,8 @@ EngineSnapshot TradingEngine::CaptureSnapshot() const {
   snapshot.ledger_consumer_outflow = ledger_.ConsumerOutflow();
   snapshot.ledger_seller_inflow = ledger_.SellerInflow();
 
-  snapshot.reliability = reliability_->sellers();
-  snapshot.reliability_total_faults = reliability_->total_faults();
+  snapshot.reliability = reliability_.sellers();
+  snapshot.reliability_total_faults = reliability_.total_faults();
   snapshot.fault_counts = fault_counts_;
 
   snapshot.environment = environment_->SaveState();
@@ -709,14 +691,13 @@ Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {
                                     snapshot.ledger_seller_inflow));
   CDT_RETURN_NOT_OK(bank->Restore(snapshot.pricing_arms,
                                   snapshot.pricing_total_observations));
-  CDT_RETURN_NOT_OK(reliability_->Restore(
+  CDT_RETURN_NOT_OK(reliability_.Restore(
       snapshot.reliability, snapshot.reliability_total_faults));
   CDT_RETURN_NOT_OK(environment_->RestoreState(snapshot.environment));
 
   next_round_ = snapshot.next_round;
   budget_exhausted_ = snapshot.budget_exhausted;
   fault_counts_ = snapshot.fault_counts;
-  fault_log_.clear();
   seller_active_ = snapshot.seller_active;
   inactive_count_ = 0;
   for (std::uint8_t flag : seller_active_) {
@@ -740,26 +721,6 @@ Status TradingEngine::SettlePayments(const RoundReport& report) {
         ledger_.Record(kPlatformAccount,
                        static_cast<std::int32_t>(report.selected[j]),
                        report.collection_price * report.tau[j]));
-  }
-  return Status::OK();
-}
-
-Status TradingEngine::RunAll(
-    const std::function<void(const RoundReport&)>& callback) {
-  while (next_round_ <= config_.job.num_rounds) {
-    Result<RoundReport> report = RunRound();
-    if (!report.ok()) {
-      // A configured budget running out ends the campaign cleanly; the
-      // stop is visible as a kBudgetStop entry in fault_log() and through
-      // budget_exhausted(). Any other status (the closing audit's
-      // violation) fails the run.
-      if (budget_exhausted_ &&
-          report.status().code() == util::StatusCode::kFailedPrecondition) {
-        return Status::OK();
-      }
-      return report.status();
-    }
-    if (callback) callback(report.value());
   }
   return Status::OK();
 }

@@ -7,7 +7,6 @@
 #define CDT_MARKET_TRADING_ENGINE_H_
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -61,12 +60,6 @@ struct EngineConfig {
   /// Graceful-degradation knobs: settlement retry/backoff schedule and the
   /// per-seller quarantine circuit breaker.
   RecoveryOptions recovery;
-  /// Optional externally owned reliability tracker, e.g. shared with an
-  /// AvailabilityAwareCucbPolicy through QuarantineAvailability so
-  /// quarantined sellers are already excluded at selection time. Must
-  /// outlive the engine and match the seller count; nullptr (default)
-  /// makes the engine own its tracker.
-  ReliabilityTracker* reliability = nullptr;
 
   util::Status Validate(int num_sellers) const;
 };
@@ -129,10 +122,6 @@ class TradingEngine {
   /// True when a configured consumer budget stopped the trading early.
   bool budget_exhausted() const { return budget_exhausted_; }
 
-  /// Runs all remaining rounds, invoking `callback` (may be null) per round.
-  util::Status RunAll(
-      const std::function<void(const RoundReport&)>& callback = nullptr);
-
   std::int64_t current_round() const { return next_round_ - 1; }
   const EngineConfig& config() const { return config_; }
   /// The one record of money; its ConsumerOutflow() is the consumer's
@@ -179,7 +168,7 @@ class TradingEngine {
   double oracle_round_revenue() const { return oracle_round_revenue_; }
 
   /// Per-seller reliability statistics and circuit-breaker state.
-  const ReliabilityTracker& reliability() const { return *reliability_; }
+  const ReliabilityTracker& reliability() const { return reliability_; }
 
   /// Marks a seller as departed (active=false) or returned (active=true).
   /// Inactive sellers are dropped from every coalition at the quarantine
@@ -200,10 +189,9 @@ class TradingEngine {
   /// Number of currently departed sellers.
   int inactive_sellers() const { return inactive_count_; }
 
-  /// Every fault/recovery event of the run, in round order.
-  const std::vector<FaultEvent>& fault_log() const { return fault_log_; }
-
-  /// Number of logged events of the given kind.
+  /// Number of fault/recovery events of the given kind over the whole
+  /// campaign (restored from a snapshot); each round's own events are its
+  /// RoundReport::faults.
   std::int64_t fault_count(FaultKind kind) const {
     return fault_counts_[static_cast<std::size_t>(kind)];
   }
@@ -221,8 +209,6 @@ class TradingEngine {
   /// mismatch, or on corrupt counters — the engine is left untouched on
   /// error except when a late sub-restore fails (the returned status then
   /// says the engine must be discarded).
-  /// The cumulative fault_log() is not persisted: after a restore it
-  /// contains only post-restore events (fault_count() totals survive).
   util::Status RestoreSnapshot(const EngineSnapshot& snapshot);
 
  private:
@@ -289,9 +275,7 @@ class TradingEngine {
 
   /// Non-null only when the config's fault profile is armed.
   std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<ReliabilityTracker> owned_reliability_;
-  ReliabilityTracker* reliability_ = nullptr;  // owned or borrowed
-  std::vector<FaultEvent> fault_log_;
+  ReliabilityTracker reliability_;
   std::array<std::int64_t, kNumFaultKinds> fault_counts_{};
 };
 

@@ -92,22 +92,6 @@ Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenForAppend(
   return writer;
 }
 
-Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenForAppend(
-    const std::string& path) {
-  auto bytes = ReadFileBytes(path);
-  CDT_RETURN_NOT_OK(bytes.status());
-  const EventLogScan scan = ScanEventLog(bytes.value());
-  CDT_RETURN_NOT_OK(scan.status);
-  if (scan.sealed) {
-    return Status::FailedPrecondition(
-        "event log '" + path + "' is sealed (footer present); "
-        "cannot append to a finished log");
-  }
-  return OpenForAppend(path, {scan.valid_end, scan.base_round,
-                              scan.round_count, scan.config_crc,
-                              scan.rolling_crc});
-}
-
 Result<std::unique_ptr<EventLogWriter>> EventLogWriter::OpenRebased(
     const std::string& path, const core::MechanismConfig& config,
     const core::PolicySpec& policy, std::int64_t base_round) {

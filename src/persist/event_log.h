@@ -139,12 +139,6 @@ class EventLogWriter {
   static util::Result<std::unique_ptr<EventLogWriter>> OpenForAppend(
       const std::string& path, const EventLogTail& tail);
 
-  /// The same for a caller that holds no scan: reads and scans `path`
-  /// first. Fails with ScanEventLog's status on any broken rule and with
-  /// FailedPrecondition on a sealed log.
-  static util::Result<std::unique_ptr<EventLogWriter>> OpenForAppend(
-      const std::string& path);
-
   /// Starts a log whose first round will be `base_round + 1` — the
   /// compaction / degraded-mode re-arm path. Rounds [1, base_round] must
   /// be covered by a snapshot written BEFORE this call. The new log is

@@ -7,25 +7,20 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <string_view>
 #include <utility>
 
 #include "persist/atomic_io.h"
 #include "persist/event_log.h"
+#include "util/string_util.h"
 
 namespace cdt {
 namespace persist {
 
+using util::EndsWith;
 using util::Result;
 using util::Status;
 
 namespace {
-
-bool EndsWith(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix.data(),
-                   suffix.size()) == 0;
-}
 
 /// Moves an irreparable artifact aside so recovery sees NotFound (loud)
 /// instead of poison. Report-only mode leaves the file in place.
@@ -204,18 +199,6 @@ Result<ScrubReport> ScrubWalDirectory(const std::string& dir,
     tally(std::move(outcome).value());
   }
   return report;
-}
-
-Result<int> SweepOrphanTempFiles(const std::string& dir) {
-  std::vector<std::string> files;
-  CDT_RETURN_NOT_OK(ListRegularFiles(dir, &files));
-  int removed = 0;
-  for (const std::string& path : files) {
-    if (EndsWith(path, kTempSuffix) && std::remove(path.c_str()) == 0) {
-      ++removed;
-    }
-  }
-  return removed;
 }
 
 }  // namespace persist

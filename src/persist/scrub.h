@@ -88,11 +88,6 @@ struct ScrubReport {
 util::Result<ScrubReport> ScrubWalDirectory(const std::string& dir,
                                             const ScrubOptions& options);
 
-/// Removes AtomicWriteFile orphans (*.tmp) directly under `dir`. Only
-/// safe when no writer is live in the directory (service startup,
-/// cdt_fsck). Returns the number removed.
-util::Result<int> SweepOrphanTempFiles(const std::string& dir);
-
 }  // namespace persist
 }  // namespace cdt
 

@@ -14,16 +14,5 @@ double UcbRadius(std::uint64_t n_i, std::uint64_t total_observations,
   return std::sqrt(exploration * log_term / static_cast<double>(n_i));
 }
 
-double HoeffdingTailBound(std::uint64_t n, double deviation) {
-  if (n == 0) return 1.0;
-  if (deviation <= 0.0) return 1.0;
-  return std::exp(-2.0 * deviation * deviation / static_cast<double>(n));
-}
-
-double HoeffdingHalfWidth(std::uint64_t n, double delta) {
-  if (n == 0) return std::numeric_limits<double>::infinity();
-  return std::sqrt(std::log(2.0 / delta) / (2.0 * static_cast<double>(n)));
-}
-
 }  // namespace stats
 }  // namespace cdt

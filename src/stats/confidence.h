@@ -1,6 +1,4 @@
-// Concentration-bound helpers backing the bandit module: the Hoeffding
-// radius used in UCB indices (paper Eq. 19) and tail probabilities from the
-// Chernoff–Hoeffding inequality (paper Lemma 17).
+// The Hoeffding radius the bandit module's UCB indices use (paper Eq. 19).
 
 #ifndef CDT_STATS_CONFIDENCE_H_
 #define CDT_STATS_CONFIDENCE_H_
@@ -16,14 +14,6 @@ namespace stats {
 /// classic UCB1 constant. Returns +infinity when n_i == 0.
 double UcbRadius(std::uint64_t n_i, std::uint64_t total_observations,
                  double exploration);
-
-/// Chernoff–Hoeffding upper tail for [0,1]-valued variables (Lemma 17):
-///   P[S_n >= n*mu + a] <= exp(-2 a^2 / n).
-double HoeffdingTailBound(std::uint64_t n, double deviation);
-
-/// Two-sided Hoeffding confidence half-width at level `delta`:
-///   radius = sqrt(ln(2/delta) / (2 n)).
-double HoeffdingHalfWidth(std::uint64_t n, double delta);
 
 }  // namespace stats
 }  // namespace cdt

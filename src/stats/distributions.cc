@@ -72,13 +72,6 @@ std::size_t ZipfSampler::Sample(Xoshiro256& rng) const {
   return static_cast<std::size_t>(it - cdf_.begin());
 }
 
-double SampleExponential(Xoshiro256& rng, double rate) {
-  // Inverse-CDF; guard against log(0).
-  double u = rng.NextDouble();
-  if (u >= 1.0) u = std::nextafter(1.0, 0.0);
-  return -std::log1p(-u) / rate;
-}
-
 double NormalPdf(double x) {
   constexpr double kInvSqrt2Pi = 0.3989422804014327;
   return kInvSqrt2Pi * std::exp(-0.5 * x * x);

@@ -90,9 +90,6 @@ class ZipfSampler {
   std::vector<double> cdf_;
 };
 
-/// Exponential(rate) draw; used for synthetic inter-arrival times.
-double SampleExponential(Xoshiro256& rng, double rate);
-
 /// Standard normal pdf / cdf.
 double NormalPdf(double x);
 double NormalCdf(double x);

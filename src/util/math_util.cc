@@ -15,27 +15,6 @@ bool AlmostEqual(double a, double b, double tol) {
   return std::fabs(a - b) <= tol * scale;
 }
 
-std::vector<double> SolveQuadratic(double a, double b, double c) {
-  std::vector<double> roots;
-  if (a == 0.0) {
-    if (b != 0.0) roots.push_back(-c / b);
-    return roots;
-  }
-  double disc = b * b - 4.0 * a * c;
-  if (disc < 0.0) return roots;
-  double sq = std::sqrt(disc);
-  // Numerically stable form: compute the larger-magnitude root first.
-  double q = -0.5 * (b + (b >= 0.0 ? sq : -sq));
-  double r1 = q / a;
-  roots.push_back(r1);
-  if (disc > 0.0) {
-    double r2 = (q != 0.0) ? c / q : (-b / a - r1);
-    roots.push_back(r2);
-  }
-  std::sort(roots.begin(), roots.end());
-  return roots;
-}
-
 Result<std::vector<double>> Linspace(double lo, double hi, std::size_t count) {
   if (count < 2) {
     return Status::InvalidArgument("Linspace requires count >= 2");

@@ -31,10 +31,6 @@ struct Interval {
 /// |a - b| <= tol * max(1, |a|, |b|): relative-with-floor comparison.
 bool AlmostEqual(double a, double b, double tol = 1e-9);
 
-/// Real roots of a*x^2 + b*x + c = 0, ascending. Degenerate (a == 0) cases
-/// fall back to the linear root; no real roots yields an empty vector.
-std::vector<double> SolveQuadratic(double a, double b, double c);
-
 /// `count` points evenly spaced over [lo, hi] inclusive; count >= 2.
 Result<std::vector<double>> Linspace(double lo, double hi, std::size_t count);
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 
-#include "util/csv.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace cdt {
 namespace util {
@@ -17,14 +15,6 @@ void TablePrinter::AddRow(std::vector<std::string> cells) {
   CDT_CHECK(cells.size() == header_.size())
       << "row width " << cells.size() << " != header width " << header_.size();
   rows_.push_back(std::move(cells));
-}
-
-void TablePrinter::AddNumericRow(const std::vector<double>& cells,
-                                 int precision) {
-  std::vector<std::string> row;
-  row.reserve(cells.size());
-  for (double v : cells) row.push_back(FormatDouble(v, precision));
-  AddRow(std::move(row));
 }
 
 void TablePrinter::Print(std::ostream& os) const {
@@ -48,11 +38,6 @@ void TablePrinter::Print(std::ostream& os) const {
   for (std::size_t w : widths) total += w + 2;
   os << std::string(total, '-') << '\n';
   for (const auto& row : rows_) print_row(row);
-}
-
-void TablePrinter::PrintCsv(std::ostream& os) const {
-  os << FormatCsvLine(header_) << '\n';
-  for (const auto& row : rows_) os << FormatCsvLine(row) << '\n';
 }
 
 }  // namespace util

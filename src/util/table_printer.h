@@ -23,16 +23,10 @@ class TablePrinter {
   /// Appends one row; the cell count must match the header width.
   void AddRow(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with `precision` digits.
-  void AddNumericRow(const std::vector<double>& cells, int precision = 3);
-
   std::size_t num_rows() const { return rows_.size(); }
 
   /// Prints an aligned, padded table with a separator under the header.
   void Print(std::ostream& os) const;
-
-  /// Prints the same data as CSV lines.
-  void PrintCsv(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

@@ -56,26 +56,6 @@ TEST(ExtractMetricTest, AllColumns) {
       ExtractMetric(rows, Metric::kObservedQualityRevenue)[0], 4.9);
 }
 
-TEST(MovingAverageTest, Validation) {
-  EXPECT_FALSE(MovingAverage({1.0}, 0).ok());
-}
-
-TEST(MovingAverageTest, SmoothsWithPrefixHandling) {
-  auto ma = MovingAverage({2.0, 4.0, 6.0, 8.0}, 2);
-  ASSERT_TRUE(ma.ok());
-  EXPECT_DOUBLE_EQ(ma.value()[0], 2.0);   // prefix of 1
-  EXPECT_DOUBLE_EQ(ma.value()[1], 3.0);
-  EXPECT_DOUBLE_EQ(ma.value()[2], 5.0);
-  EXPECT_DOUBLE_EQ(ma.value()[3], 7.0);
-}
-
-TEST(MovingAverageTest, WindowOneIsIdentity) {
-  std::vector<double> xs{1.0, 5.0, 2.0};
-  auto ma = MovingAverage(xs, 1);
-  ASSERT_TRUE(ma.ok());
-  EXPECT_EQ(ma.value(), xs);
-}
-
 TEST(CumulativeRegretCurveTest, PrefixSums) {
   std::vector<market::RoundReport> rows{MakeRow(1, {0}, 0, 4.0),
                                         MakeRow(2, {0}, 0, 5.0),

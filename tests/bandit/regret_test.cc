@@ -47,20 +47,10 @@ TEST(RegretTrackerTest, SuboptimalSelectionAccumulatesGap) {
   EXPECT_NEAR(tracker.value().regret(), per_round_gap, 1e-9);
 }
 
-TEST(RegretTrackerTest, ObservedRevenueAccumulates) {
-  auto tracker = RegretTracker::Create({0.9, 0.5}, 1, 2);
-  ASSERT_TRUE(tracker.ok());
-  ASSERT_TRUE(tracker.value().RecordRoundObserved({0}, {1.7}).ok());
-  ASSERT_TRUE(tracker.value().RecordRoundObserved({0}, {1.9}).ok());
-  EXPECT_NEAR(tracker.value().cumulative_observed_revenue(), 3.6, 1e-12);
-  EXPECT_EQ(tracker.value().rounds(), 2);
-}
-
 TEST(RegretTrackerTest, RejectsBadInput) {
   auto tracker = RegretTracker::Create({0.9, 0.5}, 1, 2);
   ASSERT_TRUE(tracker.ok());
   EXPECT_FALSE(tracker.value().RecordRound({5}).ok());
-  EXPECT_FALSE(tracker.value().RecordRoundObserved({0}, {1.0, 2.0}).ok());
   EXPECT_FALSE(RegretTracker::Create({}, 1, 2).ok());
   EXPECT_FALSE(RegretTracker::Create({0.5}, 2, 2).ok());
   EXPECT_FALSE(RegretTracker::Create({0.5}, 1, 0).ok());

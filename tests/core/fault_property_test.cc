@@ -1,9 +1,8 @@
 // Property suite for the fault-injection / graceful-degradation layer:
 // campaigns at 0%, 10% and 30% seller-default rates must finish OK with
 // the armed invariant checker silent, a conserved ledger, monotone regret
-// and every injected fault accounted for in the structured logs. A
-// borrowed zero-fault tracker must leave runs bit-for-bit unchanged, and
-// a budget stop must surface as a clean, callback-visible early exit.
+// and every injected fault accounted for in the structured logs, and a
+// budget stop must surface as a clean, callback-visible early exit.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +10,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <memory>
 
-#include "bandit/cucb_policy.h"
 #include "core/cmab_hs.h"
 #include "market/faults.h"
 #include "market/invariants.h"
@@ -43,7 +40,7 @@ void ArmFaults(MechanismConfig* config, double default_rate) {
 }
 
 // Sums the per-report fault events and cross-checks them against the
-// engine's cumulative log and the metrics collector's tallies.
+// engine's per-kind totals and the metrics collector's tallies.
 void ExpectFaultsFullyAccounted(
     const CmabHs& run, const std::vector<market::RoundReport>& reports) {
   std::size_t report_events = 0;
@@ -56,7 +53,6 @@ void ExpectFaultsFullyAccounted(
     }
   }
   const market::TradingEngine& engine = run.engine();
-  EXPECT_EQ(engine.fault_log().size(), report_events);
   EXPECT_EQ(run.metrics().fault_events(),
             static_cast<std::int64_t>(report_events));
   for (int k = 0; k < market::kNumFaultKinds; ++k) {
@@ -120,10 +116,10 @@ TEST_P(FaultCampaignTest, CampaignIsViolationFreeConservedAndAccounted) {
   ExpectLedgerMatchesTrail(engine, reports);
 
   if (GetParam() == 0.0) {
-    EXPECT_TRUE(engine.fault_log().empty());
+    EXPECT_EQ(run.value()->metrics().fault_events(), 0);
     EXPECT_EQ(run.value()->metrics().degraded_rounds(), 0);
   } else {
-    EXPECT_FALSE(engine.fault_log().empty());
+    EXPECT_GT(run.value()->metrics().fault_events(), 0);
     EXPECT_GT(run.value()->metrics().degraded_rounds(), 0);
     // Only genuinely delivering rounds feed the bandit: voided rounds
     // never contribute observations, so every degraded round still left
@@ -166,60 +162,6 @@ TEST(FaultDeterminismTest, ArmedRunsReplayBitForBit) {
   }
 }
 
-// The quarantine gate and reliability bookkeeping run whenever a tracker is
-// present — a borrowed tracker with zero fault rates must therefore leave
-// every round bit-for-bit identical to a plain, uninjected engine.
-TEST(FaultFreePathTest, ZeroRateTrackerIsBitForBitTransparent) {
-  MechanismConfig mc = SmallConfig(/*seed=*/31, /*rounds=*/80);
-  ASSERT_FALSE(mc.faults.any());
-
-  auto make_env = [&]() {
-    auto env = bandit::QualityEnvironment::Create(mc.MakeEnvironmentConfig());
-    EXPECT_TRUE(env.ok());
-    return std::move(env).value();
-  };
-  auto make_policy = [&]() {
-    bandit::CucbOptions options;
-    options.num_sellers = mc.num_sellers;
-    options.num_selected = mc.num_selected;
-    auto policy = bandit::CucbPolicy::Create(options);
-    EXPECT_TRUE(policy.ok());
-    return std::make_unique<bandit::CucbPolicy>(std::move(policy).value());
-  };
-
-  auto plain_env = make_env();
-  auto plain = market::TradingEngine::Create(mc.MakeEngineConfig(),
-                                             &plain_env, make_policy());
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-
-  market::ReliabilityTracker tracker(mc.num_sellers, market::RecoveryOptions{});
-  market::EngineConfig gated_config = mc.MakeEngineConfig();
-  gated_config.reliability = &tracker;
-  auto gated_env = make_env();
-  auto gated = market::TradingEngine::Create(gated_config, &gated_env,
-                                             make_policy());
-  ASSERT_TRUE(gated.ok()) << gated.status().ToString();
-
-  for (std::int64_t round = 0; round < mc.num_rounds; ++round) {
-    auto a = plain.value()->RunRound();
-    auto b = gated.value()->RunRound();
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a.value().selected, b.value().selected);
-    EXPECT_EQ(a.value().consumer_price, b.value().consumer_price);
-    EXPECT_EQ(a.value().collection_price, b.value().collection_price);
-    EXPECT_EQ(a.value().tau, b.value().tau);
-    EXPECT_EQ(a.value().consumer_profit, b.value().consumer_profit);
-    EXPECT_EQ(a.value().platform_profit, b.value().platform_profit);
-    EXPECT_EQ(a.value().observed_quality_revenue,
-              b.value().observed_quality_revenue);
-    EXPECT_FALSE(b.value().degraded);
-    EXPECT_TRUE(b.value().faults.empty());
-  }
-  EXPECT_EQ(gated.value()->fault_log().size(), 0u);
-  EXPECT_EQ(tracker.total_faults(), 0);
-}
-
 TEST(FaultBudgetTest, BudgetStopIsCleanAndVisibleInTheFaultLog) {
   MechanismConfig config = SmallConfig(/*seed=*/5, /*rounds=*/200);
   config.consumer_budget = 5000.0;  // exhausts well before 200 rounds
@@ -235,10 +177,7 @@ TEST(FaultBudgetTest, BudgetStopIsCleanAndVisibleInTheFaultLog) {
   EXPECT_GT(rounds_seen, 0);
 
   const market::TradingEngine& engine = run.value()->engine();
-  ASSERT_EQ(engine.fault_count(market::FaultKind::kBudgetStop), 1);
-  const market::FaultEvent& stop = engine.fault_log().back();
-  EXPECT_EQ(stop.kind, market::FaultKind::kBudgetStop);
-  EXPECT_TRUE(stop.recovered);
+  EXPECT_EQ(engine.fault_count(market::FaultKind::kBudgetStop), 1);
 }
 
 // The issue's acceptance campaign: a long run at a 30% default rate (side

@@ -8,6 +8,7 @@
 #include "core/cmab_hs.h"
 #include "market/trading_engine.h"
 #include "stats/rng.h"
+#include "support/run_engine.h"
 
 namespace cdt {
 namespace market {
@@ -76,7 +77,7 @@ TEST(BudgetTest, NegativeBudgetRejected) {
 TEST(BudgetTest, ZeroBudgetMeansUnlimited) {
   auto env = MakeEnv();
   auto engine = MakeEngine(&env, 0.0);
-  ASSERT_TRUE(engine->RunAll().ok());
+  ASSERT_TRUE(testsupport::RunEngineToEnd(engine.get()).ok());
   EXPECT_EQ(engine->current_round(), 100);
   EXPECT_FALSE(engine->budget_exhausted());
   EXPECT_GT(engine->ledger().ConsumerOutflow(), 0.0);
@@ -86,12 +87,13 @@ TEST(BudgetTest, StopsWhenBudgetRunsOut) {
   // First find the unconstrained spend, then re-run with half the budget.
   auto env_probe = MakeEnv();
   auto probe = MakeEngine(&env_probe, 0.0);
-  ASSERT_TRUE(probe->RunAll().ok());
+  ASSERT_TRUE(testsupport::RunEngineToEnd(probe.get()).ok());
   double full_spend = probe->ledger().ConsumerOutflow();
 
   auto env = MakeEnv();
   auto engine = MakeEngine(&env, full_spend / 2.0);
-  ASSERT_TRUE(engine->RunAll().ok());  // clean stop, not an error
+  // A clean stop, not an error.
+  ASSERT_TRUE(testsupport::RunEngineToEnd(engine.get()).ok());
   EXPECT_TRUE(engine->budget_exhausted());
   EXPECT_LT(engine->current_round(), 100);
   EXPECT_GT(engine->current_round(), 0);
@@ -134,8 +136,8 @@ TEST(BudgetTest, LargerBudgetBuysMoreRounds) {
   auto env_b = MakeEnv();
   auto small = MakeEngine(&env_a, 2000.0);
   auto large = MakeEngine(&env_b, 8000.0);
-  ASSERT_TRUE(small->RunAll().ok());
-  ASSERT_TRUE(large->RunAll().ok());
+  ASSERT_TRUE(testsupport::RunEngineToEnd(small.get()).ok());
+  ASSERT_TRUE(testsupport::RunEngineToEnd(large.get()).ok());
   EXPECT_LE(small->current_round(), large->current_round());
 }
 

@@ -373,17 +373,6 @@ TEST(ReliabilityTrackerTest, DeliveryRateAndTotals) {
   EXPECT_EQ(tracker.seller(1).quarantine_drops, 1);
 }
 
-TEST(ReliabilityTrackerTest, QuarantineAvailabilityAdapterMatchesGate) {
-  ReliabilityTracker tracker(3, BreakerOptions());
-  bandit::AvailabilityFn gate = QuarantineAvailability(&tracker);
-  for (std::int64_t round = 1; round <= 3; ++round) {
-    tracker.RecordFault(2, round, FaultKind::kSellerDefault);
-  }
-  EXPECT_TRUE(gate(0, 5));
-  EXPECT_FALSE(gate(2, 5));
-  EXPECT_TRUE(gate(2, 13));
-}
-
 TEST(ReliabilityTrackerTest, RestoreRejectsAFaultTotalOffTheSellerSum) {
   ReliabilityTracker source(3, BreakerOptions());
   source.RecordFault(0, 1, FaultKind::kSellerDefault);

@@ -19,6 +19,7 @@
 #include "stats/rng.h"
 #include "support/generators.h"
 #include "support/reference_stackelberg.h"
+#include "support/run_engine.h"
 
 namespace cdt {
 namespace market {
@@ -881,7 +882,7 @@ TEST(InvariantCheckerEngineTest, CustomObserversSeeEveryRound) {
       engine.value()->AddObserver(std::move(counting)));
   counter->set_fail_round(4);
 
-  util::Status status = engine.value()->RunAll();
+  util::Status status = testsupport::RunEngineToEnd(engine.value().get());
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("observer rejected round"),
             std::string::npos);

@@ -11,6 +11,7 @@
 #include "bandit/nonstationary_policies.h"
 #include "stats/rng.h"
 #include "support/reference_collect.h"
+#include "support/run_engine.h"
 
 namespace cdt {
 namespace market {
@@ -151,7 +152,7 @@ TEST(TradingEngineTest, LedgerConservesMoneyAcrossRun) {
   auto env = MakeEnvironment();
   auto engine = TradingEngine::Create(MakeConfig(30), &env, MakeCucb());
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE(engine.value()->RunAll().ok());
+  ASSERT_TRUE(testsupport::RunEngineToEnd(engine.value().get()).ok());
   const Ledger& ledger = engine.value()->ledger();
   EXPECT_NEAR(ledger.NetPosition(), 0.0, 1e-6);
   EXPECT_GT(ledger.ConsumerOutflow(), 0.0);
@@ -168,8 +169,9 @@ TEST(TradingEngineTest, PaymentsMatchReports) {
   ASSERT_TRUE(engine.ok());
   double expected_outflow = 0.0;
   double expected_seller_inflow = 0.0;
-  ASSERT_TRUE(engine.value()
-                  ->RunAll([&](const RoundReport& report) {
+  ASSERT_TRUE(testsupport::RunEngineToEnd(
+                  engine.value().get(),
+                  [&](const RoundReport& report) {
                     expected_outflow +=
                         report.consumer_price * report.total_time;
                     for (double tau : report.tau) {
@@ -188,7 +190,7 @@ TEST(TradingEngineTest, StopsAfterConfiguredRounds) {
   auto env = MakeEnvironment();
   auto engine = TradingEngine::Create(MakeConfig(3), &env, MakeCucb());
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE(engine.value()->RunAll().ok());
+  ASSERT_TRUE(testsupport::RunEngineToEnd(engine.value().get()).ok());
   EXPECT_EQ(engine.value()->current_round(), 3);
   EXPECT_FALSE(engine.value()->RunRound().ok());
 }

@@ -25,6 +25,7 @@
 #include "persist/recorder.h"
 #include "persist/replay.h"
 #include "persist/serialize.h"
+#include "support/run_engine.h"
 #include "support/transfer_trail.h"
 
 namespace cdt {
@@ -200,9 +201,10 @@ CorruptionDigests RunCorruptionCampaign() {
   EXPECT_TRUE(run.ok()) << run.status().ToString();
   if (!run.ok()) return digests;
   market::TradingEngine& engine = run.value()->mutable_engine();
-  util::Status status = engine.RunAll([&](const market::RoundReport& report) {
-    digests.rounds = Crc32(CanonicalRoundBytes(report), digests.rounds);
-  });
+  util::Status status = testsupport::RunEngineToEnd(
+      &engine, [&](const market::RoundReport& report) {
+        digests.rounds = Crc32(CanonicalRoundBytes(report), digests.rounds);
+      });
   EXPECT_TRUE(status.ok()) << status.ToString();
   std::string snapshot;
   EncodeEngineSnapshot(engine.CaptureSnapshot(), &snapshot);

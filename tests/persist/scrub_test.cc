@@ -170,9 +170,11 @@ TEST_F(ScrubTest, RepairIsIdempotentAtEveryTearPoint) {
     EXPECT_EQ(LogBytes(), once)
         << "cut " << cut << ": second scrub changed bytes";
     auto run = LoadRecordedRun(log_path_, /*allow_torn_tail=*/true);
-    EXPECT_TRUE(run.ok()) << "cut " << cut << ": repaired log does not "
+    ASSERT_TRUE(run.ok()) << "cut " << cut << ": repaired log does not "
                           << "load: " << run.status().ToString();
-    auto writer = EventLogWriter::OpenForAppend(log_path_);
+    ASSERT_FALSE(run.value().sealed) << "cut " << cut;
+    // Recovery's reattach: the loaded log's tail.
+    auto writer = EventLogWriter::OpenForAppend(log_path_, run.value().tail());
     EXPECT_TRUE(writer.ok()) << "cut " << cut << ": writer cannot reattach "
                              << "to a scrubbed log: "
                              << writer.status().ToString();
@@ -183,9 +185,11 @@ TEST_F(ScrubTest, RepairIsIdempotentAtEveryTearPoint) {
 }
 
 TEST_F(ScrubTest, ScrubReattachAndLoadGiveOneVerdict) {
-  // A log the scrubber passes must be one the writer may reattach to (if
-  // unsealed) and recovery can load; a log it quarantines must be refused
-  // by both, with the same status code.
+  // A log the scrubber passes must be one recovery can load and, if
+  // unsealed, reattach a writer to through the loaded tail (truncating a
+  // torn final record); a sealed one loads as finished, which recovery
+  // keeps read-only. A log the scrubber quarantines must fail the load,
+  // so no writer ever reattaches to it.
   struct Case {
     const char* name;
     std::string bytes;
@@ -226,15 +230,15 @@ TEST_F(ScrubTest, ScrubReattachAndLoadGiveOneVerdict) {
     auto scrub = ScrubEventLogFile(log_path_, report_only);
     ASSERT_TRUE(scrub.ok()) << scrub.status().ToString();
     auto load = LoadRecordedRun(log_path_, /*allow_torn_tail=*/true);
-    // Last: reattaching truncates a torn tail.
-    auto reattach = EventLogWriter::OpenForAppend(log_path_);
     if (c.quarantine_reason != nullptr) {
       EXPECT_EQ(scrub.value().health, ArtifactHealth::kQuarantined);
       EXPECT_EQ(scrub.value().detail, c.quarantine_reason);
       EXPECT_FALSE(load.ok());
-      EXPECT_FALSE(reattach.ok());
-      EXPECT_EQ(reattach.status().code(), load.status().code())
-          << reattach.status().ToString() << " vs "
+      // The load and a fresh scan refuse the log for the same reason.
+      auto bytes = ReadFileBytes(log_path_);
+      ASSERT_TRUE(bytes.ok());
+      EXPECT_EQ(ScanEventLog(bytes.value()).status.code(),
+                load.status().code())
           << load.status().ToString();
       continue;
     }
@@ -245,12 +249,12 @@ TEST_F(ScrubTest, ScrubReattachAndLoadGiveOneVerdict) {
     EXPECT_EQ(scrub.value().sealed, c.sealed);
     ASSERT_TRUE(load.ok()) << load.status().ToString();
     EXPECT_EQ(load.value().sealed, c.sealed);
-    if (c.sealed) {
-      EXPECT_EQ(reattach.status().code(),
-                util::StatusCode::kFailedPrecondition);
-    } else {
-      EXPECT_TRUE(reattach.ok()) << reattach.status().ToString();
-    }
+    if (c.sealed) continue;
+    // Last: reattaching truncates a torn tail.
+    auto reattach =
+        EventLogWriter::OpenForAppend(log_path_, load.value().tail());
+    ASSERT_TRUE(reattach.ok()) << reattach.status().ToString();
+    EXPECT_EQ(LogBytes().size(), load.value().valid_end);
   }
 }
 
@@ -413,17 +417,9 @@ TEST_F(ScrubTest, ReportOnlyDirectoryScrubLeavesOrphanTempsInPlace) {
   EXPECT_EQ(repairing.value().orphan_temps_found, 1);
   EXPECT_EQ(repairing.value().orphan_temps_removed, 1);
   EXPECT_FALSE(fs::exists(temp_path));
-}
-
-TEST_F(ScrubTest, SweepOrphanTempFilesRemovesOnlyTemps) {
-  {
-    std::ofstream out(dir_ + "/a.cdtlog.tmp");
-    out << "x";
-  }
-  auto swept = SweepOrphanTempFiles(dir_);
-  ASSERT_TRUE(swept.ok());
-  EXPECT_EQ(swept.value(), 1);
-  EXPECT_TRUE(fs::exists(log_path_));  // real artifacts untouched
+  // The sweep removes only temps: the real artifacts stay.
+  EXPECT_TRUE(fs::exists(log_path_));
+  EXPECT_EQ(LogBytes(), pristine_);
 }
 
 }  // namespace

@@ -35,31 +35,6 @@ TEST(UcbRadiusTest, GuardsTinyTotals) {
   EXPECT_GT(UcbRadius(1, 1, 2.0), 0.0);
 }
 
-TEST(HoeffdingTailTest, DecreasesInDeviation) {
-  EXPECT_GT(HoeffdingTailBound(100, 1.0), HoeffdingTailBound(100, 5.0));
-}
-
-TEST(HoeffdingTailTest, TrivialCases) {
-  EXPECT_DOUBLE_EQ(HoeffdingTailBound(0, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(HoeffdingTailBound(10, 0.0), 1.0);
-}
-
-TEST(HoeffdingTailTest, MatchesClosedForm) {
-  // P <= exp(-2 a^2 / n) with a = 3, n = 50.
-  EXPECT_NEAR(HoeffdingTailBound(50, 3.0), std::exp(-18.0 / 50.0), 1e-12);
-}
-
-TEST(HoeffdingHalfWidthTest, ShrinksWithSamples) {
-  EXPECT_GT(HoeffdingHalfWidth(10, 0.05), HoeffdingHalfWidth(1000, 0.05));
-  EXPECT_TRUE(std::isinf(HoeffdingHalfWidth(0, 0.05)));
-}
-
-TEST(HoeffdingHalfWidthTest, CoverageSemantics) {
-  // 95% CI for n=200 Bernoulli-like variables ~ 0.096.
-  EXPECT_NEAR(HoeffdingHalfWidth(200, 0.05),
-              std::sqrt(std::log(40.0) / 400.0), 1e-12);
-}
-
 }  // namespace
 }  // namespace stats
 }  // namespace cdt

@@ -129,17 +129,6 @@ TEST(ZipfSamplerTest, ZeroExponentIsUniform) {
   for (int c : counts) EXPECT_NEAR(c, kDraws / 4, kDraws / 50);
 }
 
-TEST(ExponentialTest, MeanIsInverseRate) {
-  Xoshiro256 rng(13);
-  RunningSummary summary;
-  for (int i = 0; i < 100000; ++i) {
-    double x = SampleExponential(rng, 2.0);
-    EXPECT_GE(x, 0.0);
-    summary.Add(x);
-  }
-  EXPECT_NEAR(summary.mean(), 0.5, 0.01);
-}
-
 }  // namespace
 }  // namespace stats
 }  // namespace cdt

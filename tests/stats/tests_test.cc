@@ -1,4 +1,4 @@
-#include "stats/tests.h"
+#include "support/stats_tests.h"
 
 #include <cmath>
 
@@ -10,6 +10,12 @@
 namespace cdt {
 namespace stats {
 namespace {
+
+using testsupport::ChiSquareGoodnessOfFit;
+using testsupport::ChiSquareSurvival;
+using testsupport::KolmogorovSmirnovPValue;
+using testsupport::KolmogorovSmirnovStatistic;
+using testsupport::RegularizedGammaP;
 
 TEST(RegularizedGammaPTest, KnownValues) {
   // P(1, x) = 1 − e^{−x}.

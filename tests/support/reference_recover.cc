@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "market/trading_engine.h"
+#include "persist/atomic_io.h"
 #include "persist/replay.h"
 
 namespace cdt {
@@ -84,7 +85,14 @@ Result<ReferenceRecovery> ReferenceRecoverMarketplace(
   apply_flips_through(std::numeric_limits<std::int64_t>::max());
   if (recorded.sealed) return recovery;
 
-  auto log = persist::EventLogWriter::OpenForAppend(log_path);
+  // Reattach from a second read and scan of the log.
+  auto bytes = persist::ReadFileBytes(log_path);
+  CDT_RETURN_NOT_OK(bytes.status());
+  const persist::EventLogScan scan = persist::ScanEventLog(bytes.value());
+  CDT_RETURN_NOT_OK(scan.status);
+  auto log = persist::EventLogWriter::OpenForAppend(
+      log_path, {scan.valid_end, scan.base_round, scan.round_count,
+                 scan.config_crc, scan.rolling_crc});
   CDT_RETURN_NOT_OK(log.status());
   recovery.log = std::move(log).value();
   auto journal_writer = runtime::JournalWriter::Open(journal_path);

@@ -1,10 +1,10 @@
-#include "stats/tests.h"
+#include "support/stats_tests.h"
 
 #include <algorithm>
 #include <cmath>
 
 namespace cdt {
-namespace stats {
+namespace testsupport {
 
 using util::Result;
 using util::Status;
@@ -124,5 +124,5 @@ double KolmogorovSmirnovPValue(double d, std::size_t n) {
   return std::min(1.0, std::max(0.0, 2.0 * sum));
 }
 
-}  // namespace stats
+}  // namespace testsupport
 }  // namespace cdt

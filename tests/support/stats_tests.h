@@ -1,9 +1,9 @@
-// Goodness-of-fit helpers used by the test suite and the trace generator's
-// self-checks: Pearson chi-square against expected bin probabilities and
-// the one-sample Kolmogorov–Smirnov statistic against an arbitrary CDF.
+// Goodness-of-fit helpers for the statistical tests of the samplers and the
+// synthetic trace: Pearson chi-square against expected bin probabilities
+// and the one-sample Kolmogorov–Smirnov statistic against an arbitrary CDF.
 
-#ifndef CDT_STATS_TESTS_H_
-#define CDT_STATS_TESTS_H_
+#ifndef CDT_TESTS_SUPPORT_STATS_TESTS_H_
+#define CDT_TESTS_SUPPORT_STATS_TESTS_H_
 
 #include <cstdint>
 #include <functional>
@@ -12,7 +12,7 @@
 #include "util/status.h"
 
 namespace cdt {
-namespace stats {
+namespace testsupport {
 
 /// Result of a chi-square goodness-of-fit computation.
 struct ChiSquareResult {
@@ -45,7 +45,7 @@ double KolmogorovSmirnovPValue(double d, std::size_t n);
 /// the building block of ChiSquareSurvival. Domain: a > 0, x >= 0.
 double RegularizedGammaP(double a, double x);
 
-}  // namespace stats
+}  // namespace testsupport
 }  // namespace cdt
 
-#endif  // CDT_STATS_TESTS_H_
+#endif  // CDT_TESTS_SUPPORT_STATS_TESTS_H_

@@ -10,7 +10,7 @@
 
 #include "bandit/environment.h"
 #include "stats/distributions.h"
-#include "stats/tests.h"
+#include "support/stats_tests.h"
 #include "trace/generator.h"
 
 namespace cdt {
@@ -34,7 +34,7 @@ TEST(TraceStatisticsTest, PickupZonesFollowConfiguredZipf) {
   for (int k = 0; k < 20; ++k) {
     expected[static_cast<std::size_t>(k)] = 1.0 / static_cast<double>(k + 1);
   }
-  auto result = stats::ChiSquareGoodnessOfFit(counts, expected);
+  auto result = testsupport::ChiSquareGoodnessOfFit(counts, expected);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result.value().p_value, 0.001)
       << "chi2=" << result.value().statistic;
@@ -58,7 +58,7 @@ TEST(TraceStatisticsTest, PickupZonesRejectWrongExponent) {
     wrong[static_cast<std::size_t>(k)] =
         1.0 / std::sqrt(static_cast<double>(k + 1));
   }
-  auto result = stats::ChiSquareGoodnessOfFit(counts, wrong);
+  auto result = testsupport::ChiSquareGoodnessOfFit(counts, wrong);
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result.value().p_value, 1e-6);
 }
@@ -75,10 +75,10 @@ TEST(TraceStatisticsTest, TimestampsUniformOverWindow) {
   for (const TripRecord& trip : trace.value().trips) {
     samples.push_back(static_cast<double>(trip.timestamp) / window);
   }
-  auto d = stats::KolmogorovSmirnovStatistic(
+  auto d = testsupport::KolmogorovSmirnovStatistic(
       samples, [](double x) { return std::min(1.0, std::max(0.0, x)); });
   ASSERT_TRUE(d.ok());
-  EXPECT_GT(stats::KolmogorovSmirnovPValue(d.value(), samples.size()),
+  EXPECT_GT(testsupport::KolmogorovSmirnovPValue(d.value(), samples.size()),
             0.001);
 }
 
@@ -97,9 +97,9 @@ TEST(TraceStatisticsTest, QualityObservationsMatchTruncatedGaussianCdf) {
     double zx = stats::NormalCdf((x - 0.7) / 0.15);
     return std::min(1.0, std::max(0.0, (zx - z0) / (z1 - z0)));
   };
-  auto d = stats::KolmogorovSmirnovStatistic(samples, cdf);
+  auto d = testsupport::KolmogorovSmirnovStatistic(samples, cdf);
   ASSERT_TRUE(d.ok());
-  EXPECT_GT(stats::KolmogorovSmirnovPValue(d.value(), samples.size()),
+  EXPECT_GT(testsupport::KolmogorovSmirnovPValue(d.value(), samples.size()),
             0.001);
 }
 

@@ -32,39 +32,6 @@ TEST(AlmostEqualTest, RelativeAndAbsolute) {
   EXPECT_TRUE(AlmostEqual(0.0, 1e-12));
 }
 
-TEST(SolveQuadraticTest, TwoRealRootsAscending) {
-  // (x-1)(x-3) = x^2 - 4x + 3
-  auto roots = SolveQuadratic(1.0, -4.0, 3.0);
-  ASSERT_EQ(roots.size(), 2u);
-  EXPECT_NEAR(roots[0], 1.0, 1e-12);
-  EXPECT_NEAR(roots[1], 3.0, 1e-12);
-}
-
-TEST(SolveQuadraticTest, DoubleRoot) {
-  auto roots = SolveQuadratic(1.0, -2.0, 1.0);
-  ASSERT_EQ(roots.size(), 1u);
-  EXPECT_NEAR(roots[0], 1.0, 1e-12);
-}
-
-TEST(SolveQuadraticTest, NoRealRoots) {
-  EXPECT_TRUE(SolveQuadratic(1.0, 0.0, 1.0).empty());
-}
-
-TEST(SolveQuadraticTest, LinearFallback) {
-  auto roots = SolveQuadratic(0.0, 2.0, -4.0);
-  ASSERT_EQ(roots.size(), 1u);
-  EXPECT_NEAR(roots[0], 2.0, 1e-12);
-}
-
-TEST(SolveQuadraticTest, NumericallyStableForSmallRoot) {
-  // x^2 - (1e8 + 1e-8)x + 1: roots ~1e8 and ~1e-8; the naive formula loses
-  // the small root to cancellation.
-  auto roots = SolveQuadratic(1.0, -(1e8 + 1e-8), 1.0);
-  ASSERT_EQ(roots.size(), 2u);
-  EXPECT_NEAR(roots[0], 1e-8, 1e-14);
-  EXPECT_NEAR(roots[1], 1e8, 1.0);
-}
-
 TEST(LinspaceTest, EvenSpacingWithExactEndpoints) {
   auto grid = Linspace(0.0, 1.0, 5);
   ASSERT_TRUE(grid.ok());

@@ -21,14 +21,6 @@ TEST(TablePrinterTest, AlignsColumns) {
   EXPECT_EQ(tp.num_rows(), 2u);
 }
 
-TEST(TablePrinterTest, NumericRowFormatsWithPrecision) {
-  TablePrinter tp({"a", "b"});
-  tp.AddNumericRow({1.23456, 2.0}, 2);
-  std::ostringstream os;
-  tp.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1.23,2.00\n");
-}
-
 TEST(TablePrinterDeathTest, RejectsWidthMismatch) {
   TablePrinter tp({"one", "two"});
   EXPECT_DEATH(tp.AddRow({"only-one"}), "row width");
