@@ -1,9 +1,10 @@
 // Micro-benchmarks for the persistence hot paths that set recovery time:
 // CRC-32 over a record, a round and a snapshot-sized buffer; snapshot
 // encode and decode at paper scale (M=300) and at M=1e5; reading a log
-// file; the one event-log scan over a recorded paper-scale run; and a
-// whole hosted recovery of a paper-scale marketplace. The *Reference rows
-// run the oracles kept in tests/support (the bytewise CRC-32, the
+// file; the one event-log scan over a recorded paper-scale run, and its
+// load (read, scan and decode of every round); and a whole hosted
+// recovery of a paper-scale marketplace. The *Reference rows run the
+// oracles kept in tests/support (the bytewise CRC-32, the
 // per-field snapshot encoder, the recovery that read its WAL files
 // twice), so each optimized/reference ratio comes from one run on one
 // host.
@@ -20,6 +21,7 @@
 #include "persist/atomic_io.h"
 #include "persist/codec.h"
 #include "persist/event_log.h"
+#include "persist/replay.h"
 #include "persist/serialize.h"
 #include "runtime/marketplace.h"
 #include "stats/rng.h"
@@ -171,6 +173,25 @@ void BM_ScanEventLog(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_ScanEventLog);
+
+// What recovery does with a log: read it, scan it, decode every round.
+void BM_LoadRecordedLog(benchmark::State& state) {
+  const std::string path = RecordPaperLog(kLogRounds);
+  std::size_t size = 0;
+  for (auto _ : state) {
+    auto log = persist::LoadRecordedLog(path);
+    if (!log.ok()) {
+      state.SkipWithError(log.status().ToString().c_str());
+      break;
+    }
+    size = log.value().valid_end;
+    benchmark::DoNotOptimize(log.value().rolling_crc);
+  }
+  std::filesystem::remove(path);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_LoadRecordedLog)->Unit(benchmark::kMicrosecond);
 
 // A hosted paper-scale marketplace (M sellers, K=10, L=10, checkpoint
 // every 100 rounds) that crashed after 2,950 rounds: its unsealed WAL

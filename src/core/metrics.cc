@@ -43,9 +43,7 @@ Status MetricsCollector::Record(const market::RoundReport& report) {
 
   if (report.degraded) ++degraded_rounds_;
   if (report.voided) ++voided_rounds_;
-  fault_events_ += static_cast<std::int64_t>(report.faults.size());
   for (const market::FaultEvent& event : report.faults) {
-    ++fault_counts_[static_cast<std::size_t>(event.kind)];
     if (event.seller < 0) continue;
     SellerFaultStats& stats = FaultStats(event.seller);
     switch (event.kind) {

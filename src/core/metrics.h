@@ -5,7 +5,6 @@
 #ifndef CDT_CORE_METRICS_H_
 #define CDT_CORE_METRICS_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -90,12 +89,9 @@ class MetricsCollector {
   }
 
   // --- fault / degradation accounting -------------------------------
+  // Per-kind fault totals are the engine's: TradingEngine::fault_count.
   std::int64_t degraded_rounds() const { return degraded_rounds_; }
   std::int64_t voided_rounds() const { return voided_rounds_; }
-  std::int64_t fault_events() const { return fault_events_; }
-  std::int64_t fault_count(market::FaultKind kind) const {
-    return fault_counts_[static_cast<std::size_t>(kind)];
-  }
   /// Indexed by seller; grows lazily to the largest seller seen.
   const std::vector<SellerFaultStats>& seller_faults() const {
     return seller_faults_;
@@ -117,8 +113,6 @@ class MetricsCollector {
   double observed_revenue_extra_ = 0.0;
   std::int64_t degraded_rounds_ = 0;
   std::int64_t voided_rounds_ = 0;
-  std::int64_t fault_events_ = 0;
-  std::array<std::int64_t, market::kNumFaultKinds> fault_counts_{};
   std::vector<SellerFaultStats> seller_faults_;
   std::vector<std::int64_t> checkpoint_rounds_;
   std::size_t next_checkpoint_ = 0;

@@ -308,7 +308,9 @@ EventLogScan ScanEventLog(std::string_view bytes) {
       break;
     }
     // The CRC covers the type byte and the payload.
-    if (Crc32(payload, Crc32(bytes.substr(pos, 1))) != stored_crc) {
+    const std::uint32_t type_crc = Crc32(bytes.substr(pos, 1));
+    const std::uint32_t record_crc = Crc32(payload, type_crc);
+    if (record_crc != stored_crc) {
       return fail("record_crc_mismatch",
                   Status::Corruption("event-log record CRC mismatch at "
                                      "offset " + std::to_string(pos)));
@@ -340,7 +342,13 @@ EventLogScan ScanEventLog(std::string_view bytes) {
                           std::to_string(last_round + 1) + ", got " +
                           std::to_string(round)));
         }
-        scan.rolling_crc = Crc32(payload, scan.rolling_crc);
+        // The rolling chain continues over the same payload from its own
+        // value instead of type_crc. The two CRCs differ by that change
+        // of seed carried over the payload, so the chain follows from
+        // the record CRC without a second pass: Crc32(payload, rolling).
+        scan.rolling_crc =
+            Crc32Combine(scan.rolling_crc ^ type_crc, record_crc,
+                         static_cast<std::uint32_t>(payload.size()));
         ++scan.round_count;
         break;
       }

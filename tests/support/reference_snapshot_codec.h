@@ -13,12 +13,22 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "market/snapshot.h"
+#include "persist/codec.h"
+#include "util/status.h"
 
 namespace cdt {
 namespace testsupport {
+
+/// A varint length, then the bytes: the field older writers gave each
+/// transfer's memo. No current format has a string field.
+void PutString(std::string* out, std::string_view value);
+
+/// Reads PutString's field back through the production reader.
+util::Status ReadString(persist::ByteReader* in, std::string* value);
 
 /// Appends the snapshot's canonical bytes to `out`, field by field.
 void ReferenceEncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
