@@ -34,41 +34,6 @@ Result<RunStatistics> Summarize(const std::vector<RoundReport>& rounds) {
   return stats;
 }
 
-std::vector<double> ExtractMetric(const std::vector<RoundReport>& rounds,
-                                  Metric metric) {
-  std::vector<double> out;
-  out.reserve(rounds.size());
-  for (const RoundReport& report : rounds) {
-    switch (metric) {
-      case Metric::kConsumerProfit:
-        out.push_back(report.consumer_profit);
-        break;
-      case Metric::kPlatformProfit:
-        out.push_back(report.platform_profit);
-        break;
-      case Metric::kSellerProfitTotal:
-        out.push_back(report.seller_profit_total);
-        break;
-      case Metric::kConsumerPrice:
-        out.push_back(report.consumer_price);
-        break;
-      case Metric::kCollectionPrice:
-        out.push_back(report.collection_price);
-        break;
-      case Metric::kTotalTime:
-        out.push_back(report.total_time);
-        break;
-      case Metric::kExpectedQualityRevenue:
-        out.push_back(report.expected_quality_revenue);
-        break;
-      case Metric::kObservedQualityRevenue:
-        out.push_back(report.observed_quality_revenue);
-        break;
-    }
-  }
-  return out;
-}
-
 Result<std::vector<double>> CumulativeRegretCurve(
     const std::vector<RoundReport>& rounds, double optimal_round_revenue) {
   if (optimal_round_revenue <= 0.0) {

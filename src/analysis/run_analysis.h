@@ -1,8 +1,7 @@
 // Offline analysis over recorded rounds (the market::RoundReport list that
 // persist::LoadRecordedRun decodes from an event log): summary statistics,
-// metric extraction, moving-average smoothing, cumulative regret curves and
-// selection-convergence detection. Lets users audit a long campaign from
-// its recording without re-simulation.
+// cumulative regret curves and selection-convergence detection. Lets users
+// audit a long campaign from its recording without re-simulation.
 
 #ifndef CDT_ANALYSIS_RUN_ANALYSIS_H_
 #define CDT_ANALYSIS_RUN_ANALYSIS_H_
@@ -34,22 +33,6 @@ struct RunStatistics {
 /// Aggregates a recorded run; errors on empty input.
 util::Result<RunStatistics> Summarize(
     const std::vector<market::RoundReport>& rounds);
-
-/// Selectable metric columns.
-enum class Metric {
-  kConsumerProfit,
-  kPlatformProfit,
-  kSellerProfitTotal,
-  kConsumerPrice,
-  kCollectionPrice,
-  kTotalTime,
-  kExpectedQualityRevenue,
-  kObservedQualityRevenue,
-};
-
-/// Extracts one metric column in round order.
-std::vector<double> ExtractMetric(
-    const std::vector<market::RoundReport>& rounds, Metric metric);
 
 /// Cumulative regret curve: prefix sums of
 /// (optimal_round_revenue − expected_quality_revenue). Initial-exploration

@@ -47,15 +47,6 @@ const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
-std::string FaultEvent::ToString() const {
-  std::ostringstream os;
-  os << "[" << FaultKindName(kind) << "] round " << round;
-  if (seller >= 0) os << " seller " << seller;
-  if (severity != 0.0) os << " severity=" << severity;
-  if (!recovered) os << " UNRECOVERED";
-  return os.str();
-}
-
 std::string EncodeFaultSummary(const std::vector<FaultEvent>& events) {
   std::ostringstream os;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -200,18 +191,6 @@ double BackoffDelay(const RecoveryOptions& options, int attempt) {
     if (delay >= options.backoff_cap) return options.backoff_cap;
   }
   return std::min(delay, options.backoff_cap);
-}
-
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kProbation:
-      return "probation";
-  }
-  return "unknown";
 }
 
 double SellerReliability::delivery_rate() const {

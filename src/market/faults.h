@@ -63,9 +63,6 @@ struct FaultEvent {
   double severity = 0.0;
   /// False when recovery could not absorb the fault (round voided).
   bool recovered = true;
-
-  /// "[partial] round 7 seller 3 severity=0.42".
-  std::string ToString() const;
 };
 
 /// Joins events as "kind:seller@severity" (';'-separated, '!' marks an
@@ -159,7 +156,6 @@ double BackoffDelay(const RecoveryOptions& options, int attempt);
 
 /// Circuit-breaker state of one seller.
 enum class BreakerState { kClosed, kOpen, kProbation };
-const char* BreakerStateName(BreakerState state);
 
 /// Per-seller reliability statistics plus breaker state.
 struct SellerReliability {

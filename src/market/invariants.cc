@@ -37,6 +37,14 @@ std::string InvariantViolation::ToString() const {
 
 namespace {
 
+/// Relative tolerance (with a max(1, ·) floor) for money accounting.
+constexpr double kLedgerTolerance = 1e-7;
+/// ε for individual rationality: Ψ_i >= −ε · max(1, p τ_i).
+constexpr double kIrEpsilon = 1e-7;
+/// Relative tolerance for stationarity/FOC residuals and for profit-value
+/// comparisons against the recomputed stage optima.
+constexpr double kStationarityTolerance = 1e-5;
+
 double RelScale(double a, double b) {
   return std::max({1.0, std::fabs(a), std::fabs(b)});
 }
@@ -50,14 +58,11 @@ std::string Num(double x) {
 
 }  // namespace
 
-InvariantChecker::InvariantChecker(InvariantOptions options)
-    : options_(options) {}
-
 void InvariantChecker::AddViolation(InvariantKind kind, std::int64_t round,
                                     std::string check, std::string detail,
                                     double magnitude) {
   ++violation_count_;
-  if (violations_.size() >= options_.max_violations) {
+  if (violations_.size() >= kMaxViolations) {
     truncated_ = true;
     return;
   }
@@ -149,8 +154,8 @@ Status InvariantChecker::Check(const EngineStateView& view,
     }
     if (view.ledger != nullptr) CheckLedger(view, report);
     CheckProfits(view, report);
-    if (options_.check_stationarity) CheckStationarity(view, report);
-    if (options_.check_bandit) CheckBandit(view, report);
+    CheckStationarity(view, report);
+    CheckBandit(view, report);
   }
   last_round_ = std::max(last_round_, report.round);
   return Outcome(before, report.round);
@@ -174,7 +179,7 @@ Status InvariantChecker::Outcome(std::size_t before,
 void InvariantChecker::CheckLedger(const EngineStateView& view,
                                    const RoundReport& report) {
   const Ledger& ledger = *view.ledger;
-  double tol = options_.ledger_tolerance;
+  double tol = kLedgerTolerance;
   auto expect_eq = [&](const char* check, double got, double want) {
     double residual = std::fabs(got - want);
     if (residual > tol * RelScale(got, want)) {
@@ -256,7 +261,7 @@ void InvariantChecker::CheckLedger(const EngineStateView& view,
 
 Status InvariantChecker::AuditLedger(const Ledger& ledger) {
   const std::size_t before = violation_count_;
-  const double tol = options_.ledger_tolerance;
+  const double tol = kLedgerTolerance;
   // Double-entry: the sum of all balances cancels to zero. The residual is
   // pure floating-point cancellation error, which grows with the total
   // money volume moved, so the tolerance scales with the cumulative flows
@@ -291,7 +296,7 @@ Status InvariantChecker::AuditLedger(const Ledger& ledger) {
 
 void InvariantChecker::CheckProfits(const EngineStateView& view,
                                     const RoundReport& report) {
-  double tol = options_.ledger_tolerance;
+  double tol = kLedgerTolerance;
   auto expect_eq = [&](const char* check, double got, double want) {
     double residual = std::fabs(got - want);
     if (residual > tol * RelScale(got, want)) {
@@ -370,7 +375,7 @@ void InvariantChecker::CheckProfits(const EngineStateView& view,
   if (!report.initial_exploration) {
     for (std::size_t j = 0; j < report.selected.size(); ++j) {
       double payment = report.collection_price * report.tau[j];
-      double floor = -options_.ir_epsilon * std::max(1.0, std::fabs(payment));
+      double floor = -kIrEpsilon * std::max(1.0, std::fabs(payment));
       if (report.seller_profits[j] < floor) {
         AddViolation(InvariantKind::kIndividualRationality, report.round,
                      "ir.seller",
@@ -532,7 +537,7 @@ void InvariantChecker::CheckStationarity(const EngineStateView& view,
   if (report.initial_exploration || report.voided) return;
   if (view.seller_costs == nullptr) return;
 
-  double tol = options_.stationarity_tolerance;
+  double tol = kStationarityTolerance;
   double pj = report.consumer_price;
   double p = report.collection_price;
 
@@ -753,7 +758,7 @@ void InvariantChecker::CheckConsumerPrice(const EngineStateView& view,
                                           double mean_quality,
                                           double supply) {
   constexpr double kNone = -std::numeric_limits<double>::infinity();
-  const double tol = options_.stationarity_tolerance;
+  const double tol = kStationarityTolerance;
   const double pj = report.consumer_price;
   const double x_lo = view.consumer_price_bounds.lo;
   const double x_hi = view.consumer_price_bounds.hi;
@@ -1028,8 +1033,7 @@ void InvariantChecker::CheckBandit(const EngineStateView& view,
     double increment =
         view.oracle_round_revenue - report.expected_quality_revenue;
     double slack =
-        options_.ledger_tolerance *
-        std::max(1.0, std::fabs(view.oracle_round_revenue));
+        kLedgerTolerance * std::max(1.0, std::fabs(view.oracle_round_revenue));
     if (increment < -slack) {
       AddViolation(InvariantKind::kBanditSanity, report.round,
                    "bandit.regret_monotone",

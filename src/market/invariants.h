@@ -77,25 +77,6 @@ struct InvariantViolation {
   std::string ToString() const;
 };
 
-/// Tolerances and toggles for the shipped checker.
-struct InvariantOptions {
-  /// Relative tolerance (with a max(1, ·) floor) for money accounting.
-  double ledger_tolerance = 1e-7;
-  /// ε for individual rationality: Ψ_i >= −ε · max(1, p τ_i).
-  double ir_epsilon = 1e-7;
-  /// Relative tolerance for stationarity/FOC residuals and for profit-value
-  /// comparisons against the recomputed stage optima.
-  double stationarity_tolerance = 1e-5;
-  /// Stationarity rebuilds the round's supply curve (in O(K) from a
-  /// proof's kink order, else by sorting its kinks); disable when only
-  /// accounting invariants are of interest.
-  bool check_stationarity = true;
-  bool check_bandit = true;
-  /// Stop recording after this many violations (reporting stays truthful
-  /// about the overflow through violations_truncated()).
-  std::size_t max_violations = 32;
-};
-
 /// Everything the checker reads from the engine after one round. Decoupled
 /// from TradingEngine so tests can fabricate inconsistent states (mutated
 /// ledger entries, doctored reports) and assert they are detected.
@@ -137,7 +118,10 @@ class RoundObserver {
 /// so it must observe a run from its first round.
 class InvariantChecker : public RoundObserver {
  public:
-  explicit InvariantChecker(InvariantOptions options = {});
+  /// Violations recorded before the checker stops keeping records
+  /// (reporting stays truthful about the overflow through
+  /// violations_truncated()).
+  static constexpr std::size_t kMaxViolations = 32;
 
   /// Builds the EngineStateView from the live engine and calls Check();
   /// after the run's last round also AuditLedger().
@@ -170,11 +154,10 @@ class InvariantChecker : public RoundObserver {
     return violations_;
   }
   /// Total violations observed (can exceed violations().size() once the
-  /// max_violations cap truncates the stored records).
+  /// kMaxViolations cap truncates the stored records).
   std::size_t violation_count() const { return violation_count_; }
-  /// True when more violations occurred than max_violations kept.
+  /// True when more violations occurred than kMaxViolations kept.
   bool violations_truncated() const { return truncated_; }
-  const InvariantOptions& options() const { return options_; }
 
   // --- individual invariant families (each appends violations) ---
 
@@ -222,7 +205,6 @@ class InvariantChecker : public RoundObserver {
                           const RoundReport& report, double mean_quality,
                           double supply);
 
-  InvariantOptions options_;
   std::vector<InvariantViolation> violations_;
   std::size_t violation_count_ = 0;
   bool truncated_ = false;

@@ -43,11 +43,6 @@ void Counter::Add(double v) {
   AtomicAdd(&value_, v);
 }
 
-void Gauge::Add(double v) {
-  if (!std::isfinite(v)) return;
-  AtomicAdd(&value_, v);
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)) {
   CDT_CHECK(!bounds_.empty()) << "histogram needs >= 1 bucket bound";

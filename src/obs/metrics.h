@@ -42,7 +42,6 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double v);
   double value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 

@@ -28,7 +28,6 @@ void IoHooks::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   faults_.clear();
   for (int i = 0; i < kNumIoOps; ++i) counters_[i] = 0;
-  injected_ = 0;
   enabled_.store(false, std::memory_order_relaxed);
 }
 
@@ -40,7 +39,6 @@ IoDecision IoHooks::Check(IoOp op) {
     if (fault.op != op) continue;
     if (index < fault.from_index) continue;
     if (fault.count != 0 && index - fault.from_index >= fault.count) continue;
-    ++injected_;
     IoDecision decision;
     if (op == IoOp::kRead && fault.error == 0) {
       decision.bitrot = true;
@@ -57,11 +55,6 @@ IoDecision IoHooks::Check(IoOp op) {
 std::uint64_t IoHooks::ops_seen(IoOp op) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_[static_cast<int>(op)];
-}
-
-std::uint64_t IoHooks::faults_injected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return injected_;
 }
 
 void ApplyBitRot(const IoDecision& decision, std::string* bytes) {

@@ -86,9 +86,6 @@ class IoHooks {
   /// Operations of class `op` observed since the last Reset.
   std::uint64_t ops_seen(IoOp op) const;
 
-  /// Total faults injected since the last Reset.
-  std::uint64_t faults_injected() const;
-
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
  private:
@@ -97,7 +94,6 @@ class IoHooks {
   std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;
   std::uint64_t counters_[kNumIoOps] = {0, 0, 0, 0};
-  std::uint64_t injected_ = 0;
   std::vector<IoFault> faults_;
 };
 

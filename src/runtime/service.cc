@@ -19,6 +19,9 @@ using util::Status;
 
 namespace {
 
+/// kBlock: how long Submit waits for queue space before it sheds.
+constexpr std::chrono::milliseconds kBlockTimeout{100};
+
 /// mkdir -p: nested WAL paths are valid (e.g. per-run subdirectories).
 Status EnsureDirectory(const std::string& path) {
   std::error_code ec;
@@ -66,7 +69,6 @@ Result<std::unique_ptr<MarketplaceService>> MarketplaceService::Create(
   if (options.wal_dir.empty()) {
     return Status::InvalidArgument("MarketplaceService needs a wal_dir");
   }
-  CDT_RETURN_NOT_OK(options.recovery_breaker.Validate());
   CDT_RETURN_NOT_OK(EnsureDirectory(options.wal_dir));
 
   std::unique_ptr<MarketplaceService> service(
@@ -99,7 +101,6 @@ Result<std::unique_ptr<MarketplaceService>> MarketplaceService::Create(
     shard_options.marketplace.snapshot_every = opts.snapshot_every;
     shard_options.marketplace.durability = opts.durability;
     shard_options.max_rounds_per_dispatch = opts.max_rounds_per_dispatch;
-    shard_options.recovery_breaker = opts.recovery_breaker;
     shard_options.coalescer =
         opts.shed_policy == ShedPolicy::kCoalesceTicks ? &service->coalescer_
                                                        : nullptr;
@@ -209,8 +210,7 @@ MarketplaceService::Admission MarketplaceService::Submit(Event event) {
 
   EventQueue::PushResult pushed;
   if (options_.shed_policy == ShedPolicy::kBlock) {
-    pushed = queue.PushWithTimeout(std::move(event),
-                                   options_.block_timeout);
+    pushed = queue.PushWithTimeout(std::move(event), kBlockTimeout);
   } else {
     pushed = queue.TryPush(std::move(event));
   }

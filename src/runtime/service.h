@@ -14,8 +14,8 @@
 //                       kRejectNewest drops the event (reason "overload"),
 //                       kCoalesceTicks parks round ticks for merged
 //                       execution later (nothing lost, "coalesced"),
-//                       kBlock waits up to block_timeout for space, then
-//                       sheds (reason "timeout").
+//                       kBlock waits up to 100 ms for space, then sheds
+//                       (reason "timeout").
 //
 // Every shed is counted in cdt_runtime_shed_total{reason} and in the
 // per-reason map GetStats() returns, so overload behaviour is exact and
@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "market/faults.h"
 #include "runtime/durability.h"
 #include "runtime/event.h"
 #include "runtime/shard.h"
@@ -62,12 +61,8 @@ class MarketplaceService {
     bool scrub_on_start = true;
     std::int64_t max_rounds_per_dispatch = 64;
     ShedPolicy shed_policy = ShedPolicy::kRejectNewest;
-    /// kBlock: how long Submit may wait for queue space.
-    std::chrono::milliseconds block_timeout{100};
     /// Concurrent marketplaces the service admits; 0 = unlimited.
     int max_marketplaces = 0;
-    /// Crash-loop breaker knobs (see ShardWorker::Options).
-    market::RecoveryOptions recovery_breaker;
     std::chrono::milliseconds stall_threshold{500};
     /// Watchdog sweep period; 0 disables the background watchdog (tests
     /// drive supervisor().PollOnce() themselves).
@@ -92,7 +87,8 @@ class MarketplaceService {
   /// Starts workers + watchdog (idempotent).
   void Start();
 
-  /// Admission-controlled submit; never blocks beyond block_timeout.
+  /// Admission-controlled submit; under kBlock it waits at most 100 ms
+  /// for queue space, and it never blocks otherwise.
   Admission Submit(Event event);
 
   /// Graceful shutdown: stop admitting, drain every queue (workers seal

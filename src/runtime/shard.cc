@@ -20,6 +20,15 @@ std::int64_t SteadyNowNs() {
       .count();
 }
 
+/// Queue wait per loop iteration, and so the heartbeat cadence when idle.
+constexpr std::chrono::milliseconds kPopTimeout{20};
+
+/// A recovery that fails with an IO error is tried this many times in all,
+/// sleeping 5, then 10 ms between tries (doubling, capped at 50 ms).
+constexpr int kRecoveryAttempts = 3;
+constexpr std::chrono::milliseconds kRecoveryBackoff{5};
+constexpr std::chrono::milliseconds kRecoveryBackoffCap{50};
+
 /// Service-wide shed counter, labelled by reason (shared with service.cc
 /// via the registry — same name + labels resolves to the same handle).
 obs::Counter* ShedCounter(const char* reason) {
@@ -196,45 +205,35 @@ void ShardWorker::Beat() {
 
 void ShardWorker::PublishState(const std::string& id,
                                HostedMarketplace::State state) {
-  if (options_.directory != nullptr) options_.directory->Publish(id, state);
-}
-
-market::ReliabilityTracker* ShardWorker::BreakerFor(const std::string& id) {
-  auto it = breakers_.find(id);
-  if (it == breakers_.end()) {
-    it = breakers_
-             .emplace(id, std::make_unique<market::ReliabilityTracker>(
-                              1, options_.recovery_breaker))
-             .first;
-  }
-  return it->second.get();
+  options_.directory->Publish(id, state);
 }
 
 HostedMarketplace* ShardWorker::RecoverMarketplace(const std::string& id) {
-  market::ReliabilityTracker* breaker = BreakerFor(id);
   const auto seq = static_cast<std::int64_t>(
       events_processed_.load(std::memory_order_relaxed));
-  if (!breaker->Available(0, seq)) {
+  auto breaker = breakers_.find(id);
+  if (breaker != breakers_.end() && !breaker->second->Available(0, seq)) {
     // Crash-looping marketplace cooling down: shed instead of burning the
     // worker on recovery attempts that keep failing.
-    breaker->RecordQuarantineDrop(0);
+    breaker->second->RecordQuarantineDrop(0);
     ShedCounter("crashloop")->Increment();
     shed_by_worker_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
 
-  std::chrono::milliseconds backoff = options_.recovery_backoff;
+  std::chrono::milliseconds backoff = kRecoveryBackoff;
   Status status;
-  for (int attempt = 0; attempt < std::max(1, options_.recovery_attempts);
-       ++attempt) {
+  for (int attempt = 0; attempt < kRecoveryAttempts; ++attempt) {
     if (attempt > 0) {
       std::this_thread::sleep_for(backoff);
-      backoff = std::min(backoff * 2, options_.recovery_backoff_cap);
+      backoff = std::min(backoff * 2, kRecoveryBackoffCap);
       Beat();
     }
     auto recovered = HostedMarketplace::Recover(id, options_.marketplace);
     if (recovered.ok()) {
-      breaker->RecordDelivery(0, seq, /*partial=*/false);
+      if (breaker != breakers_.end()) {
+        breaker->second->RecordDelivery(0, seq, /*partial=*/false);
+      }
       recoveries_.fetch_add(1, std::memory_order_relaxed);
       recoveries_metric_->Increment();
       HostedMarketplace* marketplace = recovered.value().get();
@@ -247,14 +246,23 @@ HostedMarketplace* ShardWorker::RecoverMarketplace(const std::string& id) {
     // deterministic and will fail identically on every attempt.
     if (status.code() != StatusCode::kIoError) break;
   }
-  breaker->RecordFault(0, seq, market::FaultKind::kSettlementFailure);
-  if (status.code() == StatusCode::kNotFound ||
-      status.code() == StatusCode::kIoError) {
-    ShedCounter("unknown")->Increment();
-  } else {
-    ShedCounter("unrecoverable")->Increment();
-  }
   shed_by_worker_.fetch_add(1, std::memory_order_relaxed);
+  if (status.code() == StatusCode::kNotFound) {
+    // No WAL: an id that was never created here. Nothing failed, so no
+    // breaker is made or fed for it.
+    ShedCounter("unknown")->Increment();
+    return nullptr;
+  }
+  if (breaker == breakers_.end()) {
+    breaker = breakers_
+                  .emplace(id, std::make_unique<market::ReliabilityTracker>(
+                                   1, market::RecoveryOptions{}))
+                  .first;
+  }
+  breaker->second->RecordFault(0, seq, market::FaultKind::kSettlementFailure);
+  ShedCounter(status.code() == StatusCode::kIoError ? "unknown"
+                                                    : "unrecoverable")
+      ->Increment();
   return nullptr;
 }
 
@@ -348,11 +356,9 @@ void ShardWorker::ProcessEvent(const Event& event) {
     marketplaces_.erase(event.marketplace);
     marketplaces_metric_->Set(static_cast<double>(marketplaces_.size()));
   }
-  if (options_.directory != nullptr) {
-    quarantined_metric_->Set(static_cast<double>(
-        options_.directory->CountInState(
-            HostedMarketplace::State::kQuarantined)));
-  }
+  quarantined_metric_->Set(static_cast<double>(
+      options_.directory->CountInState(
+          HostedMarketplace::State::kQuarantined)));
   dispatch_metric_->Record(
       static_cast<double>(SteadyNowNs() - start_ns) * 1e-9);
 }
@@ -360,8 +366,7 @@ void ShardWorker::ProcessEvent(const Event& event) {
 void ShardWorker::Run() {
   for (;;) {
     Event event;
-    const EventQueue::PopResult popped =
-        queue_.Pop(&event, options_.pop_timeout);
+    const EventQueue::PopResult popped = queue_.Pop(&event, kPopTimeout);
     Beat();
     queue_depth_metric_->Set(static_cast<double>(queue_.size()));
     if (popped == EventQueue::PopResult::kDone) break;

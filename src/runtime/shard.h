@@ -102,18 +102,8 @@ class ShardWorker {
     /// Max trading rounds one dispatch executes before re-beating the
     /// heartbeat (deadline-bounded round processing). <= 0 = unbounded.
     std::int64_t max_rounds_per_dispatch = 64;
-    /// Queue wait per loop iteration — also the heartbeat cadence when
-    /// idle.
-    std::chrono::milliseconds pop_timeout{20};
-    /// Breaker knobs for crash-looping marketplace recovery (the
-    /// "round" fed to the tracker is the shard's event sequence number).
-    market::RecoveryOptions recovery_breaker;
-    /// Transient-IO retry schedule for a single recovery attempt.
-    int recovery_attempts = 3;
-    std::chrono::milliseconds recovery_backoff{5};
-    std::chrono::milliseconds recovery_backoff_cap{50};
-    /// Shared admission-side structures (owned by the service; may be
-    /// null in stand-alone tests).
+    /// Shared admission-side structures, owned by the service. The
+    /// coalescer is null unless the service coalesces ticks.
     TickCoalescer* coalescer = nullptr;
     StateDirectory* directory = nullptr;
   };
@@ -164,10 +154,9 @@ class ShardWorker {
   void Beat();
   void ProcessEvent(const Event& event);
   /// Recover with capped-backoff IO retries, gated by the crash-loop
-  /// breaker. Returns nullptr when recovery is impossible or gated (the
-  /// event is shed).
+  /// breaker. Returns nullptr when there is no WAL, or recovery fails or
+  /// is gated (the event is shed).
   HostedMarketplace* RecoverMarketplace(const std::string& id);
-  market::ReliabilityTracker* BreakerFor(const std::string& id);
   void PublishState(const std::string& id, HostedMarketplace::State state);
 
   Options options_;
@@ -176,7 +165,9 @@ class ShardWorker {
 
   // Worker-thread-only state.
   std::map<std::string, std::unique_ptr<HostedMarketplace>> marketplaces_;
-  /// Per-marketplace crash-loop breaker (1 "seller" = the marketplace).
+  /// Crash-loop breaker (1 "seller" = the marketplace) of each
+  /// marketplace whose recovery from a WAL on disk has failed; the "round"
+  /// it is fed is the shard's event sequence number.
   std::unordered_map<std::string,
                      std::unique_ptr<market::ReliabilityTracker>>
       breakers_;

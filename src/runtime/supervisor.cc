@@ -27,11 +27,9 @@ Supervisor::SweepReport Supervisor::PollOnce() {
 
     if (shard->crashed()) {
       in_stall_[i] = false;
-      if (options_.restart_crashed) {
-        shard->Restart();
-        ++report.restarted;
-        total_restarts_.fetch_add(1, std::memory_order_relaxed);
-      }
+      shard->Restart();
+      ++report.restarted;
+      total_restarts_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
 

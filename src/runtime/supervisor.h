@@ -31,9 +31,6 @@ class Supervisor {
   struct Options {
     /// Heartbeat age past which a running shard counts as stalled.
     std::chrono::milliseconds stall_threshold{500};
-    /// Restart crashed shards on sweep (off lets tests inspect the
-    /// wreckage before recovery).
-    bool restart_crashed = true;
   };
 
   /// What one sweep did.

@@ -56,17 +56,5 @@ std::uint64_t Xoshiro256::NextBounded(std::uint64_t bound) {
   }
 }
 
-std::int64_t Xoshiro256::NextInt(std::int64_t lo, std::int64_t hi) {
-  std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(NextBounded(span));
-}
-
-Xoshiro256 Xoshiro256::Fork() {
-  // Use two outputs of this stream to seed a SplitMix64, producing a child
-  // whose state is decorrelated from the parent's continuation.
-  std::uint64_t s = Next() ^ Rotl(Next(), 31);
-  return Xoshiro256(s);
-}
-
 }  // namespace stats
 }  // namespace cdt

@@ -53,14 +53,6 @@ class Xoshiro256 {
   /// with rejection).
   std::uint64_t NextBounded(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t NextInt(std::int64_t lo, std::int64_t hi);
-
-  /// Jump-equivalent fork: derives an independent child stream. Used to give
-  /// every seller / module its own stream so adding one consumer of
-  /// randomness never perturbs the others.
-  Xoshiro256 Fork();
-
   const std::array<std::uint64_t, 4>& state() const { return state_; }
 
   /// Restores a previously captured state() — the snapshot/replay hook.

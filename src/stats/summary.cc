@@ -6,9 +6,6 @@
 namespace cdt {
 namespace stats {
 
-using util::Result;
-using util::Status;
-
 void RunningSummary::Add(double x) {
   ++count_;
   double delta = x - mean_;
@@ -16,23 +13,6 @@ void RunningSummary::Add(double x) {
   m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-void RunningSummary::Merge(const RunningSummary& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double n1 = static_cast<double>(count_);
-  double n2 = static_cast<double>(other.count_);
-  double delta = other.mean_ - mean_;
-  double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningSummary::variance() const {
@@ -44,31 +24,6 @@ double RunningSummary::sample_variance() const {
 }
 
 double RunningSummary::stddev() const { return std::sqrt(variance()); }
-
-Result<double> Mean(const std::vector<double>& values) {
-  if (values.empty()) {
-    return Status::InvalidArgument("Mean of empty vector");
-  }
-  double total = 0.0;
-  for (double v : values) total += v;
-  return total / static_cast<double>(values.size());
-}
-
-Result<double> Percentile(std::vector<double> values, double p) {
-  if (values.empty()) {
-    return Status::InvalidArgument("Percentile of empty vector");
-  }
-  if (p < 0.0 || p > 100.0) {
-    return Status::OutOfRange("percentile must be in [0, 100]");
-  }
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values[0];
-  double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  std::size_t lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
 
 }  // namespace stats
 }  // namespace cdt

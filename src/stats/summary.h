@@ -1,15 +1,11 @@
-// Streaming summary statistics (Welford's algorithm) and batch helpers.
-// Used by the regret tracker, the metric collectors and the test suite's
-// distribution checks.
+// Streaming summary statistics (Welford's algorithm). Used by the regret
+// tracker, the metric collectors and the test suite's distribution checks.
 
 #ifndef CDT_STATS_SUMMARY_H_
 #define CDT_STATS_SUMMARY_H_
 
 #include <cstdint>
 #include <limits>
-#include <vector>
-
-#include "util/status.h"
 
 namespace cdt {
 namespace stats {
@@ -18,9 +14,6 @@ namespace stats {
 class RunningSummary {
  public:
   void Add(double x);
-
-  /// Merges another accumulator (parallel Welford combination).
-  void Merge(const RunningSummary& other);
 
   std::uint64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
@@ -40,12 +33,6 @@ class RunningSummary {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Arithmetic mean of `values`; errors on empty input.
-util::Result<double> Mean(const std::vector<double>& values);
-
-/// Interpolated percentile in [0, 100]; errors on empty input / bad p.
-util::Result<double> Percentile(std::vector<double> values, double p);
 
 }  // namespace stats
 }  // namespace cdt

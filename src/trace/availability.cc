@@ -65,12 +65,6 @@ Result<AvailabilityModel> AvailabilityModel::FromTrips(
   return AvailabilityModel(std::move(masks), buckets);
 }
 
-AvailabilityModel AvailabilityModel::AlwaysAvailable(int num_sellers) {
-  std::vector<std::vector<bool>> masks(
-      static_cast<std::size_t>(num_sellers), std::vector<bool>(1, true));
-  return AvailabilityModel(std::move(masks), 1);
-}
-
 bool AvailabilityModel::IsAvailable(int seller, std::int64_t round) const {
   std::size_t bucket = static_cast<std::size_t>(
       (round - 1) % static_cast<std::int64_t>(buckets_));
@@ -83,14 +77,6 @@ double AvailabilityModel::AvailabilityRate(int seller) const {
   int on = 0;
   for (bool b : mask) on += b ? 1 : 0;
   return static_cast<double>(on) / static_cast<double>(mask.size());
-}
-
-int AvailabilityModel::AvailableCount(std::int64_t round) const {
-  int count = 0;
-  for (int i = 0; i < num_sellers(); ++i) {
-    if (IsAvailable(i, round)) ++count;
-  }
-  return count;
 }
 
 }  // namespace trace

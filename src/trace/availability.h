@@ -28,9 +28,6 @@ class AvailabilityModel {
       const std::vector<std::int64_t>& taxi_ids, int buckets = 24,
       std::int64_t seconds_per_bucket = 3600, int min_trips = 1);
 
-  /// Uniform availability (every seller always on) — the paper's model.
-  static AvailabilityModel AlwaysAvailable(int num_sellers);
-
   int num_sellers() const { return static_cast<int>(masks_.size()); }
   int buckets() const { return buckets_; }
 
@@ -40,9 +37,6 @@ class AvailabilityModel {
 
   /// Fraction of buckets in which the seller is available.
   double AvailabilityRate(int seller) const;
-
-  /// Number of sellers available in `round`.
-  int AvailableCount(std::int64_t round) const;
 
   const std::vector<std::vector<bool>>& masks() const { return masks_; }
 

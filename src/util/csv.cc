@@ -6,13 +6,6 @@
 namespace cdt {
 namespace util {
 
-Result<std::size_t> CsvTable::ColumnIndex(const std::string& name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  return Status::NotFound("no CSV column named '" + name + "'");
-}
-
 Result<CsvRow> ParseCsvLine(const std::string& line, char delim) {
   CsvRow fields;
   std::string current;

@@ -20,9 +20,6 @@ using CsvRow = std::vector<std::string>;
 struct CsvTable {
   CsvRow header;
   std::vector<CsvRow> rows;
-
-  /// Index of a header column, or an error when absent.
-  Result<std::size_t> ColumnIndex(const std::string& name) const;
 };
 
 /// Parses one CSV line (no embedded newlines) into fields.

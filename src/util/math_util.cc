@@ -10,11 +10,6 @@ double Interval::Clamp(double x) const {
   return std::min(hi, std::max(lo, x));
 }
 
-bool AlmostEqual(double a, double b, double tol) {
-  double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
-}
-
 Result<std::vector<double>> Linspace(double lo, double hi, std::size_t count) {
   if (count < 2) {
     return Status::InvalidArgument("Linspace requires count >= 2");

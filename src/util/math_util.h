@@ -28,9 +28,6 @@ struct Interval {
   bool valid() const { return lo <= hi; }
 };
 
-/// |a - b| <= tol * max(1, |a|, |b|): relative-with-floor comparison.
-bool AlmostEqual(double a, double b, double tol = 1e-9);
-
 /// `count` points evenly spaced over [lo, hi] inclusive; count >= 2.
 Result<std::vector<double>> Linspace(double lo, double hi, std::size_t count);
 

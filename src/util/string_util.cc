@@ -9,21 +9,6 @@
 namespace cdt {
 namespace util {
 
-std::vector<std::string> Split(std::string_view input, char delim) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = input.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(input.substr(start));
-      break;
-    }
-    out.emplace_back(input.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts, char delim) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {

@@ -13,9 +13,6 @@
 namespace cdt {
 namespace util {
 
-/// Splits `input` on `delim`; keeps empty fields ("a,,b" -> {"a","","b"}).
-std::vector<std::string> Split(std::string_view input, char delim);
-
 /// Joins `parts` with `delim` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, char delim);
 

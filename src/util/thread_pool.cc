@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <string>
+#include <utility>
 
 namespace cdt {
 namespace util {
@@ -65,14 +66,6 @@ int ThreadPool::DefaultJobs() {
 
 bool ThreadPool::RunsInline() const {
   return workers_.empty() || g_worker_of == this;
-}
-
-void ThreadPool::Enqueue(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  wake_.notify_one();
 }
 
 void ThreadPool::WorkerLoop() {

@@ -16,9 +16,9 @@
 //    worker threads and runs everything on the calling thread, reproducing
 //    single-threaded behavior bit-for-bit with zero synchronization.
 //  * Nested-submission guard: a task running on a pool worker that calls
-//    back into the same pool's ParallelFor/Submit executes the nested work
-//    inline on that worker instead of enqueueing, so nested fan-out can
-//    never deadlock waiting for workers that are all busy waiting.
+//    back into the same pool's ParallelFor executes the nested work inline
+//    on that worker instead of enqueueing, so nested fan-out can never
+//    deadlock waiting for workers that are all busy waiting.
 //
 //   util::ThreadPool pool(8);
 //   CDT_RETURN_NOT_OK(pool.ParallelFor(0, n, [&](std::size_t i) {
@@ -32,11 +32,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -74,24 +71,6 @@ class ThreadPool {
   Status ParallelFor(std::size_t begin, std::size_t end,
                      const std::function<Status(std::size_t)>& body);
 
-  /// Enqueues one task and returns a future for its result. On an inline
-  /// pool — or when called from a task already running on this pool (the
-  /// nested-submission deadlock guard) — the task executes immediately on
-  /// the calling thread and the returned future is already ready. A task
-  /// that throws stores the exception in the future, as std::async would.
-  template <typename Fn>
-  auto Submit(Fn fn) -> std::future<decltype(fn())> {
-    using R = decltype(fn());
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    std::future<R> future = task->get_future();
-    if (RunsInline()) {
-      (*task)();
-    } else {
-      Enqueue([task]() { (*task)(); });
-    }
-    return future;
-  }
-
  private:
   struct ForState;
 
@@ -99,7 +78,6 @@ class ThreadPool {
   /// True when work must run on the calling thread: inline pool, or the
   /// caller is one of this pool's own workers.
   bool RunsInline() const;
-  void Enqueue(std::function<void()> task);
   static void RunIteration(ForState* state, std::size_t index,
                            const std::function<Status(std::size_t)>& body);
 

@@ -42,20 +42,6 @@ TEST(SummarizeTest, AggregatesCorrectly) {
   EXPECT_EQ(stats.value().exploration_rounds, 1);
 }
 
-TEST(ExtractMetricTest, AllColumns) {
-  std::vector<market::RoundReport> rows{MakeRow(1, {0})};
-  EXPECT_DOUBLE_EQ(ExtractMetric(rows, Metric::kConsumerProfit)[0], 10.0);
-  EXPECT_DOUBLE_EQ(ExtractMetric(rows, Metric::kPlatformProfit)[0], 3.0);
-  EXPECT_DOUBLE_EQ(ExtractMetric(rows, Metric::kSellerProfitTotal)[0], 1.5);
-  EXPECT_DOUBLE_EQ(ExtractMetric(rows, Metric::kConsumerPrice)[0], 2.0);
-  EXPECT_DOUBLE_EQ(ExtractMetric(rows, Metric::kCollectionPrice)[0], 1.0);
-  EXPECT_DOUBLE_EQ(ExtractMetric(rows, Metric::kTotalTime)[0], 4.0);
-  EXPECT_DOUBLE_EQ(
-      ExtractMetric(rows, Metric::kExpectedQualityRevenue)[0], 5.0);
-  EXPECT_DOUBLE_EQ(
-      ExtractMetric(rows, Metric::kObservedQualityRevenue)[0], 4.9);
-}
-
 TEST(CumulativeRegretCurveTest, PrefixSums) {
   std::vector<market::RoundReport> rows{MakeRow(1, {0}, 0, 4.0),
                                         MakeRow(2, {0}, 0, 5.0),

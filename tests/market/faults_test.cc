@@ -445,7 +445,7 @@ TEST(ReliabilityTrackerTest, RestoreRejectsABreakerThatNeverOpened) {
     edited[1].times_opened = 0;
     util::Status status = target.Restore(edited, source.total_faults());
     EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
-        << BreakerStateName(state);
+        << "breaker state " << static_cast<int>(state);
     // A refused restore leaves the tracker untouched.
     EXPECT_EQ(target.seller(1).state, BreakerState::kClosed);
     EXPECT_EQ(target.total_faults(), 0);
@@ -483,13 +483,9 @@ TEST(ReliabilityTrackerTest, RestoreRejectsMoreOpeningsThanFaults) {
 
 // --------------------------------------------------------------- encoding
 
-TEST(FaultEventTest, ToStringAndSummaryEncoding) {
+TEST(FaultEventTest, SummaryEncoding) {
   FaultEvent partial{7, FaultKind::kPartialDelivery, 3, 0.42, true};
-  EXPECT_EQ(partial.ToString(), "[partial] round 7 seller 3 severity=0.42");
   FaultEvent settlement{9, FaultKind::kSettlementFailure, -1, 2.0, false};
-  EXPECT_EQ(settlement.ToString(),
-            "[settlement] round 9 severity=2 UNRECOVERED");
-
   EXPECT_EQ(EncodeFaultSummary({}), "");
   EXPECT_EQ(EncodeFaultSummary({partial, settlement}),
             "partial:3@0.42;settlement:-1@2!");

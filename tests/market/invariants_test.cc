@@ -154,10 +154,9 @@ TEST(InvariantCheckerTest, LossMakingSellerViolatesIr) {
   Settle(s, 0.0);
   ASSERT_LT(s.report.seller_profits[1], 0.0);
 
-  InvariantOptions options;
-  options.check_stationarity = false;  // the round is deliberately off-path
-  InvariantChecker checker(options);
-  EXPECT_FALSE(checker.Check(s.view, s.report).ok());
+  // The round is deliberately off-path, so only the profit family runs.
+  InvariantChecker checker;
+  checker.CheckProfits(s.view, s.report);
   bool found = false;
   for (const InvariantViolation& v : checker.violations()) {
     if (v.check == "ir.seller") {
@@ -657,13 +656,20 @@ TEST(InvariantCheckerTest, MalformedReportShapeIsDetected) {
 TEST(InvariantCheckerTest, ViolationRecordsTruncateAtTheCap) {
   BrokenScenario s;
   Settle(s, 0.5);  // skim: several ledger identities break at once
-  InvariantOptions options;
-  options.max_violations = 1;
-  InvariantChecker checker(options);
-  EXPECT_FALSE(checker.Check(s.view, s.report).ok());
-  EXPECT_EQ(checker.violations().size(), 1u);
-  EXPECT_GT(checker.violation_count(), 1u);
+  InvariantChecker checker;
+  // Every check of the broken round fails and adds records: check it
+  // until the count passes the cap.
+  while (checker.violation_count() <= InvariantChecker::kMaxViolations) {
+    ASSERT_FALSE(checker.Check(s.view, s.report).ok());
+  }
+  EXPECT_EQ(checker.violations().size(), InvariantChecker::kMaxViolations);
+  EXPECT_GT(checker.violation_count(), InvariantChecker::kMaxViolations);
   EXPECT_TRUE(checker.violations_truncated());
+  // Past the cap, a failing round says that its records were dropped.
+  const util::Status status = checker.Check(s.view, s.report);
+  EXPECT_NE(status.message().find("record truncated after 32 entries"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(InvariantViolationTest, ToStringCarriesTheRecord) {

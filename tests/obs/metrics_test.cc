@@ -25,11 +25,10 @@ TEST(CounterTest, AccumulatesAndIgnoresInvalid) {
   EXPECT_DOUBLE_EQ(c.value(), 0.0);
 }
 
-TEST(GaugeTest, SetAndAdd) {
+TEST(GaugeTest, SetOverwrites) {
   Gauge g;
   g.Set(4.0);
-  g.Add(-1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
+  EXPECT_DOUBLE_EQ(g.value(), 4.0);
   g.Set(-7.0);  // gauges may go negative
   EXPECT_DOUBLE_EQ(g.value(), -7.0);
 }

@@ -150,8 +150,10 @@ TEST_F(RecoveryTest, RandomizedCrashRoundsRecoverBitIdentically) {
   stats::Xoshiro256 rng(0xC4A5F);
   std::vector<std::int64_t> crash_rounds;
   for (int i = 0; i < 4; ++i) {
-    crash_rounds.push_back(static_cast<std::int64_t>(
-        rng.NextInt(kSnapshotEvery, kRounds - 1)));
+    // Uniform in [kSnapshotEvery, kRounds - 1].
+    const std::uint64_t offset = rng.NextBounded(
+        static_cast<std::uint64_t>(kRounds - kSnapshotEvery));
+    crash_rounds.push_back(kSnapshotEvery + static_cast<std::int64_t>(offset));
   }
   // Always include a checkpoint-aligned crash (empty tail-replay).
   crash_rounds.push_back(3 * kSnapshotEvery);

@@ -161,19 +161,18 @@ TEST_F(AdmissionTest, CoalesceTicksDefersRoundsInsteadOfDroppingThem) {
 }
 
 TEST_F(AdmissionTest, BlockPolicyWaitsThenShedsOnTimeout) {
-  auto options = BaseOptions(ShedPolicy::kBlock, 1);
-  options.block_timeout = std::chrono::milliseconds(10);
-  auto service = MarketplaceService::Create(options);
+  auto service =
+      MarketplaceService::Create(BaseOptions(ShedPolicy::kBlock, 1));
   ASSERT_TRUE(service.ok());
 
   EXPECT_EQ(service.value()->Submit(CreateEvent("alpha", 7)),
             Admission::kAccepted);
   // No worker is draining (autostart off): the blocking push waits its
-  // 10ms budget, then sheds with reason "timeout".
+  // 100 ms budget, then sheds with reason "timeout".
   const auto before = std::chrono::steady_clock::now();
   EXPECT_EQ(service.value()->Submit(Tick("alpha")), Admission::kShed);
   const auto waited = std::chrono::steady_clock::now() - before;
-  EXPECT_GE(waited, std::chrono::milliseconds(9));
+  EXPECT_GE(waited, std::chrono::milliseconds(99));
   EXPECT_EQ(service.value()->GetStats().shed.at("timeout"), 1u);
 
   // With workers draining, the same push succeeds instead of timing out.

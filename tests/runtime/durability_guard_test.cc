@@ -6,12 +6,15 @@
 // preserving exact recovery — also across a crash.
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +32,7 @@
 #include "persist/serialize.h"
 #include "runtime/durability.h"
 #include "runtime/marketplace.h"
+#include "runtime/service.h"
 #include "support/reference_recover.h"
 
 namespace cdt {
@@ -97,6 +101,30 @@ std::string FrameRecord(persist::RecordType type, std::string_view payload) {
   persist::PutFixed32(
       &frame, persist::Crc32(payload, persist::Crc32(frame.substr(0, 1))));
   return frame;
+}
+
+// Rewrites the log at `path` with round 2's payload given a trailing
+// byte, each record re-framed under a valid CRC: the scan still passes,
+// but decoding the round fails.
+void GarbleSecondRound(const std::string& path, std::int64_t round_count) {
+  auto bytes = persist::ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  const persist::EventLogScan scan = persist::ScanEventLog(bytes.value());
+  ASSERT_TRUE(scan.status.ok()) << scan.status.ToString();
+  std::string garbled(persist::kLogMagic, 8);
+  persist::PutVarint64(&garbled, persist::kFormatVersion);
+  std::int64_t rounds = 0;
+  for (const persist::LogRecord& record : scan.records) {
+    std::string payload(record.payload);
+    if (record.type == persist::RecordType::kRound && ++rounds == 2) {
+      payload.push_back('\0');
+    }
+    garbled += FrameRecord(record.type, payload);
+  }
+  ASSERT_TRUE(persist::AtomicWriteFile(path, garbled).ok());
+  const persist::EventLogScan rescan = persist::ScanEventLog(garbled);
+  ASSERT_TRUE(rescan.status.ok()) << rescan.status.ToString();
+  ASSERT_EQ(rescan.round_count, round_count);
 }
 
 obs::Counter* FullReplays(const char* reason) {
@@ -818,26 +846,7 @@ TEST_F(DurabilityGuardTest, GarbledRoundBeforeTheSnapshotFailsEveryLoad) {
     ApplyDemand(*live.value(), 10);
   }
   const std::string log_path = MarketplaceLogPath(dir_, "mkt");
-  {
-    auto bytes = persist::ReadFileBytes(log_path);
-    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-    const persist::EventLogScan scan = persist::ScanEventLog(bytes.value());
-    ASSERT_TRUE(scan.status.ok()) << scan.status.ToString();
-    std::string garbled(persist::kLogMagic, 8);
-    persist::PutVarint64(&garbled, persist::kFormatVersion);
-    std::int64_t rounds = 0;
-    for (const persist::LogRecord& record : scan.records) {
-      std::string payload(record.payload);
-      if (record.type == persist::RecordType::kRound && ++rounds == 2) {
-        payload.push_back('\0');
-      }
-      garbled += FrameRecord(record.type, payload);
-    }
-    ASSERT_TRUE(persist::AtomicWriteFile(log_path, garbled).ok());
-    const persist::EventLogScan rescan = persist::ScanEventLog(garbled);
-    ASSERT_TRUE(rescan.status.ok()) << rescan.status.ToString();
-    ASSERT_EQ(rescan.round_count, 10);
-  }
+  ASSERT_NO_FATAL_FAILURE(GarbleSecondRound(log_path, 10));
   auto expect_parse_error = [](const Status& status) {
     EXPECT_EQ(status.code(), util::StatusCode::kParseError)
         << status.ToString();
@@ -848,6 +857,186 @@ TEST_F(DurabilityGuardTest, GarbledRoundBeforeTheSnapshotFailsEveryLoad) {
   expect_parse_error(persist::LoadRecordedRun(log_path, true).status());
   expect_parse_error(persist::LoadRecordedLog(log_path, true).status());
   expect_parse_error(HostedMarketplace::Recover("mkt", options).status());
+}
+
+// --- A shard's recovery: the crash-loop breaker and the IO retry --------
+//
+// A worker rebuilds an unknown marketplace from its WAL on the first event
+// addressed to it. A read that fails with an IO error is retried within the
+// event; any other failure feeds the marketplace's crash-loop breaker,
+// which opens after 3 consecutive failures and sheds the marketplace's
+// events for the next 25 shard events before it tries again.
+
+constexpr int kBreakerThreshold = 3;
+constexpr int kBreakerCooldown = 25;
+
+obs::Counter* Shed(const char* reason) {
+  return obs::registry().GetCounter("cdt_runtime_shed_total", "",
+                                    {{"reason", reason}});
+}
+
+Event Tick(const std::string& id) {
+  Event event;
+  event.type = EventType::kRoundTick;
+  event.marketplace = id;
+  return event;
+}
+
+class ShardRecoveryTest : public DurabilityGuardTest {
+ protected:
+  void TearDown() override {
+    service_.reset();
+    DurabilityGuardTest::TearDown();
+  }
+
+  /// One shard, so every event reaches the same worker in submission
+  /// order; started on the first Run, with no background watchdog.
+  void StartService() {
+    MarketplaceService::Options options;
+    options.num_shards = 1;
+    options.queue_capacity = 64;
+    options.wal_dir = dir_;
+    options.snapshot_every = 4;
+    options.autostart = false;
+    options.watchdog_period = std::chrono::milliseconds(0);
+    auto service = MarketplaceService::Create(options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    service_ = std::move(service).value();
+  }
+
+  /// Submits `events`, then waits until the worker has processed them.
+  void Run(const std::vector<Event>& events) {
+    const std::uint64_t target =
+        service_->GetStats().events_processed + events.size();
+    for (const Event& event : events) {
+      ASSERT_EQ(service_->Submit(event),
+                MarketplaceService::Admission::kAccepted);
+    }
+    service_->Start();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (service_->GetStats().events_processed < target &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(service_->GetStats().events_processed, target);
+  }
+
+  std::unique_ptr<MarketplaceService> service_;
+};
+
+TEST_F(ShardRecoveryTest, UnknownMarketplaceIsShedAsUnknownWithoutABreaker) {
+  ASSERT_NO_FATAL_FAILURE(StartService());
+  const double unknown = Shed("unknown")->value();
+  const double crashloop = Shed("crashloop")->value();
+  // More events than the breaker's threshold and cooldown together: with
+  // no WAL there is nothing to recover, so no event may count as a
+  // failed recovery.
+  ASSERT_NO_FATAL_FAILURE(Run(std::vector<Event>(
+      kBreakerThreshold + kBreakerCooldown + 2, Tick("ghost"))));
+  EXPECT_EQ(Shed("unknown")->value(),
+            unknown + kBreakerThreshold + kBreakerCooldown + 2);
+  EXPECT_EQ(Shed("crashloop")->value(), crashloop);
+  EXPECT_EQ(service_->GetStats().shards[0].shed_by_worker,
+            static_cast<std::uint64_t>(kBreakerThreshold +
+                                       kBreakerCooldown + 2));
+}
+
+TEST_F(ShardRecoveryTest, CrashLoopingRecoveryCoolsDownThenRetries) {
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  options.snapshot_every = 4;
+  {
+    auto live = HostedMarketplace::Create("mkt", SmallSpec(20), options);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ApplyDemand(*live.value(), 10);
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      GarbleSecondRound(MarketplaceLogPath(dir_, "mkt"), 10));
+  ASSERT_NO_FATAL_FAILURE(StartService());
+  // Counting starts after the startup scrub: from here every read of the
+  // log is one recovery attempt (a failed load reads nothing else).
+  IoHooks::Instance().EnableCounting();
+  const double unrecoverable = Shed("unrecoverable")->value();
+  const double crashloop = Shed("crashloop")->value();
+  const double unknown = Shed("unknown")->value();
+
+  // The first 3 events each try once and fail with a parse error; the
+  // breaker opens on the third (shard event 2). The next 24 events fall
+  // inside its cooldown and are shed without a read.
+  ASSERT_NO_FATAL_FAILURE(Run(std::vector<Event>(
+      kBreakerThreshold + kBreakerCooldown - 1, Tick("mkt"))));
+  EXPECT_EQ(IoHooks::Instance().ops_seen(IoOp::kRead),
+            static_cast<std::uint64_t>(kBreakerThreshold));
+  EXPECT_EQ(Shed("unrecoverable")->value(),
+            unrecoverable + kBreakerThreshold);
+  EXPECT_EQ(Shed("crashloop")->value(), crashloop + kBreakerCooldown - 1);
+
+  // Shard event 27 is 25 events after the opening one: the breaker lets
+  // one attempt through, which fails and reopens it at once, so event 28
+  // is shed again.
+  ASSERT_NO_FATAL_FAILURE(Run({Tick("mkt"), Tick("mkt")}));
+  EXPECT_EQ(IoHooks::Instance().ops_seen(IoOp::kRead),
+            static_cast<std::uint64_t>(kBreakerThreshold + 1));
+  EXPECT_EQ(Shed("unrecoverable")->value(),
+            unrecoverable + kBreakerThreshold + 1);
+  EXPECT_EQ(Shed("crashloop")->value(), crashloop + kBreakerCooldown);
+  EXPECT_EQ(Shed("unknown")->value(), unknown);
+  EXPECT_EQ(service_->GetStats().shards[0].recoveries, 0u);
+}
+
+TEST_F(ShardRecoveryTest, TransientReadFaultIsRetriedAndRecoveryIsByteTrue) {
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_ + "/reference";
+  options.snapshot_every = 4;
+  fs::create_directories(options.wal_dir);
+  {
+    auto reference = HostedMarketplace::Create("mkt", SmallSpec(30), options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ApplyDemand(*reference.value(), 30);
+    ASSERT_TRUE(reference.value()->FinishWal().ok());
+  }
+  // The same marketplace crashes after 20 rounds, leaving a torn log.
+  options.wal_dir = dir_;
+  {
+    auto live = HostedMarketplace::Create("mkt", SmallSpec(30), options);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ApplyDemand(*live.value(), 20);
+  }
+
+  IoHooks::Instance().EnableCounting();
+  ASSERT_NO_FATAL_FAILURE(StartService());
+  // The first read after startup, the recovery's read of the log, fails
+  // with EIO once; the retry within the same event reads it.
+  IoFault fault;
+  fault.op = IoOp::kRead;
+  fault.from_index = IoHooks::Instance().ops_seen(IoOp::kRead);
+  fault.count = 1;
+  fault.error = EIO;
+  IoHooks::Instance().Arm(fault);
+  const double crashloop = Shed("crashloop")->value();
+
+  Event close;
+  close.type = EventType::kCloseMarketplace;
+  close.marketplace = "mkt";
+  ASSERT_NO_FATAL_FAILURE(Run({Demand("mkt", 10), close}));
+  service_->Drain();
+  // The faulted read happened, and the reads after it were the retry's.
+  EXPECT_GT(IoHooks::Instance().ops_seen(IoOp::kRead), fault.from_index + 1);
+  const MarketplaceService::Stats stats = service_->GetStats();
+  EXPECT_EQ(stats.shards[0].recoveries, 1u);
+  EXPECT_EQ(stats.total_shed, 0u);
+  EXPECT_EQ(Shed("crashloop")->value(), crashloop);
+
+  IoHooks::Instance().Reset();
+  auto want = persist::LoadRecordedLog(
+      MarketplaceLogPath(dir_ + "/reference", "mkt"));
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  auto got = persist::LoadRecordedLog(MarketplaceLogPath(dir_, "mkt"));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got.value().sealed);
+  EXPECT_EQ(got.value().round_count, 30);
+  EXPECT_TRUE(got.value().round_payloads == want.value().round_payloads);
 }
 
 }  // namespace

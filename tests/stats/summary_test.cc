@@ -35,61 +35,11 @@ TEST(RunningSummaryTest, SingleValue) {
   EXPECT_DOUBLE_EQ(s.sample_variance(), 0.0);
 }
 
-TEST(RunningSummaryTest, MergeEqualsSequential) {
-  RunningSummary a, b, whole;
-  for (int i = 0; i < 50; ++i) {
-    double x = 0.1 * i * i - 3.0 * i;
-    whole.Add(x);
-    (i < 20 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(RunningSummaryTest, MergeWithEmptySides) {
-  RunningSummary a, empty;
-  a.Add(1.0);
-  a.Add(2.0);
-  RunningSummary a_copy = a;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 1.5);
-  empty.Merge(a_copy);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
-}
-
 TEST(RunningSummaryTest, NumericallyStableForLargeOffsets) {
   RunningSummary s;
   for (int i = 0; i < 1000; ++i) s.Add(1e9 + (i % 2));
   EXPECT_NEAR(s.mean(), 1e9 + 0.5, 1e-3);
   EXPECT_NEAR(s.variance(), 0.25, 1e-6);
-}
-
-TEST(MeanTest, ErrorsOnEmpty) {
-  EXPECT_FALSE(Mean({}).ok());
-  EXPECT_DOUBLE_EQ(Mean({2.0, 4.0}).value(), 3.0);
-}
-
-TEST(PercentileTest, InterpolatesBetweenValues) {
-  std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(Percentile(xs, 0).value(), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 100).value(), 4.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 50).value(), 2.5);
-}
-
-TEST(PercentileTest, UnsortedInputHandled) {
-  EXPECT_DOUBLE_EQ(Percentile({5.0, 1.0, 3.0}, 50).value(), 3.0);
-}
-
-TEST(PercentileTest, RejectsBadArgs) {
-  EXPECT_FALSE(Percentile({}, 50).ok());
-  EXPECT_FALSE(Percentile({1.0}, -1).ok());
-  EXPECT_FALSE(Percentile({1.0}, 101).ok());
 }
 
 }  // namespace

@@ -64,14 +64,6 @@ TEST(AvailabilityModelTest, TripLessSellerStaysReachable) {
   EXPECT_EQ(available_buckets, 1);
 }
 
-TEST(AvailabilityModelTest, AlwaysAvailable) {
-  AvailabilityModel model = AvailabilityModel::AlwaysAvailable(3);
-  for (std::int64_t r = 1; r <= 100; ++r) {
-    EXPECT_EQ(model.AvailableCount(r), 3);
-  }
-  EXPECT_DOUBLE_EQ(model.AvailabilityRate(1), 1.0);
-}
-
 TEST(AvailabilityModelTest, SyntheticTraceGivesPartialAvailability) {
   TraceConfig config;
   config.num_taxis = 50;

@@ -78,13 +78,6 @@ TEST_F(CsvFileTest, WriteThenReadRoundTrip) {
   EXPECT_EQ(loaded.value().rows, table.rows);
 }
 
-TEST_F(CsvFileTest, ColumnIndexLookup) {
-  CsvTable table;
-  table.header = {"x", "y", "z"};
-  EXPECT_EQ(table.ColumnIndex("y").value(), 1u);
-  EXPECT_FALSE(table.ColumnIndex("w").ok());
-}
-
 TEST_F(CsvFileTest, RejectsMissingFile) {
   EXPECT_FALSE(ReadCsvFile("/nonexistent/dir/file.csv").ok());
 }

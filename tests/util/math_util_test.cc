@@ -25,13 +25,6 @@ TEST(IntervalTest, InvalidWhenReversed) {
   EXPECT_FALSE(box.valid());
 }
 
-TEST(AlmostEqualTest, RelativeAndAbsolute) {
-  EXPECT_TRUE(AlmostEqual(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(AlmostEqual(1.0, 1.001));
-  EXPECT_TRUE(AlmostEqual(1e12, 1e12 * (1 + 1e-10)));
-  EXPECT_TRUE(AlmostEqual(0.0, 1e-12));
-}
-
 TEST(LinspaceTest, EvenSpacingWithExactEndpoints) {
   auto grid = Linspace(0.0, 1.0, 5);
   ASSERT_TRUE(grid.ok());

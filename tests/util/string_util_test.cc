@@ -6,19 +6,10 @@ namespace cdt {
 namespace util {
 namespace {
 
-TEST(SplitTest, BasicSplit) {
-  EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(SplitTest, KeepsEmptyFields) {
-  EXPECT_EQ(Split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-  EXPECT_EQ(Split(",", ','), (std::vector<std::string>{"", ""}));
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-}
-
-TEST(JoinTest, RoundTripsWithSplit) {
-  std::vector<std::string> parts{"x", "y", "", "z"};
-  EXPECT_EQ(Split(Join(parts, ';'), ';'), parts);
+TEST(JoinTest, DelimitsEveryPartIncludingEmptyOnes) {
+  EXPECT_EQ(Join({"x", "y", "", "z"}, ';'), "x;y;;z");
+  EXPECT_EQ(Join({"x"}, ';'), "x");
+  EXPECT_EQ(Join({}, ';'), "");
 }
 
 TEST(TrimTest, RemovesSurroundingWhitespace) {

@@ -140,25 +140,6 @@ TEST(ThreadPoolTest, NestedErrorPropagatesThroughOuterLoop) {
   EXPECT_EQ(st.message(), "inner failure");
 }
 
-TEST(ThreadPoolTest, SubmitReturnsFutureResult) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitRunsInlineWhenSerial) {
-  ThreadPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  auto future = pool.Submit([] { return std::this_thread::get_id(); });
-  EXPECT_EQ(future.get(), caller);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([]() -> int { throw std::runtime_error("bad"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, PoolIsReusableAcrossLoops) {
   ThreadPool pool(3);
   for (int iteration = 0; iteration < 5; ++iteration) {
