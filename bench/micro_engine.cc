@@ -2,11 +2,17 @@
 // collection + settlement at paper scale (M=300, L=10) and in the large-M
 // regime (M up to 1e6, K ~ sqrt(M), see docs/PERFORMANCE.md).
 
+#include <malloc.h>
+#include <stdlib.h>
+
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
 #include "core/cmab_hs.h"
+#include "persist/recorder.h"
 #include "stats/rng.h"
 #include "support/reference_collect.h"
 #include "support/reference_cucb.h"
@@ -201,6 +207,74 @@ BENCHMARK(BM_CollectCoalitionReference)
     ->Args({100000, 316})
     ->Args({1000000, 1000})
     ->Unit(benchmark::kMicrosecond);
+
+// Heap bytes in use: glibc's arena chunks plus its mmapped ones.
+double HeapBytesInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
+
+// What a recorded marketplace of M sellers and K per coalition holds on
+// the heap, per seller: after creation, after Algorithm 1's select-all
+// round 1, after round 2 and after a checkpoint (a snapshot file written
+// through the RunRecorder a hosted marketplace records with). Counted by
+// glibc, not timed, so the counters read the same on any host; the
+// checker is armed and L = 10, as on svcbench's large_m. The row's time is
+// only that of the setup it measures.
+void BM_EngineFootprint(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  core::MechanismConfig config;
+  config.num_sellers = m;
+  config.num_selected = static_cast<int>(state.range(1));
+  config.num_rounds = 1 << 30;
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "cdt_footprint_XXXXXX")
+          .string();
+  if (mkdtemp(dir.data()) == nullptr) {
+    state.SkipWithError("cannot create a temporary directory");
+    return;
+  }
+  const double per_seller = 1.0 / static_cast<double>(m);
+  for (auto _ : state) {
+    const double base = HeapBytesInUse();
+    auto run = core::CmabHs::Create(config);
+    if (!run.ok()) {
+      state.SkipWithError(run.status().ToString().c_str());
+      break;
+    }
+    core::CmabHs& engine = *run.value();
+    persist::RunRecorder::Options options;
+    options.log_path = dir + "/footprint.cdtlog";
+    options.snapshot_path = dir + "/footprint.cdtsnap";
+    auto recorder = persist::RunRecorder::Create(options, config, {});
+    if (!recorder.ok()) {
+      state.SkipWithError(recorder.status().ToString().c_str());
+      break;
+    }
+    persist::RunRecorder* log = static_cast<persist::RunRecorder*>(
+        engine.mutable_engine().AddObserver(std::move(recorder).value()));
+    state.counters["create_B_per_seller"] =
+        (HeapBytesInUse() - base) * per_seller;
+    bool ok = engine.RunRound().ok();
+    state.counters["round1_B_per_seller"] =
+        (HeapBytesInUse() - base) * per_seller;
+    ok = ok && engine.RunRound().ok();
+    state.counters["round2_B_per_seller"] =
+        (HeapBytesInUse() - base) * per_seller;
+    ok = ok && log->CheckpointNow(engine.engine()).ok();
+    state.counters["checkpoint_B_per_seller"] =
+        (HeapBytesInUse() - base) * per_seller;
+    if (!ok) {
+      state.SkipWithError("a round or the checkpoint failed");
+      break;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_EngineFootprint)
+    ->Args({100000, 316})
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullRunThousandRounds(benchmark::State& state) {
   for (auto _ : state) {

@@ -96,6 +96,9 @@ const std::vector<int>& EstimatorBank::cold_arms() const {
                                 0;
                        }),
         cold_list_.end());
+    // Arms never turn cold again: once Algorithm 1's select-all round has
+    // warmed them all, the M-entry list is released.
+    if (cold_list_.empty()) cold_list_ = std::vector<int>();
   }
   return cold_list_;
 }
@@ -164,6 +167,7 @@ Status EstimatorBank::Restore(const std::vector<ArmState>& arms,
     counts_[i] = static_cast<double>(arms[i].observations);
     if (arms[i].observations == 0) cold_list_.push_back(static_cast<int>(i));
   }
+  cold_list_.shrink_to_fit();  // empty past the select-all round
   num_unexplored_ = static_cast<int>(cold_list_.size());
   total_observations_ = total_observations;
   ++update_seq_;  // incremental consumers must resynchronise

@@ -1,5 +1,6 @@
 #include "bandit/environment.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "bandit/arm.h"
@@ -25,15 +26,15 @@ Status EnvironmentConfig::Validate() const {
   return Status::OK();
 }
 
-QualityEnvironment::QualityEnvironment(
-    std::vector<double> nominal,
-    std::vector<stats::TruncatedGaussianSampler> samplers, int num_pois,
-    double observation_stddev, std::uint64_t seed)
+QualityEnvironment::QualityEnvironment(std::vector<double> nominal,
+                                       int num_pois,
+                                       double observation_stddev,
+                                       std::uint64_t seed)
     : nominal_(std::move(nominal)),
       num_pois_(num_pois),
       observation_stddev_(observation_stddev),
       rng_(seed),
-      samplers_(std::move(samplers)) {
+      samplers_(nominal_.size()) {
   effective_.reserve(nominal_.size());
   for (double q : nominal_) {
     effective_.push_back(
@@ -60,20 +61,26 @@ Result<QualityEnvironment> QualityEnvironment::CreateWithQualities(
     return Status::InvalidArgument("need at least one seller quality");
   }
   if (num_pois <= 0) return Status::InvalidArgument("num_pois must be > 0");
-  std::vector<stats::TruncatedGaussianSampler> samplers;
-  samplers.reserve(qualities.size());
   for (double q : qualities) {
     if (q < 0.0 || q > 1.0) {
       return Status::OutOfRange("quality must lie in [0, 1]");
     }
-    Result<stats::TruncatedGaussianSampler> sampler =
-        stats::TruncatedGaussianSampler::Create(q, observation_stddev, 0.0,
-                                                1.0);
-    if (!sampler.ok()) return sampler.status();
-    samplers.push_back(sampler.value());
   }
-  return QualityEnvironment(std::move(qualities), std::move(samplers),
-                            num_pois, observation_stddev, seed);
+  if (observation_stddev <= 0.0) {
+    return Status::InvalidArgument("truncated Gaussian requires stddev > 0");
+  }
+  return QualityEnvironment(std::move(qualities), num_pois, observation_stddev,
+                            seed);
+}
+
+double QualityEnvironment::Draw(stats::GaussianSampler& gaussian,
+                                double mean) {
+  for (int attempt = 0; attempt < kMaxRejects; ++attempt) {
+    const double x = gaussian.Sample(rng_, mean, observation_stddev_);
+    if (x >= 0.0 && x <= 1.0) return x;
+  }
+  // Degenerate parameterisation: clamp the mean into the window.
+  return std::min(1.0, std::max(0.0, mean));
 }
 
 std::vector<double> QualityEnvironment::ObserveSeller(int seller) {
@@ -84,9 +91,11 @@ std::vector<double> QualityEnvironment::ObserveSeller(int seller) {
 
 void QualityEnvironment::ObserveSellerInto(int seller,
                                            std::vector<double>* out) {
+  const std::size_t i = static_cast<std::size_t>(seller);
+  stats::GaussianSampler& gaussian = samplers_.at(i);
+  const double mean = nominal_[i];
   out->resize(static_cast<std::size_t>(num_pois_));
-  auto& sampler = samplers_.at(static_cast<std::size_t>(seller));
-  for (double& x : *out) x = sampler.Sample(rng_);
+  for (double& x : *out) x = Draw(gaussian, mean);
 }
 
 void QualityEnvironment::ObserveSellersInto(
@@ -100,11 +109,10 @@ void QualityEnvironment::ObserveSellersInto(
 void QualityEnvironment::PrefetchSeller(int seller) const {
   const std::size_t i = static_cast<std::size_t>(seller);
   if (i >= samplers_.size()) return;
-  // A 48-byte sampler row may straddle two cache lines; its spare is
-  // written, so ask for both lines in write intent.
-  const char* row = reinterpret_cast<const char*>(&samplers_[i]);
-  __builtin_prefetch(row, 1);
-  __builtin_prefetch(row + sizeof(stats::TruncatedGaussianSampler) - 1, 1);
+  // The 16-byte sampler row never straddles a cache line; its spare is
+  // written, so ask for it in write intent.
+  __builtin_prefetch(&samplers_[i], 1);
+  __builtin_prefetch(&nominal_[i]);
   __builtin_prefetch(&effective_[i]);
 }
 
@@ -113,11 +121,22 @@ EnvironmentState QualityEnvironment::SaveState() const {
   state.rng_state = rng_.state();
   state.has_spare.reserve(samplers_.size());
   state.spare.reserve(samplers_.size());
-  for (const stats::TruncatedGaussianSampler& sampler : samplers_) {
-    state.has_spare.push_back(sampler.gaussian().has_spare() ? 1 : 0);
-    state.spare.push_back(sampler.gaussian().spare());
+  for (const stats::GaussianSampler& sampler : samplers_) {
+    state.has_spare.push_back(sampler.has_spare() ? 1 : 0);
+    state.spare.push_back(sampler.spare());
   }
   return state;
+}
+
+EnvironmentStateView QualityEnvironment::StateView() const {
+  EnvironmentStateView view;
+  view.rng_state = rng_.state();
+  const std::size_t stride = sizeof(stats::GaussianSampler);
+  view.has_spare = util::StridedSpan<std::uint8_t>(
+      samplers_.data()->has_spare_field(), samplers_.size(), stride);
+  view.spare = util::StridedSpan<double>(samplers_.data()->spare_field(),
+                                         samplers_.size(), stride);
+  return view;
 }
 
 Status QualityEnvironment::RestoreState(const EnvironmentState& state) {
@@ -140,8 +159,7 @@ Status QualityEnvironment::RestoreState(const EnvironmentState& state) {
     if (!std::isfinite(spare)) {
       return Status::OutOfRange("non-finite sampler spare in state");
     }
-    samplers_[i].mutable_gaussian()->set_spare(state.has_spare[i] != 0,
-                                               spare);
+    samplers_[i].set_spare(state.has_spare[i] != 0, spare);
   }
   rng_.set_state(state.rng_state);
   return Status::OK();

@@ -13,6 +13,7 @@
 #include "stats/distributions.h"
 #include "stats/rng.h"
 #include "util/status.h"
+#include "util/strided_span.h"
 
 namespace cdt {
 namespace bandit {
@@ -40,6 +41,21 @@ struct EnvironmentState {
   /// Per-seller spare flags/values (parallel vectors, size M).
   std::vector<std::uint8_t> has_spare;
   std::vector<double> spare;
+};
+
+/// The same state without a copy: the RNG words and views of the spare
+/// caches where they live. Valid until the viewed state next changes.
+struct EnvironmentStateView {
+  std::array<std::uint64_t, 4> rng_state{};
+  util::StridedSpan<std::uint8_t> has_spare;
+  util::StridedSpan<double> spare;
+
+  EnvironmentStateView() = default;
+  /// A view of a captured state (implicit, like EngineSnapshotView's).
+  EnvironmentStateView(const EnvironmentState& state)  // NOLINT
+      : rng_state(state.rng_state),
+        has_spare(state.has_spare),
+        spare(state.spare) {}
 };
 
 /// Ground-truth seller qualities plus the observation process.
@@ -95,22 +111,36 @@ class QualityEnvironment {
   /// Captures the observation-stream state (RNG + sampler spare caches).
   EnvironmentState SaveState() const;
 
+  /// SaveState's fields in place, for a checkpoint that encodes them
+  /// without a copy.
+  EnvironmentStateView StateView() const;
+
   /// Restores a previously captured state. Fails closed on a seller-count
   /// mismatch or a degenerate (all-zero) RNG state.
   util::Status RestoreState(const EnvironmentState& state);
 
  private:
-  QualityEnvironment(std::vector<double> nominal,
-                     std::vector<stats::TruncatedGaussianSampler> samplers,
-                     int num_pois, double observation_stddev,
-                     std::uint64_t seed);
+  QualityEnvironment(std::vector<double> nominal, int num_pois,
+                     double observation_stddev, std::uint64_t seed);
 
+  /// One observation of the seller whose spare cache is `gaussian` and
+  /// whose nominal quality is `mean`: N(mean, stddev^2) truncated to
+  /// [0, 1] by rejection, clamping the mean into the window after
+  /// kMaxRejects misses.
+  double Draw(stats::GaussianSampler& gaussian, double mean);
+
+  static constexpr int kMaxRejects = 256;
+
+  /// Nominal qualities q_i, the centres of the observation noise.
   std::vector<double> nominal_;
   std::vector<double> effective_;
   int num_pois_;
   double observation_stddev_;
   stats::Xoshiro256 rng_;
-  std::vector<stats::TruncatedGaussianSampler> samplers_;
+  /// One Box–Muller spare cache per seller (16 bytes); the truncated
+  /// Gaussian's centre is nominal_[i], and its stddev and window are the
+  /// environment's.
+  std::vector<stats::GaussianSampler> samplers_;
 };
 
 }  // namespace bandit

@@ -6,12 +6,6 @@ namespace core {
 using util::Result;
 using util::Status;
 
-double SellerFaultStats::delivery_rate() const {
-  const std::int64_t attempts = deliveries + defaults + corruptions;
-  if (attempts == 0) return 1.0;
-  return static_cast<double>(deliveries) / static_cast<double>(attempts);
-}
-
 Result<MetricsCollector> MetricsCollector::Create(
     std::vector<double> qualities, int k, int num_pois,
     std::vector<std::int64_t> checkpoints) {
@@ -26,13 +20,6 @@ Result<MetricsCollector> MetricsCollector::Create(
   return MetricsCollector(std::move(tracker).value(), std::move(checkpoints));
 }
 
-SellerFaultStats& MetricsCollector::FaultStats(int seller) {
-  if (seller_faults_.size() <= static_cast<std::size_t>(seller)) {
-    seller_faults_.resize(static_cast<std::size_t>(seller) + 1);
-  }
-  return seller_faults_[static_cast<std::size_t>(seller)];
-}
-
 Status MetricsCollector::Record(const market::RoundReport& report) {
   // Regret credits only the sellers whose data was actually accepted: a
   // voided round contributes zero revenue and corrupted reports earn
@@ -43,28 +30,6 @@ Status MetricsCollector::Record(const market::RoundReport& report) {
 
   if (report.degraded) ++degraded_rounds_;
   if (report.voided) ++voided_rounds_;
-  for (const market::FaultEvent& event : report.faults) {
-    if (event.seller < 0) continue;
-    SellerFaultStats& stats = FaultStats(event.seller);
-    switch (event.kind) {
-      case market::FaultKind::kSellerDefault:
-        ++stats.defaults;
-        break;
-      case market::FaultKind::kCorruptedReport:
-        ++stats.corruptions;
-        break;
-      case market::FaultKind::kPartialDelivery:
-        ++stats.partials;
-        break;
-      case market::FaultKind::kQuarantine:
-        ++stats.quarantine_drops;
-        break;
-      default:
-        break;
-    }
-  }
-  for (int seller : delivered) ++FaultStats(seller).deliveries;
-
   consumer_.Add(report.consumer_profit);
   platform_.Add(report.platform_profit);
   seller_total_.Add(report.seller_profit_total);

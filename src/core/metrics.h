@@ -16,20 +16,6 @@
 namespace cdt {
 namespace core {
 
-/// Per-seller delivery/fault tallies aggregated from the round reports'
-/// fault events (the engine's ReliabilityTracker holds the live breaker
-/// state; this is the offline view a metrics consumer can keep).
-struct SellerFaultStats {
-  std::int64_t deliveries = 0;
-  std::int64_t defaults = 0;
-  std::int64_t corruptions = 0;
-  std::int64_t partials = 0;
-  std::int64_t quarantine_drops = 0;
-
-  /// deliveries / (deliveries + defaults + corruptions); 1 when unseen.
-  double delivery_rate() const;
-};
-
 /// A snapshot of cumulative metrics after some round.
 struct MetricsCheckpoint {
   std::int64_t round = 0;
@@ -89,13 +75,10 @@ class MetricsCollector {
   }
 
   // --- fault / degradation accounting -------------------------------
-  // Per-kind fault totals are the engine's: TradingEngine::fault_count.
+  // Per-kind fault totals are the engine's (TradingEngine::fault_count),
+  // and so are per-seller tallies (TradingEngine::reliability).
   std::int64_t degraded_rounds() const { return degraded_rounds_; }
   std::int64_t voided_rounds() const { return voided_rounds_; }
-  /// Indexed by seller; grows lazily to the largest seller seen.
-  const std::vector<SellerFaultStats>& seller_faults() const {
-    return seller_faults_;
-  }
 
   /// Builds a checkpoint of the current cumulative state.
   MetricsCheckpoint Snapshot() const;
@@ -106,14 +89,10 @@ class MetricsCollector {
       : tracker_(std::move(tracker)),
         checkpoint_rounds_(std::move(checkpoints)) {}
 
-  /// Ensures seller_faults_ covers `seller` and returns its entry.
-  SellerFaultStats& FaultStats(int seller);
-
   bandit::RegretTracker tracker_;
   double observed_revenue_extra_ = 0.0;
   std::int64_t degraded_rounds_ = 0;
   std::int64_t voided_rounds_ = 0;
-  std::vector<SellerFaultStats> seller_faults_;
   std::vector<std::int64_t> checkpoint_rounds_;
   std::size_t next_checkpoint_ = 0;
   std::vector<MetricsCheckpoint> snapshots_;

@@ -157,6 +157,12 @@ Status InvariantChecker::Check(const EngineStateView& view,
     CheckStationarity(view, report);
     CheckBandit(view, report);
   }
+  if (report.initial_exploration) {
+    // A select-all round's coalition is M, not K: release the scratch it
+    // grew instead of holding its high-water mark.
+    record_scratch_ = std::vector<double>();
+    cost_scratch_ = std::vector<game::SellerCostParams>();
+  }
   last_round_ = std::max(last_round_, report.round);
   return Outcome(before, report.round);
 }

@@ -222,7 +222,7 @@ class InvariantChecker : public RoundObserver {
   };
   std::vector<SellerRecord> seller_records_;
   /// The selected sellers' expected balances (CheckLedger) and cost rows
-  /// (CheckProfits).
+  /// (CheckProfits); released after a select-all round.
   std::vector<double> record_scratch_;
   std::vector<game::SellerCostParams> cost_scratch_;
   std::uint64_t prev_total_observations_ = 0;

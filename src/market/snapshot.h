@@ -10,11 +10,13 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bandit/arm.h"
 #include "bandit/environment.h"
 #include "market/faults.h"
+#include "util/strided_span.h"
 
 namespace cdt {
 namespace market {
@@ -53,6 +55,55 @@ struct EngineSnapshot {
   /// seller is active — the serialized form then appends nothing, keeping
   /// pre-overlay snapshots byte-compatible.
   std::vector<std::uint8_t> seller_active;
+};
+
+/// An EngineSnapshot's fields where they live, for encoding without a
+/// copy: TradingEngine::SnapshotView reads them from the live engine (the
+/// bank's columns, the tracker's rows, the environment's sampler rows), and
+/// a captured EngineSnapshot converts implicitly. Valid until the viewed
+/// state next changes.
+struct EngineSnapshotView {
+  std::int64_t next_round = 1;
+  bool budget_exhausted = false;
+
+  /// pricing_arms, column by column (both the same size).
+  util::StridedSpan<std::uint64_t> arm_observations;
+  util::StridedSpan<double> arm_means;
+  std::uint64_t pricing_total_observations = 0;
+
+  std::span<const double> ledger_balances;
+  double ledger_consumer_outflow = 0.0;
+  double ledger_seller_inflow = 0.0;
+
+  std::span<const SellerReliability> reliability;
+  std::int64_t reliability_total_faults = 0;
+  std::array<std::int64_t, kNumFaultKinds> fault_counts{};
+
+  bandit::EnvironmentStateView environment;
+
+  std::span<const std::uint8_t> seller_active;
+
+  EngineSnapshotView() = default;
+  EngineSnapshotView(const EngineSnapshot& snapshot)  // NOLINT
+      : next_round(snapshot.next_round),
+        budget_exhausted(snapshot.budget_exhausted),
+        pricing_total_observations(snapshot.pricing_total_observations),
+        ledger_balances(snapshot.ledger_balances),
+        ledger_consumer_outflow(snapshot.ledger_consumer_outflow),
+        ledger_seller_inflow(snapshot.ledger_seller_inflow),
+        reliability(snapshot.reliability),
+        reliability_total_faults(snapshot.reliability_total_faults),
+        fault_counts(snapshot.fault_counts),
+        environment(snapshot.environment),
+        seller_active(snapshot.seller_active) {
+    const std::vector<bandit::ArmState>& arms = snapshot.pricing_arms;
+    if (arms.empty()) return;
+    const std::size_t stride = sizeof(bandit::ArmState);
+    arm_observations = util::StridedSpan<std::uint64_t>(
+        &arms.front().observations, arms.size(), stride);
+    arm_means =
+        util::StridedSpan<double>(&arms.front().mean, arms.size(), stride);
+  }
 };
 
 }  // namespace market

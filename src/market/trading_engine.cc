@@ -579,6 +579,12 @@ Result<RoundReport> TradingEngine::RunRound() {
     }
     collect_.Recycle();
   }
+  if (report.initial_exploration) {
+    // Only a select-all round fills these past K; keeping M rows of L
+    // draws would hold the round's high-water mark for the whole run.
+    collect_ = CollectBuffers();
+    selected_scratch_ = std::vector<int>();
+  }
 
   for (const FaultEvent& e : report.faults) {
     ++fault_counts_[static_cast<std::size_t>(e.kind)];
@@ -645,6 +651,24 @@ EngineSnapshot TradingEngine::CaptureSnapshot() const {
   // pre-overlay byte layout.
   snapshot.seller_active = seller_active_;
   return snapshot;
+}
+
+EngineSnapshotView TradingEngine::SnapshotView() const {
+  EngineSnapshotView view;
+  view.next_round = next_round_;
+  view.budget_exhausted = budget_exhausted_;
+  view.arm_observations = bank_->observation_counts();
+  view.arm_means = bank_->means();
+  view.pricing_total_observations = bank_->total_observations();
+  view.ledger_balances = ledger_.balances();
+  view.ledger_consumer_outflow = ledger_.ConsumerOutflow();
+  view.ledger_seller_inflow = ledger_.SellerInflow();
+  view.reliability = reliability_.sellers();
+  view.reliability_total_faults = reliability_.total_faults();
+  view.fault_counts = fault_counts_;
+  view.environment = environment_->StateView();
+  view.seller_active = seller_active_;
+  return view;
 }
 
 Status TradingEngine::RestoreSnapshot(const EngineSnapshot& snapshot) {

@@ -68,7 +68,8 @@ struct EngineConfig {
 /// no per-seller allocation in steady state.
 struct CollectBuffers {
   /// One batch vector per coalition member: rows[j] holds member j's L
-  /// draws. Rows past the coalition stay allocated for later rounds.
+  /// draws. Rows past the coalition stay allocated for later rounds, but
+  /// the engine drops all of them after a select-all round.
   std::vector<std::vector<double>> rows;
   /// Sellers whose batch passed validation and their batches, in coalition
   /// order: the pair SelectionPolicy::Observe takes. The n accepted batches
@@ -201,6 +202,11 @@ class TradingEngine {
   /// later RestoreSnapshot resumes the campaign bit-for-bit.
   EngineSnapshot CaptureSnapshot() const;
 
+  /// The same state in place, for a checkpoint that encodes it without a
+  /// copy (persist::WriteSnapshotFile): it encodes to CaptureSnapshot()'s
+  /// bytes. Valid until the next round or state change.
+  EngineSnapshotView SnapshotView() const;
+
   /// Applies a snapshot captured from an engine with identical
   /// configuration. Must be called before any round has run; fails closed
   /// when the policy cannot restore exactly (snapshot_safe() false), when
@@ -268,9 +274,11 @@ class TradingEngine {
   /// The last Solve's proof, valid while the round's prices are its.
   game::SolveProof solve_proof_;
   bool proof_valid_ = false;
-  /// Selection scratch handed to SelectionPolicy::SelectRoundInto.
+  /// Selection scratch handed to SelectionPolicy::SelectRoundInto, and the
+  /// collect-stage buffers (CollectCoalition). Both are released after a
+  /// round whose coalition exceeds K (Algorithm 1's select-all round 1),
+  /// so they keep a K-sized coalition's capacity, not M's.
   std::vector<int> selected_scratch_;
-  /// Collect-stage buffers (CollectCoalition).
   CollectBuffers collect_;
 
   /// Non-null only when the config's fault profile is armed.

@@ -207,7 +207,11 @@ Status EventLogWriter::AppendRound(const market::RoundReport& report) {
   }
   std::string payload;
   EncodeRoundReport(report, &payload);
-  CDT_RETURN_NOT_OK(AppendRecord(RecordType::kRound, payload));
+  const Status appended = AppendRecord(RecordType::kRound, payload);
+  // A select-all round's record holds M sellers, not K: release the frame
+  // scratch it grew instead of holding its high-water mark.
+  if (report.initial_exploration) std::string().swap(scratch_);
+  CDT_RETURN_NOT_OK(appended);
   rolling_crc_ = Crc32(payload, rolling_crc_);
   ++rounds_written_;
   return Status::OK();
@@ -468,7 +472,7 @@ Status DecodeRebasePayload(std::string_view payload,
 // --- snapshot files -----------------------------------------------------
 
 Status WriteSnapshotFile(const std::string& path, std::uint32_t config_crc,
-                         const market::EngineSnapshot& snapshot) {
+                         const market::EngineSnapshotView& snapshot) {
   // One buffer, allocated once: the header, then the payload (config CRC
   // and snapshot) encoded in place, then the payload's CRC.
   std::string header(kSnapshotMagic, kMagicSize);

@@ -181,6 +181,7 @@ class EventLogWriter {
   std::string path_;
   std::FILE* file_;  // null once closed
   util::Status status_;
+  /// One record's frame; released after a select-all round's record.
   std::string scratch_;
   std::int64_t rounds_written_ = 0;
   std::int64_t base_round_ = 0;
@@ -227,9 +228,10 @@ struct SnapshotFile {
 
 /// Atomically writes a snapshot file (temp + fsync + rename; see
 /// atomic_io.h) so a crash mid-write never corrupts the previous snapshot.
+/// Takes a captured EngineSnapshot or a live engine's SnapshotView.
 util::Status WriteSnapshotFile(const std::string& path,
                                std::uint32_t config_crc,
-                               const market::EngineSnapshot& snapshot);
+                               const market::EngineSnapshotView& snapshot);
 
 /// Reads and validates a snapshot file (magic, version, CRC).
 util::Result<SnapshotFile> ReadSnapshotFile(const std::string& path);

@@ -67,7 +67,7 @@ Result<std::unique_ptr<RunRecorder>> RunRecorder::Rebase(
   EncodeConfigPayload(config, policy, &config_payload);
   CDT_RETURN_NOT_OK(WriteSnapshotFile(options.snapshot_path,
                                       Crc32(config_payload),
-                                      engine.CaptureSnapshot()));
+                                      engine.SnapshotView()));
   auto log =
       EventLogWriter::OpenRebased(options.log_path, config, policy, round);
   CDT_RETURN_NOT_OK(log.status());
@@ -94,13 +94,13 @@ Status RunRecorder::CheckpointNow(const market::TradingEngine& engine) {
   // Snapshot notes must follow the round they cover; before round 1 there
   // is nothing to checkpoint.
   if (round < 1 || round != log_->rounds_written()) return Status::OK();
-  // The checker's O(M) ledger audit rides on the snapshot's O(M) capture.
+  // The checker's O(M) ledger audit rides on the snapshot's O(M) encode.
   CDT_RETURN_NOT_OK(engine.AuditInvariants());
   // Snapshot first, note second: the log never claims a snapshot that did
-  // not reach disk.
+  // not reach disk. The encoder reads the engine's state in place.
   CDT_RETURN_NOT_OK(WriteSnapshotFile(options_.snapshot_path,
                                       log_->config_crc(),
-                                      engine.CaptureSnapshot()));
+                                      engine.SnapshotView()));
   return log_->AppendSnapshotNote(round);
 }
 

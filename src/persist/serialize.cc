@@ -282,14 +282,14 @@ class CursorSink {
 };
 
 template <typename Sink>
-void EncodeArms(const std::vector<bandit::ArmState>& arms,
-                std::uint64_t total, Sink& out) {
-  out.Varint(arms.size());
-  for (const bandit::ArmState& arm : arms) {
-    out.Varint(arm.observations);
-    out.Double(arm.mean);
+void EncodeArms(const market::EngineSnapshotView& snapshot, Sink& out) {
+  const std::size_t count = snapshot.arm_means.size();
+  out.Varint(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.Varint(snapshot.arm_observations[i]);
+    out.Double(snapshot.arm_means[i]);
   }
-  out.Varint(total);
+  out.Varint(snapshot.pricing_total_observations);
 }
 
 Status DecodeArms(ByteReader* in, std::vector<bandit::ArmState>* arms,
@@ -346,7 +346,8 @@ Status DecodeReliability(ByteReader* in, market::SellerReliability* seller) {
 }
 
 template <typename Sink>
-void EncodeSnapshotFields(const market::EngineSnapshot& snapshot, Sink& out) {
+void EncodeSnapshotFields(const market::EngineSnapshotView& snapshot,
+                          Sink& out) {
   out.Zigzag(snapshot.next_round);
   out.Byte(snapshot.budget_exhausted ? 1 : 0);
   // The old consumer-spend slot: it always equalled the ledger outflow.
@@ -354,7 +355,7 @@ void EncodeSnapshotFields(const market::EngineSnapshot& snapshot, Sink& out) {
   // The arms once, then a flag byte 0: the layout every version-1 reader
   // accepts. DecodeEngineSnapshot also reads flag 1, a second copy of the
   // arms that older writers appended under CUCB.
-  EncodeArms(snapshot.pricing_arms, snapshot.pricing_total_observations, out);
+  EncodeArms(snapshot, out);
   out.Byte(0);
   out.Varint(snapshot.ledger_balances.size());
   for (double balance : snapshot.ledger_balances) out.Double(balance);
@@ -368,10 +369,15 @@ void EncodeSnapshotFields(const market::EngineSnapshot& snapshot, Sink& out) {
   out.Zigzag(snapshot.reliability_total_faults);
   for (std::int64_t count : snapshot.fault_counts) out.Zigzag(count);
   for (std::uint64_t word : snapshot.environment.rng_state) out.Fixed64(word);
-  out.Varint(snapshot.environment.has_spare.size());
-  for (std::uint8_t flag : snapshot.environment.has_spare) out.Byte(flag);
-  out.Varint(snapshot.environment.spare.size());
-  for (double spare : snapshot.environment.spare) out.Double(spare);
+  const bandit::EnvironmentStateView& environment = snapshot.environment;
+  out.Varint(environment.has_spare.size());
+  for (std::size_t i = 0; i < environment.has_spare.size(); ++i) {
+    out.Byte(environment.has_spare[i]);
+  }
+  out.Varint(environment.spare.size());
+  for (std::size_t i = 0; i < environment.spare.size(); ++i) {
+    out.Double(environment.spare[i]);
+  }
   // Optional tail: the seller-departure bitmap (runtime seller-leave
   // events). Omitted entirely when every seller is active, so snapshots
   // from runs that never saw a departure keep the original byte layout
@@ -384,20 +390,20 @@ void EncodeSnapshotFields(const market::EngineSnapshot& snapshot, Sink& out) {
 
 }  // namespace
 
-std::size_t EngineSnapshotSize(const market::EngineSnapshot& snapshot) {
+std::size_t EngineSnapshotSize(const market::EngineSnapshotView& snapshot) {
   SizeSink size;
   EncodeSnapshotFields(snapshot, size);
   return size.size();
 }
 
-char* EncodeEngineSnapshotAt(const market::EngineSnapshot& snapshot,
+char* EncodeEngineSnapshotAt(const market::EngineSnapshotView& snapshot,
                              char* cursor) {
   CursorSink out(cursor);
   EncodeSnapshotFields(snapshot, out);
   return out.cursor();
 }
 
-void EncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
+void EncodeEngineSnapshot(const market::EngineSnapshotView& snapshot,
                           std::string* out) {
   const std::size_t at = out->size();
   out->resize(at + EngineSnapshotSize(snapshot));

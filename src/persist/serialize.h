@@ -40,11 +40,14 @@ util::Status DecodeRoundReport(ByteReader* in, market::RoundReport* report);
 /// cursor: EngineSnapshotSize counts the bytes, EncodeEngineSnapshotAt
 /// writes them at `cursor` (which must have that much room) and returns
 /// the end, and EncodeEngineSnapshot appends them to `out`, growing it
-/// once. tests/support keeps the per-field encoder as the byte oracle.
-std::size_t EngineSnapshotSize(const market::EngineSnapshot& snapshot);
-char* EncodeEngineSnapshotAt(const market::EngineSnapshot& snapshot,
+/// once. Each reads a view, so the live engine's state
+/// (TradingEngine::SnapshotView) encodes without a copy, and a captured
+/// EngineSnapshot converts to one. tests/support keeps the per-field
+/// encoder as the byte oracle.
+std::size_t EngineSnapshotSize(const market::EngineSnapshotView& snapshot);
+char* EncodeEngineSnapshotAt(const market::EngineSnapshotView& snapshot,
                              char* cursor);
-void EncodeEngineSnapshot(const market::EngineSnapshot& snapshot,
+void EncodeEngineSnapshot(const market::EngineSnapshotView& snapshot,
                           std::string* out);
 util::Status DecodeEngineSnapshot(ByteReader* in,
                                   market::EngineSnapshot* snapshot);

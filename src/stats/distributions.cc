@@ -26,27 +26,6 @@ double GaussianSampler::Sample(Xoshiro256& rng, double mean, double stddev) {
   return mean + stddev * (u * factor);
 }
 
-Result<TruncatedGaussianSampler> TruncatedGaussianSampler::Create(
-    double mean, double stddev, double lo, double hi) {
-  if (stddev <= 0.0) {
-    return Status::InvalidArgument("truncated Gaussian requires stddev > 0");
-  }
-  if (lo >= hi) {
-    return Status::InvalidArgument(
-        "truncated Gaussian requires lo < hi");
-  }
-  return TruncatedGaussianSampler(mean, stddev, lo, hi);
-}
-
-double TruncatedGaussianSampler::Sample(Xoshiro256& rng) {
-  for (int attempt = 0; attempt < kMaxRejects; ++attempt) {
-    double x = gaussian_.Sample(rng, mean_, stddev_);
-    if (x >= lo_ && x <= hi_) return x;
-  }
-  // Degenerate parameterisation: clamp the mean into the window.
-  return std::min(hi_, std::max(lo_, mean_));
-}
-
 Result<ZipfSampler> ZipfSampler::Create(std::size_t n, double exponent) {
   if (n == 0) {
     return Status::InvalidArgument("Zipf requires n >= 1");

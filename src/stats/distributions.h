@@ -1,6 +1,6 @@
-// Samplers built on the deterministic RNG: uniform, Gaussian (Box–Muller),
-// truncated Gaussian (the paper's quality-observation noise model), Zipf
-// (zone popularity in the synthetic taxi trace) and exponential.
+// Samplers built on the deterministic RNG: Gaussian (Box–Muller; the
+// quality environment truncates it to the paper's quality-observation
+// noise model) and Zipf (zone popularity in the synthetic taxi trace).
 
 #ifndef CDT_STATS_DISTRIBUTIONS_H_
 #define CDT_STATS_DISTRIBUTIONS_H_
@@ -32,46 +32,14 @@ class GaussianSampler {
     has_spare_ = has_spare;
     spare_ = spare;
   }
+  /// The cache's fields in place, for a strided view over an array of
+  /// samplers (a checkpoint encodes them without a copy).
+  const bool* has_spare_field() const { return &has_spare_; }
+  const double* spare_field() const { return &spare_; }
 
  private:
   bool has_spare_ = false;
   double spare_ = 0.0;
-};
-
-/// Gaussian truncated to [lo, hi] by rejection sampling, matching the
-/// paper's "truncated Gaussian distribution to generate sellers' observed
-/// qualities" in [0, 1]. Falls back to clamping after `max_rejects` misses
-/// (only reachable for pathological (mean, stddev) far outside the window).
-class TruncatedGaussianSampler {
- public:
-  /// Creates a sampler for N(mean, stddev^2) truncated to [lo, hi].
-  /// Invalid bounds (lo >= hi) or stddev <= 0 are reported via Result.
-  static util::Result<TruncatedGaussianSampler> Create(double mean,
-                                                       double stddev,
-                                                       double lo, double hi);
-
-  double Sample(Xoshiro256& rng);
-
-  double mean() const { return mean_; }
-  double stddev() const { return stddev_; }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-
-  /// The internal Gaussian's spare cache, exposed for snapshot/restore.
-  const GaussianSampler& gaussian() const { return gaussian_; }
-  GaussianSampler* mutable_gaussian() { return &gaussian_; }
-
- private:
-  TruncatedGaussianSampler(double mean, double stddev, double lo, double hi)
-      : mean_(mean), stddev_(stddev), lo_(lo), hi_(hi) {}
-
-  static constexpr int kMaxRejects = 256;
-
-  double mean_;
-  double stddev_;
-  double lo_;
-  double hi_;
-  GaussianSampler gaussian_;
 };
 
 /// Zipf(s) over ranks {0, ..., n-1}: P(rank k) ∝ 1/(k+1)^s. Sampled via the

@@ -1,6 +1,7 @@
 #include "bandit/environment.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -8,6 +9,7 @@
 
 #include "stats/rng.h"
 #include "stats/summary.h"
+#include "support/reference_truncated_gaussian.h"
 
 namespace cdt {
 namespace bandit {
@@ -180,6 +182,79 @@ TEST(QualityEnvironmentTest, BatchDrawMatchesPerSellerDraws) {
       ASSERT_EQ(a.rng_state, b.rng_state) << "L=" << pois;
       ASSERT_EQ(a.has_spare, b.has_spare) << "L=" << pois;
       ASSERT_EQ(a.spare, b.spare) << "L=" << pois;
+    }
+  }
+}
+
+// The environment keeps one 16-byte Box–Muller spare cache per seller and
+// truncates with its shared stddev and [0, 1] window. Against the 48-byte
+// per-seller sampler it replaced (the oracle in tests/support) every draw
+// must match bit for bit, and so must the RNG words and every seller's
+// spare afterwards: over a million draws with nominal qualities at the
+// window's edges (0 and 1, where half the draws are rejected), and with a
+// noise so wide that draws end in the 256-reject clamp.
+TEST(QualityEnvironmentTest, DrawsMatchThePerSellerSamplerOracle) {
+  struct Case {
+    std::vector<double> qualities;
+    double stddev;
+    int pois;
+    int rounds;
+  };
+  std::vector<double> spread = {0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9};
+  stats::Xoshiro256 picker(0xD1CE);
+  while (spread.size() < 200) spread.push_back(picker.NextDouble());
+  const std::vector<Case> cases = {
+      {spread, 0.1, 10, 500},           // 10^6 draws
+      {spread, 0.8, 3, 100},            // wide noise, odd L
+      {{0.0, 0.3, 1.0}, 1e6, 10, 100},  // the clamp
+  };
+  std::uint64_t seed = 41;
+  for (const Case& c : cases) {
+    auto created =
+        QualityEnvironment::CreateWithQualities(c.qualities, c.pois, c.stddev,
+                                                ++seed);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    QualityEnvironment& env = created.value();
+    stats::Xoshiro256 rng(seed);
+    std::vector<testsupport::TruncatedGaussianSampler> oracle;
+    for (double q : c.qualities) {
+      auto sampler =
+          testsupport::TruncatedGaussianSampler::Create(q, c.stddev, 0.0, 1.0);
+      ASSERT_TRUE(sampler.ok());
+      oracle.push_back(sampler.value());
+    }
+    std::vector<int> order(c.qualities.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::vector<std::vector<double>> rows;
+    std::int64_t draws = 0, mismatches = 0, clamped = 0;
+    for (int round = 0; round < c.rounds; ++round) {
+      for (std::size_t i = order.size() - 1; i > 0; --i) {
+        std::swap(order[i], order[picker.Next() % (i + 1)]);
+      }
+      env.ObserveSellersInto(order, &rows);
+      for (std::size_t j = 0; j < order.size(); ++j) {
+        const std::size_t seller = static_cast<std::size_t>(order[j]);
+        for (double got : rows[j]) {
+          const double want = oracle[seller].Sample(rng);
+          if (std::memcmp(&got, &want, sizeof got) != 0 && mismatches++ == 0) {
+            ADD_FAILURE() << "stddev " << c.stddev << " round " << round
+                          << " seller " << seller << ": " << got << " vs "
+                          << want;
+          }
+          if (got == c.qualities[seller] && c.stddev > 1.0) ++clamped;
+          ++draws;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+    if (c.rounds == 500) EXPECT_GE(draws, 1000000);
+    if (c.stddev > 1.0) EXPECT_GT(clamped, draws / 2);
+    const EnvironmentState state = env.SaveState();
+    EXPECT_EQ(state.rng_state, rng.state());
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      ASSERT_EQ(state.has_spare[i] != 0, oracle[i].gaussian().has_spare())
+          << "seller " << i;
+      ASSERT_EQ(state.spare[i], oracle[i].gaussian().spare()) << "seller " << i;
     }
   }
 }

@@ -832,6 +832,83 @@ TEST_F(DurabilityGuardTest, UnreadableSnapshotFallsBackToAFullReplayThatIsCounte
   EXPECT_EQ(got.value().snapshot_rounds, notes);
 }
 
+TEST_F(DurabilityGuardTest, FullReplayOfALargeMarketplaceIsByteTrue) {
+  // With its snapshot deleted, a marketplace of 20,000 sellers recovers by
+  // replaying its whole log, so it runs Algorithm 1's select-all round 1
+  // again, and the scratch that round grows is released again. The
+  // recovered marketplace then finishes its run, and every round record,
+  // the final snapshot and the journal match an uninterrupted run's.
+  MarketplaceSpec spec;
+  spec.config.num_sellers = 20000;
+  spec.config.num_selected = 141;
+  spec.config.num_pois = 4;
+  spec.config.num_rounds = 30;
+  spec.config.seed = 0x2A11;
+  HostedMarketplace::Options options;
+  options.wal_dir = dir_;
+  options.snapshot_every = 10;
+  // Seller 17 leaves after round 25 and returns after the crash.
+  auto flip = [](HostedMarketplace& marketplace, EventType type) {
+    std::int64_t remaining = 0;
+    return marketplace.ApplyEvent(Flip(marketplace.id(), type, 17), 0,
+                                  &remaining);
+  };
+  {
+    auto reference = HostedMarketplace::Create("ref", spec, options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ApplyDemand(*reference.value(), 30);
+    ASSERT_TRUE(reference.value()->FinishWal().ok());
+  }
+  {
+    auto live = HostedMarketplace::Create("mkt", spec, options);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ApplyDemand(*live.value(), 25);
+    ASSERT_TRUE(flip(*live.value(), EventType::kSellerLeave).ok());
+  }
+  ASSERT_TRUE(fs::remove(MarketplaceSnapshotPath(dir_, "mkt")));
+  const double missing = FullReplays("no_snapshot")->value();
+
+  auto recovered = HostedMarketplace::Recover("mkt", options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(FullReplays("no_snapshot")->value(), missing + 1);
+  EXPECT_EQ(recovered.value()->rounds_settled(), 25);
+  EXPECT_FALSE(recovered.value()->run().engine().seller_active(17));
+  ASSERT_TRUE(flip(*recovered.value(), EventType::kSellerReturn).ok());
+  ApplyDemand(*recovered.value(), 5);
+  ASSERT_TRUE(recovered.value()->FinishWal().ok());
+
+  // The reference never saw the flips: compare it through round 25, and
+  // the recovered run against a second uninterrupted one with the same
+  // flips for everything after.
+  {
+    auto twin = HostedMarketplace::Create("twin", spec, options);
+    ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+    ApplyDemand(*twin.value(), 25);
+    ASSERT_TRUE(flip(*twin.value(), EventType::kSellerLeave).ok());
+    ASSERT_TRUE(flip(*twin.value(), EventType::kSellerReturn).ok());
+    ApplyDemand(*twin.value(), 5);
+    ASSERT_TRUE(twin.value()->FinishWal().ok());
+  }
+  for (auto path_of : {MarketplaceSnapshotPath, MarketplaceJournalPath}) {
+    auto got = persist::ReadFileBytes(path_of(dir_, "mkt"));
+    auto want = persist::ReadFileBytes(path_of(dir_, "twin"));
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_TRUE(got.value() == want.value())
+        << path_of(dir_, "mkt") << " differs from the uninterrupted run";
+  }
+  auto got = persist::LoadRecordedLog(MarketplaceLogPath(dir_, "mkt"));
+  auto twin = persist::LoadRecordedLog(MarketplaceLogPath(dir_, "twin"));
+  auto ref = persist::LoadRecordedLog(MarketplaceLogPath(dir_, "ref"));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_TRUE(got.value().round_payloads == twin.value().round_payloads);
+  ASSERT_EQ(ref.value().round_payloads.size(), 30u);
+  EXPECT_TRUE(std::equal(ref.value().round_payloads.begin(),
+                         ref.value().round_payloads.begin() + 25,
+                         got.value().round_payloads.begin()));
+}
+
 TEST_F(DurabilityGuardTest, GarbledRoundBeforeTheSnapshotFailsEveryLoad) {
   // Round 2's record is re-framed around a payload with a trailing byte,
   // under a valid CRC. The scan passes it and the tail replay never

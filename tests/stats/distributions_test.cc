@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "stats/summary.h"
+#include "support/reference_truncated_gaussian.h"
 
 namespace cdt {
 namespace stats {
 namespace {
+
+using testsupport::TruncatedGaussianSampler;
 
 TEST(GaussianSamplerTest, MatchesRequestedMoments) {
   Xoshiro256 rng(17);

@@ -23,6 +23,13 @@ A ratio above MAX FAILS the run, and so does a missing row. With only
 --benchmark_repetitions is read as each row's median over its
 repetitions, which a gate on a small ratio needs to read more than noise.
 
+Counter limits (--counter ROW COUNTER MAX, repeatable) read a user
+counter a row reports beside its time, such as BM_EngineFootprint's
+heap bytes per seller. A counter above MAX FAILS the run, and so does a
+missing row or counter. A count of bytes does not depend on the host the
+way a time does, so an absolute limit holds on any machine. A repeated
+row is read as its median, as for the ratios.
+
 Stdlib only; exits 0 when every gated row holds, 1 otherwise.
 """
 
@@ -47,6 +54,15 @@ def _rows(report):
         runs.setdefault(name, []).append(
             float(bench["real_time"]) * _UNIT_NS[unit])
     return {name: statistics.median(times) for name, times in runs.items()}
+
+
+def _counter(report, row, counter):
+    """ROW's user counter COUNTER: the median over the row's repetitions,
+    or None when no non-aggregate row reports it."""
+    values = [float(bench[counter]) for bench in report.get("benchmarks", [])
+              if bench.get("run_type") != "aggregate"
+              and bench["name"] == row and counter in bench]
+    return statistics.median(values) if values else None
 
 
 def _check_baseline(args, cur):
@@ -123,7 +139,26 @@ def _check_ratios(ratios, cur):
     return failed
 
 
-def main():
+def _check_counters(limits, report):
+    """Gates counters against absolute limits; returns the failure
+    count."""
+    failed = 0
+    for row, counter, limit in limits:
+        value = _counter(report, row, counter)
+        if value is None:
+            print(f"  [GONE]   counter {counter} of {row} missing from the "
+                  "current report", file=sys.stderr)
+            failed += 1
+            continue
+        verdict = "ok" if value <= float(limit) else "FAIL"
+        print(f"  [COUNT]  {row} {counter}: {value:.3f} "
+              f"(max {float(limit):.3f}) {verdict}")
+        if verdict == "FAIL":
+            failed += 1
+    return failed
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline",
                         help="combined BENCH_<pr>.json baseline")
@@ -144,19 +179,25 @@ def main():
                         help="fail when NUMERATOR's time over "
                              "DENOMINATOR's in the current report "
                              "exceeds MAX")
-    args = parser.parse_args()
-    if args.baseline is None and not args.ratio:
-        parser.error("give --baseline and --binary, or --ratio")
+    parser.add_argument("--counter", nargs=3, action="append", default=[],
+                        metavar=("ROW", "COUNTER", "MAX"),
+                        help="fail when ROW's user counter COUNTER in the "
+                             "current report exceeds MAX")
+    args = parser.parse_args(argv)
+    if args.baseline is None and not args.ratio and not args.counter:
+        parser.error("give --baseline and --binary, --ratio or --counter")
     if args.baseline is not None and args.binary is None:
         parser.error("--baseline needs --binary")
 
     with open(args.current) as f:
-        cur = _rows(json.load(f))
+        report = json.load(f)
+    cur = _rows(report)
 
     failed = 0
     if args.baseline is not None:
         failed += _check_baseline(args, cur)
     failed += _check_ratios(args.ratio, cur)
+    failed += _check_counters(args.counter, report)
     if failed:
         return 1
     print("\nall gated rows within threshold")
